@@ -12,40 +12,21 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass, fields
 
+from .constructions import construct
 from .errors import InvalidParameterError, NonBipartiteError
-from .grids import (
-    Family,
-    MeshGraph,
-    build_cylinder,
-    build_torus,
-    diameter,
-    is_bipartite,
-    max_degree,
-)
+from .grids import Family, MeshGraph, admits, build, diameter, is_bipartite, max_degree
 
 __all__ = [
     "BoundsRow",
+    "bounds_row",
     "theorem1_upper",
     "lower_bound",
     "bounds_table",
     "bounds_table_csv",
     "BOUNDS_COLUMNS",
 ]
-
-BOUNDS_COLUMNS = (
-    "family",
-    "m",
-    "n",
-    "delta",
-    "diam",
-    "w_claimed",
-    "lower_W",
-    "upper_W",
-    "w_exact",
-    "W_exact",
-)
 
 
 @dataclass(frozen=True)
@@ -62,18 +43,10 @@ class BoundsRow:
     W_exact: int | None = None
 
     def as_record(self) -> dict:
-        return {
-            "family": self.family,
-            "m": self.m,
-            "n": self.n,
-            "delta": self.delta,
-            "diam": self.diam,
-            "w_claimed": self.w_claimed,
-            "lower_W": self.lower_W,
-            "upper_W": self.upper_W,
-            "w_exact": self.w_exact,
-            "W_exact": self.W_exact,
-        }
+        return asdict(self)
+
+
+BOUNDS_COLUMNS = tuple(f.name for f in fields(BoundsRow))
 
 
 def theorem1_upper(g: MeshGraph) -> int:
@@ -83,43 +56,13 @@ def theorem1_upper(g: MeshGraph) -> int:
     return diameter(g) * (max_degree(g) - 1) + 1
 
 
-def _formula_lower(family: Family, m: int, n: int) -> int:
-    if family is Family.CYLINDER:
-        return 3 * m + n - 2
-    if family is Family.TORUS:
-        return max(3 * m + n, 3 * n + m)
-    raise InvalidParameterError(f"no greatest-palette bound for family {family.value}")
-
-
 def lower_bound(family: Family | str, m: int, n: int) -> int:
     """Constructive lower bound on the greatest palette, always witnessed.
 
-    The formula value is never reported on faith: the corresponding
-    construction is built, verified, and checked to use exactly that
-    palette before the number is returned.
+    The value is the palette of the family's construction, which is built
+    and verified to use exactly the colors 1..t before it is returned.
     """
-    from .constructions import cylinder_coloring, torus_coloring
-
-    family = Family(family)
-    value = _formula_lower(family, m, n)
-    if family is Family.CYLINDER:
-        witness = cylinder_coloring(m, n)
-    else:
-        witness = torus_coloring(m, n)
-    if witness.coloring.palette_size != value:
-        raise InvalidParameterError(
-            f"witness palette {witness.coloring.palette_size} does not match "
-            f"the formula value {value}"
-        )
-    return value
-
-
-def _build(family: Family, m: int, n: int) -> MeshGraph:
-    if family is Family.CYLINDER:
-        return build_cylinder(m, n)
-    if family is Family.TORUS:
-        return build_torus(m, n)
-    raise InvalidParameterError(f"bounds rows cover cylinder and torus, not {family.value}")
+    return construct(family, m, n).coloring.palette_size
 
 
 def bounds_row(
@@ -129,7 +72,7 @@ def bounds_row(
     from .search import SearchBudget, exact_W, exact_w
 
     family = Family(family)
-    g = _build(family, m, n)
+    g = build(family, m, n)
     delta = max_degree(g)
     w_exact = W_exact = None
     if oracle_budget is not None and g.num_edges <= oracle_budget:
@@ -158,8 +101,9 @@ def bounds_table(
 ) -> list[BoundsRow]:
     """Rows for every family and (m, n) in the inclusive ranges.
 
-    Cylinder rows allow m >= 1; torus rows start at m = 2, so a shared
-    m-range beginning at 1 simply skips the invalid torus instances.
+    Instances outside a family's parameter range are skipped: cylinder
+    rows allow m >= 1 but torus rows start at m = 2, so a shared m-range
+    beginning at 1 simply skips the invalid torus instances.
     """
     if m_range[0] > m_range[1] or n_range[0] > n_range[1]:
         raise InvalidParameterError("ranges must be nonempty")
@@ -167,11 +111,8 @@ def bounds_table(
     for family in [Family(f) for f in families]:
         for m in range(m_range[0], m_range[1] + 1):
             for n in range(n_range[0], n_range[1] + 1):
-                if family is Family.TORUS and m < 2:
-                    continue
-                if m < 1 or n < 2:
-                    continue
-                rows.append(bounds_row(family, m, n, oracle_budget))
+                if admits(family, m, n):
+                    rows.append(bounds_row(family, m, n, oracle_budget))
     return rows
 
 

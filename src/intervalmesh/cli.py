@@ -25,23 +25,21 @@ from .colorings import (
     coloring_to_json_dict,
     verify_interval,
 )
-from .constructions import (
-    cylinder_coloring,
-    spectrum_sweep,
-    step_down,
-    torus_coloring,
-)
+from .constructions import CONSTRUCTIONS, construct, spectrum_sweep, step_down_to
 from .errors import (
     BudgetExceededError,
+    CannotStepDownError,
+    ConstructionError,
     DisconnectedGraphError,
     InvalidColoringError,
     InvalidParameterError,
     NonBipartiteError,
     NotIntervalColorableError,
+    NotRegularError,
     SchemaError,
 )
 from .export import to_csv, to_dot
-from .grids import Family, build_cylinder, build_torus, dumps_canonical
+from .grids import Family, build, dumps_canonical, max_degree, vertex_name
 from .search import (
     DEFAULT_MAX_EDGES,
     Outcome,
@@ -61,6 +59,36 @@ ENV_MAX_EDGES = "INTERVALMESH_MAX_EDGES"
 
 class _UsageError(Exception):
     pass
+
+
+# Exit code and stderr message for each failure a subcommand may raise; a
+# subclass without an entry of its own takes its nearest base's.
+_FAILURES = {
+    _UsageError: (EXIT_USAGE, "error: {exc}"),
+    json.JSONDecodeError: (
+        EXIT_USAGE,
+        "parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
+    ),
+    SchemaError: (EXIT_USAGE, "schema error: {exc}"),
+    UnicodeDecodeError: (EXIT_USAGE, "error: input is not UTF-8: {exc}"),
+    OSError: (EXIT_USAGE, "error: {exc}"),
+    InvalidParameterError: (EXIT_USAGE, "error: {exc}"),
+    DisconnectedGraphError: (EXIT_USAGE, "error: {exc}"),
+    NonBipartiteError: (EXIT_USAGE, "error: {exc}"),
+    NotRegularError: (EXIT_USAGE, "error: {exc}"),
+    CannotStepDownError: (EXIT_USAGE, "error: {exc}"),
+    InvalidColoringError: (EXIT_INVALID, "invalid coloring: {exc}"),
+    ConstructionError: (EXIT_INVALID, "construction failed: {exc}"),
+    NotIntervalColorableError: (EXIT_INVALID, "error: {exc}"),
+    BudgetExceededError: (EXIT_BUDGET, "search budget exceeded: {exc}"),
+}
+
+
+def _fail(exc: Exception) -> int:
+    """Report a failure listed in ``_FAILURES`` on stderr; return its exit code."""
+    code, message = next(_FAILURES[k] for k in type(exc).__mro__ if k in _FAILURES)
+    print(message.format(exc=exc), file=sys.stderr)
+    return code
 
 
 def _emit(text: str, path: str | None) -> list[str]:
@@ -105,19 +133,17 @@ def _write_manifest(
     Path(path).write_text(dumps_canonical(manifest), encoding="utf-8")
 
 
-def _strip_manifest_flag(argv: list[str]) -> list[str]:
+def _drop_flag(argv: list[str], *names: str) -> list[str]:
+    """``argv`` without each named flag, given as ``NAME VALUE`` or ``NAME=VALUE``."""
     out = []
     skip = False
     for token in argv:
         if skip:
             skip = False
-            continue
-        if token == "--manifest":
+        elif token in names:
             skip = True
-            continue
-        if token.startswith("--manifest="):
-            continue
-        out.append(token)
+        elif not token.startswith(tuple(f"{name}=" for name in names)):
+            out.append(token)
     return out
 
 
@@ -141,30 +167,25 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
     family = Family(args.family)
-    if family is Family.CYLINDER:
-        result = cylinder_coloring(args.m, args.n)
-        claimed = result.claimed_t
-        if args.t is not None and args.t != claimed:
-            raise _UsageError(
-                f"cylinder ({args.m},{args.n}) is constructible only at t={claimed}"
-            )
+    result = construct(family, args.m, args.n)
+    claimed = result.claimed_t
+    t = claimed if args.t is None else args.t
+    if t == claimed:
         doc = coloring_to_json_dict(result.coloring, result.rule_trace)
-        t = claimed
+    elif family is Family.CYLINDER:
+        # an explicit rule: C(1, 2n) is a regular cycle, yet it is offered
+        # only at its claimed palette like every other cylinder
+        raise _UsageError(
+            f"cylinder ({args.m},{args.n}) is constructible only at t={claimed}"
+        )
     else:
-        result = torus_coloring(args.m, args.n)
-        claimed = result.claimed_t
-        t = claimed if args.t is None else args.t
-        if t == claimed:
-            doc = coloring_to_json_dict(result.coloring, result.rule_trace)
-        else:
-            if not 4 <= t < claimed:
-                raise _UsageError(
-                    f"torus ({args.m},{args.n}) supports t in 4..{claimed}, got {t}"
-                )
-            coloring = result.coloring
-            while coloring.palette_size > t:
-                coloring = step_down(coloring)
-            doc = coloring_to_json_dict(coloring)
+        low = max_degree(result.coloring.graph)
+        if not low <= t < claimed:
+            raise _UsageError(
+                f"{family.value} ({args.m},{args.n}) supports t in "
+                f"{low}..{claimed}, got {t}"
+            )
+        doc = coloring_to_json_dict(step_down_to(result.coloring, t))
     outputs = _emit(dumps_canonical(doc), args.output)
     summary = f"{family.value} m={args.m} n={args.n} t={t}"
     return EXIT_VALID, summary, [], outputs
@@ -184,11 +205,7 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, list[str], list[str
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
-    families = (
-        [Family.CYLINDER, Family.TORUS]
-        if args.family == "both"
-        else [Family(args.family)]
-    )
+    families = list(CONSTRUCTIONS) if args.family == "both" else [args.family]
     m_range = _parse_range(args.m_range)
     n_range = _parse_range(args.n_range)
     rows = bounds_table(families, m_range, n_range, args.oracle_budget)
@@ -215,10 +232,7 @@ def _search_budget(args: argparse.Namespace) -> SearchBudget:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
-    family = Family(args.family)
-    g = build_cylinder(args.m, args.n) if family is Family.CYLINDER else build_torus(
-        args.m, args.n
-    )
+    g = build(args.family, args.m, args.n)
     budget = _search_budget(args)
     if args.t is not None:
         result = find_interval_coloring(g, args.t, budget)
@@ -255,7 +269,7 @@ def _cmd_export(args: argparse.Namespace) -> tuple[int, str, list[str], list[str
     report = verify_interval(coloring)
     if not report.interval:
         bad = report.violating_vertices
-        where = f" (first violated vertex x_{bad[0].ring}_{bad[0].layer})" if bad else ""
+        where = f" (first violated vertex {vertex_name(bad[0])})" if bad else ""
         print(f"refusing to export a non-interval coloring{where}", file=sys.stderr)
         return EXIT_INVALID, "not interval", [args.path], []
     text = to_dot(coloring) if args.format == "dot" else to_csv(coloring, trace)
@@ -271,25 +285,9 @@ def _cmd_replay(args: argparse.Namespace) -> tuple[int, str, list[str], list[str
     if not isinstance(argv, list) or not all(isinstance(s, str) for s in argv):
         raise SchemaError("'argv' must be an array of strings")
     if args.output is not None:
-        argv = _replace_output(argv, args.output)
+        argv = _drop_flag(argv, "-o", "--output") + ["-o", args.output]
     code = run(argv)
     return code, f"replayed {doc.get('subcommand', '?')}", [args.manifest_path], []
-
-
-def _replace_output(argv: list[str], path: str) -> list[str]:
-    out = []
-    skip = False
-    for token in argv:
-        if skip:
-            skip = False
-            continue
-        if token in ("-o", "--output"):
-            skip = True
-            continue
-        if token.startswith("--output="):
-            continue
-        out.append(token)
-    return out + ["-o", path]
 
 
 # ---------------------------------------------------------------------------
@@ -314,9 +312,10 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
+    families = [family.value for family in CONSTRUCTIONS]
 
     p = sub.add_parser("generate", help="emit a constructed coloring as JSON")
-    p.add_argument("--family", choices=["cylinder", "torus"], required=True)
+    p.add_argument("--family", choices=families, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--t", type=int, help="palette size (torus: any value down to 4)")
@@ -332,7 +331,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("bounds", help="emit the bounds table as CSV")
-    p.add_argument("--family", choices=["cylinder", "torus", "both"], default="both")
+    p.add_argument("--family", choices=[*families, "both"], default="both")
     p.add_argument("--m-range", "-m-range", dest="m_range", required=True, metavar="A..B")
     p.add_argument("--n-range", "-n-range", dest="n_range", required=True, metavar="A..B")
     p.add_argument(
@@ -346,7 +345,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("search", help="exhaustive search for interval colorings")
-    p.add_argument("--family", choices=["cylinder", "torus"], required=True)
+    p.add_argument("--family", choices=families, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)
@@ -400,50 +399,28 @@ def run(argv: list[str]) -> int:
     started = time.perf_counter()
     try:
         code, result, inputs, outputs = args.handler(args)
-    except _UsageError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except json.JSONDecodeError as exc:
-        print(
-            f"parse error at line {exc.lineno}, column {exc.colno}: {exc.msg}",
-            file=sys.stderr,
-        )
-        return EXIT_USAGE
-    except SchemaError as exc:
-        print(f"schema error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except (InvalidParameterError, DisconnectedGraphError, NonBipartiteError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
-    except InvalidColoringError as exc:
-        print(f"invalid coloring: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except NotIntervalColorableError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except BudgetExceededError as exc:
-        print(f"search budget exceeded: {exc}", file=sys.stderr)
-        return EXIT_BUDGET
-    except FileNotFoundError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_USAGE
+    except tuple(_FAILURES) as exc:
+        code = _fail(exc)
+        result, inputs, outputs = f"failed: {type(exc).__name__}", [], []
     wall = time.perf_counter() - started
-    manifest_path = getattr(args, "manifest", None)
     parameters = {
         k: v
         for k, v in vars(args).items()
         if k not in ("handler", "manifest", "subcommand") and v is not None
     }
-    _write_manifest(
-        manifest_path,
-        args.subcommand,
-        _strip_manifest_flag(argv),
-        parameters,
-        inputs,
-        outputs,
-        wall,
-        result,
-    )
+    try:
+        _write_manifest(
+            getattr(args, "manifest", None),
+            args.subcommand,
+            _drop_flag(argv, "--manifest"),
+            parameters,
+            inputs,
+            outputs,
+            wall,
+            result,
+        )
+    except OSError as exc:
+        return _fail(exc)
     return code
 
 

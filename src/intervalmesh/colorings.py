@@ -24,6 +24,7 @@ from .grids import (
     _parse_vertex,
     graph_from_json_dict,
     graph_to_json_dict,
+    vertex_name,
 )
 
 __all__ = [
@@ -31,10 +32,7 @@ __all__ = [
     "VertexSpectrum",
     "SpectrumReport",
     "spectrum",
-    "is_proper",
-    "is_surjective",
     "verify_interval",
-    "normalize_colors",
     "coloring_to_json_dict",
     "coloring_from_json_dict",
 ]
@@ -149,10 +147,8 @@ class SpectrumReport:
         ]
         for e in self.entries:
             mark = "" if e.proper and e.is_interval else "  <- violated"
-            name = f"x_{e.vertex.ring}_{e.vertex.layer}"
-            lines.append(
-                f"{name:<10} {e.degree:>6}  {','.join(map(str, e.colors))}{mark}"
-            )
+            cols = ",".join(map(str, e.colors))
+            lines.append(f"{vertex_name(e.vertex):<10} {e.degree:>6}  {cols}{mark}")
         return "\n".join(lines)
 
 
@@ -195,34 +191,6 @@ def verify_interval(c: EdgeColoring) -> SpectrumReport:
         surjective=surjective,
         interval=all_proper and surjective and all_intervals,
         entries=tuple(entries),
-    )
-
-
-def is_proper(c: EdgeColoring) -> bool:
-    g = c.graph
-    return all(
-        len({c.colors[e] for e in g.incident[v]}) == len(g.incident[v])
-        for v in g.vertices
-    )
-
-
-def is_surjective(c: EdgeColoring) -> bool:
-    return set(c.colors.values()) == set(range(1, c.palette_size + 1))
-
-
-def normalize_colors(c: EdgeColoring) -> EdgeColoring:
-    """Shift colors so the least used color becomes 1.
-
-    The palette is re-declared as the span of the used colors.  This is
-    the only place the package renumbers a coloring; nothing normalizes
-    implicitly.
-    """
-    if not c.colors:
-        raise InvalidColoringError("cannot normalize a coloring with no edges")
-    shift = 1 - min(c.colors.values())
-    span = max(c.colors.values()) - min(c.colors.values()) + 1
-    return EdgeColoring(
-        c.graph, {e: col + shift for e, col in c.colors.items()}, span
     )
 
 

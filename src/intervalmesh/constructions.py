@@ -9,30 +9,49 @@ rule trace is kept, so exports can say which rule produced each color.
 Constructions verify their own output and fail loudly, naming a broken
 vertex and its incident colors, rather than return a bad coloring.
 
+``CONSTRUCTIONS`` maps each family that has one to its construction;
+``construct(family, m, n)`` dispatches through it.
+
 ``step_down`` converts an interval t-coloring of a regular graph into an
 interval (t-1)-coloring by recoloring the color-t edges to t - degree;
-``spectrum_sweep`` iterates it to exhibit a torus coloring for every
-palette size from the maximum down to 4.
+``step_down_to`` iterates it to a target palette and ``spectrum_sweep``
+to exhibit a torus coloring for every palette size from the maximum down
+to 4.  Both verify the last coloring of the chain before returning it.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Callable
 
 from .colorings import EdgeColoring, verify_interval
 from .errors import (
     CannotStepDownError,
     ConstructionError,
     InvalidColoringError,
+    InvalidParameterError,
     NotRegularError,
 )
-from .grids import Edge, GridVertex, MeshGraph, build_cylinder, build_torus, is_regular, max_degree
+from .grids import (
+    Edge,
+    Family,
+    GridVertex,
+    MeshGraph,
+    build_cylinder,
+    build_torus,
+    is_regular,
+    max_degree,
+    vertex_name,
+)
 
 __all__ = [
     "ConstructionResult",
     "cylinder_coloring",
     "torus_coloring",
+    "CONSTRUCTIONS",
+    "construct",
     "step_down",
+    "step_down_to",
     "spectrum_sweep",
     "CYLINDER_RULES",
     "TORUS_RULES",
@@ -87,6 +106,23 @@ class _Painter:
         self.trace[e] = rule
 
 
+def _checked(coloring: EdgeColoring) -> EdgeColoring:
+    """The coloring itself once it verifies; otherwise name where it broke."""
+    report = verify_interval(coloring)
+    if not report.interval:
+        for entry in report.entries:
+            if not (entry.proper and entry.is_interval):
+                raise ConstructionError(
+                    f"construction broke at vertex {vertex_name(entry.vertex)}: "
+                    f"incident colors {entry.colors}"
+                )
+        raise ConstructionError(
+            f"construction left palette 1..{coloring.palette_size} uncovered; "
+            f"used {sorted(set(coloring.colors.values()))}"
+        )
+    return coloring
+
+
 def _finalize(
     g: MeshGraph, colors: dict[Edge, int], trace: dict[Edge, str], t: int
 ) -> ConstructionResult:
@@ -95,19 +131,7 @@ def _finalize(
         raise ConstructionError(
             f"{len(unpainted)} edges left unpainted, first {min(unpainted)}"
         )
-    coloring = EdgeColoring(g, colors, t)
-    report = verify_interval(coloring)
-    if not report.interval:
-        for entry in report.entries:
-            if not (entry.proper and entry.is_interval):
-                raise ConstructionError(
-                    f"construction broke at vertex x_{entry.vertex.ring}_"
-                    f"{entry.vertex.layer}: incident colors {entry.colors}"
-                )
-        raise ConstructionError(
-            f"construction left palette 1..{t} uncovered; "
-            f"used {sorted(set(colors.values()))}"
-        )
+    coloring = _checked(EdgeColoring(g, colors, t))
     return ConstructionResult(coloring=coloring, claimed_t=t, rule_trace=trace)
 
 
@@ -211,6 +235,20 @@ def torus_coloring(m: int, n: int) -> ConstructionResult:
     return _torus_coloring_direct(m, n)
 
 
+CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
+    Family.CYLINDER: cylinder_coloring,
+    Family.TORUS: torus_coloring,
+}
+
+
+def construct(family: Family | str, m: int, n: int) -> ConstructionResult:
+    """The closed-form coloring of a named family at parameters (m, n)."""
+    family = Family(family)
+    if family not in CONSTRUCTIONS:
+        raise InvalidParameterError(f"no construction for family {family.value}")
+    return CONSTRUCTIONS[family](m, n)
+
+
 def step_down(c: EdgeColoring) -> EdgeColoring:
     """Interval (t-1)-coloring from an interval t-coloring of a regular graph.
 
@@ -225,9 +263,7 @@ def step_down(c: EdgeColoring) -> EdgeColoring:
     report = verify_interval(c)
     if not report.interval:
         bad = report.violating_vertices
-        where = (
-            f" at vertex x_{bad[0].ring}_{bad[0].layer}" if bad else " (palette uncovered)"
-        )
+        where = f" at vertex {vertex_name(bad[0])}" if bad else " (palette uncovered)"
         raise InvalidColoringError(f"step-down input is not an interval coloring{where}")
     d = max_degree(g)
     t = c.palette_size
@@ -239,14 +275,23 @@ def step_down(c: EdgeColoring) -> EdgeColoring:
     return EdgeColoring(g, recolored, t - 1)
 
 
+def step_down_to(c: EdgeColoring, t: int) -> EdgeColoring:
+    """Interval t-coloring from ``c`` by repeated ``step_down``, verified once."""
+    while c.palette_size > t:
+        c = step_down(c)
+    return _checked(c)
+
+
 def spectrum_sweep(m: int, n: int) -> list[EdgeColoring]:
     """Verified torus colorings for every palette size down to 4.
 
     Starts from ``torus_coloring(m, n)`` and applies ``step_down`` until
     the 4-regular degree bound; the result lists palettes
-    max(3m+n, 3n+m), ..., 5, 4 in order.
+    max(3m+n, 3n+m), ..., 5, 4 in order.  Each step checks its input, and
+    the last coloring is verified before it is returned.
     """
     out = [torus_coloring(m, n).coloring]
     while out[-1].palette_size > 4:
         out.append(step_down(out[-1]))
+    _checked(out[-1])
     return out

@@ -11,13 +11,9 @@ import csv
 import io
 
 from .colorings import EdgeColoring
-from .grids import Edge, GridVertex
+from .grids import Edge, vertex_name
 
 __all__ = ["vertex_name", "to_dot", "to_csv"]
-
-
-def vertex_name(v: GridVertex) -> str:
-    return f"x_{v.ring}_{v.layer}"
 
 
 def to_dot(c: EdgeColoring) -> str:

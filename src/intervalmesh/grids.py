@@ -13,7 +13,7 @@ import json
 from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Iterable, NamedTuple
+from typing import Callable, Iterable, NamedTuple
 
 from .errors import (
     DisconnectedGraphError,
@@ -31,6 +31,9 @@ __all__ = [
     "build_cylinder",
     "build_torus",
     "cartesian_product",
+    "build",
+    "admits",
+    "vertex_name",
     "max_degree",
     "is_regular",
     "is_bipartite",
@@ -52,6 +55,11 @@ class Family(str, Enum):
 class GridVertex(NamedTuple):
     layer: int
     ring: int
+
+
+def vertex_name(v: GridVertex) -> str:
+    """The ``x_<ring>_<layer>`` name used by reports, exports and errors."""
+    return f"x_{v.ring}_{v.layer}"
 
 
 class Edge(NamedTuple):
@@ -253,6 +261,52 @@ def cartesian_product(g1: MeshGraph, g2: MeshGraph) -> MeshGraph:
     return _assemble(Family.PRODUCT, None, None, vertices, edges)
 
 
+class _FamilyLaw(NamedTuple):
+    """How a named family is built from (m, n) and how large it is.
+
+    ``min_m``/``min_n`` are the least admissible parameters; ``None``
+    means the family takes no such parameter.  ``build`` looks the
+    builder up at call time, so rebinding a builder name reaches it.
+    """
+
+    build: Callable[[int | None, int | None], MeshGraph]
+    min_m: int | None
+    min_n: int | None
+    num_vertices: Callable[[int | None, int | None], int]
+
+
+_FAMILIES = {
+    Family.PATH: _FamilyLaw(lambda m, n: build_path(m), 1, None, lambda m, n: m),
+    Family.EVEN_CYCLE: _FamilyLaw(
+        lambda m, n: build_even_cycle(2 * n), None, 2, lambda m, n: 2 * n
+    ),
+    Family.CYLINDER: _FamilyLaw(
+        lambda m, n: build_cylinder(m, n), 1, 2, lambda m, n: 2 * m * n
+    ),
+    Family.TORUS: _FamilyLaw(
+        lambda m, n: build_torus(m, n), 2, 2, lambda m, n: 4 * m * n
+    ),
+}
+
+
+def _law(family: Family | str) -> _FamilyLaw:
+    family = Family(family)
+    if family not in _FAMILIES:
+        raise InvalidParameterError(f"family {family.value} has no (m, n) builder")
+    return _FAMILIES[family]
+
+
+def build(family: Family | str, m: int | None, n: int | None) -> MeshGraph:
+    """The member of a named family with parameters (m, n)."""
+    return _law(family).build(m, n)
+
+
+def admits(family: Family | str, m: int, n: int) -> bool:
+    """Whether (m, n) lies in the parameter range of a named family."""
+    law = _law(family)
+    return (law.min_m is None or m >= law.min_m) and (law.min_n is None or n >= law.min_n)
+
+
 # ---------------------------------------------------------------------------
 # queries
 # ---------------------------------------------------------------------------
@@ -309,14 +363,6 @@ def diameter(g: MeshGraph) -> int:
 # ---------------------------------------------------------------------------
 # serialization
 # ---------------------------------------------------------------------------
-
-_BUILDERS = {
-    Family.PATH: lambda m, n: build_path(m),
-    Family.EVEN_CYCLE: lambda m, n: build_even_cycle(2 * n),
-    Family.CYLINDER: build_cylinder,
-    Family.TORUS: build_torus,
-}
-
 
 def graph_to_json_dict(g: MeshGraph) -> dict:
     return {
@@ -378,24 +424,23 @@ def graph_from_json_dict(d: dict) -> MeshGraph:
         g = _assemble(family, m, n, vertices, pairs)
     except InvalidParameterError as exc:
         raise SchemaError(str(exc)) from None
-    if family in _BUILDERS:
-        if family is Family.PATH:
-            ok_params = m is not None and n is None
-        elif family is Family.EVEN_CYCLE:
-            ok_params = m is None and n is not None
-        else:
-            ok_params = m is not None and n is not None
-        if not ok_params:
+    law = _FAMILIES.get(family)
+    if law is not None:
+        if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
             raise SchemaError(f"family {family.value!r} has inconsistent m/n")
+        mismatch = SchemaError(
+            f"listed vertices/edges do not match family {family.value!r} "
+            f"with m={m}, n={n}"
+        )
+        # compare sizes first, so a claimed (m, n) is never built beyond the listing
+        if law.num_vertices(m, n) != len(vertices):
+            raise mismatch
         try:
-            expected = _BUILDERS[family](m, n)
+            expected = law.build(m, n)
         except InvalidParameterError as exc:
             raise SchemaError(str(exc)) from None
         if expected.vertices != g.vertices or expected.edges != g.edges:
-            raise SchemaError(
-                f"listed vertices/edges do not match family {family.value!r} "
-                f"with m={m}, n={n}"
-            )
+            raise mismatch
     return g
 
 

@@ -201,36 +201,36 @@ def _unassign(
     used_count[c] -= 1
 
 
+def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool) -> int:
+    """First palette in [max degree, diameter bound] that admits a coloring.
+
+    Scans upward, or downward when ``descending``.  Raises
+    ``BudgetExceededError`` instead of guessing when any single search is
+    truncated.
+    """
+    lo = max_degree(g)
+    hi = theorem1_upper(g)
+    palettes = range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
+    for t in palettes:
+        result = find_interval_coloring(g, t, budget)
+        if result.outcome is Outcome.FOUND:
+            return t
+        if result.outcome is Outcome.BUDGET_EXCEEDED:
+            raise BudgetExceededError(f"search for t={t} truncated: {result.detail}")
+    raise NotIntervalColorableError(
+        f"no interval t-coloring for any t in [{lo}, {hi}]"
+    )
+
+
 def exact_w(g: MeshGraph, budget: SearchBudget | None = None) -> int:
     """Least palette size admitting an interval coloring, by upward scan.
 
     Starts at the maximum degree (every palette must cover some vertex's
-    full degree).  Raises ``BudgetExceededError`` instead of guessing
-    when any single search is truncated.
+    full degree).
     """
-    lo = max_degree(g)
-    hi = theorem1_upper(g)
-    for t in range(lo, hi + 1):
-        result = find_interval_coloring(g, t, budget)
-        if result.outcome is Outcome.FOUND:
-            return t
-        if result.outcome is Outcome.BUDGET_EXCEEDED:
-            raise BudgetExceededError(f"search for t={t} truncated: {result.detail}")
-    raise NotIntervalColorableError(
-        f"no interval t-coloring for any t in [{lo}, {hi}]"
-    )
+    return _first_feasible(g, budget, descending=False)
 
 
 def exact_W(g: MeshGraph, budget: SearchBudget | None = None) -> int:
     """Greatest palette size admitting an interval coloring, by downward scan."""
-    lo = max_degree(g)
-    hi = theorem1_upper(g)
-    for t in range(hi, lo - 1, -1):
-        result = find_interval_coloring(g, t, budget)
-        if result.outcome is Outcome.FOUND:
-            return t
-        if result.outcome is Outcome.BUDGET_EXCEEDED:
-            raise BudgetExceededError(f"search for t={t} truncated: {result.detail}")
-    raise NotIntervalColorableError(
-        f"no interval t-coloring for any t in [{lo}, {hi}]"
-    )
+    return _first_feasible(g, budget, descending=True)

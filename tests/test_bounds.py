@@ -86,9 +86,10 @@ def test_bounds_table_cylinder_grid():
 
 
 def test_bounds_table_oracle_columns():
-    rows = bounds_table(["cylinder"], (1, 2), (2, 3), oracle_budget=16)
+    rows = bounds_table(["cylinder"], (1, 2), (2, 4), oracle_budget=16)
     by_key = {(r.m, r.n): r for r in rows}
     assert (by_key[(1, 2)].w_exact, by_key[(1, 2)].W_exact) == (2, 3)
+    assert (by_key[(1, 4)].w_exact, by_key[(1, 4)].W_exact) == (2, 5)
     assert (by_key[(2, 2)].w_exact, by_key[(2, 2)].W_exact) == (3, 6)
     assert by_key[(2, 3)].w_exact is None  # 18 edges, over budget
     for row in rows:

@@ -8,7 +8,7 @@ import sys
 
 import pytest
 
-from intervalmesh import coloring_from_json_dict, verify_interval
+from intervalmesh import coloring_from_json_dict, constructions, verify_interval
 from intervalmesh.cli import run
 
 
@@ -306,6 +306,54 @@ def test_usage_errors(capsys):
     assert code == 2
     code, _, _ = invoke(capsys, "generate", "--family", "torus", "-m", "2")
     assert code == 2
+
+
+def test_output_to_directory_is_usage_error(tmp_path, capsys):
+    code, _, err = invoke(
+        capsys,
+        "generate", "--family", "cylinder", "-m", "1", "-n", "2", "-o", str(tmp_path),
+    )
+    assert code == 2
+    assert err.startswith("error:") and "Traceback" not in err
+
+
+def test_verify_non_utf8_is_usage_error(tmp_path, capsys):
+    path = tmp_path / "latin1.json"
+    path.write_bytes(b'{"family": "\xe9\xff"}')
+    code, _, err = invoke(capsys, "verify", str(path))
+    assert code == 2
+    assert "not UTF-8" in err
+
+
+def test_manifest_written_on_failure(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    code, _, _ = invoke(
+        capsys,
+        "search", "--family", "cylinder", "-m", "2", "-n", "2", "--exact-W",
+        "--max-nodes", "50", "--manifest", str(manifest),
+    )
+    assert code == 3
+    doc = json.loads(manifest.read_text())
+    assert doc["result"] == "failed: BudgetExceededError"
+    assert doc["outputs"] == []
+    assert "--manifest" not in doc["argv"]
+
+
+def test_generate_reports_broken_step_down(capsys, monkeypatch):
+    real = constructions.step_down
+
+    def corrupt(c):
+        out = real(c)
+        e = out.graph.edges[0]
+        return out.with_edge_color(e, out.colors[e] + 1)
+
+    monkeypatch.setattr(constructions, "step_down", corrupt)
+    code, out, err = invoke(
+        capsys, "generate", "--family", "torus", "-m", "2", "-n", "2", "--t", "7"
+    )
+    assert code == 1
+    assert out == ""
+    assert err.startswith("construction failed:") and "x_" in err
 
 
 def test_installed_entry_point():

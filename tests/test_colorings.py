@@ -17,10 +17,7 @@ from intervalmesh import (
     coloring_from_json_dict,
     coloring_to_json_dict,
     cylinder_coloring,
-    is_proper,
-    is_surjective,
     max_degree,
-    normalize_colors,
     spectrum,
     torus_coloring,
     verify_interval,
@@ -85,13 +82,14 @@ def test_spectrum_unknown_vertex():
 
 def test_proper_and_surjective_flags():
     cyl = cylinder_coloring(3, 2).coloring
-    assert is_proper(cyl)
-    assert is_surjective(cyl)
+    report = verify_interval(cyl)
+    assert report.proper and report.surjective
     tor = torus_coloring(2, 2).coloring
-    assert is_proper(tor)
+    assert verify_interval(tor).proper
     wide = EdgeColoring(cyl.graph, dict(cyl.colors), cyl.palette_size + 1)
-    assert not is_surjective(wide)
-    assert not verify_interval(wide).interval
+    report = verify_interval(wide)
+    assert report.proper and not report.surjective
+    assert not report.interval
 
 
 def test_coloring_must_cover_edge_set():
@@ -157,19 +155,6 @@ def test_verified_palette_at_least_max_degree(m, n):
     c = cylinder_coloring(m, n).coloring
     assert verify_interval(c).interval
     assert c.palette_size >= max_degree(c.graph)
-
-
-def test_normalize_is_explicit_and_restores_window():
-    base = ring4_coloring([1, 2, 3, 2], 3)
-    shifted = EdgeColoring(
-        base.graph, {e: col + 3 for e, col in base.colors.items()}, 6
-    )
-    assert not verify_interval(shifted).interval  # colors 1..3 unused
-    fixed = normalize_colors(shifted)
-    assert fixed.palette_size == 3
-    assert verify_interval(fixed).interval
-    again = normalize_colors(fixed)
-    assert again.colors == fixed.colors
 
 
 def test_report_serialization_names_vertices():

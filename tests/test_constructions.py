@@ -21,8 +21,11 @@ from intervalmesh import (
     torus_coloring,
     verify_interval,
 )
+from intervalmesh import constructions
+from intervalmesh.constructions import construct, step_down_to
 from intervalmesh.errors import (
     CannotStepDownError,
+    ConstructionError,
     InvalidColoringError,
     InvalidParameterError,
     NotRegularError,
@@ -228,3 +231,34 @@ def test_constructions_reject_bad_parameters():
         cylinder_coloring(0, 2)
     with pytest.raises(InvalidParameterError):
         torus_coloring(2, 1)
+
+
+def test_construct_dispatches_by_family():
+    built = construct("cylinder", 2, 3).coloring
+    assert built.colors == cylinder_coloring(2, 3).coloring.colors
+    assert construct("torus", 3, 2).claimed_t == torus_coloring(3, 2).claimed_t
+    with pytest.raises(InvalidParameterError):
+        construct("path", 3, 3)
+
+
+def test_step_down_to_reaches_the_target():
+    c = step_down_to(torus_coloring(2, 3).coloring, 6)
+    assert c.palette_size == 6
+    assert verify_interval(c).interval
+
+
+def test_stepped_colorings_are_verified(monkeypatch):
+    real = constructions.step_down
+
+    def corrupt_last(c):
+        out = real(c)
+        if out.palette_size > 4:
+            return out
+        e = out.graph.edges[0]
+        return out.with_edge_color(e, out.colors[e] + 1)
+
+    monkeypatch.setattr(constructions, "step_down", corrupt_last)
+    with pytest.raises(ConstructionError, match="x_"):
+        spectrum_sweep(2, 2)
+    with pytest.raises(ConstructionError, match="x_"):
+        step_down_to(torus_coloring(2, 2).coloring, 4)

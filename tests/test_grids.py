@@ -29,7 +29,8 @@ from intervalmesh.errors import (
     InvalidParameterError,
     SchemaError,
 )
-from intervalmesh.grids import _assemble, dumps_canonical
+from intervalmesh import grids
+from intervalmesh.grids import _assemble, admits, build, dumps_canonical
 
 
 def degree_by_edge_scan(g, v):
@@ -286,3 +287,29 @@ def test_json_schema_errors():
 
     with pytest.raises(SchemaError):
         graph_from_json_dict({**doc, "vertices": doc["vertices"] + [[1, 1]]})
+
+
+def test_claimed_size_is_checked_before_building(monkeypatch):
+    def refuse(*args):
+        pytest.fail("the claimed grid was built before its size was compared")
+
+    original = grids.build_cylinder
+    monkeypatch.setattr(grids, "build_cylinder", refuse)
+    for table in [v for v in vars(grids).values() if isinstance(v, dict)]:
+        for key, value in table.items():
+            if value is original:
+                monkeypatch.setitem(table, key, refuse)
+    doc = graph_to_json_dict(build_even_cycle(4))
+    doc.update(family="cylinder", m=10**5, n=10**4)
+    with pytest.raises(SchemaError, match="do not match"):
+        graph_from_json_dict(doc)
+
+
+def test_family_table_builds_and_bounds_parameters():
+    assert build("cylinder", 2, 3).edges == build_cylinder(2, 3).edges
+    assert build(Family.TORUS, 2, 2).edges == build_torus(2, 2).edges
+    assert build("even_cycle", None, 3).edges == build_even_cycle(6).edges
+    assert admits("cylinder", 1, 2) and not admits("torus", 1, 2)
+    assert not admits("cylinder", 2, 1)
+    with pytest.raises(InvalidParameterError):
+        build("product", 2, 2)
