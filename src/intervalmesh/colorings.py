@@ -13,7 +13,6 @@ from dataclasses import dataclass, field
 
 from .errors import (
     InvalidColoringError,
-    InvalidParameterError,
     SchemaError,
     UnknownVertexError,
 )
@@ -21,8 +20,8 @@ from .grids import (
     Edge,
     GridVertex,
     MeshGraph,
-    _parse_vertex,
-    graph_from_json_dict,
+    _graph_from_listing,
+    _parse_edge,
     graph_to_json_dict,
     vertex_name,
 )
@@ -67,9 +66,6 @@ class EdgeColoring:
         for e, c in self.colors.items():
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InvalidColoringError(f"color of {e} must be an integer, got {c!r}")
-
-    def color_of(self, e: Edge) -> int:
-        return self.colors[e]
 
     def with_edge_color(self, e: Edge, color: int) -> "EdgeColoring":
         """Copy with one edge recolored; used for perturbation tests."""
@@ -229,7 +225,6 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, dict[Edge, str] | No
         raise SchemaError(f"'t' must be a positive integer, got {t!r}")
     if not isinstance(d.get("edges"), list):
         raise SchemaError("'edges' must be an array")
-    pairs = []
     colors_by_edge: dict[Edge, int] = {}
     trace: dict[Edge, str] = {}
     saw_rule = False
@@ -241,22 +236,14 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, dict[Edge, str] | No
         col = item["color"]
         if not isinstance(col, int) or isinstance(col, bool):
             raise SchemaError(f"edge color must be an integer, got {col!r}")
-        u = item["u"]
-        v = item["v"]
-        try:
-            e = Edge.between(_parse_vertex(u), _parse_vertex(v))
-        except InvalidParameterError as exc:
-            raise SchemaError(str(exc)) from None
-        pairs.append([list(u), list(v)])
+        e = _parse_edge(item["u"], item["v"])
         if e in colors_by_edge:
             raise SchemaError(f"edge {e} colored twice")
         colors_by_edge[e] = col
         if "rule" in item:
             saw_rule = True
             trace[e] = str(item["rule"])
-    graph_doc = dict(d)
-    graph_doc["edges"] = pairs
-    g = graph_from_json_dict(graph_doc)
+    g = _graph_from_listing(d, list(colors_by_edge))
     try:
         coloring = EdgeColoring(g, colors_by_edge, t)
     except InvalidColoringError as exc:

@@ -107,9 +107,6 @@ class MeshGraph:
             raise InvalidParameterError(f"vertex {v} not in graph")
         return len(self.adjacency[v])
 
-    def has_edge(self, a: GridVertex, b: GridVertex) -> bool:
-        return Edge.between(a, b) in self.edge_set
-
 
 def _assemble(
     family: Family,
@@ -393,15 +390,20 @@ def _parse_optional_size(d: dict, key: str) -> int | None:
     return value
 
 
-def graph_from_json_dict(d: dict) -> MeshGraph:
-    """Parse and validate a graph document.
+def _parse_edge(u: object, v: object) -> Edge:
+    try:
+        return Edge.between(_parse_vertex(u), _parse_vertex(v))
+    except InvalidParameterError as exc:
+        raise SchemaError(str(exc)) from None
 
-    Recognized families are rebuilt from (m, n) and must match the listed
-    vertices and edges exactly; ``product`` graphs are taken as listed.
+
+def _graph_from_listing(d: dict, edges: list[Edge]) -> MeshGraph:
+    """The graph a document lists, given its already-parsed edges.
+
+    A recognized family is built once from (m, n), compared with the
+    listing and returned; only ``product`` graphs are assembled as listed.
     """
-    if not isinstance(d, dict):
-        raise SchemaError("graph document must be a JSON object")
-    for key in ("family", "vertices", "edges"):
+    for key in ("family", "vertices"):
         if key not in d:
             raise SchemaError(f"graph document is missing {key!r}")
     try:
@@ -410,38 +412,51 @@ def graph_from_json_dict(d: dict) -> MeshGraph:
         raise SchemaError(f"unknown family {d['family']!r}") from None
     m = _parse_optional_size(d, "m")
     n = _parse_optional_size(d, "n")
-    if not isinstance(d["vertices"], list) or not isinstance(d["edges"], list):
-        raise SchemaError("'vertices' and 'edges' must be arrays")
+    if not isinstance(d["vertices"], list):
+        raise SchemaError("'vertices' must be an array")
     vertices = [_parse_vertex(v) for v in d["vertices"]]
-    pairs = []
+    if len(set(vertices)) != len(vertices):
+        raise SchemaError("duplicate vertices in document")
+    law = _FAMILIES.get(family)
+    if law is None:
+        try:
+            return _assemble(family, m, n, vertices, edges)
+        except InvalidParameterError as exc:
+            raise SchemaError(str(exc)) from None
+    if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
+        raise SchemaError(f"family {family.value!r} has inconsistent m/n")
+    mismatch = SchemaError(
+        f"listed vertices/edges do not match family {family.value!r} "
+        f"with m={m}, n={n}"
+    )
+    # compare sizes first, so a claimed (m, n) is never built beyond the listing
+    if law.num_vertices(m, n) != len(vertices):
+        raise mismatch
+    try:
+        g = law.build(m, n)
+    except InvalidParameterError as exc:
+        raise SchemaError(str(exc)) from None
+    if tuple(sorted(vertices)) != g.vertices or tuple(sorted(edges)) != g.edges:
+        raise mismatch
+    return g
+
+
+def graph_from_json_dict(d: dict) -> MeshGraph:
+    """Parse and validate a graph document.
+
+    Recognized families are rebuilt from (m, n) and must match the listed
+    vertices and edges exactly; ``product`` graphs are taken as listed.
+    """
+    if not isinstance(d, dict):
+        raise SchemaError("graph document must be a JSON object")
+    if not isinstance(d.get("edges"), list):
+        raise SchemaError("'edges' must be an array")
+    edges = []
     for item in d["edges"]:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise SchemaError(f"edge must be a pair of vertices, got {item!r}")
-        pairs.append((_parse_vertex(item[0]), _parse_vertex(item[1])))
-    if len(set(vertices)) != len(vertices):
-        raise SchemaError("duplicate vertices in document")
-    try:
-        g = _assemble(family, m, n, vertices, pairs)
-    except InvalidParameterError as exc:
-        raise SchemaError(str(exc)) from None
-    law = _FAMILIES.get(family)
-    if law is not None:
-        if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
-            raise SchemaError(f"family {family.value!r} has inconsistent m/n")
-        mismatch = SchemaError(
-            f"listed vertices/edges do not match family {family.value!r} "
-            f"with m={m}, n={n}"
-        )
-        # compare sizes first, so a claimed (m, n) is never built beyond the listing
-        if law.num_vertices(m, n) != len(vertices):
-            raise mismatch
-        try:
-            expected = law.build(m, n)
-        except InvalidParameterError as exc:
-            raise SchemaError(str(exc)) from None
-        if expected.vertices != g.vertices or expected.edges != g.edges:
-            raise mismatch
-    return g
+        edges.append(_parse_edge(item[0], item[1]))
+    return _graph_from_listing(d, edges)
 
 
 def dumps_canonical(d: dict) -> str:

@@ -19,10 +19,11 @@ from .colorings import EdgeColoring, verify_interval
 from .errors import (
     BudgetExceededError,
     DisconnectedGraphError,
+    InvalidColoringError,
     InvalidParameterError,
     NotIntervalColorableError,
 )
-from .grids import Edge, GridVertex, MeshGraph, max_degree
+from .grids import Edge, GridVertex, MeshGraph, max_degree, vertex_name
 
 __all__ = [
     "SearchBudget",
@@ -94,11 +95,13 @@ def find_interval_coloring(
 ) -> SearchResult:
     """Decide whether ``g`` has an interval t-coloring, within a budget.
 
-    A partial assignment is abandoned when an endpoint's colors span
-    more than degree-1 (no consecutive run of the right length inside
-    1..t can contain them) or when fewer edges remain than colors still
-    unused.  Outcome ``absent`` is only reported after the whole tree
-    has been exhausted.
+    A color is not placed when it repeats at an endpoint, when an
+    endpoint's colors would span more than degree-1 (no consecutive run
+    of the right length inside 1..t can contain them), or when fewer
+    edges would remain than colors still unused.  Outcome ``absent`` is
+    only reported after the whole tree has been exhausted, or at once
+    when t exceeds the edge count.  A found coloring is verified before
+    it is returned.
     """
     if t < 1:
         raise InvalidParameterError(f"palette size must be >= 1, got {t}")
@@ -113,9 +116,11 @@ def find_interval_coloring(
         )
     order = _bfs_edge_order(g)
     num_edges = len(order)
+    if t > num_edges:
+        # each color of a surjective coloring needs an edge of its own
+        return SearchResult(Outcome.ABSENT, None, 0)
     degree = {v: g.degree(v) for v in g.vertices}
     stacked: dict[GridVertex, list[int]] = {v: [] for v in g.vertices}
-    present: dict[GridVertex, set[int]] = {v: set() for v in g.vertices}
     used_count = [0] * (t + 1)
     unused = t
     assigned: list[int] = [0] * num_edges
@@ -124,24 +129,25 @@ def find_interval_coloring(
     started = time.monotonic()
 
     def fits(v: GridVertex, c: int) -> bool:
-        if c in present[v]:
-            return False
         lst = stacked[v]
         if not lst:
             return True
-        lo = min(lst)
-        hi = max(lst)
-        return max(hi, c) - min(lo, c) <= degree[v] - 1
+        if c in lst:
+            return False
+        return max(max(lst), c) - min(min(lst), c) <= degree[v] - 1
 
     idx = 0
     while True:
         if idx == num_edges:
             coloring = EdgeColoring(g, dict(zip(order, assigned)), t)
-            assert verify_interval(coloring).interval
+            report = verify_interval(coloring)
+            if not report.interval:
+                bad = report.violating_vertices
+                where = f"at vertex {vertex_name(bad[0])}" if bad else "(palette uncovered)"
+                raise InvalidColoringError(f"found coloring is not interval {where}")
             return SearchResult(Outcome.FOUND, coloring, nodes)
         e = order[idx]
         c = next_color[idx]
-        placed = False
         while c <= t:
             nodes += 1
             if budget.max_nodes is not None and nodes > budget.max_nodes:
@@ -156,49 +162,36 @@ def find_interval_coloring(
                 return SearchResult(
                     Outcome.BUDGET_EXCEEDED, None, nodes, "time cap reached"
                 )
-            if fits(e.u, c) and fits(e.v, c):
-                stacked[e.u].append(c)
-                stacked[e.v].append(c)
-                present[e.u].add(c)
-                present[e.v].add(c)
-                used_count[c] += 1
-                if used_count[c] == 1:
-                    unused -= 1
-                if unused > num_edges - idx - 1:
-                    _unassign(stacked, present, used_count, e, c)
-                    unused = unused + (1 if used_count[c] == 0 else 0)
-                    c += 1
-                    continue
-                assigned[idx] = c
-                next_color[idx] = c + 1
-                idx += 1
-                placed = True
+            # the colors still unused after placing c must fit on the edges left
+            if (
+                fits(e.u, c)
+                and fits(e.v, c)
+                and unused - (used_count[c] == 0) <= num_edges - idx - 1
+            ):
                 break
             c += 1
-        if placed:
+        else:
+            # no color fits: undo the previous edge, resume after its color
+            next_color[idx] = 1
+            idx -= 1
+            if idx < 0:
+                return SearchResult(Outcome.ABSENT, None, nodes)
+            e = order[idx]
+            c = assigned[idx]
+            stacked[e.u].pop()
+            stacked[e.v].pop()
+            used_count[c] -= 1
+            if used_count[c] == 0:
+                unused += 1
             continue
-        next_color[idx] = 1
-        idx -= 1
-        if idx < 0:
-            return SearchResult(Outcome.ABSENT, None, nodes)
-        undone = assigned[idx]
-        _unassign(stacked, present, used_count, order[idx], undone)
-        if used_count[undone] == 0:
-            unused += 1
-
-
-def _unassign(
-    stacked: dict[GridVertex, list[int]],
-    present: dict[GridVertex, set[int]],
-    used_count: list[int],
-    e: Edge,
-    c: int,
-) -> None:
-    stacked[e.u].pop()
-    stacked[e.v].pop()
-    present[e.u].discard(c)
-    present[e.v].discard(c)
-    used_count[c] -= 1
+        stacked[e.u].append(c)
+        stacked[e.v].append(c)
+        if used_count[c] == 0:
+            unused -= 1
+        used_count[c] += 1
+        assigned[idx] = c
+        next_color[idx] = c + 1
+        idx += 1
 
 
 def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool) -> int:

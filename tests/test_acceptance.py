@@ -270,7 +270,7 @@ def test_acceptance_08_fault_injection():
         base = make(2, 2).coloring
         for edge in base.graph.edges:
             for delta in (1, -1):
-                mutated = base.with_edge_color(edge, base.color_of(edge) + delta)
+                mutated = base.with_edge_color(edge, base.colors[edge] + delta)
                 report = verify_interval(mutated)
                 mutations += 1
                 if not report.interval:

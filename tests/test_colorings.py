@@ -11,6 +11,7 @@ from hypothesis import strategies as st
 from intervalmesh import (
     Edge,
     EdgeColoring,
+    Family,
     GridVertex,
     build_cylinder,
     build_even_cycle,
@@ -22,6 +23,9 @@ from intervalmesh import (
     torus_coloring,
     verify_interval,
 )
+from intervalmesh import grids
+from intervalmesh.cli import run
+from intervalmesh.constructions import construct
 from intervalmesh.errors import InvalidColoringError, SchemaError, UnknownVertexError
 
 
@@ -214,3 +218,73 @@ def test_coloring_json_schema_errors():
     looped["edges"][0]["v"] = looped["edges"][0]["u"]
     with pytest.raises(SchemaError):
         coloring_from_json_dict(looped)
+
+
+def test_coloring_document_is_assembled_once(monkeypatch):
+    doc = coloring_to_json_dict(cylinder_coloring(2, 3).coloring)
+    calls = []
+    original = grids._assemble
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(grids, "_assemble", counting)
+    coloring_from_json_dict(doc)
+    assert calls == [Family.CYLINDER]
+
+
+def _mutate(doc: dict, kind: str, data) -> None:
+    rows = doc["edges"]
+    i = data.draw(st.integers(0, len(rows) - 1), label="row")
+    if kind == "drop":
+        del rows[i]
+    elif kind == "duplicate":
+        rows.append(dict(rows[i]))
+    elif kind == "replace":
+        rows[i] = {**rows[i], "v": data.draw(st.sampled_from(doc["vertices"]))}
+    elif kind == "reverse":
+        rows[i] = {**rows[i], "u": rows[i]["v"], "v": rows[i]["u"]}
+    elif kind == "shift":
+        if data.draw(st.booleans(), label="shift a listed vertex"):
+            target = data.draw(st.sampled_from(doc["vertices"]), label="vertex")
+        else:
+            target = rows[i][data.draw(st.sampled_from(["u", "v"]))]
+        target[data.draw(st.integers(0, 1), label="axis")] += data.draw(
+            st.sampled_from([-1, 1]), label="delta"
+        )
+    elif kind in ("m", "n"):
+        doc[kind] += data.draw(st.sampled_from([-1, 1]), label="delta")
+    else:
+        others = [f.value for f in grids._FAMILIES if f.value != doc["family"]]
+        doc["family"] = data.draw(st.sampled_from(others), label="family")
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    family=st.sampled_from(["cylinder", "torus"]),
+    m=st.integers(2, 3),
+    n=st.integers(2, 3),
+    kind=st.sampled_from(
+        ["drop", "duplicate", "replace", "reverse", "shift", "m", "n", "family"]
+    ),
+    data=st.data(),
+)
+def test_mutated_documents_parse_exactly_or_raise_schema_error(
+    family, m, n, kind, data, tmp_path_factory
+):
+    doc = json.loads(json.dumps(coloring_to_json_dict(construct(family, m, n).coloring)))
+    _mutate(doc, kind, data)
+    try:
+        coloring, _ = coloring_from_json_dict(json.loads(json.dumps(doc)))
+    except SchemaError:
+        pass
+    else:
+        assert coloring.graph == grids.build(doc["family"], doc["m"], doc["n"])
+        assert coloring.colors == {
+            Edge.between(GridVertex(*row["u"]), GridVertex(*row["v"])): row["color"]
+            for row in doc["edges"]
+        }
+    path = tmp_path_factory.getbasetemp() / "mutated.json"
+    path.write_text(json.dumps(doc))
+    assert run(["verify", str(path)]) in (0, 1, 2)

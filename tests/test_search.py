@@ -19,9 +19,12 @@ from intervalmesh import (
     theorem1_upper,
     verify_interval,
 )
+from intervalmesh import search
+from intervalmesh.colorings import SpectrumReport, VertexSpectrum
 from intervalmesh.errors import (
     BudgetExceededError,
     DisconnectedGraphError,
+    InvalidColoringError,
     InvalidParameterError,
 )
 from intervalmesh.grids import Family, _assemble
@@ -145,3 +148,38 @@ def test_exact_scans_respect_bounds():
         W = exact_W(g)
         assert w <= W
         assert lower_bound(Family.CYLINDER, m, n) <= W <= theorem1_upper(g)
+
+
+# Node counts of the current attempt order. A pruning change alters them
+# on purpose and records the new values here.
+@pytest.mark.parametrize(
+    ("m", "n", "t", "outcome", "nodes"),
+    [
+        (2, 2, 3, Outcome.FOUND, 24),
+        (2, 2, 6, Outcome.FOUND, 300),
+        (2, 2, 7, Outcome.ABSENT, 29036),
+        (1, 5, 7, Outcome.ABSENT, 4354),
+        (1, 6, 2, Outcome.FOUND, 18),
+        (1, 6, 7, Outcome.FOUND, 671),
+        (1, 6, 8, Outcome.ABSENT, 16840),
+    ],
+)
+def test_search_node_counts_are_pinned(m, n, t, outcome, nodes):
+    result = find_interval_coloring(build_cylinder(m, n), t)
+    assert (result.outcome, result.nodes) == (outcome, nodes)
+
+
+def test_palette_beyond_edge_count_is_absent_at_once():
+    result = find_interval_coloring(build_cylinder(1, 2), 10**5)
+    assert (result.outcome, result.nodes) == (Outcome.ABSENT, 0)
+
+
+def test_found_witness_is_checked_without_assert(monkeypatch):
+    entry = VertexSpectrum(GridVertex(1, 1), (1, 3), 2, proper=True, is_interval=False)
+
+    def failing_report(coloring):
+        return SpectrumReport(coloring.palette_size, True, True, False, (entry,))
+
+    monkeypatch.setattr(search, "verify_interval", failing_report)
+    with pytest.raises(InvalidColoringError, match="x_1_1"):
+        find_interval_coloring(build_cylinder(1, 2), 3)
