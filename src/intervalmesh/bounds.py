@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .constructions import construct
 from .errors import InvalidParameterError, NonBipartiteError
-from .grids import Family, MeshGraph, admits, build, diameter, is_bipartite, max_degree
+from .grids import Family, MeshGraph, admits, diameter, is_bipartite, max_degree
 
 __all__ = [
     "BoundsRow",
@@ -72,7 +72,9 @@ def bounds_row(
     from .search import SearchBudget, exact_W, exact_w
 
     family = Family(family)
-    g = build(family, m, n)
+    # the verified witness carries the row's graph, so it is built only once
+    witness = construct(family, m, n).coloring
+    g = witness.graph
     delta = max_degree(g)
     w_exact = W_exact = None
     if oracle_budget is not None and g.num_edges <= oracle_budget:
@@ -86,7 +88,7 @@ def bounds_row(
         delta=delta,
         diam=diameter(g),
         w_claimed=delta,
-        lower_W=lower_bound(family, m, n),
+        lower_W=witness.palette_size,
         upper_W=theorem1_upper(g),
         w_exact=w_exact,
         W_exact=W_exact,

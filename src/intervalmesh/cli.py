@@ -100,11 +100,22 @@ def _emit(text: str, path: str | None) -> list[str]:
     return [path]
 
 
+def _parse_json(fh) -> dict:
+    """``json.load``, with nesting and number limits reported as schema errors."""
+    try:
+        return json.load(fh)
+    except (json.JSONDecodeError, UnicodeDecodeError):
+        raise
+    except (RecursionError, ValueError) as exc:
+        # nested too deeply, or an integer beyond Python's digit limit
+        raise SchemaError(f"unreadable JSON: {type(exc).__name__}: {exc}") from None
+
+
 def _load_json(path: str) -> dict:
     if path == "-":
-        return json.load(sys.stdin)
+        return _parse_json(sys.stdin)
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        return _parse_json(fh)
 
 
 def _write_manifest(
@@ -284,6 +295,9 @@ def _cmd_replay(args: argparse.Namespace) -> tuple[int, str, list[str], list[str
     argv = doc["argv"]
     if not isinstance(argv, list) or not all(isinstance(s, str) for s in argv):
         raise SchemaError("'argv' must be an array of strings")
+    if argv[:1] == ["replay"]:
+        # replay records no manifest, so such an argv is forged or cyclic
+        raise SchemaError("a manifest cannot replay another replay")
     if args.output is not None:
         argv = _drop_flag(argv, "-o", "--output") + ["-o", args.output]
     code = run(argv)

@@ -259,29 +259,38 @@ def cartesian_product(g1: MeshGraph, g2: MeshGraph) -> MeshGraph:
 
 
 class _FamilyLaw(NamedTuple):
-    """How a named family is built from (m, n) and how large it is.
+    """How a named family is built from (m, n), its size and its diameter.
 
     ``min_m``/``min_n`` are the least admissible parameters; ``None``
     means the family takes no such parameter.  ``build`` looks the
     builder up at call time, so rebinding a builder name reaches it.
+    ``diameter`` is the closed form: a Cartesian product's diameter is the
+    sum of its factors', with m - 1 for a path on m vertices and n for a
+    cycle on 2n vertices.
     """
 
     build: Callable[[int | None, int | None], MeshGraph]
     min_m: int | None
     min_n: int | None
     num_vertices: Callable[[int | None, int | None], int]
+    diameter: Callable[[int | None, int | None], int]
 
 
 _FAMILIES = {
-    Family.PATH: _FamilyLaw(lambda m, n: build_path(m), 1, None, lambda m, n: m),
+    Family.PATH: _FamilyLaw(
+        lambda m, n: build_path(m), 1, None, lambda m, n: m, lambda m, n: m - 1
+    ),
     Family.EVEN_CYCLE: _FamilyLaw(
-        lambda m, n: build_even_cycle(2 * n), None, 2, lambda m, n: 2 * n
+        lambda m, n: build_even_cycle(2 * n), None, 2, lambda m, n: 2 * n,
+        lambda m, n: n,
     ),
     Family.CYLINDER: _FamilyLaw(
-        lambda m, n: build_cylinder(m, n), 1, 2, lambda m, n: 2 * m * n
+        lambda m, n: build_cylinder(m, n), 1, 2, lambda m, n: 2 * m * n,
+        lambda m, n: m - 1 + n,
     ),
     Family.TORUS: _FamilyLaw(
-        lambda m, n: build_torus(m, n), 2, 2, lambda m, n: 4 * m * n
+        lambda m, n: build_torus(m, n), 2, 2, lambda m, n: 4 * m * n,
+        lambda m, n: m + n,
     ),
 }
 
@@ -353,7 +362,15 @@ def _eccentricity(g: MeshGraph, start: GridVertex) -> int:
 
 
 def diameter(g: MeshGraph) -> int:
-    """Largest shortest-path distance, by breadth-first search per vertex."""
+    """Largest shortest-path distance.
+
+    A named family's diameter comes from its closed form in ``_FAMILIES``
+    (only the builders label a graph with a named family); any other graph
+    takes a breadth-first search per vertex.
+    """
+    law = _FAMILIES.get(g.family)
+    if law is not None:
+        return law.diameter(g.m, g.n)
     return max(_eccentricity(g, v) for v in g.vertices)
 
 

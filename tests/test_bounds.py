@@ -16,6 +16,7 @@ from intervalmesh import (
 )
 from intervalmesh.bounds import BOUNDS_COLUMNS, bounds_row
 from intervalmesh.errors import InvalidParameterError, NonBipartiteError
+from intervalmesh import grids
 from intervalmesh.grids import _assemble
 
 
@@ -75,6 +76,20 @@ def test_bounds_rows_frozen_examples():
     row = bounds_row("cylinder", 2, 2)
     assert (row.delta, row.w_claimed) == (3, 3)
     assert (row.lower_W, row.upper_W) == (6, 7)
+
+
+def test_bounds_row_builds_its_graph_once(monkeypatch):
+    calls = []
+    original = grids._assemble
+
+    def counting(*args):
+        calls.append(args[0])
+        return original(*args)
+
+    monkeypatch.setattr(grids, "_assemble", counting)
+    row = bounds_row("cylinder", 2, 3)
+    assert calls == [Family.CYLINDER]
+    assert (row.diam, row.lower_W, row.upper_W) == (4, 7, 9)
 
 
 def test_bounds_table_cylinder_grid():

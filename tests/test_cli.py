@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import io
 import json
 import subprocess
 import sys
@@ -111,6 +112,31 @@ def test_verify_malformed_json(tmp_path, capsys):
     code, _, err = invoke(capsys, "verify", str(path))
     assert code == 2
     assert "parse error at line" in err
+
+
+def test_hostile_json_is_a_usage_error(tmp_path, capsys, monkeypatch):
+    deep = tmp_path / "deep.json"
+    deep.write_text("[" * 100000 + "]" * 100000)
+    huge = tmp_path / "huge.json"
+    huge.write_text('{"family": "cylinder", "m": ' + "9" * 5000 + "}")
+    for path in (deep, huge):
+        for argv in (["verify", str(path)], ["export", str(path), "--format", "csv"]):
+            code, _, err = invoke(capsys, *argv)
+            assert code == 2, (path.name, argv[0])
+            assert "schema error" in err
+            assert "Traceback" not in err
+        monkeypatch.setattr("sys.stdin", io.StringIO(path.read_text()))
+        code, _, err = invoke(capsys, "verify", "-")
+        assert code == 2
+        assert "Traceback" not in err
+
+
+def test_replay_of_a_replay_is_refused(tmp_path, capsys):
+    manifest = tmp_path / "loop.manifest.json"
+    manifest.write_text(json.dumps({"argv": ["replay", str(manifest)]}))
+    code, _, err = invoke(capsys, "replay", str(manifest))
+    assert code == 2
+    assert "replay" in err
 
 
 def test_verify_schema_mismatch(tmp_path, capsys):

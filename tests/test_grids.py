@@ -169,11 +169,24 @@ def test_cylinder_equals_product(m, n):
     assert direct.edges == prod.edges
 
 
+def bfs_diameter(g):
+    # the general path, one breadth-first search per vertex
+    return max(grids._eccentricity(g, v) for v in g.vertices)
+
+
 def test_diameter_small_cases():
     assert diameter(build_even_cycle(4)) == 2
     assert diameter(build_even_cycle(8)) == 4
     for m, n in ((1, 2), (2, 2), (3, 4), (5, 2)):
         assert diameter(build_cylinder(m, n)) == m + n - 1
+    # the family table's closed forms against BFS eccentricities
+    graphs = [build_path(m) for m in range(1, 9)]
+    graphs += [build_even_cycle(2 * n) for n in range(2, 9)]
+    graphs += [build_cylinder(m, n) for m in range(1, 6) for n in range(2, 6)]
+    for g in graphs:
+        assert diameter(g) == bfs_diameter(g), (g.family, g.m, g.n)
+    product = cartesian_product(build_path(3), build_even_cycle(6))
+    assert diameter(product) == bfs_diameter(product) == 5
 
 
 def floyd_warshall_diameter(g):
@@ -203,8 +216,23 @@ def test_diameter_torus_against_floyd_warshall():
     g = build_torus(2, 2)
     assert diameter(g) == 4
     assert diameter(g) == floyd_warshall_diameter(g)
-    h = build_torus(2, 3)
-    assert diameter(h) == floyd_warshall_diameter(h)
+    for m in range(2, 5):
+        for n in range(2, 5):
+            h = build_torus(m, n)
+            assert diameter(h) == floyd_warshall_diameter(h) == m + n
+
+
+def test_named_family_diameter_needs_no_search(monkeypatch):
+    def refuse(g, start):
+        raise AssertionError("breadth-first search on a named family")
+
+    monkeypatch.setattr(grids, "_eccentricity", refuse)
+    assert diameter(build_path(4)) == 3
+    assert diameter(build_even_cycle(6)) == 3
+    assert diameter(build_cylinder(2, 3)) == 4
+    assert diameter(build_torus(2, 3)) == 5
+    with pytest.raises(AssertionError):
+        diameter(cartesian_product(build_path(2), build_even_cycle(4)))
 
 
 def test_diameter_disconnected_raises():
