@@ -373,7 +373,11 @@ def build_parser() -> argparse.ArgumentParser:
         type=int,
         help=f"instance size cap (default {DEFAULT_MAX_EDGES}, or ${ENV_MAX_EDGES})",
     )
-    p.add_argument("--max-nodes", type=int, help="backtracking node cap")
+    p.add_argument(
+        "--max-nodes",
+        type=int,
+        help="cap on color attempts, counting only colors inside both endpoints' windows",
+    )
     p.add_argument("--timeout", type=float, metavar="S", help="wall time cap in seconds")
     _add_output_flag(p)
     _add_manifest_flag(p)

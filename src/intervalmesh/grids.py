@@ -328,6 +328,14 @@ def is_regular(g: MeshGraph) -> bool:
 
 
 def is_bipartite(g: MeshGraph) -> bool:
+    """Whether ``g`` has a proper 2-coloring of its vertices.
+
+    Every named family in ``_FAMILIES`` is bipartite by construction (only
+    the builders label a graph with a named family); any other graph takes
+    a breadth-first 2-coloring.
+    """
+    if g.family in _FAMILIES:
+        return True
     side: dict[GridVertex, int] = {}
     for start in g.vertices:
         if start in side:

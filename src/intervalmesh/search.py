@@ -5,6 +5,11 @@ exactly, with a three-valued outcome so a truncated search is never
 mistaken for a proof of absence.  Edge order (breadth-first from the
 least vertex), color order (ascending), and pruning are all fixed, so
 identical queries give identical results.
+
+An edge only tries the colors inside both endpoints' feasible windows
+(a node is one such attempt), and the first edge's colors are halved by
+the color-reversal symmetry; ``find_interval_coloring`` gives both
+arguments.
 """
 
 from __future__ import annotations
@@ -23,7 +28,7 @@ from .errors import (
     InvalidParameterError,
     NotIntervalColorableError,
 )
-from .grids import Edge, GridVertex, MeshGraph, max_degree, vertex_name
+from .grids import Edge, MeshGraph, max_degree, vertex_name
 
 __all__ = [
     "SearchBudget",
@@ -95,13 +100,19 @@ def find_interval_coloring(
 ) -> SearchResult:
     """Decide whether ``g`` has an interval t-coloring, within a budget.
 
-    A color is not placed when it repeats at an endpoint, when an
-    endpoint's colors would span more than degree-1 (no consecutive run
-    of the right length inside 1..t can contain them), or when fewer
-    edges would remain than colors still unused.  Outcome ``absent`` is
-    only reported after the whole tree has been exhausted, or at once
-    when t exceeds the edge count.  A found coloring is verified before
-    it is returned.
+    Each vertex keeps its placed colors as one int bitmask.  A vertex of
+    degree d whose colors span [lo, hi] can only take colors in
+    [hi-d+1, lo+d-1] (a run of d consecutive colors must hold the span),
+    so an edge tries only the colors inside both endpoints' windows and
+    1..t, ascending; one attempt is one node.  An attempt is refused when
+    the color repeats at an endpoint, or when fewer edges would remain
+    than colors still unused.  The first edge never takes a color above
+    (t+1)//2: c -> t+1-c maps interval t-colorings to interval
+    t-colorings, and the search returns the least coloring in its edge
+    order, whose first color is the smaller of a mirrored pair.  Outcome
+    ``absent`` is only reported after the whole tree has been exhausted,
+    or at once when t exceeds the edge count.  A found coloring is
+    verified before it is returned.
     """
     if t < 1:
         raise InvalidParameterError(f"palette size must be >= 1, got {t}")
@@ -119,22 +130,18 @@ def find_interval_coloring(
     if t > num_edges:
         # each color of a surjective coloring needs an edge of its own
         return SearchResult(Outcome.ABSENT, None, 0)
-    degree = {v: g.degree(v) for v in g.vertices}
-    stacked: dict[GridVertex, list[int]] = {v: [] for v in g.vertices}
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[e.u], index[e.v]) for e in order]
+    degree = [g.degree(v) for v in g.vertices]
+    mask = [0] * len(degree)  # bit c set: color c sits at the vertex
     used_count = [0] * (t + 1)
     unused = t
     assigned: list[int] = [0] * num_edges
     next_color = [1] * num_edges
+    max_nodes = budget.max_nodes
+    time_cap_s = budget.time_cap_s
     nodes = 0
     started = time.monotonic()
-
-    def fits(v: GridVertex, c: int) -> bool:
-        lst = stacked[v]
-        if not lst:
-            return True
-        if c in lst:
-            return False
-        return max(max(lst), c) - min(min(lst), c) <= degree[v] - 1
 
     idx = 0
     while True:
@@ -146,28 +153,38 @@ def find_interval_coloring(
                 where = f"at vertex {vertex_name(bad[0])}" if bad else "(palette uncovered)"
                 raise InvalidColoringError(f"found coloring is not interval {where}")
             return SearchResult(Outcome.FOUND, coloring, nodes)
-        e = order[idx]
+        a, b = ends[idx]
+        ma = mask[a]
+        mb = mask[b]
         c = next_color[idx]
-        while c <= t:
+        top = t if idx else (t + 1) // 2
+        # a vertex of degree d with colors in [lo, hi] admits [hi-d+1, lo+d-1]
+        if ma:
+            d = degree[a]
+            c = max(c, ma.bit_length() - d)
+            top = min(top, (ma & -ma).bit_length() + d - 2)
+        if mb:
+            d = degree[b]
+            c = max(c, mb.bit_length() - d)
+            top = min(top, (mb & -mb).bit_length() + d - 2)
+        placed = ma | mb
+        # the colors still unused after placing c must fit on the edges left
+        left = num_edges - idx - 1
+        while c <= top:
             nodes += 1
-            if budget.max_nodes is not None and nodes > budget.max_nodes:
+            if max_nodes is not None and nodes > max_nodes:
                 return SearchResult(
                     Outcome.BUDGET_EXCEEDED, None, nodes, "node cap reached"
                 )
             if (
-                budget.time_cap_s is not None
+                time_cap_s is not None
                 and nodes & _TIME_CHECK_MASK == 0
-                and time.monotonic() - started > budget.time_cap_s
+                and time.monotonic() - started > time_cap_s
             ):
                 return SearchResult(
                     Outcome.BUDGET_EXCEEDED, None, nodes, "time cap reached"
                 )
-            # the colors still unused after placing c must fit on the edges left
-            if (
-                fits(e.u, c)
-                and fits(e.v, c)
-                and unused - (used_count[c] == 0) <= num_edges - idx - 1
-            ):
+            if not placed >> c & 1 and unused - (used_count[c] == 0) <= left:
                 break
             c += 1
         else:
@@ -176,16 +193,16 @@ def find_interval_coloring(
             idx -= 1
             if idx < 0:
                 return SearchResult(Outcome.ABSENT, None, nodes)
-            e = order[idx]
+            a, b = ends[idx]
             c = assigned[idx]
-            stacked[e.u].pop()
-            stacked[e.v].pop()
+            mask[a] ^= 1 << c
+            mask[b] ^= 1 << c
             used_count[c] -= 1
             if used_count[c] == 0:
                 unused += 1
             continue
-        stacked[e.u].append(c)
-        stacked[e.v].append(c)
+        mask[a] = ma | 1 << c
+        mask[b] = mb | 1 << c
         if used_count[c] == 0:
             unused -= 1
         used_count[c] += 1

@@ -2,14 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
 import subprocess
 import sys
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from intervalmesh import coloring_from_json_dict, constructions, verify_interval
+from intervalmesh import (
+    coloring_from_json_dict,
+    coloring_to_json_dict,
+    constructions,
+    verify_interval,
+)
 from intervalmesh.cli import run
 
 
@@ -129,6 +137,92 @@ def test_hostile_json_is_a_usage_error(tmp_path, capsys, monkeypatch):
         code, _, err = invoke(capsys, "verify", "-")
         assert code == 2
         assert "Traceback" not in err
+
+
+def test_huge_claimed_palette_is_checked_in_bounded_work(tmp_path, capsys):
+    out = tmp_path / "c4.json"
+    invoke(capsys, "generate", "--family", "cylinder", "-m", "1", "-n", "2", "-o", str(out))
+    doc = json.loads(out.read_text())
+    doc["t"] = 10**18  # four edges cannot cover that palette
+    out.write_text(json.dumps(doc))
+    code, text, _ = invoke(capsys, "verify", str(out), "--json")
+    assert code == 1
+    assert json.loads(text)["surjective"] is False
+
+
+_SCALARS = (
+    st.none()
+    | st.booleans()
+    | st.integers()
+    | st.floats()
+    | st.sampled_from([-1, 0, 2**63, 10**30, -(10**30)])
+    | st.text(max_size=6)
+)
+_KEYS = st.sampled_from(
+    ["family", "m", "n", "t", "vertices", "edges", "u", "v", "color", "rule", "argv"]
+) | st.text(max_size=4)
+_JSON = st.recursive(
+    _SCALARS,
+    lambda inner: st.lists(inner, max_size=4) | st.dictionaries(_KEYS, inner, max_size=5),
+    max_leaves=16,
+)
+_BASE_DOCUMENTS = [
+    coloring_to_json_dict(constructions.construct(family, m, n).coloring)
+    for family, m, n in (("cylinder", 1, 2), ("torus", 2, 2))
+]
+
+
+def _slots(node):
+    """Every (container, key) pair inside a JSON value."""
+    if isinstance(node, dict):
+        items = node.items()
+    elif isinstance(node, list):
+        items = enumerate(node)
+    else:
+        return
+    for key, child in list(items):
+        yield node, key
+        yield from _slots(child)
+
+
+@st.composite
+def _hostile_documents(draw):
+    """A valid coloring document with one to three fields made hostile:
+    half the draws hit a top-level field, half any field at any depth."""
+    doc = json.loads(json.dumps(draw(st.sampled_from(_BASE_DOCUMENTS))))
+    for _ in range(draw(st.integers(1, 3))):
+        top = [(doc, key) for key in doc]
+        container, key = draw(st.sampled_from(top) | st.sampled_from(list(_slots(doc))))
+        container[key] = draw(_JSON)
+    return doc
+
+
+def _assert_exit_contract(doc, path):
+    path.write_text(json.dumps(doc))
+    for argv in (
+        ["verify", str(path)],
+        ["verify", str(path), "--json"],
+        ["export", str(path), "--format", "csv"],
+        ["export", str(path), "--format", "dot"],
+        ["replay", str(path)],
+    ):
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = run(argv)
+        assert code in (0, 1, 2, 3), argv
+        assert "Traceback" not in err.getvalue(), argv
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_JSON)
+def test_arbitrary_json_keeps_the_exit_code_contract(doc, tmp_path_factory):
+    _assert_exit_contract(doc, tmp_path_factory.getbasetemp() / "arbitrary.json")
+
+
+@settings(max_examples=100, deadline=None)
+@given(doc=_hostile_documents())
+def test_hostile_coloring_fields_keep_the_exit_code_contract(doc, tmp_path_factory):
+    _assert_exit_contract(doc, tmp_path_factory.getbasetemp() / "hostile.json")
 
 
 def test_replay_of_a_replay_is_refused(tmp_path, capsys):

@@ -235,6 +235,21 @@ def test_named_family_diameter_needs_no_search(monkeypatch):
         diameter(cartesian_product(build_path(2), build_even_cycle(4)))
 
 
+def test_named_family_is_bipartite_without_search(monkeypatch):
+    named = [build_path(4), build_even_cycle(6), build_cylinder(2, 3), build_torus(2, 3)]
+    product = cartesian_product(build_path(3), build_even_cycle(4))
+
+    def refuse(*args):
+        raise AssertionError("breadth-first search on a named family")
+
+    # every breadth-first walk in grids starts from a deque
+    monkeypatch.setattr(grids, "deque", refuse)
+    for g in named:
+        assert is_bipartite(g)
+    with pytest.raises(AssertionError):
+        is_bipartite(product)
+
+
 def test_diameter_disconnected_raises():
     g = _assemble(
         Family.PRODUCT, None, None, [GridVertex(1, 1), GridVertex(2, 2)], []

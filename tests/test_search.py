@@ -10,7 +10,9 @@ from intervalmesh import (
     Outcome,
     SearchBudget,
     build_cylinder,
+    build_path,
     build_torus,
+    cartesian_product,
     cylinder_coloring,
     exact_W,
     exact_w,
@@ -156,17 +158,68 @@ def test_exact_scans_respect_bounds():
     ("m", "n", "t", "outcome", "nodes"),
     [
         (2, 2, 3, Outcome.FOUND, 24),
-        (2, 2, 6, Outcome.FOUND, 300),
-        (2, 2, 7, Outcome.ABSENT, 29036),
-        (1, 5, 7, Outcome.ABSENT, 4354),
+        (2, 2, 6, Outcome.FOUND, 166),
+        (2, 2, 7, Outcome.ABSENT, 7885),
+        (1, 5, 7, Outcome.ABSENT, 964),
         (1, 6, 2, Outcome.FOUND, 18),
-        (1, 6, 7, Outcome.FOUND, 671),
-        (1, 6, 8, Outcome.ABSENT, 16840),
+        (1, 6, 7, Outcome.FOUND, 240),
+        (1, 6, 8, Outcome.ABSENT, 2633),
+        (2, 3, 9, Outcome.ABSENT, 245420),
     ],
 )
 def test_search_node_counts_are_pinned(m, n, t, outcome, nodes):
-    result = find_interval_coloring(build_cylinder(m, n), t)
+    result = find_interval_coloring(build_cylinder(m, n), t, SearchBudget(max_edges=32))
     assert (result.outcome, result.nodes) == (outcome, nodes)
+
+
+def reference_search(g, t):
+    """Colors 1..t tried on every edge in BFS order, refused by the
+    per-endpoint span and repeat rules and the surjectivity count."""
+    order = search._bfs_edge_order(g)
+    placed = {v: [] for v in g.vertices}
+    colors = {}
+
+    def fits(v, c):
+        lst = placed[v]
+        return not lst or (c not in lst and max(lst + [c]) - min(lst + [c]) < g.degree(v))
+
+    def extend(idx):
+        if idx == len(order):
+            return True
+        e = order[idx]
+        for c in range(1, t + 1):
+            unused = t - len(set(colors.values()) | {c})
+            if fits(e.u, c) and fits(e.v, c) and unused <= len(order) - idx - 1:
+                placed[e.u].append(c)
+                placed[e.v].append(c)
+                colors[e] = c
+                if extend(idx + 1):
+                    return True
+                placed[e.u].pop()
+                placed[e.v].pop()
+                del colors[e]
+        return False
+
+    return colors if extend(0) else None
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_cylinder(1, n) for n in range(2, 6)]
+    + [build_cylinder(2, 2), cartesian_product(build_path(3), build_path(3))],
+    ids=["C(1,4)", "C(1,6)", "C(1,8)", "C(1,10)", "C(2,4)", "P3xP3"],
+)
+def test_search_agrees_with_unpruned_reference(g):
+    first = search._bfs_edge_order(g)[0]
+    for t in range(1, g.num_edges + 1):
+        expected = reference_search(g, t)
+        result = find_interval_coloring(g, t)
+        if expected is None:
+            assert result.outcome is Outcome.ABSENT, t
+        else:
+            assert result.outcome is Outcome.FOUND, t
+            assert result.coloring.colors == expected, t
+            assert result.coloring.colors[first] <= (t + 1) // 2, t
 
 
 def test_palette_beyond_edge_count_is_absent_at_once():
