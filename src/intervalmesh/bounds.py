@@ -2,8 +2,8 @@
 
 Three bounds are tabulated per instance: the claimed least palette
 (equal to the maximum degree for these families), the constructive
-greatest-palette lower bound (certified by actually building and
-verifying the coloring), and the diameter upper bound
+greatest-palette lower bound (the palette of the family's construction,
+which is built and verified for each row), and the diameter upper bound
 d(G) * (max_degree(G) - 1) + 1 for bipartite graphs.  Oracle columns
 are filled by exhaustive search when the instance fits the budget.
 """
@@ -22,7 +22,6 @@ __all__ = [
     "BoundsRow",
     "bounds_row",
     "theorem1_upper",
-    "lower_bound",
     "bounds_table",
     "bounds_table_csv",
     "BOUNDS_COLUMNS",
@@ -54,15 +53,6 @@ def theorem1_upper(g: MeshGraph) -> int:
     if not is_bipartite(g):
         raise NonBipartiteError("the diameter bound needs a bipartite graph")
     return diameter(g) * (max_degree(g) - 1) + 1
-
-
-def lower_bound(family: Family | str, m: int, n: int) -> int:
-    """Constructive lower bound on the greatest palette, always witnessed.
-
-    The value is the palette of the family's construction, which is built
-    and verified to use exactly the colors 1..t before it is returned.
-    """
-    return construct(family, m, n).coloring.palette_size
 
 
 def bounds_row(

@@ -23,6 +23,7 @@ from .bounds import bounds_table, bounds_table_csv
 from .colorings import (
     coloring_from_json_dict,
     coloring_to_json_dict,
+    require_interval,
     verify_interval,
 )
 from .constructions import CONSTRUCTIONS, construct, spectrum_sweep, step_down_to
@@ -39,7 +40,7 @@ from .errors import (
     SchemaError,
 )
 from .export import to_csv, to_dot
-from .grids import Family, build, dumps_canonical, max_degree, vertex_name
+from .grids import Family, build, dumps_canonical, max_degree
 from .search import (
     DEFAULT_MAX_EDGES,
     Outcome,
@@ -277,12 +278,7 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]
 def _cmd_export(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
     doc = _load_json(args.path)
     coloring, trace = coloring_from_json_dict(doc)
-    report = verify_interval(coloring)
-    if not report.interval:
-        bad = report.violating_vertices
-        where = f" (first violated vertex {vertex_name(bad[0])})" if bad else ""
-        print(f"refusing to export a non-interval coloring{where}", file=sys.stderr)
-        return EXIT_INVALID, "not interval", [args.path], []
+    require_interval(coloring, InvalidColoringError, "coloring to export")
     text = to_dot(coloring) if args.format == "dot" else to_csv(coloring, trace)
     outputs = _emit(text, args.output)
     return EXIT_VALID, f"{args.format} export", [args.path], outputs

@@ -2,20 +2,22 @@
 
 A coloring is *interval* when it is proper, uses every color of its
 palette 1..t, and gives each vertex a consecutive run of incident
-colors.  Verification never raises on a bad coloring: it returns a
-report with per-vertex diagnostics so callers can name the vertices
-where a coloring breaks.
+colors.  A coloring is immutable: its colors sit in a tuple aligned with
+``graph.edges``, and ``verify_interval`` computes its report once and
+keeps it on the coloring.  Verification never raises on a bad coloring:
+the report names the vertices where it breaks, and builds per-vertex
+diagnostics only when they are read.  ``require_interval`` is the one
+gate that turns a failed report into an error.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, field
+from functools import cached_property
+from types import MappingProxyType
+from typing import Mapping
 
-from .errors import (
-    InvalidColoringError,
-    SchemaError,
-    UnknownVertexError,
-)
+from .errors import InvalidColoringError, SchemaError
 from .grids import (
     Edge,
     GridVertex,
@@ -30,8 +32,8 @@ __all__ = [
     "EdgeColoring",
     "VertexSpectrum",
     "SpectrumReport",
-    "spectrum",
     "verify_interval",
+    "require_interval",
     "coloring_to_json_dict",
     "coloring_from_json_dict",
 ]
@@ -41,46 +43,51 @@ __all__ = [
 class EdgeColoring:
     """A total assignment of integer colors to the edges of one graph.
 
-    ``palette_size`` is the declared palette 1..t.  Assigned colors are
-    not forced into that range here; out-of-range colors are reported by
-    :func:`verify_interval` instead of rejected, so that damaged
-    colorings can still be diagnosed.
+    ``aligned[i]`` is the color of ``graph.edges[i]``.  Callers pass an
+    ``Edge -> int`` mapping, which must cover the edge set exactly;
+    package code may pass the aligned tuple itself.  ``colors`` is a
+    read-only ``Edge -> int`` view.  ``palette_size`` is the declared
+    palette 1..t.  Assigned colors are not forced into that range here;
+    out-of-range colors are reported by :func:`verify_interval` instead of
+    rejected, so that damaged colorings can still be diagnosed.
     """
 
     graph: MeshGraph
-    colors: dict[Edge, int] = field(compare=False)
+    aligned: tuple[int, ...]
     palette_size: int
+    _report: SpectrumReport | None = field(
+        default=None, init=False, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if self.palette_size < 1:
             raise InvalidColoringError(
                 f"palette size must be >= 1, got {self.palette_size}"
             )
-        missing = self.graph.edge_set.difference(self.colors)
-        extra = set(self.colors).difference(self.graph.edge_set)
-        if missing or extra:
+        colors = self.aligned
+        edges = self.graph.edges
+        if not isinstance(colors, tuple):
+            missing = sum(e not in colors for e in edges)
+            extra = len(colors) - (len(edges) - missing)
+            if missing or extra:
+                raise InvalidColoringError(
+                    f"coloring must cover the edge set exactly "
+                    f"({missing} missing, {extra} unknown)"
+                )
+            colors = tuple(colors[e] for e in edges)
+            object.__setattr__(self, "aligned", colors)
+        elif len(colors) != len(edges):
             raise InvalidColoringError(
-                f"coloring must cover the edge set exactly "
-                f"({len(missing)} missing, {len(extra)} unknown)"
+                f"coloring has {len(colors)} colors for {len(edges)} edges"
             )
-        for e, c in self.colors.items():
+        for e, c in zip(edges, colors):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InvalidColoringError(f"color of {e} must be an integer, got {c!r}")
 
-    def with_edge_color(self, e: Edge, color: int) -> "EdgeColoring":
-        """Copy with one edge recolored; used for perturbation tests."""
-        if e not in self.graph.edge_set:
-            raise InvalidColoringError(f"edge {e} not in graph")
-        updated = dict(self.colors)
-        updated[e] = color
-        return EdgeColoring(self.graph, updated, self.palette_size)
-
-
-def spectrum(c: EdgeColoring, v: GridVertex) -> frozenset[int]:
-    """Set of colors on the edges incident to ``v``."""
-    if v not in c.graph.adjacency:
-        raise UnknownVertexError(f"vertex {v} not in graph")
-    return frozenset(c.colors[e] for e in c.graph.incident[v])
+    @cached_property
+    def colors(self) -> Mapping[Edge, int]:
+        """Read-only ``Edge -> int`` view of ``aligned``, built on first read."""
+        return MappingProxyType(dict(zip(self.graph.edges, self.aligned)))
 
 
 @dataclass(frozen=True)
@@ -100,21 +107,36 @@ class VertexSpectrum:
         return self.colors[-1] if self.colors else None
 
 
+def _vertex_flags(colors: list[int]) -> tuple[bool, bool]:
+    """Whether one vertex's incident colors are distinct, and consecutive too."""
+    d = len(colors)
+    proper = len(set(colors)) == d
+    return proper, proper and (d == 0 or max(colors) - min(colors) == d - 1)
+
+
 @dataclass(frozen=True)
 class SpectrumReport:
-    """Full verification outcome for one coloring."""
+    """Full verification outcome for one coloring.
+
+    ``graph`` and ``aligned`` are the verified coloring's; ``entries``
+    rebuilds the per-vertex spectra from them on each read.
+    """
 
     palette_size: int
     proper: bool
     surjective: bool
     interval: bool
-    entries: tuple[VertexSpectrum, ...]
+    violating_vertices: tuple[GridVertex, ...]
+    graph: MeshGraph = field(repr=False, compare=False)
+    aligned: tuple[int, ...] = field(repr=False, compare=False)
 
     @property
-    def violating_vertices(self) -> tuple[GridVertex, ...]:
-        return tuple(
-            e.vertex for e in self.entries if not (e.proper and e.is_interval)
-        )
+    def entries(self) -> tuple[VertexSpectrum, ...]:
+        out = []
+        for v, incident in self.graph.incident.items():
+            cols = sorted(self.aligned[i] for i in incident)
+            out.append(VertexSpectrum(v, tuple(cols), len(cols), *_vertex_flags(cols)))
+        return tuple(out)
 
     def to_json_dict(self) -> dict:
         return {
@@ -153,43 +175,56 @@ def verify_interval(c: EdgeColoring) -> SpectrumReport:
 
     Diagnostic by design: every outcome is encoded in flags, and
     ``violating_vertices`` names each vertex whose incident colors
-    repeat or leave a gap.
+    repeat or leave a gap.  The report is computed on the first call and
+    kept on the coloring, which cannot change, for every later call.
     """
-    g = c.graph
-    entries = []
+    if c._report is not None:
+        return c._report
+    colors = c.aligned
+    violating = []
     all_proper = True
-    all_intervals = True
-    for v in g.vertices:
-        cols = sorted(c.colors[e] for e in g.incident[v])
-        d = len(cols)
-        distinct = len(set(cols))
-        proper_v = distinct == d
-        if d == 0:
-            interval_v = True
-        else:
-            interval_v = proper_v and cols[-1] - cols[0] == d - 1
-        all_proper = all_proper and proper_v
-        all_intervals = all_intervals and interval_v
-        entries.append(
-            VertexSpectrum(
-                vertex=v,
-                colors=tuple(cols),
-                degree=d,
-                proper=proper_v,
-                is_interval=interval_v,
-            )
-        )
-    used = set(c.colors.values())
-    # fewer distinct colors than t never cover 1..t; testing that first
-    # keeps the work bounded by |E| whatever palette a document claims
-    surjective = len(used) == c.palette_size and used == set(range(1, c.palette_size + 1))
-    return SpectrumReport(
-        palette_size=c.palette_size,
+    for v, incident in c.graph.incident.items():
+        proper_v, interval_v = _vertex_flags([colors[i] for i in incident])
+        if not interval_v:
+            violating.append(v)
+            all_proper = all_proper and proper_v
+    used = set(colors)
+    t = c.palette_size
+    # t distinct colors inside 1..t are exactly 1..t; the test never
+    # builds the palette, so a document claiming a huge t costs O(|E|)
+    surjective = len(used) == t and min(used) == 1 and max(used) == t
+    report = SpectrumReport(
+        palette_size=t,
         proper=all_proper,
         surjective=surjective,
-        interval=all_proper and surjective and all_intervals,
-        entries=tuple(entries),
+        interval=all_proper and surjective and not violating,
+        violating_vertices=tuple(violating),
+        graph=c.graph,
+        aligned=colors,
     )
+    object.__setattr__(c, "_report", report)
+    return report
+
+
+def require_interval(
+    c: EdgeColoring, error: type[Exception], subject: str
+) -> EdgeColoring:
+    """``c`` itself when it is an interval coloring, else raise ``error``.
+
+    The message names ``subject`` and the first violated vertex as
+    ``x_<ring>_<layer>`` with its incident colors, or the uncovered
+    palette.  This is a raise, not an ``assert``, so it also holds under
+    ``python -O``.  A report already kept on ``c`` is read without a
+    further call.
+    """
+    report = c._report or verify_interval(c)
+    if report.interval:
+        return c
+    if report.violating_vertices:
+        v = report.violating_vertices[0]
+        cols = sorted(c.aligned[i] for i in c.graph.incident[v])
+        raise error(f"{subject} breaks at vertex {vertex_name(v)}: incident colors {cols}")
+    raise error(f"{subject} leaves palette 1..{c.palette_size} uncovered")
 
 
 # ---------------------------------------------------------------------------
@@ -203,11 +238,11 @@ def coloring_to_json_dict(
     d = graph_to_json_dict(c.graph)
     d["t"] = c.palette_size
     rows = []
-    for e in c.graph.edges:
+    for e, color in zip(c.graph.edges, c.aligned):
         row = {
             "u": [e.u.layer, e.u.ring],
             "v": [e.v.layer, e.v.ring],
-            "color": c.colors[e],
+            "color": color,
         }
         if rule_trace is not None:
             row["rule"] = rule_trace[e]

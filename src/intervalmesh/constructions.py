@@ -2,10 +2,11 @@
 
 ``cylinder_coloring(m, n)`` paints the cylinder on m layers and 2n rings
 with palette 1..3m+n-2.  ``torus_coloring(m, n)`` paints the torus on 2m
-by 2n vertices with palette 1..max(3m+n, 3n+m); when m > n it colors the
-transposed torus and pulls the result back through the factor-swap
-isomorphism.  Every edge is painted by exactly one named rule and the
-rule trace is kept, so exports can say which rule produced each color.
+by 2n vertices with palette 1..max(3m+n, 3n+m); when m > n it paints
+the rules of the transposed torus through the factor-swap isomorphism,
+so the graph is built and verified once.  Every edge is painted by
+exactly one named rule and the rule trace is kept, so exports can say
+which rule produced each color.
 Constructions verify their own output and fail loudly, naming a broken
 vertex and its incident colors, rather than return a bad coloring.
 
@@ -16,7 +17,8 @@ vertex and its incident colors, rather than return a bad coloring.
 interval (t-1)-coloring by recoloring the color-t edges to t - degree;
 ``step_down_to`` iterates it to a target palette and ``spectrum_sweep``
 to exhibit a torus coloring for every palette size from the maximum down
-to 4.  Both verify the last coloring of the chain before returning it.
+to 4.  ``step_down`` verifies its result, and all three pass their output
+through the gate ``require_interval``, which raises naming a vertex.
 """
 
 from __future__ import annotations
@@ -24,7 +26,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable
 
-from .colorings import EdgeColoring, verify_interval
+from .colorings import EdgeColoring, require_interval
 from .errors import (
     CannotStepDownError,
     ConstructionError,
@@ -41,7 +43,6 @@ from .grids import (
     build_torus,
     is_regular,
     max_degree,
-    vertex_name,
 )
 
 __all__ = [
@@ -82,57 +83,45 @@ class _Painter:
     """Collects rule assignments; repainting an edge must agree exactly.
 
     The torus rules touch the mid rung edges twice (the mirror image of
-    layer m is layer m itself there); agreement is asserted instead of
-    silently overwriting.
+    layer m is layer m itself there); agreement is checked instead of
+    silently overwriting.  With ``swap`` every vertex a rule names as
+    (layer, ring) is painted at (ring, layer) instead.
     """
 
-    def __init__(self, g: MeshGraph):
+    def __init__(self, g: MeshGraph, swap: bool = False):
         self.g = g
-        self.colors: dict[Edge, int] = {}
+        self.swap = swap
+        self.colors: list[int | None] = [None] * g.num_edges
         self.trace: dict[Edge, str] = {}
 
     def put(self, a: GridVertex, b: GridVertex, color: int, rule: str) -> None:
+        if self.swap:
+            a, b = GridVertex(a.ring, a.layer), GridVertex(b.ring, b.layer)
         e = Edge.between(a, b)
-        if e not in self.g.edge_set:
+        i = self.g.edge_index.get(e)
+        if i is None:
             raise ConstructionError(f"rule {rule} painted a non-edge {e}")
-        if e in self.colors:
-            if self.colors[e] != color or self.trace[e] != rule:
+        if e in self.trace:
+            if self.colors[i] != color or self.trace[e] != rule:
                 raise ConstructionError(
                     f"rules {self.trace[e]} and {rule} disagree on {e}: "
-                    f"{self.colors[e]} vs {color}"
+                    f"{self.colors[i]} vs {color}"
                 )
             return
-        self.colors[e] = color
+        self.colors[i] = color
         self.trace[e] = rule
 
-
-def _checked(coloring: EdgeColoring) -> EdgeColoring:
-    """The coloring itself once it verifies; otherwise name where it broke."""
-    report = verify_interval(coloring)
-    if not report.interval:
-        for entry in report.entries:
-            if not (entry.proper and entry.is_interval):
-                raise ConstructionError(
-                    f"construction broke at vertex {vertex_name(entry.vertex)}: "
-                    f"incident colors {entry.colors}"
-                )
-        raise ConstructionError(
-            f"construction left palette 1..{coloring.palette_size} uncovered; "
-            f"used {sorted(set(coloring.colors.values()))}"
+    def finish(self, t: int) -> ConstructionResult:
+        """The verified coloring, once every edge is painted."""
+        unpainted = [e for e, c in zip(self.g.edges, self.colors) if c is None]
+        if unpainted:
+            raise ConstructionError(
+                f"{len(unpainted)} edges left unpainted, first {unpainted[0]}"
+            )
+        coloring = require_interval(
+            EdgeColoring(self.g, tuple(self.colors), t), ConstructionError, "construction"
         )
-    return coloring
-
-
-def _finalize(
-    g: MeshGraph, colors: dict[Edge, int], trace: dict[Edge, str], t: int
-) -> ConstructionResult:
-    unpainted = g.edge_set.difference(colors)
-    if unpainted:
-        raise ConstructionError(
-            f"{len(unpainted)} edges left unpainted, first {min(unpainted)}"
-        )
-    coloring = _checked(EdgeColoring(g, colors, t))
-    return ConstructionResult(coloring=coloring, claimed_t=t, rule_trace=trace)
+        return ConstructionResult(coloring=coloring, claimed_t=t, rule_trace=self.trace)
 
 
 def cylinder_coloring(m: int, n: int) -> ConstructionResult:
@@ -162,14 +151,20 @@ def cylinder_coloring(m: int, n: int) -> ConstructionResult:
                 GridVertex(i, j), GridVertex(i + 1, j), 3 * i - j + 2 * n + 1, "rung-desc"
             )
         p.put(GridVertex(i, 1), GridVertex(i + 1, 1), 3 * i, "rung-first")
-    return _finalize(g, p.colors, p.trace, 3 * m + n - 2)
+    return p.finish(3 * m + n - 2)
 
 
-def _torus_coloring_direct(m: int, n: int) -> ConstructionResult:
-    """Torus coloring for m <= n: layers i and 2m+1-i are painted alike."""
-    assert m <= n
+def torus_coloring(m: int, n: int) -> ConstructionResult:
+    """Interval coloring of the torus on 2m by 2n vertices.
+
+    Palette is exactly max(3m+n, 3n+m).  The rules are written for the
+    torus with the shorter factor as layers; for m > n they are painted
+    through the coordinate swap (layer, ring) -> (ring, layer), and
+    layers i and 2m+1-i (rings, when swapped) are painted alike.
+    """
     g = build_torus(m, n)
-    p = _Painter(g)
+    p = _Painter(g, swap=m > n)
+    m, n = min(m, n), max(m, n)
     height = 2 * m
     width = 2 * n
     for i in range(1, m + 1):
@@ -210,29 +205,7 @@ def _torus_coloring_direct(m: int, n: int) -> ConstructionResult:
             p.put(GridVertex(1, ring), GridVertex(height, ring), 3 * j - 4, "seam-mid")
     p.put(GridVertex(1, 1), GridVertex(height, 1), 2, "seam-low")
     p.put(GridVertex(1, 2), GridVertex(height, 2), 2, "seam-low")
-    return _finalize(g, p.colors, p.trace, 3 * n + m)
-
-
-def torus_coloring(m: int, n: int) -> ConstructionResult:
-    """Interval coloring of the torus on 2m by 2n vertices.
-
-    Palette is exactly max(3m+n, 3n+m).  The direct rules need m <= n;
-    for m > n the transposed torus is colored and mapped back through
-    the coordinate swap (layer, ring) -> (ring, layer).
-    """
-    if m > n:
-        base = _torus_coloring_direct(n, m)
-        g = build_torus(m, n)
-        colors: dict[Edge, int] = {}
-        trace: dict[Edge, str] = {}
-        for e, color in base.coloring.colors.items():
-            swapped = Edge.between(
-                GridVertex(e.u.ring, e.u.layer), GridVertex(e.v.ring, e.v.layer)
-            )
-            colors[swapped] = color
-            trace[swapped] = base.rule_trace[e]
-        return _finalize(g, colors, trace, base.claimed_t)
-    return _torus_coloring_direct(m, n)
+    return p.finish(3 * n + m)
 
 
 CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
@@ -255,31 +228,27 @@ def step_down(c: EdgeColoring) -> EdgeColoring:
     Every endpoint of a color-t edge shows the top window t-d+1..t, so
     those edges can take color t-d without breaking properness, and each
     touched window slides down by one.  Raises if the graph is not
-    regular, the input does not verify, or t is already the degree.
+    regular, the input does not verify, or t is already the degree.  The
+    result is verified before it is returned, so stepping it again finds
+    its report already kept.
     """
     g = c.graph
     if not is_regular(g):
         raise NotRegularError("step-down needs a regular graph")
-    report = verify_interval(c)
-    if not report.interval:
-        bad = report.violating_vertices
-        where = f" at vertex {vertex_name(bad[0])}" if bad else " (palette uncovered)"
-        raise InvalidColoringError(f"step-down input is not an interval coloring{where}")
+    require_interval(c, InvalidColoringError, "step-down input")
     d = max_degree(g)
     t = c.palette_size
     if t <= d:
         raise CannotStepDownError(f"palette 1..{t} is already at the degree bound")
-    recolored = {
-        e: (t - d if color == t else color) for e, color in c.colors.items()
-    }
-    return EdgeColoring(g, recolored, t - 1)
+    recolored = tuple(t - d if color == t else color for color in c.aligned)
+    return require_interval(EdgeColoring(g, recolored, t - 1), ConstructionError, "step-down")
 
 
 def step_down_to(c: EdgeColoring, t: int) -> EdgeColoring:
-    """Interval t-coloring from ``c`` by repeated ``step_down``, verified once."""
+    """Interval t-coloring from ``c`` by repeated ``step_down``, verified."""
     while c.palette_size > t:
         c = step_down(c)
-    return _checked(c)
+    return require_interval(c, ConstructionError, "stepped coloring")
 
 
 def spectrum_sweep(m: int, n: int) -> list[EdgeColoring]:
@@ -287,11 +256,11 @@ def spectrum_sweep(m: int, n: int) -> list[EdgeColoring]:
 
     Starts from ``torus_coloring(m, n)`` and applies ``step_down`` until
     the 4-regular degree bound; the result lists palettes
-    max(3m+n, 3n+m), ..., 5, 4 in order.  Each step checks its input, and
-    the last coloring is verified before it is returned.
+    max(3m+n, 3n+m), ..., 5, 4 in order.  Every coloring in it is
+    verified.
     """
     out = [torus_coloring(m, n).coloring]
     while out[-1].palette_size > 4:
         out.append(step_down(out[-1]))
-    _checked(out[-1])
+    require_interval(out[-1], ConstructionError, "stepped coloring")
     return out

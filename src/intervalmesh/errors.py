@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "InvalidParameterError",
     "DisconnectedGraphError",
-    "UnknownVertexError",
     "InvalidColoringError",
     "NotRegularError",
     "CannotStepDownError",
@@ -23,10 +22,6 @@ class InvalidParameterError(ValueError):
 
 class DisconnectedGraphError(ValueError):
     """The graph has no finite diameter."""
-
-
-class UnknownVertexError(ValueError):
-    """A vertex does not belong to the graph."""
 
 
 class InvalidColoringError(ValueError):

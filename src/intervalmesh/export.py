@@ -26,10 +26,8 @@ def to_dot(c: EdgeColoring) -> str:
         f'  label="{title} t={c.palette_size}";',
         "  node [shape=circle];",
     ]
-    for e in g.edges:
-        lines.append(
-            f'  {vertex_name(e.u)} -- {vertex_name(e.v)} [label="{c.colors[e]}"];'
-        )
+    for e, color in zip(g.edges, c.aligned):
+        lines.append(f'  {vertex_name(e.u)} -- {vertex_name(e.v)} [label="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -38,7 +36,7 @@ def to_csv(c: EdgeColoring, rule_trace: dict[Edge, str] | None = None) -> str:
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v", "rule", "color"])
-    for e in c.graph.edges:
+    for e, color in zip(c.graph.edges, c.aligned):
         rule = rule_trace.get(e, "") if rule_trace else ""
-        writer.writerow([vertex_name(e.u), vertex_name(e.v), rule, c.colors[e]])
+        writer.writerow([vertex_name(e.u), vertex_name(e.v), rule, color])
     return buf.getvalue()

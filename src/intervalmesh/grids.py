@@ -79,8 +79,9 @@ class MeshGraph:
     """A finite simple graph with grid-coordinate vertices.
 
     ``vertices`` and ``edges`` are sorted tuples; ``adjacency``,
-    ``incident``, and ``edge_set`` are derived lookups built once at
-    assembly time and excluded from equality.
+    ``incident`` (the positions in ``edges`` of each vertex's edges) and
+    ``edge_index`` (each edge's position in ``edges``) are derived lookups
+    built once at assembly time and excluded from equality.
     """
 
     family: Family
@@ -91,8 +92,8 @@ class MeshGraph:
     adjacency: dict[GridVertex, tuple[GridVertex, ...]] = field(
         repr=False, compare=False
     )
-    incident: dict[GridVertex, tuple[Edge, ...]] = field(repr=False, compare=False)
-    edge_set: frozenset[Edge] = field(repr=False, compare=False)
+    incident: dict[GridVertex, tuple[int, ...]] = field(repr=False, compare=False)
+    edge_index: dict[Edge, int] = field(repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -134,12 +135,12 @@ def _assemble(
         edges.append(e)
     edges.sort()
     adj: dict[GridVertex, list[GridVertex]] = {v: [] for v in vs}
-    inc: dict[GridVertex, list[Edge]] = {v: [] for v in vs}
-    for e in edges:
+    inc: dict[GridVertex, list[int]] = {v: [] for v in vs}
+    for i, e in enumerate(edges):
         adj[e.u].append(e.v)
         adj[e.v].append(e.u)
-        inc[e.u].append(e)
-        inc[e.v].append(e)
+        inc[e.u].append(i)
+        inc[e.v].append(i)
     return MeshGraph(
         family=family,
         m=m,
@@ -148,7 +149,7 @@ def _assemble(
         edges=tuple(edges),
         adjacency={v: tuple(sorted(nb)) for v, nb in adj.items()},
         incident={v: tuple(es) for v, es in inc.items()},
-        edge_set=frozenset(edges),
+        edge_index={e: i for i, e in enumerate(edges)},
     )
 
 

@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from enum import Enum
 
 from .bounds import theorem1_upper
-from .colorings import EdgeColoring, verify_interval
+from .colorings import EdgeColoring, require_interval
 from .errors import (
     BudgetExceededError,
     DisconnectedGraphError,
@@ -28,7 +28,7 @@ from .errors import (
     InvalidParameterError,
     NotIntervalColorableError,
 )
-from .grids import Edge, MeshGraph, max_degree, vertex_name
+from .grids import Edge, MeshGraph, max_degree
 
 __all__ = [
     "SearchBudget",
@@ -147,11 +147,7 @@ def find_interval_coloring(
     while True:
         if idx == num_edges:
             coloring = EdgeColoring(g, dict(zip(order, assigned)), t)
-            report = verify_interval(coloring)
-            if not report.interval:
-                bad = report.violating_vertices
-                where = f"at vertex {vertex_name(bad[0])}" if bad else "(palette uncovered)"
-                raise InvalidColoringError(f"found coloring is not interval {where}")
+            require_interval(coloring, InvalidColoringError, "found coloring")
             return SearchResult(Outcome.FOUND, coloring, nodes)
         a, b = ends[idx]
         ma = mask[a]

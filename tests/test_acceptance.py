@@ -20,14 +20,13 @@ from intervalmesh import (
     cylinder_coloring,
     exact_W,
     exact_w,
-    lower_bound,
-    spectrum,
     spectrum_sweep,
     step_down,
     theorem1_upper,
     torus_coloring,
     verify_interval,
 )
+from intervalmesh.constructions import construct
 
 CYLINDER_GRID = [(m, n) for m in range(1, 13) for n in range(2, 13)]
 TORUS_GRID = [(m, n) for m in range(2, 13) for n in range(2, 13)]
@@ -116,14 +115,19 @@ def expected_torus_spectrum(m: int, n: int, ring: int, layer: int) -> frozenset[
     return frozenset(range(base, base + 4))
 
 
+def spectra(c: EdgeColoring) -> dict[GridVertex, frozenset[int]]:
+    return {e.vertex: frozenset(e.colors) for e in verify_interval(c).entries}
+
+
 def test_acceptance_03_spectrum_case_forms():
     checked = 0
     for m in SAMPLE_M:
         for n in SAMPLE_N:
             c = cylinder_coloring(m, n).coloring
+            spectrum = spectra(c)
             for v in c.graph.vertices:
                 expected = expected_cylinder_spectrum(m, n, v.ring, v.layer)
-                actual = spectrum(c, v)
+                actual = spectrum[v]
                 _check(
                     3,
                     actual == expected,
@@ -133,8 +137,8 @@ def test_acceptance_03_spectrum_case_forms():
                 checked += 1
             for layer in range(1, m + 1):
                 for ring in range(3, 2 * n + 1):
-                    a = spectrum(c, GridVertex(layer, ring))
-                    b = spectrum(c, GridVertex(layer, 2 * n + 3 - ring))
+                    a = spectrum[GridVertex(layer, ring)]
+                    b = spectrum[GridVertex(layer, 2 * n + 3 - ring)]
                     _check(3, a == b, f"cylinder ({m},{n}) ring mirror broken at ring {ring}")
 
     for m in SAMPLE_M:
@@ -142,9 +146,10 @@ def test_acceptance_03_spectrum_case_forms():
             if m < 2:
                 continue
             c = torus_coloring(m, n).coloring
+            spectrum = spectra(c)
             for v in c.graph.vertices:
                 expected = expected_torus_spectrum(m, n, v.ring, v.layer)
-                actual = spectrum(c, v)
+                actual = spectrum[v]
                 _check(
                     3,
                     actual == expected,
@@ -155,15 +160,15 @@ def test_acceptance_03_spectrum_case_forms():
             if m <= n:
                 for layer in range(1, 2 * m + 1):
                     for ring in range(1, 2 * n + 1):
-                        a = spectrum(c, GridVertex(layer, ring))
-                        b = spectrum(c, GridVertex(2 * m + 1 - layer, ring))
+                        a = spectrum[GridVertex(layer, ring)]
+                        b = spectrum[GridVertex(2 * m + 1 - layer, ring)]
                         _check(3, a == b, f"torus ({m},{n}) layer mirror broken at layer {layer}")
             else:
                 # transposed instances mirror across the ring coordinate instead
                 for layer in range(1, 2 * m + 1):
                     for ring in range(1, 2 * n + 1):
-                        a = spectrum(c, GridVertex(layer, ring))
-                        b = spectrum(c, GridVertex(layer, 2 * n + 1 - ring))
+                        a = spectrum[GridVertex(layer, ring)]
+                        b = spectrum[GridVertex(layer, 2 * n + 1 - ring)]
                         _check(3, a == b, f"torus ({m},{n}) ring mirror broken at ring {ring}")
     _report(3, True, f"{checked} vertex spectra match their closed forms, mirrors intact")
 
@@ -214,7 +219,7 @@ def test_acceptance_06_bound_consistency():
     for m, n in CYLINDER_GRID:
         g = build_cylinder(m, n)
         upper = theorem1_upper(g)
-        _check(6, lower_bound("cylinder", m, n) <= upper, f"cylinder ({m},{n}) bounds cross")
+        _check(6, construct("cylinder", m, n).claimed_t <= upper, f"cylinder ({m},{n}) bounds cross")
         if m >= 3:
             _check(
                 6,
@@ -223,7 +228,7 @@ def test_acceptance_06_bound_consistency():
             )
     for m, n in TORUS_GRID:
         g = build_torus(m, n)
-        _check(6, lower_bound("torus", m, n) <= theorem1_upper(g), f"torus ({m},{n}) bounds cross")
+        _check(6, construct("torus", m, n).claimed_t <= theorem1_upper(g), f"torus ({m},{n}) bounds cross")
     elapsed = time.perf_counter() - start
     _report(6, True, f"lower <= upper on all {len(CYLINDER_GRID) + len(TORUS_GRID)} instances, "
                      f"wide-cylinder closed form holds, {elapsed:.2f}s")
@@ -253,9 +258,9 @@ def test_acceptance_07_search_oracle_cross_check():
     _check(7, w_cyl == 3 == max(cyl.degree(v) for v in cyl.vertices), "w(C(2,4)) != degree")
 
     # greatest palettes are pinched between the constructive and diameter bounds
-    _check(7, lower_bound("cylinder", 1, 2) <= W_c4 <= theorem1_upper(c4), "W(C_4) out of range")
-    _check(7, lower_bound("cylinder", 1, 3) <= W_c6 <= theorem1_upper(c6), "W(C_6) out of range")
-    _check(7, lower_bound("cylinder", 2, 2) <= W_cyl <= theorem1_upper(cyl), "W(C(2,4)) out of range")
+    _check(7, construct("cylinder", 1, 2).claimed_t <= W_c4 <= theorem1_upper(c4), "W(C_4) out of range")
+    _check(7, construct("cylinder", 1, 3).claimed_t <= W_c6 <= theorem1_upper(c6), "W(C_6) out of range")
+    _check(7, construct("cylinder", 2, 2).claimed_t <= W_cyl <= theorem1_upper(cyl), "W(C(2,4)) out of range")
     _check(7, W_cyl == 6, f"W(C(2,4)) = {W_cyl}, constructive bound not tight")
 
     elapsed = time.perf_counter() - start
@@ -270,7 +275,8 @@ def test_acceptance_08_fault_injection():
         base = make(2, 2).coloring
         for edge in base.graph.edges:
             for delta in (1, -1):
-                mutated = base.with_edge_color(edge, base.colors[edge] + delta)
+                recolored = {**base.colors, edge: base.colors[edge] + delta}
+                mutated = EdgeColoring(base.graph, recolored, base.palette_size)
                 report = verify_interval(mutated)
                 mutations += 1
                 if not report.interval:

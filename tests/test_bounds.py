@@ -11,10 +11,10 @@ from intervalmesh import (
     bounds_table_csv,
     build_cylinder,
     build_torus,
-    lower_bound,
     theorem1_upper,
 )
 from intervalmesh.bounds import BOUNDS_COLUMNS, bounds_row
+from intervalmesh.constructions import construct
 from intervalmesh.errors import InvalidParameterError, NonBipartiteError
 from intervalmesh import grids
 from intervalmesh.grids import _assemble
@@ -45,17 +45,17 @@ def test_theorem1_upper_rejects_odd_cycles():
 
 
 def test_lower_bound_values():
-    assert lower_bound("cylinder", 3, 2) == 9
-    assert lower_bound("torus", 2, 3) == 11
-    assert lower_bound("cylinder", 1, 2) == 3
-    assert lower_bound("torus", 3, 2) == 11  # transposed witness
+    assert construct("cylinder", 3, 2).claimed_t == 9
+    assert construct("torus", 2, 3).claimed_t == 11
+    assert construct("cylinder", 1, 2).claimed_t == 3
+    assert construct("torus", 3, 2).claimed_t == 11  # transposed witness
 
 
 def test_lower_bound_rejects_bad_parameters():
     with pytest.raises(InvalidParameterError):
-        lower_bound("cylinder", 0, 2)
+        construct("cylinder", 0, 2)
     with pytest.raises(InvalidParameterError):
-        lower_bound("path", 3, 3)
+        construct("path", 3, 3)
 
 
 def test_lower_bound_monotonicity():
@@ -63,9 +63,9 @@ def test_lower_bound_monotonicity():
         lo = 1 if family == "cylinder" else 2
         for m in range(lo, 5):
             for n in range(2, 5):
-                here = lower_bound(family, m, n)
-                assert lower_bound(family, m + 1, n) > here
-                assert lower_bound(family, m, n + 1) > here
+                here = construct(family, m, n).claimed_t
+                assert construct(family, m + 1, n).claimed_t > here
+                assert construct(family, m, n + 1).claimed_t > here
 
 
 def test_bounds_rows_frozen_examples():

@@ -13,6 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalmesh import (
+    EdgeColoring,
     coloring_from_json_dict,
     coloring_to_json_dict,
     constructions,
@@ -465,7 +466,7 @@ def test_generate_reports_broken_step_down(capsys, monkeypatch):
     def corrupt(c):
         out = real(c)
         e = out.graph.edges[0]
-        return out.with_edge_color(e, out.colors[e] + 1)
+        return EdgeColoring(out.graph, {**out.colors, e: out.colors[e] + 1}, out.palette_size)
 
     monkeypatch.setattr(constructions, "step_down", corrupt)
     code, out, err = invoke(

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import json
 
 import pytest
@@ -19,14 +20,13 @@ from intervalmesh import (
     coloring_to_json_dict,
     cylinder_coloring,
     max_degree,
-    spectrum,
     torus_coloring,
     verify_interval,
 )
 from intervalmesh import grids
 from intervalmesh.cli import run
 from intervalmesh.constructions import construct
-from intervalmesh.errors import InvalidColoringError, SchemaError, UnknownVertexError
+from intervalmesh.errors import InvalidColoringError, SchemaError
 
 
 def ring4_coloring(colors, t):
@@ -72,16 +72,12 @@ def test_c4_improper():
 
 
 def test_spectrum_of_constructions():
-    cyl = cylinder_coloring(2, 2).coloring
-    assert spectrum(cyl, GridVertex(1, 1)) == frozenset({1, 2, 3})
-    tor = torus_coloring(2, 2).coloring
-    assert spectrum(tor, GridVertex(1, 1)) == frozenset({1, 2, 3, 4})
-
-
-def test_spectrum_unknown_vertex():
-    c = ring4_coloring([1, 2, 3, 2], 3)
-    with pytest.raises(UnknownVertexError):
-        spectrum(c, GridVertex(5, 5))
+    cyl = verify_interval(cylinder_coloring(2, 2).coloring)
+    assert cyl.entries[0].vertex == GridVertex(1, 1)
+    assert cyl.entries[0].colors == (1, 2, 3)
+    tor = verify_interval(torus_coloring(2, 2).coloring)
+    assert tor.entries[0].vertex == GridVertex(1, 1)
+    assert tor.entries[0].colors == (1, 2, 3, 4)
 
 
 def test_proper_and_surjective_flags():
@@ -114,15 +110,39 @@ def test_verifier_diagnoses_out_of_range_colors():
     # damaged colorings are reported, never raised on
     base = cylinder_coloring(2, 2).coloring
     edge_of_one = next(e for e, col in base.colors.items() if col == 1)
-    low = base.with_edge_color(edge_of_one, 0)
+    low = EdgeColoring(base.graph, {**base.colors, edge_of_one: 0}, base.palette_size)
     report = verify_interval(low)
     assert not report.interval and report.violating_vertices
     edge_of_top = next(
         e for e, col in base.colors.items() if col == base.palette_size
     )
-    high = base.with_edge_color(edge_of_top, base.palette_size + 1)
+    high = EdgeColoring(
+        base.graph, {**base.colors, edge_of_top: base.palette_size + 1}, base.palette_size
+    )
     report = verify_interval(high)
     assert not report.interval and report.violating_vertices
+
+
+def test_coloring_is_immutable():
+    c = cylinder_coloring(1, 2).coloring
+    e = c.graph.edges[0]
+    with pytest.raises(TypeError):
+        c.colors[e] = 1
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        c.aligned = (1, 1, 1, 1)
+    assert c.colors[e] == c.aligned[0] == 1
+
+
+def test_coloring_takes_a_mapping_or_the_aligned_tuple():
+    g = build_even_cycle(4)
+    by_edge = ring4_coloring([1, 2, 3, 2], 3)
+    aligned = EdgeColoring(g, by_edge.aligned, 3)
+    assert aligned == by_edge
+    assert aligned.colors == by_edge.colors == dict(zip(g.edges, by_edge.aligned))
+    with pytest.raises(InvalidColoringError):
+        EdgeColoring(g, by_edge.aligned[:3], 3)
+    with pytest.raises(InvalidColoringError):
+        EdgeColoring(g, (1, 2, 3, "2"), 3)
 
 
 def test_interval_implies_tight_vertex_windows():
@@ -164,7 +184,9 @@ def test_verified_palette_at_least_max_degree(m, n):
 def test_report_serialization_names_vertices():
     base = cylinder_coloring(2, 2).coloring
     edge = base.graph.edges[0]
-    mutated = base.with_edge_color(edge, base.colors[edge] + 1)
+    mutated = EdgeColoring(
+        base.graph, {**base.colors, edge: base.colors[edge] + 1}, base.palette_size
+    )
     doc = verify_interval(mutated).to_json_dict()
     assert doc["interval"] is False
     assert doc["violations"]

@@ -15,13 +15,12 @@ from intervalmesh import (
     build_torus,
     cylinder_coloring,
     max_degree,
-    spectrum,
     spectrum_sweep,
     step_down,
     torus_coloring,
     verify_interval,
 )
-from intervalmesh import constructions
+from intervalmesh import colorings, constructions
 from intervalmesh.constructions import construct, step_down_to
 from intervalmesh.errors import (
     CannotStepDownError,
@@ -93,7 +92,8 @@ def test_torus_2_2_frozen_values():
     assert c.colors[E(1, 1, 1, 2)] == 1
     assert c.colors[E(1, 1, 4, 1)] == 2
     assert c.colors[E(1, 2, 4, 2)] == 2
-    assert spectrum(c, GridVertex(1, 1)) == frozenset({1, 2, 3, 4})
+    first = verify_interval(c).entries[0]
+    assert (first.vertex, first.colors) == (GridVertex(1, 1), (1, 2, 3, 4))
 
 
 def test_torus_mirror_layers_match():
@@ -113,6 +113,18 @@ def test_torus_transposed_palette():
     res2 = torus_coloring(5, 3)
     assert res2.claimed_t == 18
     assert verify_interval(res2.coloring).interval
+
+
+def test_transposed_torus_is_built_once(monkeypatch):
+    calls = []
+
+    def counting(m, n):
+        calls.append((m, n))
+        return build_torus(m, n)
+
+    monkeypatch.setattr(constructions, "build_torus", counting)
+    torus_coloring(3, 2)
+    assert calls == [(3, 2)]
 
 
 def test_torus_transposition_is_factor_swap():
@@ -189,8 +201,8 @@ def test_step_down_requires_regular():
 def test_step_down_requires_interval_input():
     c = torus_coloring(2, 2).coloring
     edge = c.graph.edges[0]
-    broken = c.with_edge_color(edge, c.colors[edge] + 1)
-    with pytest.raises(InvalidColoringError):
+    broken = EdgeColoring(c.graph, {**c.colors, edge: c.colors[edge] + 1}, c.palette_size)
+    with pytest.raises(InvalidColoringError, match="x_"):
         step_down(broken)
 
 
@@ -255,10 +267,42 @@ def test_stepped_colorings_are_verified(monkeypatch):
         if out.palette_size > 4:
             return out
         e = out.graph.edges[0]
-        return out.with_edge_color(e, out.colors[e] + 1)
+        return EdgeColoring(out.graph, {**out.colors, e: out.colors[e] + 1}, out.palette_size)
 
     monkeypatch.setattr(constructions, "step_down", corrupt_last)
     with pytest.raises(ConstructionError, match="x_"):
         spectrum_sweep(2, 2)
     with pytest.raises(ConstructionError, match="x_"):
         step_down_to(torus_coloring(2, 2).coloring, 4)
+
+
+def _count_reports(monkeypatch) -> list[int]:
+    """Palette sizes of the reports the verifier builds from now on."""
+    built = []
+    real = colorings.SpectrumReport
+
+    def counting(**fields):
+        built.append(fields["palette_size"])
+        return real(**fields)
+
+    monkeypatch.setattr(colorings, "SpectrumReport", counting)
+    return built
+
+
+def test_each_coloring_is_verified_once(monkeypatch):
+    base = torus_coloring(2, 2).coloring
+    c = EdgeColoring(base.graph, dict(base.colors), base.palette_size)
+    built = _count_reports(monkeypatch)
+    assert verify_interval(c).interval
+    down = step_down(c)
+    assert verify_interval(down).interval
+    assert built == [8, 7]
+    assert verify_interval(c) is verify_interval(c)
+
+
+def test_step_down_result_is_verified_without_a_further_call(monkeypatch):
+    down = step_down(torus_coloring(2, 2).coloring)
+    built = _count_reports(monkeypatch)
+    assert verify_interval(down).interval
+    assert step_down_to(down, 6).palette_size == 6
+    assert built == [6]

@@ -17,12 +17,12 @@ from intervalmesh import (
     exact_W,
     exact_w,
     find_interval_coloring,
-    lower_bound,
     theorem1_upper,
     verify_interval,
 )
-from intervalmesh import search
-from intervalmesh.colorings import SpectrumReport, VertexSpectrum
+from intervalmesh import colorings, search
+from intervalmesh.colorings import EdgeColoring
+from intervalmesh.constructions import construct
 from intervalmesh.errors import (
     BudgetExceededError,
     DisconnectedGraphError,
@@ -75,7 +75,7 @@ def test_exact_W_of_the_cube_cylinder():
     # the 12-edge cylinder tops out at its constructive bound, one below
     # the diameter bound of 7
     g = build_cylinder(2, 2)
-    assert lower_bound(Family.CYLINDER, 2, 2) == 6
+    assert construct(Family.CYLINDER, 2, 2).claimed_t == 6
     assert theorem1_upper(g) == 7
     assert exact_W(g) == 6
 
@@ -149,7 +149,7 @@ def test_exact_scans_respect_bounds():
         w = exact_w(g)
         W = exact_W(g)
         assert w <= W
-        assert lower_bound(Family.CYLINDER, m, n) <= W <= theorem1_upper(g)
+        assert construct(Family.CYLINDER, m, n).claimed_t <= W <= theorem1_upper(g)
 
 
 # Node counts of the current attempt order. A pruning change alters them
@@ -228,11 +228,11 @@ def test_palette_beyond_edge_count_is_absent_at_once():
 
 
 def test_found_witness_is_checked_without_assert(monkeypatch):
-    entry = VertexSpectrum(GridVertex(1, 1), (1, 3), 2, proper=True, is_interval=False)
+    # colors 1, 3 alternate around C_4, so every vertex sees a gap
+    g = build_cylinder(1, 2)
+    gap = verify_interval(EdgeColoring(g, (1, 3, 3, 1), 3))
+    assert gap.violating_vertices[0] == GridVertex(1, 1)
 
-    def failing_report(coloring):
-        return SpectrumReport(coloring.palette_size, True, True, False, (entry,))
-
-    monkeypatch.setattr(search, "verify_interval", failing_report)
+    monkeypatch.setattr(colorings, "verify_interval", lambda coloring: gap)
     with pytest.raises(InvalidColoringError, match="x_1_1"):
         find_interval_coloring(build_cylinder(1, 2), 3)
