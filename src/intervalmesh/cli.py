@@ -40,11 +40,12 @@ from .errors import (
     SchemaError,
 )
 from .export import to_csv, to_dot
-from .grids import Family, build, dumps_canonical, max_degree
+from .grids import Family, admits, build, dumps_canonical, edge_count, max_degree
 from .search import (
     DEFAULT_MAX_EDGES,
     Outcome,
     SearchBudget,
+    edge_cap_refusal,
     exact_W,
     exact_w,
     find_interval_coloring,
@@ -177,7 +178,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
+def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     family = Family(args.family)
     result = construct(family, args.m, args.n)
     claimed = result.claimed_t
@@ -200,10 +201,10 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, list[str], list[s
         doc = coloring_to_json_dict(step_down_to(result.coloring, t))
     outputs = _emit(dumps_canonical(doc), args.output)
     summary = f"{family.value} m={args.m} n={args.n} t={t}"
-    return EXIT_VALID, summary, [], outputs
+    return EXIT_VALID, summary, outputs
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     doc = _load_json(args.path)
     coloring, _ = coloring_from_json_dict(doc)
     report = verify_interval(coloring)
@@ -213,16 +214,16 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, list[str], list[str
         text = report.format_table() + "\n"
     outputs = _emit(text, args.output)
     code = EXIT_VALID if report.interval else EXIT_INVALID
-    return code, f"interval={report.interval}", [args.path], outputs
+    return code, f"interval={report.interval}", outputs
 
 
-def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     families = list(CONSTRUCTIONS) if args.family == "both" else [args.family]
     m_range = _parse_range(args.m_range)
     n_range = _parse_range(args.n_range)
     rows = bounds_table(families, m_range, n_range, args.oracle_budget)
     outputs = _emit(bounds_table_csv(rows), args.output)
-    return EXIT_VALID, f"{len(rows)} rows", [], outputs
+    return EXIT_VALID, f"{len(rows)} rows", outputs
 
 
 def _search_budget(args: argparse.Namespace) -> SearchBudget:
@@ -243,48 +244,58 @@ def _search_budget(args: argparse.Namespace) -> SearchBudget:
     )
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
-    g = build(args.family, args.m, args.n)
+def _cmd_search(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     budget = _search_budget(args)
+    # an instance over the edge cap is refused before it is built
+    refused = (
+        edge_cap_refusal(edge_count(args.family, args.m, args.n), budget)
+        if admits(args.family, args.m, args.n)
+        else None
+    )
     if args.t is not None:
-        result = find_interval_coloring(g, args.t, budget)
+        result = refused or find_interval_coloring(
+            build(args.family, args.m, args.n), args.t, budget
+        )
         if result.outcome is Outcome.FOUND:
             doc = coloring_to_json_dict(result.coloring)
             outputs = _emit(dumps_canonical(doc), args.output)
-            return EXIT_VALID, f"found t={args.t}", [], outputs
+            return EXIT_VALID, f"found t={args.t}", outputs
         if result.outcome is Outcome.ABSENT:
             print(
                 f"no interval {args.t}-coloring exists "
                 f"({result.nodes} nodes searched)",
                 file=sys.stderr,
             )
-            return EXIT_INVALID, f"absent t={args.t}", [], []
+            return EXIT_INVALID, f"absent t={args.t}", []
         print(f"search budget exceeded: {result.detail}", file=sys.stderr)
-        return EXIT_BUDGET, f"budget-exceeded t={args.t}", [], []
+        return EXIT_BUDGET, f"budget-exceeded t={args.t}", []
+    if refused is not None:
+        raise BudgetExceededError(refused.detail)
+    g = build(args.family, args.m, args.n)
     name = "w" if args.exact_w else "W"
     value = exact_w(g, budget) if args.exact_w else exact_W(g, budget)
     outputs = _emit(f"{value}\n", args.output)
-    return EXIT_VALID, f"exact_{name}={value}", [], outputs
+    return EXIT_VALID, f"exact_{name}={value}", outputs
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     colorings = spectrum_sweep(args.m, args.n)
     docs = [coloring_to_json_dict(c) for c in colorings]
     outputs = _emit(dumps_canonical({"colorings": docs}), args.output)
     summary = f"{len(docs)} colorings t={colorings[0].palette_size}..4"
-    return EXIT_VALID, summary, [], outputs
+    return EXIT_VALID, summary, outputs
 
 
-def _cmd_export(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
+def _cmd_export(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     doc = _load_json(args.path)
     coloring, trace = coloring_from_json_dict(doc)
     require_interval(coloring, InvalidColoringError, "coloring to export")
     text = to_dot(coloring) if args.format == "dot" else to_csv(coloring, trace)
     outputs = _emit(text, args.output)
-    return EXIT_VALID, f"{args.format} export", [args.path], outputs
+    return EXIT_VALID, f"{args.format} export", outputs
 
 
-def _cmd_replay(args: argparse.Namespace) -> tuple[int, str, list[str], list[str]]:
+def _cmd_replay(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     doc = _load_json(args.manifest_path)
     if not isinstance(doc, dict) or "argv" not in doc:
         raise SchemaError("manifest must be an object with an 'argv' array")
@@ -297,7 +308,7 @@ def _cmd_replay(args: argparse.Namespace) -> tuple[int, str, list[str], list[str
     if args.output is not None:
         argv = _drop_flag(argv, "-o", "--output") + ["-o", args.output]
     code = run(argv)
-    return code, f"replayed {doc.get('subcommand', '?')}", [args.manifest_path], []
+    return code, f"replayed {doc.get('subcommand', '?')}", []
 
 
 # ---------------------------------------------------------------------------
@@ -372,7 +383,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-nodes",
         type=int,
-        help="cap on color attempts, counting only colors inside both endpoints' windows",
+        help="cap on color attempts, counting only colors inside both endpoints' "
+        "distance bounds",
     )
     p.add_argument("--timeout", type=float, metavar="S", help="wall time cap in seconds")
     _add_output_flag(p)
@@ -412,10 +424,13 @@ def run(argv: list[str]) -> int:
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
     started = time.perf_counter()
     try:
-        code, result, inputs, outputs = args.handler(args)
+        code, result, outputs = args.handler(args)
     except tuple(_FAILURES) as exc:
         code = _fail(exc)
-        result, inputs, outputs = f"failed: {type(exc).__name__}", [], []
+        result, outputs = f"failed: {type(exc).__name__}", []
+    # the file that verify, export or replay reads, failed or not
+    read = getattr(args, "path", None) or getattr(args, "manifest_path", None)
+    inputs = [] if read is None else [read]
     wall = time.perf_counter() - started
     parameters = {
         k: v

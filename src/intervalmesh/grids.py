@@ -32,6 +32,7 @@ __all__ = [
     "build_torus",
     "cartesian_product",
     "build",
+    "edge_count",
     "admits",
     "vertex_name",
     "max_degree",
@@ -265,33 +266,37 @@ class _FamilyLaw(NamedTuple):
     ``min_m``/``min_n`` are the least admissible parameters; ``None``
     means the family takes no such parameter.  ``build`` looks the
     builder up at call time, so rebinding a builder name reaches it.
-    ``diameter`` is the closed form: a Cartesian product's diameter is the
-    sum of its factors', with m - 1 for a path on m vertices and n for a
-    cycle on 2n vertices.
+    ``num_edges`` and ``diameter`` are closed forms: a cylinder has 2n
+    edges on each of its m rings and on each of its m - 1 rung layers,
+    and a torus is 4-regular on 4mn vertices.  A Cartesian product's
+    diameter is the sum of its factors', with m - 1 for a path on m
+    vertices and n for a cycle on 2n vertices.
     """
 
     build: Callable[[int | None, int | None], MeshGraph]
     min_m: int | None
     min_n: int | None
     num_vertices: Callable[[int | None, int | None], int]
+    num_edges: Callable[[int | None, int | None], int]
     diameter: Callable[[int | None, int | None], int]
 
 
 _FAMILIES = {
     Family.PATH: _FamilyLaw(
-        lambda m, n: build_path(m), 1, None, lambda m, n: m, lambda m, n: m - 1
+        lambda m, n: build_path(m), 1, None, lambda m, n: m, lambda m, n: m - 1,
+        lambda m, n: m - 1,
     ),
     Family.EVEN_CYCLE: _FamilyLaw(
         lambda m, n: build_even_cycle(2 * n), None, 2, lambda m, n: 2 * n,
-        lambda m, n: n,
+        lambda m, n: 2 * n, lambda m, n: n,
     ),
     Family.CYLINDER: _FamilyLaw(
         lambda m, n: build_cylinder(m, n), 1, 2, lambda m, n: 2 * m * n,
-        lambda m, n: m - 1 + n,
+        lambda m, n: 2 * n * (2 * m - 1), lambda m, n: m - 1 + n,
     ),
     Family.TORUS: _FamilyLaw(
         lambda m, n: build_torus(m, n), 2, 2, lambda m, n: 4 * m * n,
-        lambda m, n: m + n,
+        lambda m, n: 8 * m * n, lambda m, n: m + n,
     ),
 }
 
@@ -306,6 +311,11 @@ def _law(family: Family | str) -> _FamilyLaw:
 def build(family: Family | str, m: int | None, n: int | None) -> MeshGraph:
     """The member of a named family with parameters (m, n)."""
     return _law(family).build(m, n)
+
+
+def edge_count(family: Family | str, m: int | None, n: int | None) -> int:
+    """|E| of the member of a named family with parameters (m, n), unbuilt."""
+    return _law(family).num_edges(m, n)
 
 
 def admits(family: Family | str, m: int, n: int) -> bool:

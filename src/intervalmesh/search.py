@@ -6,10 +6,13 @@ mistaken for a proof of absence.  Edge order (breadth-first from the
 least vertex), color order (ascending), and pruning are all fixed, so
 identical queries give identical results.
 
-An edge only tries the colors inside both endpoints' feasible windows
-(a node is one such attempt), and the first edge's colors are halved by
-the color-reversal symmetry; ``find_interval_coloring`` gives both
-arguments.
+Every color placed bounds the colors of every vertex by a path-weight
+distance (the Asratian-Kamalian argument behind W <= diam(G)(Δ-1)+1,
+applied to a partial coloring).  An edge only tries the colors inside
+both endpoints' bounds (a node is one such attempt), a placement that
+leaves some vertex too few colors is refused, and the first edge's
+colors are halved by the color-reversal symmetry;
+``find_interval_coloring`` gives the arguments.
 """
 
 from __future__ import annotations
@@ -18,6 +21,7 @@ import time
 from collections import deque
 from dataclasses import dataclass
 from enum import Enum
+from heapq import heappop, heappush
 
 from .bounds import theorem1_upper
 from .colorings import EdgeColoring, require_interval
@@ -35,6 +39,7 @@ __all__ = [
     "Outcome",
     "SearchResult",
     "find_interval_coloring",
+    "edge_cap_refusal",
     "exact_w",
     "exact_W",
     "DEFAULT_MAX_EDGES",
@@ -71,6 +76,20 @@ class SearchResult:
     coloring: EdgeColoring | None
     nodes: int
     detail: str = ""
+    pruned: int = 0  # attempts refused by the distance bound
+
+
+def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | None:
+    """The result for an instance of ``num_edges`` edges over the budget's
+    edge cap, or None when the instance fits."""
+    if num_edges <= budget.max_edges:
+        return None
+    return SearchResult(
+        Outcome.BUDGET_EXCEEDED,
+        None,
+        0,
+        f"instance has {num_edges} edges, budget allows {budget.max_edges}",
+    )
 
 
 def _bfs_edge_order(g: MeshGraph) -> list[Edge]:
@@ -95,44 +114,116 @@ def _bfs_edge_order(g: MeshGraph) -> list[Edge]:
     return order
 
 
+def _path_weights(g: MeshGraph) -> list[list[int]]:
+    """Least vertex-weighted path lengths, indexed by position in ``g.vertices``.
+
+    Entry [x][v] is the least sum of d(w) - 1 over the vertices w of a
+    path from x to v, both ends included, so [x][x] is d(x) - 1.  In an
+    interval coloring two colors seen at x and at v differ by at most
+    this much: consecutive edges of the path share a vertex w, whose
+    colors lie within d(w) - 1 of each other.  Dijkstra from every vertex.
+    """
+    index = {v: i for i, v in enumerate(g.vertices)}
+    weight = [g.degree(v) - 1 for v in g.vertices]
+    neighbours = [[index[w] for w in g.adjacency[v]] for v in g.vertices]
+    table = []
+    for x, wx in enumerate(weight):
+        dist: list[int | None] = [None] * len(weight)
+        heap = [(wx, x)]
+        while heap:
+            d, u = heappop(heap)
+            if dist[u] is not None:
+                continue
+            dist[u] = d
+            for w in neighbours[u]:
+                if dist[w] is None:
+                    heappush(heap, (d + weight[w], w))
+        table.append(dist)
+    return table
+
+
 def find_interval_coloring(
     g: MeshGraph, t: int, budget: SearchBudget | None = None
 ) -> SearchResult:
     """Decide whether ``g`` has an interval t-coloring, within a budget.
 
-    Each vertex keeps its placed colors as one int bitmask.  A vertex of
-    degree d whose colors span [lo, hi] can only take colors in
-    [hi-d+1, lo+d-1] (a run of d consecutive colors must hold the span),
-    so an edge tries only the colors inside both endpoints' windows and
-    1..t, ascending; one attempt is one node.  An attempt is refused when
-    the color repeats at an endpoint, or when fewer edges would remain
-    than colors still unused.  The first edge never takes a color above
-    (t+1)//2: c -> t+1-c maps interval t-colorings to interval
-    t-colorings, and the search returns the least coloring in its edge
-    order, whose first color is the smaller of a mirrored pair.  Outcome
-    ``absent`` is only reported after the whole tree has been exhausted,
-    or at once when t exceeds the edge count.  A found coloring is
-    verified before it is returned.
+    Edges are colored in breadth-first order, each with colors ascending;
+    one color attempt is one node.  A color c on an edge (a, b) confines
+    every color at a vertex v to [c - r, c + r], where r is the lesser
+    path weight (``_path_weights``) from a or from b to v.  Every vertex
+    keeps the bounds [L, U] that the placed colors give it, and an edge
+    tries only the colors inside both endpoints' bounds, 1..t and above
+    the last color it tried.  An attempt is refused when the color
+    repeats at an endpoint, when fewer edges would remain than colors
+    still unused, or, counted in ``pruned``, when the tightened bounds
+    leave some vertex of degree d fewer than d colors, or leave no vertex
+    able to take an unused color 1 or t.  The first edge never takes a
+    color above (t+1)//2: c -> t+1-c maps interval t-colorings to
+    interval t-colorings, and the search returns the least coloring in
+    its edge order, whose first color is the smaller of a mirrored pair.
+    Outcome ``absent`` is only reported after the whole tree has been
+    exhausted, or at once when t exceeds the edge count or falls below
+    the maximum degree.  A found coloring is verified before it is
+    returned.
+
+    A vertex's bounds are kept as the set of colors that can start its
+    run of d consecutive colors, one bit field per vertex in a single
+    int: a placement is one AND with a precomputed mask, and one
+    addition tests every field for emptiness at once.
     """
     if t < 1:
         raise InvalidParameterError(f"palette size must be >= 1, got {t}")
     if budget is None:
         budget = SearchBudget()
-    if g.num_edges > budget.max_edges:
-        return SearchResult(
-            Outcome.BUDGET_EXCEEDED,
-            None,
-            0,
-            f"instance has {g.num_edges} edges, budget allows {budget.max_edges}",
-        )
+    refused = edge_cap_refusal(g.num_edges, budget)
+    if refused is not None:
+        return refused
     order = _bfs_edge_order(g)
     num_edges = len(order)
-    if t > num_edges:
-        # each color of a surjective coloring needs an edge of its own
+    degree = [g.degree(v) for v in g.vertices]
+    if t > num_edges or t < max(degree):
+        # each color of a surjective coloring needs an edge of its own, and
+        # each vertex a color per edge
         return SearchResult(Outcome.ABSENT, None, 0)
     index = {v: i for i, v in enumerate(g.vertices)}
     ends = [(index[e.u], index[e.v]) for e in order]
-    degree = [g.degree(v) for v in g.vertices]
+    weights = _path_weights(g)
+    # Vertex v owns bits [v*width, (v+1)*width) of a start set; bit
+    # v*width + base + s set: v's run of colors may start at s.  A color c
+    # at x confines v's colors to [c - r, c + r], r = weights[x][v], and a
+    # reach of t - 1 confines nothing, so base >= every reach that matters
+    # keeps the cuts below non-negative.  The top bit of a field takes the
+    # carry of the emptiness test.
+    base = min(t - 1, max(map(max, weights)))
+    width = base + t + 2
+    field = (1 << width) - 1
+    offset = [v * width + base for v in range(len(degree))]
+    allowed = carry_in = carry_out = can_top = can_bottom = 0
+    for o, d in zip(offset, degree):
+        allowed |= ((1 << (t - d + 1)) - 1) << (o + 1)
+        carry_in |= ((1 << t) - 1) << (o + 1)
+        carry_out |= 1 << (o + t + 1)
+        can_top |= 1 << (o + t - d + 1)
+        can_bottom |= 1 << (o + 1)
+    # cut[x]: the starts c-r..c+r-d+1 of every v for a color c at x, less
+    # the shift by c; a color on edge (a, b) cuts with cut[a] & cut[b]
+    cut = []
+    for row in weights:
+        bits = 0
+        for p, d, o in zip(row, degree, offset):
+            r = min(p, base)
+            bits |= ((1 << (2 * r - d + 2)) - 1) << (o - r)
+        cut.append(bits)
+    # per edge: endpoints, their field offsets, the terms that turn a
+    # field's top bit into its top color, and the cut
+    edge_plan = [
+        (a, b, offset[a] - base, offset[b] - base, degree[a] - base - 2,
+         degree[b] - base - 2, cut[a] & cut[b])
+        for a, b in ends
+    ]
+    low = base + 1  # bit_length of a field's start-1 bit, less one color
+
+    state = [allowed] + [0] * num_edges  # start sets before each edge
     mask = [0] * len(degree)  # bit c set: color c sits at the vertex
     used_count = [0] * (t + 1)
     unused = t
@@ -141,6 +232,7 @@ def find_interval_coloring(
     max_nodes = budget.max_nodes
     time_cap_s = budget.time_cap_s
     nodes = 0
+    pruned = 0
     started = time.monotonic()
 
     idx = 0
@@ -148,21 +240,22 @@ def find_interval_coloring(
         if idx == num_edges:
             coloring = EdgeColoring(g, dict(zip(order, assigned)), t)
             require_interval(coloring, InvalidColoringError, "found coloring")
-            return SearchResult(Outcome.FOUND, coloring, nodes)
-        a, b = ends[idx]
+            return SearchResult(Outcome.FOUND, coloring, nodes, pruned=pruned)
+        a, b, oa, ob, ta, tb, cut = edge_plan[idx]
+        allowed = state[idx]
         ma = mask[a]
         mb = mask[b]
-        c = next_color[idx]
-        top = t if idx else (t + 1) // 2
-        # a vertex of degree d with colors in [lo, hi] admits [hi-d+1, lo+d-1]
-        if ma:
-            d = degree[a]
-            c = max(c, ma.bit_length() - d)
-            top = min(top, (ma & -ma).bit_length() + d - 2)
-        if mb:
-            d = degree[b]
-            c = max(c, mb.bit_length() - d)
-            top = min(top, (mb & -mb).bit_length() + d - 2)
+        fa = allowed >> oa & field
+        fb = allowed >> ob & field
+        # colors run from the least start to the greatest start + d - 1
+        c = max(
+            next_color[idx],
+            (fa & -fa).bit_length() - low,
+            (fb & -fb).bit_length() - low,
+        )
+        top = min(
+            t if idx else (t + 1) // 2, fa.bit_length() + ta, fb.bit_length() + tb
+        )
         placed = ma | mb
         # the colors still unused after placing c must fit on the edges left
         left = num_edges - idx - 1
@@ -170,7 +263,7 @@ def find_interval_coloring(
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
                 return SearchResult(
-                    Outcome.BUDGET_EXCEEDED, None, nodes, "node cap reached"
+                    Outcome.BUDGET_EXCEEDED, None, nodes, "node cap reached", pruned
                 )
             if (
                 time_cap_s is not None
@@ -178,17 +271,24 @@ def find_interval_coloring(
                 and time.monotonic() - started > time_cap_s
             ):
                 return SearchResult(
-                    Outcome.BUDGET_EXCEEDED, None, nodes, "time cap reached"
+                    Outcome.BUDGET_EXCEEDED, None, nodes, "time cap reached", pruned
                 )
             if not placed >> c & 1 and unused - (used_count[c] == 0) <= left:
-                break
+                tightened = allowed & cut << c
+                if (
+                    (tightened + carry_in) & carry_out == carry_out
+                    and (c == t or used_count[t] or tightened & can_top)
+                    and (c == 1 or used_count[1] or tightened & can_bottom)
+                ):
+                    break
+                pruned += 1
             c += 1
         else:
             # no color fits: undo the previous edge, resume after its color
             next_color[idx] = 1
             idx -= 1
             if idx < 0:
-                return SearchResult(Outcome.ABSENT, None, nodes)
+                return SearchResult(Outcome.ABSENT, None, nodes, pruned=pruned)
             a, b = ends[idx]
             c = assigned[idx]
             mask[a] ^= 1 << c
@@ -204,6 +304,7 @@ def find_interval_coloring(
         used_count[c] += 1
         assigned[idx] = c
         next_color[idx] = c + 1
+        state[idx + 1] = tightened
         idx += 1
 
 

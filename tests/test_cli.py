@@ -7,6 +7,7 @@ import io
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -14,12 +15,30 @@ from hypothesis import strategies as st
 
 from intervalmesh import (
     EdgeColoring,
+    cli,
     coloring_from_json_dict,
     coloring_to_json_dict,
     constructions,
+    grids,
     verify_interval,
 )
 from intervalmesh.cli import run
+
+
+# A coloring of the 4-cycle that is proper but leaves a gap at two vertices.
+GAP_DOC = {
+    "family": "even_cycle",
+    "m": None,
+    "n": 2,
+    "t": 3,
+    "vertices": [[1, 1], [1, 2], [1, 3], [1, 4]],
+    "edges": [
+        {"u": [1, 1], "v": [1, 2], "color": 1},
+        {"u": [1, 2], "v": [1, 3], "color": 3},
+        {"u": [1, 3], "v": [1, 4], "color": 1},
+        {"u": [1, 1], "v": [1, 4], "color": 3},
+    ],
+}
 
 
 def invoke(capsys, *argv):
@@ -93,21 +112,8 @@ def test_verify_names_mutated_vertex(tmp_path, capsys):
 
 
 def test_verify_gap_coloring_flags(tmp_path, capsys):
-    doc = {
-        "family": "even_cycle",
-        "m": None,
-        "n": 2,
-        "t": 3,
-        "vertices": [[1, 1], [1, 2], [1, 3], [1, 4]],
-        "edges": [
-            {"u": [1, 1], "v": [1, 2], "color": 1},
-            {"u": [1, 2], "v": [1, 3], "color": 3},
-            {"u": [1, 3], "v": [1, 4], "color": 1},
-            {"u": [1, 1], "v": [1, 4], "color": 3},
-        ],
-    }
     path = tmp_path / "gap.json"
-    path.write_text(json.dumps(doc))
+    path.write_text(json.dumps(GAP_DOC))
     code, out, _ = invoke(capsys, "verify", str(path), "--json")
     assert code == 1
     report = json.loads(out)
@@ -339,6 +345,19 @@ def test_search_budget_from_environment(capsys, monkeypatch):
     assert code == 2
 
 
+def test_huge_search_is_refused_before_any_build(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the instance must not be built")
+
+    monkeypatch.setattr(cli, "build", refuse)
+    monkeypatch.setattr(grids, "build_torus", refuse)
+    huge = ("--family", "torus", "-m", str(10**6), "-n", str(10**6))
+    for mode in (("--t", "5"), ("--exact-W",)):
+        code, out, err = invoke(capsys, "search", *huge, *mode)
+        assert (code, out) == (3, "")
+        assert "8000000000000 edges, budget allows 16" in err
+
+
 def test_search_node_cap_flag(capsys):
     code, _, err = invoke(
         capsys,
@@ -458,6 +477,21 @@ def test_manifest_written_on_failure(tmp_path, capsys):
     assert doc["result"] == "failed: BudgetExceededError"
     assert doc["outputs"] == []
     assert "--manifest" not in doc["argv"]
+
+
+def test_failure_manifest_names_the_input(tmp_path, capsys, monkeypatch):
+    monkeypatch.chdir(tmp_path)
+    Path("gap.json").write_text(json.dumps(GAP_DOC))
+    code, _, _ = invoke(
+        capsys, "export", "gap.json", "--format", "dot", "--manifest", "m.json"
+    )
+    assert code == 1
+    doc = json.loads(Path("m.json").read_text())
+    assert doc["result"] == "failed: InvalidColoringError"
+    assert doc["inputs"] == ["gap.json"]
+    code, _, _ = invoke(capsys, "verify", "missing.json", "--manifest", "m.json")
+    assert code == 2
+    assert json.loads(Path("m.json").read_text())["inputs"] == ["missing.json"]
 
 
 def test_generate_reports_broken_step_down(capsys, monkeypatch):

@@ -30,7 +30,7 @@ from intervalmesh.errors import (
     SchemaError,
 )
 from intervalmesh import grids
-from intervalmesh.grids import _assemble, admits, build, dumps_canonical
+from intervalmesh.grids import _assemble, admits, build, dumps_canonical, edge_count
 
 
 def degree_by_edge_scan(g, v):
@@ -356,3 +356,14 @@ def test_family_table_builds_and_bounds_parameters():
     assert not admits("cylinder", 2, 1)
     with pytest.raises(InvalidParameterError):
         build("product", 2, 2)
+
+
+def test_closed_form_edge_count_matches_built_graphs():
+    for m in range(1, 7):
+        assert edge_count("path", m, None) == build_path(m).num_edges
+    for n in range(2, 7):
+        assert edge_count("even_cycle", None, n) == build_even_cycle(2 * n).num_edges
+        for m in range(1, 6):
+            assert edge_count("cylinder", m, n) == build_cylinder(m, n).num_edges
+        for m in range(2, 6):
+            assert edge_count("torus", m, n) == build_torus(m, n).num_edges

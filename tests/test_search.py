@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import hashlib
+
 import pytest
 
 from intervalmesh import (
@@ -158,18 +160,69 @@ def test_exact_scans_respect_bounds():
     ("m", "n", "t", "outcome", "nodes"),
     [
         (2, 2, 3, Outcome.FOUND, 24),
-        (2, 2, 6, Outcome.FOUND, 166),
-        (2, 2, 7, Outcome.ABSENT, 7885),
-        (1, 5, 7, Outcome.ABSENT, 964),
+        (2, 2, 6, Outcome.FOUND, 53),
+        (2, 2, 7, Outcome.ABSENT, 1612),
+        (1, 5, 7, Outcome.ABSENT, 118),
         (1, 6, 2, Outcome.FOUND, 18),
-        (1, 6, 7, Outcome.FOUND, 240),
-        (1, 6, 8, Outcome.ABSENT, 2633),
-        (2, 3, 9, Outcome.ABSENT, 245420),
+        (1, 6, 7, Outcome.FOUND, 32),
+        (1, 6, 8, Outcome.ABSENT, 184),
+        (2, 3, 9, Outcome.ABSENT, 14851),
+        (3, 2, 10, Outcome.ABSENT, 34416),
+        (2, 4, 11, Outcome.ABSENT, 104386),
     ],
 )
 def test_search_node_counts_are_pinned(m, n, t, outcome, nodes):
     result = find_interval_coloring(build_cylinder(m, n), t, SearchBudget(max_edges=32))
     assert (result.outcome, result.nodes) == (outcome, nodes)
+
+
+def test_distance_bound_refusals_are_counted():
+    budget = SearchBudget(max_edges=32)
+    result = find_interval_coloring(build_cylinder(2, 2), 7, budget)
+    assert (result.nodes, result.pruned) == (1612, 313)
+    # a 3-coloring of C(2,4) is found without a refusal by the bound
+    assert find_interval_coloring(build_cylinder(2, 2), 3, budget).pruned == 0
+
+
+def test_torus_witness_matches_the_window_only_search():
+    # digest of the witness that the search found before the distance
+    # bound existed, after 2,317,042 nodes
+    result = find_interval_coloring(build_torus(2, 2), 10, SearchBudget(max_edges=32))
+    assert result.outcome is Outcome.FOUND
+    digest = hashlib.sha256(",".join(map(str, result.coloring.aligned)).encode())
+    assert digest.hexdigest() == (
+        "7566a4ca571c7560c21ed568b9879898c18dcd746c0d3e1bd16ae95920d99171"
+    )
+
+
+def floyd_warshall_path_weights(g):
+    """All-pairs least sums of d - 1 over a path's vertices, both ends included."""
+    n = g.num_vertices
+    index = {v: i for i, v in enumerate(g.vertices)}
+    w = [g.degree(v) - 1 for v in g.vertices]
+    inf = float("inf")
+    dist = [[w[x] if x == y else inf for y in range(n)] for x in range(n)]
+    for v in g.vertices:
+        for u in g.adjacency[v]:
+            dist[index[v]][index[u]] = w[index[v]] + w[index[u]]
+    for k in range(n):
+        for x in range(n):
+            for y in range(n):
+                # k is counted in both halves, once too often
+                via = dist[x][k] + dist[k][y] - w[k]
+                if via < dist[x][y]:
+                    dist[x][y] = via
+    return dist
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_cylinder(m, n) for m in (2, 3) for n in (2, 3)]
+    + [build_torus(2, 2), cartesian_product(build_path(3), build_path(3))],
+    ids=["C(2,4)", "C(2,6)", "C(3,4)", "C(3,6)", "T(4,4)", "P3xP3"],
+)
+def test_path_weights_match_floyd_warshall(g):
+    assert search._path_weights(g) == floyd_warshall_path_weights(g)
 
 
 def reference_search(g, t):
@@ -206,8 +259,12 @@ def reference_search(g, t):
 @pytest.mark.parametrize(
     "g",
     [build_cylinder(1, n) for n in range(2, 6)]
-    + [build_cylinder(2, 2), cartesian_product(build_path(3), build_path(3))],
-    ids=["C(1,4)", "C(1,6)", "C(1,8)", "C(1,10)", "C(2,4)", "P3xP3"],
+    + [
+        build_cylinder(2, 2),
+        cartesian_product(build_path(3), build_path(3)),
+        cartesian_product(build_path(2), build_path(4)),
+    ],
+    ids=["C(1,4)", "C(1,6)", "C(1,8)", "C(1,10)", "C(2,4)", "P3xP3", "P2xP4"],
 )
 def test_search_agrees_with_unpruned_reference(g):
     first = search._bfs_edge_order(g)[0]
@@ -224,6 +281,11 @@ def test_search_agrees_with_unpruned_reference(g):
 
 def test_palette_beyond_edge_count_is_absent_at_once():
     result = find_interval_coloring(build_cylinder(1, 2), 10**5)
+    assert (result.outcome, result.nodes) == (Outcome.ABSENT, 0)
+
+
+def test_palette_below_max_degree_is_absent_at_once():
+    result = find_interval_coloring(build_cylinder(2, 2), 2)
     assert (result.outcome, result.nodes) == (Outcome.ABSENT, 0)
 
 
