@@ -13,7 +13,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 from pathlib import Path
@@ -55,8 +54,6 @@ EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
-
-ENV_MAX_EDGES = "INTERVALMESH_MAX_EDGES"
 
 
 class _UsageError(Exception):
@@ -226,26 +223,12 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     return EXIT_VALID, f"{len(rows)} rows", outputs
 
 
-def _search_budget(args: argparse.Namespace) -> SearchBudget:
-    max_edges = args.max_edges
-    if max_edges is None:
-        env = os.environ.get(ENV_MAX_EDGES)
-        if env is not None:
-            try:
-                max_edges = int(env)
-            except ValueError:
-                raise _UsageError(
-                    f"{ENV_MAX_EDGES} must be an integer, got {env!r}"
-                ) from None
-        else:
-            max_edges = DEFAULT_MAX_EDGES
-    return SearchBudget(
-        max_edges=max_edges, max_nodes=args.max_nodes, time_cap_s=args.timeout
-    )
-
-
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str, list[str]]:
-    budget = _search_budget(args)
+    budget = SearchBudget(
+        max_edges=DEFAULT_MAX_EDGES if args.max_edges is None else args.max_edges,
+        max_nodes=args.max_nodes,
+        time_cap_s=args.timeout,
+    )
     # an instance over the edge cap is refused before it is built
     refused = (
         edge_cap_refusal(edge_count(args.family, args.m, args.n), budget)
@@ -378,7 +361,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument(
         "--max-edges",
         type=int,
-        help=f"instance size cap (default {DEFAULT_MAX_EDGES}, or ${ENV_MAX_EDGES})",
+        help=f"instance size cap (default {DEFAULT_MAX_EDGES})",
     )
     p.add_argument(
         "--max-nodes",

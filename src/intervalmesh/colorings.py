@@ -22,8 +22,7 @@ from .grids import (
     Edge,
     GridVertex,
     MeshGraph,
-    _graph_from_listing,
-    _parse_edge,
+    _listed_graph,
     graph_to_json_dict,
     vertex_name,
 )
@@ -252,7 +251,10 @@ def coloring_to_json_dict(
 
 
 def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, dict[Edge, str] | None]:
-    """Parse a coloring document; returns the coloring and any rule trace."""
+    """Parse a coloring document; returns the coloring and any rule trace.
+
+    Each row's color is written at its edge's position in the built graph.
+    """
     if not isinstance(d, dict):
         raise SchemaError("coloring document must be a JSON object")
     if "t" not in d:
@@ -260,12 +262,10 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, dict[Edge, str] | No
     t = d["t"]
     if not isinstance(t, int) or isinstance(t, bool) or t < 1:
         raise SchemaError(f"'t' must be a positive integer, got {t!r}")
-    if not isinstance(d.get("edges"), list):
+    rows = d.get("edges")
+    if not isinstance(rows, list):
         raise SchemaError("'edges' must be an array")
-    colors_by_edge: dict[Edge, int] = {}
-    trace: dict[Edge, str] = {}
-    saw_rule = False
-    for item in d["edges"]:
+    for item in rows:
         if not isinstance(item, dict) or "u" not in item or "v" not in item:
             raise SchemaError(f"colored edge must be an object with u/v, got {item!r}")
         if "color" not in item:
@@ -273,18 +273,13 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, dict[Edge, str] | No
         col = item["color"]
         if not isinstance(col, int) or isinstance(col, bool):
             raise SchemaError(f"edge color must be an integer, got {col!r}")
-        e = _parse_edge(item["u"], item["v"])
-        if e in colors_by_edge:
-            raise SchemaError(f"edge {e} colored twice")
-        colors_by_edge[e] = col
+    g, positions = _listed_graph(d, [(item["u"], item["v"]) for item in rows])
+    colors = [0] * g.num_edges
+    trace: dict[Edge, str] = {}
+    for pos, item in zip(positions, rows):
+        colors[pos] = item["color"]
         if "rule" in item:
-            saw_rule = True
-            trace[e] = str(item["rule"])
-    g = _graph_from_listing(d, list(colors_by_edge))
-    try:
-        coloring = EdgeColoring(g, colors_by_edge, t)
-    except InvalidColoringError as exc:
-        raise SchemaError(str(exc)) from None
-    if saw_rule and len(trace) != len(colors_by_edge):
+            trace[g.edges[pos]] = str(item["rule"])
+    if trace and len(trace) != len(rows):
         raise SchemaError("rule trace must cover every edge or none")
-    return coloring, (trace if saw_rule else None)
+    return EdgeColoring(g, tuple(colors), t), (trace or None)

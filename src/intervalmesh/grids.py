@@ -408,13 +408,13 @@ def graph_to_json_dict(g: MeshGraph) -> dict:
 
 
 def _parse_vertex(obj: object) -> GridVertex:
-    if (
-        not isinstance(obj, (list, tuple))
-        or len(obj) != 2
-        or not all(isinstance(c, int) and not isinstance(c, bool) for c in obj)
-    ):
-        raise SchemaError(f"vertex must be a [layer, ring] pair of integers, got {obj!r}")
-    return GridVertex(obj[0], obj[1])
+    # exact type test: True and 1.0 hash and compare equal to 1, so an edge
+    # lookup alone would take them for coordinates
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        layer, ring = obj
+        if type(layer) is int and type(ring) is int:
+            return GridVertex(layer, ring)
+    raise SchemaError(f"vertex must be a [layer, ring] pair of integers, got {obj!r}")
 
 
 def _parse_optional_size(d: dict, key: str) -> int | None:
@@ -426,18 +426,14 @@ def _parse_optional_size(d: dict, key: str) -> int | None:
     return value
 
 
-def _parse_edge(u: object, v: object) -> Edge:
-    try:
-        return Edge.between(_parse_vertex(u), _parse_vertex(v))
-    except InvalidParameterError as exc:
-        raise SchemaError(str(exc)) from None
+def _listed_graph(d: dict, rows: list) -> tuple[MeshGraph, list[int]]:
+    """The graph a document lists, and the position in its ``edges`` of each row.
 
-
-def _graph_from_listing(d: dict, edges: list[Edge]) -> MeshGraph:
-    """The graph a document lists, given its already-parsed edges.
-
-    A recognized family is built once from (m, n), compared with the
-    listing and returned; only ``product`` graphs are assembled as listed.
+    ``rows`` are the document's raw ``(u, v)`` endpoint pairs.  A recognized
+    family is built once from (m, n) after its closed-form vertex count is
+    compared with the listing; only ``product`` graphs are assembled as
+    listed.  Every row must be an edge of that graph, listed once, and
+    every edge must be listed.
     """
     for key in ("family", "vertices"):
         if key not in d:
@@ -451,30 +447,50 @@ def _graph_from_listing(d: dict, edges: list[Edge]) -> MeshGraph:
     if not isinstance(d["vertices"], list):
         raise SchemaError("'vertices' must be an array")
     vertices = [_parse_vertex(v) for v in d["vertices"]]
-    if len(set(vertices)) != len(vertices):
+    vertex_set = set(vertices)
+    if len(vertex_set) != len(vertices):
         raise SchemaError("duplicate vertices in document")
+    pairs = []
+    for u, v in rows:
+        a, b = _parse_vertex(u), _parse_vertex(v)
+        if a == b:
+            raise SchemaError(f"loop edge at {vertex_name(a)}")
+        pairs.append((a, b) if a < b else (b, a))
+    what = f"family {family.value!r} with m={m}, n={n}"
     law = _FAMILIES.get(family)
     if law is None:
         try:
-            return _assemble(family, m, n, vertices, edges)
+            g = _assemble(family, m, n, vertices, pairs)
         except InvalidParameterError as exc:
             raise SchemaError(str(exc)) from None
-    if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
-        raise SchemaError(f"family {family.value!r} has inconsistent m/n")
-    mismatch = SchemaError(
-        f"listed vertices/edges do not match family {family.value!r} "
-        f"with m={m}, n={n}"
-    )
-    # compare sizes first, so a claimed (m, n) is never built beyond the listing
-    if law.num_vertices(m, n) != len(vertices):
-        raise mismatch
-    try:
-        g = law.build(m, n)
-    except InvalidParameterError as exc:
-        raise SchemaError(str(exc)) from None
-    if tuple(sorted(vertices)) != g.vertices or tuple(sorted(edges)) != g.edges:
-        raise mismatch
-    return g
+    else:
+        if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
+            raise SchemaError(f"family {family.value!r} has inconsistent m/n")
+        # compare sizes first, so a claimed (m, n) is never built beyond the listing
+        if law.num_vertices(m, n) != len(vertices):
+            raise SchemaError(f"listed vertices do not match {what}")
+        try:
+            g = law.build(m, n)
+        except InvalidParameterError as exc:
+            raise SchemaError(str(exc)) from None
+        if g.adjacency.keys() != vertex_set:
+            raise SchemaError(f"listed vertices do not match {what}")
+    positions = []
+    placed = bytearray(g.num_edges)
+    for a, b in pairs:
+        pos = g.edge_index.get((a, b))
+        if pos is None:
+            raise SchemaError(
+                f"{vertex_name(a)}-{vertex_name(b)} is not an edge of {what}"
+            )
+        if placed[pos]:
+            raise SchemaError(f"edge {vertex_name(a)}-{vertex_name(b)} is listed twice")
+        placed[pos] = 1
+        positions.append(pos)
+    if len(positions) != g.num_edges:
+        missing = g.num_edges - len(positions)
+        raise SchemaError(f"{missing} of the {g.num_edges} edges of {what} are not listed")
+    return g, positions
 
 
 def graph_from_json_dict(d: dict) -> MeshGraph:
@@ -487,12 +503,10 @@ def graph_from_json_dict(d: dict) -> MeshGraph:
         raise SchemaError("graph document must be a JSON object")
     if not isinstance(d.get("edges"), list):
         raise SchemaError("'edges' must be an array")
-    edges = []
     for item in d["edges"]:
         if not isinstance(item, (list, tuple)) or len(item) != 2:
             raise SchemaError(f"edge must be a pair of vertices, got {item!r}")
-        edges.append(_parse_edge(item[0], item[1]))
-    return _graph_from_listing(d, edges)
+    return _listed_graph(d, d["edges"])[0]
 
 
 def dumps_canonical(d: dict) -> str:

@@ -32,7 +32,7 @@ from .errors import (
     InvalidParameterError,
     NotIntervalColorableError,
 )
-from .grids import Edge, MeshGraph, max_degree
+from .grids import GridVertex, MeshGraph, max_degree
 
 __all__ = [
     "SearchBudget",
@@ -92,20 +92,24 @@ def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | Non
     )
 
 
-def _bfs_edge_order(g: MeshGraph) -> list[Edge]:
-    """Edges in breadth-first discovery order from the least vertex."""
+def _bfs_edge_order(g: MeshGraph) -> list[int]:
+    """Edge positions in breadth-first discovery order from the least vertex.
+
+    ``g.incident[u]`` runs in ascending order of the other endpoint.
+    """
     root = g.vertices[0]
-    listed: set[Edge] = set()
-    order: list[Edge] = []
+    listed = bytearray(g.num_edges)
+    order: list[int] = []
     seen = {root}
     queue = deque([root])
     while queue:
         u = queue.popleft()
-        for w in g.adjacency[u]:
-            e = Edge.between(u, w)
-            if e not in listed:
-                listed.add(e)
-                order.append(e)
+        for i in g.incident[u]:
+            if not listed[i]:
+                listed[i] = 1
+                order.append(i)
+            e = g.edges[i]
+            w = e.v if e.u == u else e.u
             if w not in seen:
                 seen.add(w)
                 queue.append(w)
@@ -114,8 +118,9 @@ def _bfs_edge_order(g: MeshGraph) -> list[Edge]:
     return order
 
 
-def _path_weights(g: MeshGraph) -> list[list[int]]:
-    """Least vertex-weighted path lengths, indexed by position in ``g.vertices``.
+def _path_weights(g: MeshGraph, index: dict[GridVertex, int]) -> list[list[int]]:
+    """Least vertex-weighted path lengths, by vertex ``index`` (its position
+    in ``g.vertices``).
 
     Entry [x][v] is the least sum of d(w) - 1 over the vertices w of a
     path from x to v, both ends included, so [x][x] is d(x) - 1.  In an
@@ -123,7 +128,6 @@ def _path_weights(g: MeshGraph) -> list[list[int]]:
     this much: consecutive edges of the path share a vertex w, whose
     colors lie within d(w) - 1 of each other.  Dijkstra from every vertex.
     """
-    index = {v: i for i, v in enumerate(g.vertices)}
     weight = [g.degree(v) - 1 for v in g.vertices]
     neighbours = [[index[w] for w in g.adjacency[v]] for v in g.vertices]
     table = []
@@ -186,8 +190,8 @@ def find_interval_coloring(
         # each vertex a color per edge
         return SearchResult(Outcome.ABSENT, None, 0)
     index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(index[e.u], index[e.v]) for e in order]
-    weights = _path_weights(g)
+    ends = [(index[g.edges[i].u], index[g.edges[i].v]) for i in order]
+    weights = _path_weights(g, index)
     # Vertex v owns bits [v*width, (v+1)*width) of a start set; bit
     # v*width + base + s set: v's run of colors may start at s.  A color c
     # at x confines v's colors to [c - r, c + r], r = weights[x][v], and a
@@ -238,7 +242,10 @@ def find_interval_coloring(
     idx = 0
     while True:
         if idx == num_edges:
-            coloring = EdgeColoring(g, dict(zip(order, assigned)), t)
+            aligned = [0] * num_edges
+            for i, c in zip(order, assigned):
+                aligned[i] = c
+            coloring = EdgeColoring(g, tuple(aligned), t)
             require_interval(coloring, InvalidColoringError, "found coloring")
             return SearchResult(Outcome.FOUND, coloring, nodes, pruned=pruned)
         a, b, oa, ob, ta, tb, cut = edge_plan[idx]

@@ -331,18 +331,14 @@ def test_search_exact_flags(capsys):
     assert out.strip() == "2"
 
 
-def test_search_budget_from_environment(capsys, monkeypatch):
-    monkeypatch.setenv("INTERVALMESH_MAX_EDGES", "4")
+def test_search_edge_cap_flag(capsys):
     code, _, err = invoke(
-        capsys, "search", "--family", "cylinder", "-m", "1", "-n", "3", "--t", "4"
+        capsys,
+        "search", "--family", "cylinder", "-m", "1", "-n", "3", "--t", "4",
+        "--max-edges", "4",
     )
     assert code == 3
     assert "6 edges" in err
-    monkeypatch.setenv("INTERVALMESH_MAX_EDGES", "not-a-number")
-    code, _, err = invoke(
-        capsys, "search", "--family", "cylinder", "-m", "1", "-n", "3", "--t", "4"
-    )
-    assert code == 2
 
 
 def test_huge_search_is_refused_before_any_build(capsys, monkeypatch):

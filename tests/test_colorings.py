@@ -275,6 +275,17 @@ def _mutate(doc: dict, kind: str, data) -> None:
         target[data.draw(st.integers(0, 1), label="axis")] += data.draw(
             st.sampled_from([-1, 1]), label="delta"
         )
+    elif kind == "type":
+        if data.draw(st.booleans(), label="retype a listed vertex"):
+            target = data.draw(st.sampled_from(doc["vertices"]), label="vertex")
+        else:
+            target = rows[i][data.draw(st.sampled_from(["u", "v"]))]
+        # 1.0 and true hash and compare equal to 1
+        value = data.draw(st.sampled_from([1.0, True, "1", None]), label="value")
+        if value is None:
+            target.append(1)
+        else:
+            target[data.draw(st.integers(0, 1), label="axis")] = value
     elif kind in ("m", "n"):
         doc[kind] += data.draw(st.sampled_from([-1, 1]), label="delta")
     else:
@@ -288,7 +299,7 @@ def _mutate(doc: dict, kind: str, data) -> None:
     m=st.integers(2, 3),
     n=st.integers(2, 3),
     kind=st.sampled_from(
-        ["drop", "duplicate", "replace", "reverse", "shift", "m", "n", "family"]
+        ["drop", "duplicate", "replace", "reverse", "shift", "type", "m", "n", "family"]
     ),
     data=st.data(),
 )
@@ -302,6 +313,7 @@ def test_mutated_documents_parse_exactly_or_raise_schema_error(
     except SchemaError:
         pass
     else:
+        assert kind != "type", "a coordinate that is not an integer pair was accepted"
         assert coloring.graph == grids.build(doc["family"], doc["m"], doc["n"])
         assert coloring.colors == {
             Edge.between(GridVertex(*row["u"]), GridVertex(*row["v"])): row["color"]

@@ -331,6 +331,18 @@ def test_json_schema_errors():
     with pytest.raises(SchemaError):
         graph_from_json_dict({**doc, "vertices": doc["vertices"] + [[1, 1]]})
 
+    # 1.0 and True hash and compare equal to 1, so an edge lookup alone
+    # would accept them
+    for bad in ([1.0, 1], [1, True], ["1", 1], [1, 1, 1]):
+        retyped = json.loads(json.dumps(doc))
+        retyped["edges"][0][0] = bad
+        with pytest.raises(SchemaError):
+            graph_from_json_dict(retyped)
+        retyped = json.loads(json.dumps(doc))
+        retyped["vertices"][0] = bad
+        with pytest.raises(SchemaError):
+            graph_from_json_dict(retyped)
+
 
 def test_claimed_size_is_checked_before_building(monkeypatch):
     def refuse(*args):

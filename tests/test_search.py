@@ -222,13 +222,14 @@ def floyd_warshall_path_weights(g):
     ids=["C(2,4)", "C(2,6)", "C(3,4)", "C(3,6)", "T(4,4)", "P3xP3"],
 )
 def test_path_weights_match_floyd_warshall(g):
-    assert search._path_weights(g) == floyd_warshall_path_weights(g)
+    index = {v: i for i, v in enumerate(g.vertices)}
+    assert search._path_weights(g, index) == floyd_warshall_path_weights(g)
 
 
 def reference_search(g, t):
     """Colors 1..t tried on every edge in BFS order, refused by the
     per-endpoint span and repeat rules and the surjectivity count."""
-    order = search._bfs_edge_order(g)
+    order = [g.edges[i] for i in search._bfs_edge_order(g)]
     placed = {v: [] for v in g.vertices}
     colors = {}
 
@@ -267,7 +268,7 @@ def reference_search(g, t):
     ids=["C(1,4)", "C(1,6)", "C(1,8)", "C(1,10)", "C(2,4)", "P3xP3", "P2xP4"],
 )
 def test_search_agrees_with_unpruned_reference(g):
-    first = search._bfs_edge_order(g)[0]
+    first = g.edges[search._bfs_edge_order(g)[0]]
     for t in range(1, g.num_edges + 1):
         expected = reference_search(g, t)
         result = find_interval_coloring(g, t)
