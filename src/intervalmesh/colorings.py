@@ -22,8 +22,9 @@ from .grids import (
     Edge,
     GridVertex,
     MeshGraph,
+    _edge_name,
+    _json_header,
     _listed_graph,
-    graph_to_json_dict,
     vertex_name,
 )
 
@@ -81,7 +82,9 @@ class EdgeColoring:
             )
         for e, c in zip(edges, colors):
             if not isinstance(c, int) or isinstance(c, bool):
-                raise InvalidColoringError(f"color of {e} must be an integer, got {c!r}")
+                raise InvalidColoringError(
+                    f"color of {_edge_name(*e)} is not an integer: {c!r}"
+                )
 
     @cached_property
     def colors(self) -> Mapping[Edge, int]:
@@ -232,28 +235,27 @@ def require_interval(
 
 
 def coloring_to_json_dict(
-    c: EdgeColoring, rule_trace: dict[Edge, str] | None = None
+    c: EdgeColoring, rule_trace: tuple[str, ...] | None = None
 ) -> dict:
-    d = graph_to_json_dict(c.graph)
-    d["t"] = c.palette_size
-    rows = []
-    for e, color in zip(c.graph.edges, c.aligned):
-        row = {
-            "u": [e.u.layer, e.u.ring],
-            "v": [e.v.layer, e.v.ring],
-            "color": color,
-        }
-        if rule_trace is not None:
-            row["rule"] = rule_trace[e]
-        rows.append(row)
+    """The coloring document; ``rule_trace`` is aligned with ``graph.edges``."""
+    d = _json_header(c.graph)
+    rows = [
+        {"u": [e.u.layer, e.u.ring], "v": [e.v.layer, e.v.ring], "color": color}
+        for e, color in zip(c.graph.edges, c.aligned)
+    ]
+    if rule_trace is not None:
+        for row, rule in zip(rows, rule_trace, strict=True):
+            row["rule"] = rule
     d["edges"] = rows
+    d["t"] = c.palette_size
     return d
 
 
-def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, dict[Edge, str] | None]:
+def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | None]:
     """Parse a coloring document; returns the coloring and any rule trace.
 
-    Each row's color is written at its edge's position in the built graph.
+    Each row's color and rule are written at its edge's position in the
+    built graph, so the trace is aligned with ``graph.edges``.
     """
     if not isinstance(d, dict):
         raise SchemaError("coloring document must be a JSON object")
@@ -274,12 +276,13 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, dict[Edge, str] | No
         if not isinstance(col, int) or isinstance(col, bool):
             raise SchemaError(f"edge color must be an integer, got {col!r}")
     g, positions = _listed_graph(d, [(item["u"], item["v"]) for item in rows])
+    ruled = sum("rule" in item for item in rows)
+    if ruled and ruled != len(rows):
+        raise SchemaError("rule trace must cover every edge or none")
     colors = [0] * g.num_edges
-    trace: dict[Edge, str] = {}
+    rules = [""] * g.num_edges
     for pos, item in zip(positions, rows):
         colors[pos] = item["color"]
-        if "rule" in item:
-            trace[g.edges[pos]] = str(item["rule"])
-    if trace and len(trace) != len(rows):
-        raise SchemaError("rule trace must cover every edge or none")
-    return EdgeColoring(g, tuple(colors), t), (trace or None)
+        if ruled:
+            rules[pos] = str(item["rule"])
+    return EdgeColoring(g, tuple(colors), t), (tuple(rules) if ruled else None)

@@ -5,8 +5,9 @@ with palette 1..3m+n-2.  ``torus_coloring(m, n)`` paints the torus on 2m
 by 2n vertices with palette 1..max(3m+n, 3n+m); when m > n it paints
 the rules of the transposed torus through the factor-swap isomorphism,
 so the graph is built and verified once.  Every edge is painted by
-exactly one named rule and the rule trace is kept, so exports can say
-which rule produced each color.
+exactly one named rule and the rule trace, aligned with ``graph.edges``
+like the colors, is kept, so exports can say which rule produced each
+color.
 Constructions verify their own output and fail loudly, naming a broken
 vertex and its incident colors, rather than return a bad coloring.
 
@@ -35,10 +36,10 @@ from .errors import (
     NotRegularError,
 )
 from .grids import (
-    Edge,
     Family,
     GridVertex,
     MeshGraph,
+    _edge_name,
     build_cylinder,
     build_torus,
     is_regular,
@@ -72,11 +73,12 @@ TORUS_RULES = CYLINDER_RULES + ("seam-mid", "seam-low")
 
 @dataclass(frozen=True)
 class ConstructionResult:
-    """A verified coloring plus the rule that painted each edge."""
+    """A verified coloring; ``rule_trace[i]`` names the rule that painted
+    ``graph.edges[i]``."""
 
     coloring: EdgeColoring
     claimed_t: int
-    rule_trace: dict[Edge, str]
+    rule_trace: tuple[str, ...]
 
 
 class _Painter:
@@ -92,36 +94,34 @@ class _Painter:
         self.g = g
         self.swap = swap
         self.colors: list[int | None] = [None] * g.num_edges
-        self.trace: dict[Edge, str] = {}
+        self.rules: list[str | None] = [None] * g.num_edges
 
     def put(self, a: GridVertex, b: GridVertex, color: int, rule: str) -> None:
         if self.swap:
             a, b = GridVertex(a.ring, a.layer), GridVertex(b.ring, b.layer)
-        e = Edge.between(a, b)
-        i = self.g.edge_index.get(e)
+        i = self.g.edge_index.get((a, b) if a < b else (b, a))
         if i is None:
-            raise ConstructionError(f"rule {rule} painted a non-edge {e}")
-        if e in self.trace:
-            if self.colors[i] != color or self.trace[e] != rule:
+            raise ConstructionError(f"rule {rule} painted a non-edge {_edge_name(a, b)}")
+        if self.rules[i] is not None:
+            if self.colors[i] != color or self.rules[i] != rule:
                 raise ConstructionError(
-                    f"rules {self.trace[e]} and {rule} disagree on {e}: "
+                    f"rules {self.rules[i]} and {rule} disagree on {_edge_name(a, b)}: "
                     f"{self.colors[i]} vs {color}"
                 )
             return
         self.colors[i] = color
-        self.trace[e] = rule
+        self.rules[i] = rule
 
     def finish(self, t: int) -> ConstructionResult:
         """The verified coloring, once every edge is painted."""
-        unpainted = [e for e, c in zip(self.g.edges, self.colors) if c is None]
+        unpainted = self.rules.count(None)
         if unpainted:
-            raise ConstructionError(
-                f"{len(unpainted)} edges left unpainted, first {unpainted[0]}"
-            )
+            first = _edge_name(*self.g.edges[self.rules.index(None)])
+            raise ConstructionError(f"{unpainted} edges left unpainted, first {first}")
         coloring = require_interval(
             EdgeColoring(self.g, tuple(self.colors), t), ConstructionError, "construction"
         )
-        return ConstructionResult(coloring=coloring, claimed_t=t, rule_trace=self.trace)
+        return ConstructionResult(coloring, t, tuple(self.rules))
 
 
 def cylinder_coloring(m: int, n: int) -> ConstructionResult:
@@ -245,7 +245,10 @@ def step_down(c: EdgeColoring) -> EdgeColoring:
 
 
 def step_down_to(c: EdgeColoring, t: int) -> EdgeColoring:
-    """Interval t-coloring from ``c`` by repeated ``step_down``, verified."""
+    """Interval t-coloring from ``c`` by repeated ``step_down``, verified;
+    t above the palette of ``c`` is refused, since stepping only lowers it."""
+    if t > c.palette_size:
+        raise InvalidParameterError(f"cannot step palette 1..{c.palette_size} up to 1..{t}")
     while c.palette_size > t:
         c = step_down(c)
     return require_interval(c, ConstructionError, "stepped coloring")

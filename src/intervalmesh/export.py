@@ -11,7 +11,7 @@ import csv
 import io
 
 from .colorings import EdgeColoring
-from .grids import Edge, vertex_name
+from .grids import vertex_name
 
 __all__ = ["vertex_name", "to_dot", "to_csv"]
 
@@ -32,11 +32,12 @@ def to_dot(c: EdgeColoring) -> str:
     return "\n".join(lines) + "\n"
 
 
-def to_csv(c: EdgeColoring, rule_trace: dict[Edge, str] | None = None) -> str:
+def to_csv(c: EdgeColoring, rule_trace: tuple[str, ...] | None = None) -> str:
+    """CSV rows u, v, rule, color; ``rule_trace`` is aligned with ``graph.edges``."""
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v", "rule", "color"])
-    for e, color in zip(c.graph.edges, c.aligned):
-        rule = rule_trace.get(e, "") if rule_trace else ""
+    rules = rule_trace or ("",) * c.graph.num_edges
+    for e, color, rule in zip(c.graph.edges, c.aligned, rules, strict=True):
         writer.writerow([vertex_name(e.u), vertex_name(e.v), rule, color])
     return buf.getvalue()

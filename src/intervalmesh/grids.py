@@ -60,7 +60,12 @@ class GridVertex(NamedTuple):
 
 def vertex_name(v: GridVertex) -> str:
     """The ``x_<ring>_<layer>`` name used by reports, exports and errors."""
-    return f"x_{v.ring}_{v.layer}"
+    layer, ring = v
+    return f"x_{ring}_{layer}"
+
+
+def _edge_name(a: GridVertex, b: GridVertex) -> str:
+    return f"{vertex_name(a)}-{vertex_name(b)}"
 
 
 class Edge(NamedTuple):
@@ -71,7 +76,7 @@ class Edge(NamedTuple):
     def between(cls, a: GridVertex, b: GridVertex) -> "Edge":
         """Canonical (sorted-endpoint) edge; loops are rejected."""
         if a == b:
-            raise InvalidParameterError(f"loop edge at {a}")
+            raise InvalidParameterError(f"loop edge at {vertex_name(a)}")
         return cls(a, b) if a < b else cls(b, a)
 
 
@@ -79,10 +84,10 @@ class Edge(NamedTuple):
 class MeshGraph:
     """A finite simple graph with grid-coordinate vertices.
 
-    ``vertices`` and ``edges`` are sorted tuples; ``adjacency``,
-    ``incident`` (the positions in ``edges`` of each vertex's edges) and
-    ``edge_index`` (each edge's position in ``edges``) are derived lookups
-    built once at assembly time and excluded from equality.
+    ``vertices`` and ``edges`` are sorted tuples; ``incident`` (the one
+    vertex lookup: the positions in ``edges`` of each vertex's edges) and
+    ``edge_index`` (each edge's position in ``edges``) are built once at
+    assembly time and excluded from equality.
     """
 
     family: Family
@@ -90,11 +95,10 @@ class MeshGraph:
     n: int | None
     vertices: tuple[GridVertex, ...]
     edges: tuple[Edge, ...]
-    adjacency: dict[GridVertex, tuple[GridVertex, ...]] = field(
+    incident: dict[GridVertex, tuple[int, ...]] = field(repr=False, compare=False)
+    edge_index: dict[tuple[GridVertex, GridVertex], int] = field(
         repr=False, compare=False
     )
-    incident: dict[GridVertex, tuple[int, ...]] = field(repr=False, compare=False)
-    edge_index: dict[Edge, int] = field(repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -105,9 +109,9 @@ class MeshGraph:
         return len(self.edges)
 
     def degree(self, v: GridVertex) -> int:
-        if v not in self.adjacency:
-            raise InvalidParameterError(f"vertex {v} not in graph")
-        return len(self.adjacency[v])
+        if v not in self.incident:
+            raise InvalidParameterError(f"vertex {vertex_name(v)} not in graph")
+        return len(self.incident[v])
 
 
 def _assemble(
@@ -122,24 +126,22 @@ def _assemble(
         raise InvalidParameterError("graph needs at least one vertex")
     for v in vs:
         if v.layer < 1 or v.ring < 1:
-            raise InvalidParameterError(f"vertex coordinates must be >= 1, got {v}")
+            raise InvalidParameterError(f"vertex {vertex_name(v)} has a coordinate below 1")
     vset = set(vs)
     edges = []
     seen: set[Edge] = set()
     for a, b in edge_pairs:
         e = Edge.between(a, b)
         if e.u not in vset or e.v not in vset:
-            raise InvalidParameterError(f"edge {e} leaves the vertex set")
+            raise InvalidParameterError(f"edge {_edge_name(*e)} leaves the vertex set")
         if e in seen:
-            raise InvalidParameterError(f"duplicate edge {e}")
+            raise InvalidParameterError(f"duplicate edge {_edge_name(*e)}")
         seen.add(e)
         edges.append(e)
     edges.sort()
-    adj: dict[GridVertex, list[GridVertex]] = {v: [] for v in vs}
+    # sorted edges list each vertex's edges in ascending order of the other end
     inc: dict[GridVertex, list[int]] = {v: [] for v in vs}
     for i, e in enumerate(edges):
-        adj[e.u].append(e.v)
-        adj[e.v].append(e.u)
         inc[e.u].append(i)
         inc[e.v].append(i)
     return MeshGraph(
@@ -148,7 +150,6 @@ def _assemble(
         n=n,
         vertices=vs,
         edges=tuple(edges),
-        adjacency={v: tuple(sorted(nb)) for v, nb in adj.items()},
         incident={v: tuple(es) for v, es in inc.items()},
         edge_index={e: i for i, e in enumerate(edges)},
     )
@@ -330,54 +331,50 @@ def admits(family: Family | str, m: int, n: int) -> bool:
 
 
 def max_degree(g: MeshGraph) -> int:
-    return max(len(g.adjacency[v]) for v in g.vertices)
+    return max(map(len, g.incident.values()))
 
 
 def is_regular(g: MeshGraph) -> bool:
-    degrees = {len(g.adjacency[v]) for v in g.vertices}
-    return len(degrees) == 1
+    return len(set(map(len, g.incident.values()))) == 1
+
+
+def _bfs(g: MeshGraph, root: GridVertex) -> dict[GridVertex, int]:
+    """Distance from ``root`` of every vertex it reaches, in discovery order."""
+    dist = {root: 0}
+    queue = deque([root])
+    while queue:
+        u = queue.popleft()
+        step = dist[u] + 1
+        for i in g.incident[u]:
+            for w in g.edges[i]:
+                if w not in dist:
+                    dist[w] = step
+                    queue.append(w)
+    return dist
 
 
 def is_bipartite(g: MeshGraph) -> bool:
     """Whether ``g`` has a proper 2-coloring of its vertices.
 
     Every named family in ``_FAMILIES`` is bipartite by construction (only
-    the builders label a graph with a named family); any other graph takes
-    a breadth-first 2-coloring.
+    the builders label a graph with a named family); any other graph is
+    bipartite when every edge joins breadth-first distances of different
+    parity, each component measured from its least vertex.
     """
     if g.family in _FAMILIES:
         return True
-    side: dict[GridVertex, int] = {}
-    for start in g.vertices:
-        if start in side:
-            continue
-        side[start] = 0
-        queue = deque([start])
-        while queue:
-            u = queue.popleft()
-            for w in g.adjacency[u]:
-                if w not in side:
-                    side[w] = 1 - side[u]
-                    queue.append(w)
-                elif side[w] == side[u]:
-                    return False
-    return True
+    dist: dict[GridVertex, int] = {}
+    for root in g.vertices:
+        if root not in dist:
+            dist.update(_bfs(g, root))
+    return all((dist[a] ^ dist[b]) & 1 for a, b in g.edges)
 
 
 def _eccentricity(g: MeshGraph, start: GridVertex) -> int:
-    dist = {start: 0}
-    queue = deque([start])
-    far = 0
-    while queue:
-        u = queue.popleft()
-        for w in g.adjacency[u]:
-            if w not in dist:
-                dist[w] = dist[u] + 1
-                far = max(far, dist[w])
-                queue.append(w)
+    dist = _bfs(g, start)
     if len(dist) != g.num_vertices:
         raise DisconnectedGraphError("graph is disconnected, diameter is infinite")
-    return far
+    return max(dist.values())
 
 
 def diameter(g: MeshGraph) -> int:
@@ -397,14 +394,19 @@ def diameter(g: MeshGraph) -> int:
 # serialization
 # ---------------------------------------------------------------------------
 
-def graph_to_json_dict(g: MeshGraph) -> dict:
+def _json_header(g: MeshGraph) -> dict:
+    """The keys that graph and coloring documents open with."""
     return {
         "family": g.family.value,
         "m": g.m,
         "n": g.n,
         "vertices": [[v.layer, v.ring] for v in g.vertices],
-        "edges": [[[e.u.layer, e.u.ring], [e.v.layer, e.v.ring]] for e in g.edges],
     }
+
+
+def graph_to_json_dict(g: MeshGraph) -> dict:
+    edges = [[[e.u.layer, e.u.ring], [e.v.layer, e.v.ring]] for e in g.edges]
+    return {**_json_header(g), "edges": edges}
 
 
 def _parse_vertex(obj: object) -> GridVertex:
@@ -473,18 +475,16 @@ def _listed_graph(d: dict, rows: list) -> tuple[MeshGraph, list[int]]:
             g = law.build(m, n)
         except InvalidParameterError as exc:
             raise SchemaError(str(exc)) from None
-        if g.adjacency.keys() != vertex_set:
+        if g.incident.keys() != vertex_set:
             raise SchemaError(f"listed vertices do not match {what}")
     positions = []
     placed = bytearray(g.num_edges)
     for a, b in pairs:
         pos = g.edge_index.get((a, b))
         if pos is None:
-            raise SchemaError(
-                f"{vertex_name(a)}-{vertex_name(b)} is not an edge of {what}"
-            )
+            raise SchemaError(f"{_edge_name(a, b)} is not an edge of {what}")
         if placed[pos]:
-            raise SchemaError(f"edge {vertex_name(a)}-{vertex_name(b)} is listed twice")
+            raise SchemaError(f"edge {_edge_name(a, b)} is listed twice")
         placed[pos] = 1
         positions.append(pos)
     if len(positions) != g.num_edges:

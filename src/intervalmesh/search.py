@@ -18,7 +18,6 @@ colors are halved by the color-reversal symmetry;
 from __future__ import annotations
 
 import time
-from collections import deque
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
@@ -32,7 +31,7 @@ from .errors import (
     InvalidParameterError,
     NotIntervalColorableError,
 )
-from .grids import GridVertex, MeshGraph, max_degree
+from .grids import GridVertex, MeshGraph, _bfs, max_degree
 
 __all__ = [
     "SearchBudget",
@@ -95,27 +94,13 @@ def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | Non
 def _bfs_edge_order(g: MeshGraph) -> list[int]:
     """Edge positions in breadth-first discovery order from the least vertex.
 
+    Each vertex, in discovery order, lists its edges not listed yet;
     ``g.incident[u]`` runs in ascending order of the other endpoint.
     """
-    root = g.vertices[0]
-    listed = bytearray(g.num_edges)
-    order: list[int] = []
-    seen = {root}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        for i in g.incident[u]:
-            if not listed[i]:
-                listed[i] = 1
-                order.append(i)
-            e = g.edges[i]
-            w = e.v if e.u == u else e.u
-            if w not in seen:
-                seen.add(w)
-                queue.append(w)
-    if len(seen) != g.num_vertices or len(order) != g.num_edges:
+    reached = _bfs(g, g.vertices[0])
+    if len(reached) != g.num_vertices:
         raise DisconnectedGraphError("search requires a connected graph")
-    return order
+    return list(dict.fromkeys([i for u in reached for i in g.incident[u]]))
 
 
 def _path_weights(g: MeshGraph, index: dict[GridVertex, int]) -> list[list[int]]:
@@ -129,7 +114,10 @@ def _path_weights(g: MeshGraph, index: dict[GridVertex, int]) -> list[list[int]]
     colors lie within d(w) - 1 of each other.  Dijkstra from every vertex.
     """
     weight = [g.degree(v) - 1 for v in g.vertices]
-    neighbours = [[index[w] for w in g.adjacency[v]] for v in g.vertices]
+    neighbours: list[list[int]] = [[] for _ in weight]
+    for a, b in g.edges:
+        neighbours[index[a]].append(index[b])
+        neighbours[index[b]].append(index[a])
     table = []
     for x, wx in enumerate(weight):
         dist: list[int | None] = [None] * len(weight)

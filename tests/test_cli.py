@@ -146,6 +146,22 @@ def test_hostile_json_is_a_usage_error(tmp_path, capsys, monkeypatch):
         assert "Traceback" not in err
 
 
+def test_schema_error_names_vertices(capsys, monkeypatch):
+    doc = {
+        "family": "product",
+        "m": None,
+        "n": None,
+        "t": 1,
+        "vertices": [[1, 1], [1, 2]],
+        "edges": [{"u": [1, 1], "v": [1, 3], "color": 1}],
+    }
+    monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
+    code, _, err = invoke(capsys, "verify", "-")
+    assert code == 2
+    assert "x_1_1" in err
+    assert "GridVertex(" not in err
+
+
 def test_huge_claimed_palette_is_checked_in_bounded_work(tmp_path, capsys):
     out = tmp_path / "c4.json"
     invoke(capsys, "generate", "--family", "cylinder", "-m", "1", "-n", "2", "-o", str(out))

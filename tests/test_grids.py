@@ -34,7 +34,7 @@ from intervalmesh.grids import _assemble, admits, build, dumps_canonical, edge_c
 
 
 def degree_by_edge_scan(g, v):
-    # independent of the adjacency index: recount from the edge list
+    # independent of the incident index: recount from the edge list
     return sum(1 for e in g.edges if v in (e.u, e.v))
 
 
@@ -248,6 +248,24 @@ def test_named_family_is_bipartite_without_search(monkeypatch):
         assert is_bipartite(g)
     with pytest.raises(AssertionError):
         is_bipartite(product)
+
+
+def test_is_bipartite_checks_every_component():
+    def cycle(layer, length):
+        ring = [GridVertex(layer, j) for j in range(1, length + 1)]
+        return ring, list(zip(ring, ring[1:] + ring[:1]))
+
+    square, square_edges = cycle(1, 4)
+    triangle, triangle_edges = cycle(2, 3)
+    hexagon, hexagon_edges = cycle(2, 6)
+    odd = _assemble(
+        Family.PRODUCT, None, None, square + triangle, square_edges + triangle_edges
+    )
+    even = _assemble(
+        Family.PRODUCT, None, None, square + hexagon, square_edges + hexagon_edges
+    )
+    assert not is_bipartite(odd)
+    assert is_bipartite(even)
 
 
 def test_diameter_disconnected_raises():

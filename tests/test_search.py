@@ -202,9 +202,9 @@ def floyd_warshall_path_weights(g):
     w = [g.degree(v) - 1 for v in g.vertices]
     inf = float("inf")
     dist = [[w[x] if x == y else inf for y in range(n)] for x in range(n)]
-    for v in g.vertices:
-        for u in g.adjacency[v]:
-            dist[index[v]][index[u]] = w[index[v]] + w[index[u]]
+    for a, b in g.edges:
+        x, y = index[a], index[b]
+        dist[x][y] = dist[y][x] = w[x] + w[y]
     for k in range(n):
         for x in range(n):
             for y in range(n):
