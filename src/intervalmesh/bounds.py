@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, fields
 
 from .constructions import construct
 from .errors import InvalidParameterError, NonBipartiteError
-from .grids import Family, MeshGraph, admits, diameter, is_bipartite, max_degree
+from .grids import Family, MeshGraph, _family, admits, diameter, is_bipartite, max_degree
 
 __all__ = [
     "BoundsRow",
@@ -61,7 +61,7 @@ def bounds_row(
     """One table row; oracle columns only when the instance fits the budget."""
     from .search import SearchBudget, exact_W, exact_w
 
-    family = Family(family)
+    family = _family(family)
     # the verified witness carries the row's graph, so it is built only once
     witness = construct(family, m, n).coloring
     g = witness.graph
@@ -100,7 +100,7 @@ def bounds_table(
     if m_range[0] > m_range[1] or n_range[0] > n_range[1]:
         raise InvalidParameterError("ranges must be nonempty")
     rows = []
-    for family in [Family(f) for f in families]:
+    for family in [_family(f) for f in families]:
         for m in range(m_range[0], m_range[1] + 1):
             for n in range(n_range[0], n_range[1] + 1):
                 if admits(family, m, n):

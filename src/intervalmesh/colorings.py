@@ -43,13 +43,14 @@ __all__ = [
 class EdgeColoring:
     """A total assignment of integer colors to the edges of one graph.
 
-    ``aligned[i]`` is the color of ``graph.edges[i]``.  Callers pass an
-    ``Edge -> int`` mapping, which must cover the edge set exactly;
-    package code may pass the aligned tuple itself.  ``colors`` is a
-    read-only ``Edge -> int`` view.  ``palette_size`` is the declared
-    palette 1..t.  Assigned colors are not forced into that range here;
-    out-of-range colors are reported by :func:`verify_interval` instead of
-    rejected, so that damaged colorings can still be diagnosed.
+    ``aligned[i]`` is the color of ``graph.edges[i]``.  Callers pass a
+    mapping from edges (sorted pairs of ``(layer, ring)`` vertices) to
+    colors, which must cover the edge set exactly; package code may pass
+    the aligned tuple itself.  ``colors`` is a read-only view keyed by
+    those pairs.  ``palette_size`` is the declared palette 1..t.
+    Assigned colors are not forced into that range here; out-of-range
+    colors are reported by :func:`verify_interval` instead of rejected, so
+    that damaged colorings can still be diagnosed.
     """
 
     graph: MeshGraph
@@ -88,7 +89,7 @@ class EdgeColoring:
 
     @cached_property
     def colors(self) -> Mapping[Edge, int]:
-        """Read-only ``Edge -> int`` view of ``aligned``, built on first read."""
+        """Read-only edge -> color view of ``aligned``, built on first read."""
         return MappingProxyType(dict(zip(self.graph.edges, self.aligned)))
 
 
@@ -99,14 +100,6 @@ class VertexSpectrum:
     degree: int
     proper: bool
     is_interval: bool
-
-    @property
-    def lo(self) -> int | None:
-        return self.colors[0] if self.colors else None
-
-    @property
-    def hi(self) -> int | None:
-        return self.colors[-1] if self.colors else None
 
 
 def _vertex_flags(colors: list[int]) -> tuple[bool, bool]:
@@ -146,10 +139,10 @@ class SpectrumReport:
             "proper": self.proper,
             "surjective": self.surjective,
             "interval": self.interval,
-            "violations": [[v.layer, v.ring] for v in self.violating_vertices],
+            "violations": [list(v) for v in self.violating_vertices],
             "vertices": [
                 {
-                    "vertex": [e.vertex.layer, e.vertex.ring],
+                    "vertex": list(e.vertex),
                     "colors": list(e.colors),
                     "degree": e.degree,
                     "proper": e.proper,
@@ -240,8 +233,8 @@ def coloring_to_json_dict(
     """The coloring document; ``rule_trace`` is aligned with ``graph.edges``."""
     d = _json_header(c.graph)
     rows = [
-        {"u": [e.u.layer, e.u.ring], "v": [e.v.layer, e.v.ring], "color": color}
-        for e, color in zip(c.graph.edges, c.aligned)
+        {"u": list(u), "v": list(v), "color": color}
+        for (u, v), color in zip(c.graph.edges, c.aligned)
     ]
     if rule_trace is not None:
         for row, rule in zip(rows, rule_trace, strict=True):

@@ -40,6 +40,7 @@ from .grids import (
     GridVertex,
     MeshGraph,
     _edge_name,
+    _family,
     build_cylinder,
     build_torus,
     is_regular,
@@ -98,8 +99,8 @@ class _Painter:
 
     def put(self, a: GridVertex, b: GridVertex, color: int, rule: str) -> None:
         if self.swap:
-            a, b = GridVertex(a.ring, a.layer), GridVertex(b.ring, b.layer)
-        i = self.g.edge_index.get((a, b) if a < b else (b, a))
+            a, b = a[::-1], b[::-1]
+        i = self.g.position(a, b)
         if i is None:
             raise ConstructionError(f"rule {rule} painted a non-edge {_edge_name(a, b)}")
         if self.rules[i] is not None:
@@ -137,20 +138,16 @@ def cylinder_coloring(m: int, n: int) -> ConstructionResult:
     width = 2 * n
     for i in range(1, m + 1):
         for j in range(1, n + 2):
-            p.put(GridVertex(i, j), GridVertex(i, j + 1), 3 * i + j - 3, "ring-asc")
+            p.put((i, j), (i, j + 1), 3 * i + j - 3, "ring-asc")
         for j in range(n + 2, width):
-            p.put(
-                GridVertex(i, j), GridVertex(i, j + 1), 3 * i - j + 2 * n - 1, "ring-desc"
-            )
-        p.put(GridVertex(i, 1), GridVertex(i, width), 3 * i - 1, "ring-wrap")
+            p.put((i, j), (i, j + 1), 3 * i - j + 2 * n - 1, "ring-desc")
+        p.put((i, 1), (i, width), 3 * i - 1, "ring-wrap")
     for i in range(1, m):
         for j in range(2, n + 2):
-            p.put(GridVertex(i, j), GridVertex(i + 1, j), 3 * i + j - 2, "rung-asc")
+            p.put((i, j), (i + 1, j), 3 * i + j - 2, "rung-asc")
         for j in range(n + 2, width + 1):
-            p.put(
-                GridVertex(i, j), GridVertex(i + 1, j), 3 * i - j + 2 * n + 1, "rung-desc"
-            )
-        p.put(GridVertex(i, 1), GridVertex(i + 1, 1), 3 * i, "rung-first")
+            p.put((i, j), (i + 1, j), 3 * i - j + 2 * n + 1, "rung-desc")
+        p.put((i, 1), (i + 1, 1), 3 * i, "rung-first")
     return p.finish(3 * m + n - 2)
 
 
@@ -170,41 +167,21 @@ def torus_coloring(m: int, n: int) -> ConstructionResult:
     for i in range(1, m + 1):
         for layer in (i, 2 * m + 1 - i):
             for j in range(1, n + 2):
-                p.put(
-                    GridVertex(layer, j),
-                    GridVertex(layer, j + 1),
-                    i + 3 * j - 3,
-                    "ring-asc",
-                )
+                p.put((layer, j), (layer, j + 1), i + 3 * j - 3, "ring-asc")
             for j in range(n + 2, width):
-                p.put(
-                    GridVertex(layer, j),
-                    GridVertex(layer, j + 1),
-                    i - 3 * j + 6 * n + 3,
-                    "ring-desc",
-                )
-            p.put(GridVertex(layer, 1), GridVertex(layer, width), i + 3, "ring-wrap")
+                p.put((layer, j), (layer, j + 1), i - 3 * j + 6 * n + 3, "ring-desc")
+            p.put((layer, 1), (layer, width), i + 3, "ring-wrap")
         for top in (i, 2 * m - i):
             for j in range(2, n + 2):
-                p.put(
-                    GridVertex(top, j),
-                    GridVertex(top + 1, j),
-                    i + 3 * j - 4,
-                    "rung-asc",
-                )
+                p.put((top, j), (top + 1, j), i + 3 * j - 4, "rung-asc")
             for j in range(n + 2, width + 1):
-                p.put(
-                    GridVertex(top, j),
-                    GridVertex(top + 1, j),
-                    i - 3 * j + 6 * n + 5,
-                    "rung-desc",
-                )
-            p.put(GridVertex(top, 1), GridVertex(top + 1, 1), i + 2, "rung-first")
+                p.put((top, j), (top + 1, j), i - 3 * j + 6 * n + 5, "rung-desc")
+            p.put((top, 1), (top + 1, 1), i + 2, "rung-first")
     for j in range(3, n + 2):
         for ring in (j, width + 3 - j):
-            p.put(GridVertex(1, ring), GridVertex(height, ring), 3 * j - 4, "seam-mid")
-    p.put(GridVertex(1, 1), GridVertex(height, 1), 2, "seam-low")
-    p.put(GridVertex(1, 2), GridVertex(height, 2), 2, "seam-low")
+            p.put((1, ring), (height, ring), 3 * j - 4, "seam-mid")
+    p.put((1, 1), (height, 1), 2, "seam-low")
+    p.put((1, 2), (height, 2), 2, "seam-low")
     return p.finish(3 * n + m)
 
 
@@ -216,7 +193,7 @@ CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
 
 def construct(family: Family | str, m: int, n: int) -> ConstructionResult:
     """The closed-form coloring of a named family at parameters (m, n)."""
-    family = Family(family)
+    family = _family(family)
     if family not in CONSTRUCTIONS:
         raise InvalidParameterError(f"no construction for family {family.value}")
     return CONSTRUCTIONS[family](m, n)

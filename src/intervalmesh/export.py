@@ -13,7 +13,7 @@ import io
 from .colorings import EdgeColoring
 from .grids import vertex_name
 
-__all__ = ["vertex_name", "to_dot", "to_csv"]
+__all__ = ["to_dot", "to_csv"]
 
 
 def to_dot(c: EdgeColoring) -> str:
@@ -26,8 +26,8 @@ def to_dot(c: EdgeColoring) -> str:
         f'  label="{title} t={c.palette_size}";',
         "  node [shape=circle];",
     ]
-    for e, color in zip(g.edges, c.aligned):
-        lines.append(f'  {vertex_name(e.u)} -- {vertex_name(e.v)} [label="{color}"];')
+    for (u, v), color in zip(g.edges, c.aligned):
+        lines.append(f'  {vertex_name(u)} -- {vertex_name(v)} [label="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -38,6 +38,6 @@ def to_csv(c: EdgeColoring, rule_trace: tuple[str, ...] | None = None) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v", "rule", "color"])
     rules = rule_trace or ("",) * c.graph.num_edges
-    for e, color, rule in zip(c.graph.edges, c.aligned, rules, strict=True):
-        writer.writerow([vertex_name(e.u), vertex_name(e.v), rule, color])
+    for (u, v), color, rule in zip(c.graph.edges, c.aligned, rules, strict=True):
+        writer.writerow([vertex_name(u), vertex_name(v), rule, color])
     return buf.getvalue()

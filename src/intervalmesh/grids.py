@@ -1,6 +1,7 @@
 """Bipartite grid graphs on path, cycle, cylinder, and torus meshes.
 
-Vertices carry 1-based ``(layer, ring)`` coordinates.  A cylinder on
+A vertex is a plain ``(layer, ring)`` pair of 1-based ints, and an edge
+the pair of its endpoints in ascending order.  A cylinder on
 ``m`` layers and ``2n`` rings is the Cartesian product of a path with an
 even cycle; the torus closes the layer factor into an even cycle too.
 Edge lists are kept in a single canonical order so that serialization,
@@ -23,8 +24,6 @@ from .errors import (
 
 __all__ = [
     "Family",
-    "GridVertex",
-    "Edge",
     "MeshGraph",
     "build_path",
     "build_even_cycle",
@@ -53,9 +52,8 @@ class Family(str, Enum):
     PRODUCT = "product"
 
 
-class GridVertex(NamedTuple):
-    layer: int
-    ring: int
+GridVertex = tuple[int, int]  # (layer, ring)
+Edge = tuple[GridVertex, GridVertex]  # endpoints in ascending order
 
 
 def vertex_name(v: GridVertex) -> str:
@@ -68,16 +66,9 @@ def _edge_name(a: GridVertex, b: GridVertex) -> str:
     return f"{vertex_name(a)}-{vertex_name(b)}"
 
 
-class Edge(NamedTuple):
-    u: GridVertex
-    v: GridVertex
-
-    @classmethod
-    def between(cls, a: GridVertex, b: GridVertex) -> "Edge":
-        """Canonical (sorted-endpoint) edge; loops are rejected."""
-        if a == b:
-            raise InvalidParameterError(f"loop edge at {vertex_name(a)}")
-        return cls(a, b) if a < b else cls(b, a)
+def _edge(a: GridVertex, b: GridVertex) -> Edge:
+    """The edge joining ``a`` and ``b``: its endpoints in ascending order."""
+    return (a, b) if a < b else (b, a)
 
 
 @dataclass(frozen=True)
@@ -96,9 +87,7 @@ class MeshGraph:
     vertices: tuple[GridVertex, ...]
     edges: tuple[Edge, ...]
     incident: dict[GridVertex, tuple[int, ...]] = field(repr=False, compare=False)
-    edge_index: dict[tuple[GridVertex, GridVertex], int] = field(
-        repr=False, compare=False
-    )
+    edge_index: dict[Edge, int] = field(repr=False, compare=False)
 
     @property
     def num_vertices(self) -> int:
@@ -113,26 +102,32 @@ class MeshGraph:
             raise InvalidParameterError(f"vertex {vertex_name(v)} not in graph")
         return len(self.incident[v])
 
+    def position(self, a: GridVertex, b: GridVertex) -> int | None:
+        """Position in ``edges`` of the edge joining ``a`` and ``b``, or None."""
+        return self.edge_index.get(_edge(a, b))
+
 
 def _assemble(
     family: Family,
     m: int | None,
     n: int | None,
     vertices: Iterable[GridVertex],
-    edge_pairs: Iterable[tuple[GridVertex, GridVertex]],
+    edge_pairs: Iterable[Edge],
 ) -> MeshGraph:
     vs = tuple(sorted(set(vertices)))
     if not vs:
         raise InvalidParameterError("graph needs at least one vertex")
     for v in vs:
-        if v.layer < 1 or v.ring < 1:
+        if min(v) < 1:
             raise InvalidParameterError(f"vertex {vertex_name(v)} has a coordinate below 1")
     vset = set(vs)
     edges = []
     seen: set[Edge] = set()
     for a, b in edge_pairs:
-        e = Edge.between(a, b)
-        if e.u not in vset or e.v not in vset:
+        if a == b:
+            raise InvalidParameterError(f"loop edge at {vertex_name(a)}")
+        e = _edge(a, b)
+        if a not in vset or b not in vset:
             raise InvalidParameterError(f"edge {_edge_name(*e)} leaves the vertex set")
         if e in seen:
             raise InvalidParameterError(f"duplicate edge {_edge_name(*e)}")
@@ -141,9 +136,9 @@ def _assemble(
     edges.sort()
     # sorted edges list each vertex's edges in ascending order of the other end
     inc: dict[GridVertex, list[int]] = {v: [] for v in vs}
-    for i, e in enumerate(edges):
-        inc[e.u].append(i)
-        inc[e.v].append(i)
+    for i, (a, b) in enumerate(edges):
+        inc[a].append(i)
+        inc[b].append(i)
     return MeshGraph(
         family=family,
         m=m,
@@ -160,12 +155,10 @@ def _assemble(
 # ---------------------------------------------------------------------------
 
 
-def _ring_edges(layer: int, length: int) -> list[tuple[GridVertex, GridVertex]]:
+def _ring_edges(layer: int, length: int) -> list[Edge]:
     """Cycle edges within one layer: (j, j+1) for j < length, plus the wrap."""
-    out = [
-        (GridVertex(layer, j), GridVertex(layer, j + 1)) for j in range(1, length)
-    ]
-    out.append((GridVertex(layer, 1), GridVertex(layer, length)))
+    out = [((layer, j), (layer, j + 1)) for j in range(1, length)]
+    out.append(((layer, 1), (layer, length)))
     return out
 
 
@@ -173,8 +166,8 @@ def build_path(m: int) -> MeshGraph:
     """Path on ``m`` vertices, laid out as layers 1..m on ring 1."""
     if m < 1:
         raise InvalidParameterError(f"path needs m >= 1, got {m}")
-    vertices = [GridVertex(i, 1) for i in range(1, m + 1)]
-    edges = [(GridVertex(i, 1), GridVertex(i + 1, 1)) for i in range(1, m)]
+    vertices = [(i, 1) for i in range(1, m + 1)]
+    edges = [((i, 1), (i + 1, 1)) for i in range(1, m)]
     return _assemble(Family.PATH, m, None, vertices, edges)
 
 
@@ -184,7 +177,7 @@ def build_even_cycle(length: int) -> MeshGraph:
         raise InvalidParameterError(
             f"even cycle needs an even length >= 4, got {length}"
         )
-    vertices = [GridVertex(1, j) for j in range(1, length + 1)]
+    vertices = [(1, j) for j in range(1, length + 1)]
     return _assemble(Family.EVEN_CYCLE, None, length // 2, vertices, _ring_edges(1, length))
 
 
@@ -200,15 +193,13 @@ def build_cylinder(m: int, n: int) -> MeshGraph:
     if n < 2:
         raise InvalidParameterError(f"cylinder needs n >= 2, got n={n}")
     width = 2 * n
-    vertices = [
-        GridVertex(i, j) for i in range(1, m + 1) for j in range(1, width + 1)
-    ]
-    edges: list[tuple[GridVertex, GridVertex]] = []
+    vertices = [(i, j) for i in range(1, m + 1) for j in range(1, width + 1)]
+    edges: list[Edge] = []
     for i in range(1, m + 1):
         edges.extend(_ring_edges(i, width))
     for i in range(1, m):
         for j in range(1, width + 1):
-            edges.append((GridVertex(i, j), GridVertex(i + 1, j)))
+            edges.append(((i, j), (i + 1, j)))
     return _assemble(Family.CYLINDER, m, n, vertices, edges)
 
 
@@ -222,16 +213,14 @@ def build_torus(m: int, n: int) -> MeshGraph:
     if n < 2:
         raise InvalidParameterError(f"torus needs n >= 2, got n={n}")
     height, width = 2 * m, 2 * n
-    vertices = [
-        GridVertex(i, j) for i in range(1, height + 1) for j in range(1, width + 1)
-    ]
-    edges: list[tuple[GridVertex, GridVertex]] = []
+    vertices = [(i, j) for i in range(1, height + 1) for j in range(1, width + 1)]
+    edges: list[Edge] = []
     for i in range(1, height + 1):
         edges.extend(_ring_edges(i, width))
     for j in range(1, width + 1):
         for i in range(1, height):
-            edges.append((GridVertex(i, j), GridVertex(i + 1, j)))
-        edges.append((GridVertex(1, j), GridVertex(height, j)))
+            edges.append(((i, j), (i + 1, j)))
+        edges.append(((1, j), (height, j)))
     return _assemble(Family.TORUS, m, n, vertices, edges)
 
 
@@ -244,20 +233,14 @@ def cartesian_product(g1: MeshGraph, g2: MeshGraph) -> MeshGraph:
     """
     rank1 = {v: i for i, v in enumerate(g1.vertices, start=1)}
     rank2 = {v: i for i, v in enumerate(g2.vertices, start=1)}
-    vertices = [
-        GridVertex(rank1[a], rank2[b]) for a in g1.vertices for b in g2.vertices
-    ]
-    edges: list[tuple[GridVertex, GridVertex]] = []
+    vertices = [(rank1[a], rank2[b]) for a in g1.vertices for b in g2.vertices]
+    edges: list[Edge] = []
     for a in g1.vertices:
-        for e in g2.edges:
-            edges.append(
-                (GridVertex(rank1[a], rank2[e.u]), GridVertex(rank1[a], rank2[e.v]))
-            )
+        for u, v in g2.edges:
+            edges.append(((rank1[a], rank2[u]), (rank1[a], rank2[v])))
     for b in g2.vertices:
-        for e in g1.edges:
-            edges.append(
-                (GridVertex(rank1[e.u], rank2[b]), GridVertex(rank1[e.v], rank2[b]))
-            )
+        for u, v in g1.edges:
+            edges.append(((rank1[u], rank2[b]), (rank1[v], rank2[b])))
     return _assemble(Family.PRODUCT, None, None, vertices, edges)
 
 
@@ -302,8 +285,16 @@ _FAMILIES = {
 }
 
 
+def _family(name: Family | str) -> Family:
+    """The family called ``name``; an unknown name is an invalid parameter."""
+    try:
+        return Family(name)
+    except ValueError:
+        raise InvalidParameterError(f"unknown family {name!r}") from None
+
+
 def _law(family: Family | str) -> _FamilyLaw:
-    family = Family(family)
+    family = _family(family)
     if family not in _FAMILIES:
         raise InvalidParameterError(f"family {family.value} has no (m, n) builder")
     return _FAMILIES[family]
@@ -400,12 +391,12 @@ def _json_header(g: MeshGraph) -> dict:
         "family": g.family.value,
         "m": g.m,
         "n": g.n,
-        "vertices": [[v.layer, v.ring] for v in g.vertices],
+        "vertices": [list(v) for v in g.vertices],
     }
 
 
 def graph_to_json_dict(g: MeshGraph) -> dict:
-    edges = [[[e.u.layer, e.u.ring], [e.v.layer, e.v.ring]] for e in g.edges]
+    edges = [[list(u), list(v)] for u, v in g.edges]
     return {**_json_header(g), "edges": edges}
 
 
@@ -415,7 +406,7 @@ def _parse_vertex(obj: object) -> GridVertex:
     if isinstance(obj, (list, tuple)) and len(obj) == 2:
         layer, ring = obj
         if type(layer) is int and type(ring) is int:
-            return GridVertex(layer, ring)
+            return layer, ring
     raise SchemaError(f"vertex must be a [layer, ring] pair of integers, got {obj!r}")
 
 
@@ -441,9 +432,9 @@ def _listed_graph(d: dict, rows: list) -> tuple[MeshGraph, list[int]]:
         if key not in d:
             raise SchemaError(f"graph document is missing {key!r}")
     try:
-        family = Family(d["family"])
-    except ValueError:
-        raise SchemaError(f"unknown family {d['family']!r}") from None
+        family = _family(d["family"])
+    except InvalidParameterError as exc:
+        raise SchemaError(str(exc)) from None
     m = _parse_optional_size(d, "m")
     n = _parse_optional_size(d, "n")
     if not isinstance(d["vertices"], list):
@@ -457,7 +448,7 @@ def _listed_graph(d: dict, rows: list) -> tuple[MeshGraph, list[int]]:
         a, b = _parse_vertex(u), _parse_vertex(v)
         if a == b:
             raise SchemaError(f"loop edge at {vertex_name(a)}")
-        pairs.append((a, b) if a < b else (b, a))
+        pairs.append(_edge(a, b))
     what = f"family {family.value!r} with m={m}, n={n}"
     law = _FAMILIES.get(family)
     if law is None:

@@ -178,7 +178,7 @@ def find_interval_coloring(
         # each vertex a color per edge
         return SearchResult(Outcome.ABSENT, None, 0)
     index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(index[g.edges[i].u], index[g.edges[i].v]) for i in order]
+    ends = [(index[a], index[b]) for a, b in (g.edges[i] for i in order)]
     weights = _path_weights(g, index)
     # Vertex v owns bits [v*width, (v+1)*width) of a start set; bit
     # v*width + base + s set: v's run of colors may start at s.  A color c
@@ -307,9 +307,12 @@ def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool)
     """First palette in [max degree, diameter bound] that admits a coloring.
 
     Scans upward, or downward when ``descending``.  Raises
-    ``BudgetExceededError`` instead of guessing when any single search is
-    truncated.
+    ``BudgetExceededError`` instead of guessing when the instance is over
+    the edge cap or any single search is truncated.
     """
+    refused = edge_cap_refusal(g.num_edges, budget or SearchBudget())
+    if refused is not None:
+        raise BudgetExceededError(refused.detail)
     lo = max_degree(g)
     hi = theorem1_upper(g)
     palettes = range(hi, lo - 1, -1) if descending else range(lo, hi + 1)

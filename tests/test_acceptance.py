@@ -12,7 +12,6 @@ import time
 
 from intervalmesh import (
     EdgeColoring,
-    GridVertex,
     SearchBudget,
     build_cylinder,
     build_even_cycle,
@@ -115,7 +114,7 @@ def expected_torus_spectrum(m: int, n: int, ring: int, layer: int) -> frozenset[
     return frozenset(range(base, base + 4))
 
 
-def spectra(c: EdgeColoring) -> dict[GridVertex, frozenset[int]]:
+def spectra(c: EdgeColoring) -> dict[tuple[int, int], frozenset[int]]:
     return {e.vertex: frozenset(e.colors) for e in verify_interval(c).entries}
 
 
@@ -125,20 +124,20 @@ def test_acceptance_03_spectrum_case_forms():
         for n in SAMPLE_N:
             c = cylinder_coloring(m, n).coloring
             spectrum = spectra(c)
-            for v in c.graph.vertices:
-                expected = expected_cylinder_spectrum(m, n, v.ring, v.layer)
-                actual = spectrum[v]
+            for layer, ring in c.graph.vertices:
+                expected = expected_cylinder_spectrum(m, n, ring, layer)
+                actual = spectrum[layer, ring]
                 _check(
                     3,
                     actual == expected,
-                    f"cylinder ({m},{n}) x_{v.ring}_{v.layer}: "
+                    f"cylinder ({m},{n}) x_{ring}_{layer}: "
                     f"{sorted(actual)} != {sorted(expected)}",
                 )
                 checked += 1
             for layer in range(1, m + 1):
                 for ring in range(3, 2 * n + 1):
-                    a = spectrum[GridVertex(layer, ring)]
-                    b = spectrum[GridVertex(layer, 2 * n + 3 - ring)]
+                    a = spectrum[layer, ring]
+                    b = spectrum[layer, 2 * n + 3 - ring]
                     _check(3, a == b, f"cylinder ({m},{n}) ring mirror broken at ring {ring}")
 
     for m in SAMPLE_M:
@@ -147,28 +146,28 @@ def test_acceptance_03_spectrum_case_forms():
                 continue
             c = torus_coloring(m, n).coloring
             spectrum = spectra(c)
-            for v in c.graph.vertices:
-                expected = expected_torus_spectrum(m, n, v.ring, v.layer)
-                actual = spectrum[v]
+            for layer, ring in c.graph.vertices:
+                expected = expected_torus_spectrum(m, n, ring, layer)
+                actual = spectrum[layer, ring]
                 _check(
                     3,
                     actual == expected,
-                    f"torus ({m},{n}) x_{v.ring}_{v.layer}: "
+                    f"torus ({m},{n}) x_{ring}_{layer}: "
                     f"{sorted(actual)} != {sorted(expected)}",
                 )
                 checked += 1
             if m <= n:
                 for layer in range(1, 2 * m + 1):
                     for ring in range(1, 2 * n + 1):
-                        a = spectrum[GridVertex(layer, ring)]
-                        b = spectrum[GridVertex(2 * m + 1 - layer, ring)]
+                        a = spectrum[layer, ring]
+                        b = spectrum[2 * m + 1 - layer, ring]
                         _check(3, a == b, f"torus ({m},{n}) layer mirror broken at layer {layer}")
             else:
                 # transposed instances mirror across the ring coordinate instead
                 for layer in range(1, 2 * m + 1):
                     for ring in range(1, 2 * n + 1):
-                        a = spectrum[GridVertex(layer, ring)]
-                        b = spectrum[GridVertex(layer, 2 * n + 1 - ring)]
+                        a = spectrum[layer, ring]
+                        b = spectrum[layer, 2 * n + 1 - ring]
                         _check(3, a == b, f"torus ({m},{n}) ring mirror broken at ring {ring}")
     _report(3, True, f"{checked} vertex spectra match their closed forms, mirrors intact")
 
@@ -180,8 +179,8 @@ def test_acceptance_04_layer_color_runs_cover_palette():
         for layer in range(1, m + 1):
             ring_colors = {
                 color
-                for edge, color in c.colors.items()
-                if edge.u.layer == layer and edge.v.layer == layer
+                for (u, v), color in c.colors.items()
+                if u[0] == layer and v[0] == layer
             }
             _check(
                 4,

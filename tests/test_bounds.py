@@ -6,7 +6,6 @@ import pytest
 
 from intervalmesh import (
     Family,
-    GridVertex,
     bounds_table,
     bounds_table_csv,
     build_cylinder,
@@ -32,7 +31,7 @@ def test_theorem1_upper_matches_closed_form_for_wide_cylinders():
 
 
 def test_theorem1_upper_rejects_odd_cycles():
-    tri = [GridVertex(1, 1), GridVertex(1, 2), GridVertex(1, 3)]
+    tri = [(1, 1), (1, 2), (1, 3)]
     g = _assemble(
         Family.PRODUCT,
         None,
@@ -56,6 +55,19 @@ def test_lower_bound_rejects_bad_parameters():
         construct("cylinder", 0, 2)
     with pytest.raises(InvalidParameterError):
         construct("path", 3, 3)
+
+
+def test_unknown_family_is_an_invalid_parameter():
+    for call in (
+        lambda: grids.build("foo", 1, 2),
+        lambda: grids.edge_count("foo", 1, 2),
+        lambda: grids.admits("foo", 1, 2),
+        lambda: construct("foo", 1, 2),
+        lambda: bounds_row("foo", 1, 2),
+        lambda: bounds_table(["foo"], (1, 1), (2, 2)),
+    ):
+        with pytest.raises(InvalidParameterError, match="unknown family 'foo'"):
+            call()
 
 
 def test_lower_bound_monotonicity():

@@ -159,7 +159,7 @@ def test_schema_error_names_vertices(capsys, monkeypatch):
     code, _, err = invoke(capsys, "verify", "-")
     assert code == 2
     assert "x_1_1" in err
-    assert "GridVertex(" not in err
+    assert "(1, 1)" not in err  # a vertex is named, never shown as its tuple
 
 
 def test_huge_claimed_palette_is_checked_in_bounded_work(tmp_path, capsys):
@@ -220,6 +220,15 @@ def _hostile_documents(draw):
     return doc
 
 
+def _assert_run_contract(argv):
+    """``run(argv)`` exits 0, 1, 2 or 3 and prints no traceback."""
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = run(argv)
+    assert code in (0, 1, 2, 3), argv
+    assert "Traceback" not in err.getvalue(), argv
+
+
 def _assert_exit_contract(doc, path):
     path.write_text(json.dumps(doc))
     for argv in (
@@ -229,11 +238,7 @@ def _assert_exit_contract(doc, path):
         ["export", str(path), "--format", "dot"],
         ["replay", str(path)],
     ):
-        err = io.StringIO()
-        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
-            code = run(argv)
-        assert code in (0, 1, 2, 3), argv
-        assert "Traceback" not in err.getvalue(), argv
+        _assert_run_contract(argv)
 
 
 @settings(max_examples=100, deadline=None)
@@ -246,6 +251,46 @@ def test_arbitrary_json_keeps_the_exit_code_contract(doc, tmp_path_factory):
 @given(doc=_hostile_documents())
 def test_hostile_coloring_fields_keep_the_exit_code_contract(doc, tmp_path_factory):
     _assert_exit_contract(doc, tmp_path_factory.getbasetemp() / "hostile.json")
+
+
+_SIZE = st.integers(-1, 3).map(str)
+_RANGE = st.one_of(
+    st.builds("{}..{}".format, st.integers(-1, 3), st.integers(-1, 3)),
+    st.sampled_from(["2", "", "..", "a..b", "1.5..2", "1..2..3", "2..x"]),
+)
+_SWEEP_ARGV = st.builds(lambda m, n: ["sweep", "-m", m, "-n", n], _SIZE, _SIZE)
+
+
+@st.composite
+def _search_argv(draw):
+    family = draw(st.sampled_from(["cylinder", "torus"]))
+    argv = ["search", "--family", family, "-m", draw(_SIZE), "-n", draw(_SIZE)]
+    argv += draw(
+        st.builds(lambda t: [f"--t={t}"], st.integers(-2, 14))
+        | st.sampled_from([["--exact-w"], ["--exact-W"]])
+    )
+    # the node cap keeps every scan short, whatever the edge cap admits
+    argv.append(f"--max-nodes={draw(st.integers(-1, 2000))}")
+    if draw(st.booleans()):
+        argv.append(f"--max-edges={draw(st.integers(-1, 24))}")
+    return argv
+
+
+@st.composite
+def _bounds_argv(draw):
+    family = draw(st.sampled_from(["cylinder", "torus", "both"]))
+    argv = ["bounds", "--family", family]
+    argv += [f"--m-range={draw(_RANGE)}", f"--n-range={draw(_RANGE)}"]
+    if draw(st.booleans()):
+        # at most 12 edges: the oracle fills C(2,4) and smaller, each in milliseconds
+        argv.append(f"--oracle-budget={draw(st.integers(-1, 12))}")
+    return argv
+
+
+@settings(max_examples=150, deadline=None)
+@given(argv=_search_argv() | _bounds_argv() | _SWEEP_ARGV)
+def test_search_bounds_and_sweep_arguments_keep_the_exit_code_contract(argv):
+    _assert_run_contract(argv)
 
 
 def test_replay_of_a_replay_is_refused(tmp_path, capsys):

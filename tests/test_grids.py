@@ -9,9 +9,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from intervalmesh import (
-    Edge,
     Family,
-    GridVertex,
     build_cylinder,
     build_even_cycle,
     build_path,
@@ -35,7 +33,7 @@ from intervalmesh.grids import _assemble, admits, build, dumps_canonical, edge_c
 
 def degree_by_edge_scan(g, v):
     # independent of the incident index: recount from the edge list
-    return sum(1 for e in g.edges if v in (e.u, e.v))
+    return sum(1 for e in g.edges if v in e)
 
 
 def test_path_sizes():
@@ -126,10 +124,8 @@ def test_bipartite_by_coordinate_parity():
     # one coordinate by 1 or wraps across an odd span
     for g in (build_cylinder(3, 3), build_torus(2, 3), build_even_cycle(6)):
         assert is_bipartite(g)
-        for e in g.edges:
-            pu = (e.u.layer + e.u.ring) % 2
-            pv = (e.v.layer + e.v.ring) % 2
-            assert pu != pv
+        for u, v in g.edges:
+            assert sum(u) % 2 != sum(v) % 2
 
 
 def test_product_identity_factor():
@@ -195,8 +191,8 @@ def floyd_warshall_diameter(g):
     size = len(verts)
     inf = float("inf")
     dist = [[0 if i == j else inf for j in range(size)] for i in range(size)]
-    for e in g.edges:
-        i, j = idx[e.u], idx[e.v]
+    for u, v in g.edges:
+        i, j = idx[u], idx[v]
         dist[i][j] = dist[j][i] = 1
     for k in range(size):
         dk = dist[k]
@@ -252,7 +248,7 @@ def test_named_family_is_bipartite_without_search(monkeypatch):
 
 def test_is_bipartite_checks_every_component():
     def cycle(layer, length):
-        ring = [GridVertex(layer, j) for j in range(1, length + 1)]
+        ring = [(layer, j) for j in range(1, length + 1)]
         return ring, list(zip(ring, ring[1:] + ring[:1]))
 
     square, square_edges = cycle(1, 4)
@@ -269,35 +265,35 @@ def test_is_bipartite_checks_every_component():
 
 
 def test_diameter_disconnected_raises():
-    g = _assemble(
-        Family.PRODUCT, None, None, [GridVertex(1, 1), GridVertex(2, 2)], []
-    )
+    g = _assemble(Family.PRODUCT, None, None, [(1, 1), (2, 2)], [])
     with pytest.raises(DisconnectedGraphError):
         diameter(g)
 
 
 def test_edge_canonical_order_and_loop_rejection():
-    a, b = GridVertex(2, 1), GridVertex(1, 3)
-    assert Edge.between(a, b) == Edge.between(b, a)
-    assert Edge.between(a, b).u < Edge.between(a, b).v
-    with pytest.raises(InvalidParameterError):
-        Edge.between(a, a)
+    a, b = (2, 1), (1, 3)
+    # a reversed pair is stored with its endpoints in ascending order
+    g = _assemble(Family.PRODUCT, None, None, [a, b], [(a, b)])
+    assert g.edges == ((b, a),)
+    assert g.position(a, b) == g.position(b, a) == 0
+    with pytest.raises(InvalidParameterError, match="loop edge at x_1_2"):
+        _assemble(Family.PRODUCT, None, None, [a, b], [(a, a)])
 
 
 def test_assemble_rejects_bad_structure():
-    v1, v2 = GridVertex(1, 1), GridVertex(1, 2)
+    v1, v2 = (1, 1), (1, 2)
     with pytest.raises(InvalidParameterError):
         _assemble(Family.PRODUCT, None, None, [v1, v2], [(v1, v2), (v2, v1)])
     with pytest.raises(InvalidParameterError):
         _assemble(Family.PRODUCT, None, None, [v1], [(v1, v2)])
     with pytest.raises(InvalidParameterError):
-        _assemble(Family.PRODUCT, None, None, [GridVertex(0, 1)], [])
+        _assemble(Family.PRODUCT, None, None, [(0, 1)], [])
 
 
 def test_degree_unknown_vertex():
     g = build_even_cycle(4)
     with pytest.raises(InvalidParameterError):
-        g.degree(GridVertex(9, 9))
+        g.degree((9, 9))
 
 
 def test_json_round_trip_all_families():

@@ -7,8 +7,6 @@ import hashlib
 import pytest
 
 from intervalmesh import (
-    Edge,
-    GridVertex,
     Outcome,
     SearchBudget,
     build_cylinder,
@@ -35,7 +33,7 @@ from intervalmesh.grids import Family, _assemble
 
 
 def E(i1, j1, i2, j2):
-    return Edge.between(GridVertex(i1, j1), GridVertex(i2, j2))
+    return tuple(sorted([(i1, j1), (i2, j2)]))
 
 
 def test_c4_t3_found_coloring_frozen():
@@ -108,6 +106,18 @@ def test_default_budget_refuses_large_instances():
         exact_W(build_torus(2, 2))
 
 
+def test_scans_over_the_edge_cap_are_refused_before_any_search(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an instance over the edge cap must not be searched")
+
+    monkeypatch.setattr(search, "theorem1_upper", refuse)
+    monkeypatch.setattr(search, "find_interval_coloring", refuse)
+    for scan in (exact_w, exact_W):
+        with pytest.raises(BudgetExceededError) as info:
+            scan(build_torus(2, 2), SearchBudget(max_edges=16))
+        assert str(info.value) == "instance has 32 edges, budget allows 16"
+
+
 def test_node_cap_is_not_reported_as_absence():
     g = build_cylinder(2, 2)
     result = find_interval_coloring(g, 7, SearchBudget(max_nodes=50))
@@ -138,9 +148,7 @@ def test_bad_palette_parameter():
 
 
 def test_search_requires_connected_graph():
-    g = _assemble(
-        Family.PRODUCT, None, None, [GridVertex(1, 1), GridVertex(2, 2)], []
-    )
+    g = _assemble(Family.PRODUCT, None, None, [(1, 1), (2, 2)], [])
     with pytest.raises(DisconnectedGraphError):
         find_interval_coloring(g, 1)
 
@@ -240,17 +248,17 @@ def reference_search(g, t):
     def extend(idx):
         if idx == len(order):
             return True
-        e = order[idx]
+        u, v = e = order[idx]
         for c in range(1, t + 1):
             unused = t - len(set(colors.values()) | {c})
-            if fits(e.u, c) and fits(e.v, c) and unused <= len(order) - idx - 1:
-                placed[e.u].append(c)
-                placed[e.v].append(c)
+            if fits(u, c) and fits(v, c) and unused <= len(order) - idx - 1:
+                placed[u].append(c)
+                placed[v].append(c)
                 colors[e] = c
                 if extend(idx + 1):
                     return True
-                placed[e.u].pop()
-                placed[e.v].pop()
+                placed[u].pop()
+                placed[v].pop()
                 del colors[e]
         return False
 
@@ -294,7 +302,7 @@ def test_found_witness_is_checked_without_assert(monkeypatch):
     # colors 1, 3 alternate around C_4, so every vertex sees a gap
     g = build_cylinder(1, 2)
     gap = verify_interval(EdgeColoring(g, (1, 3, 3, 1), 3))
-    assert gap.violating_vertices[0] == GridVertex(1, 1)
+    assert gap.violating_vertices[0] == (1, 1)
 
     monkeypatch.setattr(colorings, "verify_interval", lambda coloring: gap)
     with pytest.raises(InvalidColoringError, match="x_1_1"):
