@@ -33,8 +33,6 @@ from .grids import (
     build_torus,
     cartesian_product,
     diameter,
-    graph_from_json_dict,
-    graph_to_json_dict,
     is_bipartite,
     is_regular,
     max_degree,
@@ -79,8 +77,6 @@ __all__ = [
     "exact_W",
     "exact_w",
     "find_interval_coloring",
-    "graph_from_json_dict",
-    "graph_to_json_dict",
     "is_bipartite",
     "is_regular",
     "max_degree",

@@ -178,7 +178,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     family = Family(args.family)
     result = construct(family, args.m, args.n)
-    claimed = result.claimed_t
+    claimed = result.coloring.palette_size
     t = claimed if args.t is None else args.t
     if t == claimed:
         doc = coloring_to_json_dict(result.coloring, result.rule_trace)

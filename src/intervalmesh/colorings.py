@@ -22,9 +22,11 @@ from .grids import (
     Edge,
     GridVertex,
     MeshGraph,
+    _edge,
     _edge_name,
-    _json_header,
     _listed_graph,
+    _member_name,
+    _parse_vertex,
     vertex_name,
 )
 
@@ -43,11 +45,10 @@ __all__ = [
 class EdgeColoring:
     """A total assignment of integer colors to the edges of one graph.
 
-    ``aligned[i]`` is the color of ``graph.edges[i]``.  Callers pass a
-    mapping from edges (sorted pairs of ``(layer, ring)`` vertices) to
-    colors, which must cover the edge set exactly; package code may pass
-    the aligned tuple itself.  ``colors`` is a read-only view keyed by
-    those pairs.  ``palette_size`` is the declared palette 1..t.
+    ``aligned[i]`` is the color of ``graph.edges[i]``, one integer per
+    edge.  ``colors`` is a read-only view of it keyed by edge (the sorted
+    pair of ``(layer, ring)`` vertices).  ``palette_size`` is the declared
+    palette 1..t.
     Assigned colors are not forced into that range here; out-of-range
     colors are reported by :func:`verify_interval` instead of rejected, so
     that damaged colorings can still be diagnosed.
@@ -67,17 +68,7 @@ class EdgeColoring:
             )
         colors = self.aligned
         edges = self.graph.edges
-        if not isinstance(colors, tuple):
-            missing = sum(e not in colors for e in edges)
-            extra = len(colors) - (len(edges) - missing)
-            if missing or extra:
-                raise InvalidColoringError(
-                    f"coloring must cover the edge set exactly "
-                    f"({missing} missing, {extra} unknown)"
-                )
-            colors = tuple(colors[e] for e in edges)
-            object.__setattr__(self, "aligned", colors)
-        elif len(colors) != len(edges):
+        if len(colors) != len(edges):
             raise InvalidColoringError(
                 f"coloring has {len(colors)} colors for {len(edges)} edges"
             )
@@ -231,24 +222,32 @@ def coloring_to_json_dict(
     c: EdgeColoring, rule_trace: tuple[str, ...] | None = None
 ) -> dict:
     """The coloring document; ``rule_trace`` is aligned with ``graph.edges``."""
-    d = _json_header(c.graph)
+    g = c.graph
     rows = [
         {"u": list(u), "v": list(v), "color": color}
-        for (u, v), color in zip(c.graph.edges, c.aligned)
+        for (u, v), color in zip(g.edges, c.aligned)
     ]
     if rule_trace is not None:
         for row, rule in zip(rows, rule_trace, strict=True):
             row["rule"] = rule
-    d["edges"] = rows
-    d["t"] = c.palette_size
-    return d
+    return {
+        "family": g.family.value,
+        "m": g.m,
+        "n": g.n,
+        "vertices": [list(v) for v in g.vertices],
+        "edges": rows,
+        "t": c.palette_size,
+    }
 
 
 def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | None]:
     """Parse a coloring document; returns the coloring and any rule trace.
 
-    Each row's color and rule are written at its edge's position in the
-    built graph, so the trace is aligned with ``graph.edges``.
+    The rows are read twice.  The first pass, before any graph exists,
+    checks each row and parses its endpoints; the second writes each
+    row's color and rule at its edge's position in the built graph, so
+    the trace is aligned with ``graph.edges``.  Every edge must be listed
+    exactly once.
     """
     if not isinstance(d, dict):
         raise SchemaError("coloring document must be a JSON object")
@@ -260,6 +259,8 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | No
     rows = d.get("edges")
     if not isinstance(rows, list):
         raise SchemaError("'edges' must be an array")
+    pairs = []
+    ruled = 0
     for item in rows:
         if not isinstance(item, dict) or "u" not in item or "v" not in item:
             raise SchemaError(f"colored edge must be an object with u/v, got {item!r}")
@@ -268,14 +269,27 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | No
         col = item["color"]
         if not isinstance(col, int) or isinstance(col, bool):
             raise SchemaError(f"edge color must be an integer, got {col!r}")
-    g, positions = _listed_graph(d, [(item["u"], item["v"]) for item in rows])
-    ruled = sum("rule" in item for item in rows)
+        a, b = _parse_vertex(item["u"]), _parse_vertex(item["v"])
+        if a == b:
+            raise SchemaError(f"loop edge at {vertex_name(a)}")
+        pairs.append(_edge(a, b))
+        ruled += "rule" in item
     if ruled and ruled != len(rows):
         raise SchemaError("rule trace must cover every edge or none")
-    colors = [0] * g.num_edges
+    g = _listed_graph(d, pairs)
+    what = _member_name(g.family, g.m, g.n)
+    colors: list[int | None] = [None] * g.num_edges
     rules = [""] * g.num_edges
-    for pos, item in zip(positions, rows):
+    for e, item in zip(pairs, rows):
+        pos = g.edge_index.get(e)
+        if pos is None:
+            raise SchemaError(f"{_edge_name(*e)} is not an edge of {what}")
+        if colors[pos] is not None:
+            raise SchemaError(f"edge {_edge_name(*e)} is listed twice")
         colors[pos] = item["color"]
         if ruled:
             rules[pos] = str(item["rule"])
+    if len(rows) != g.num_edges:
+        missing = g.num_edges - len(rows)
+        raise SchemaError(f"{missing} of the {g.num_edges} edges of {what} are not listed")
     return EdgeColoring(g, tuple(colors), t), (tuple(rules) if ruled else None)

@@ -78,7 +78,6 @@ class ConstructionResult:
     ``graph.edges[i]``."""
 
     coloring: EdgeColoring
-    claimed_t: int
     rule_trace: tuple[str, ...]
 
 
@@ -122,7 +121,7 @@ class _Painter:
         coloring = require_interval(
             EdgeColoring(self.g, tuple(self.colors), t), ConstructionError, "construction"
         )
-        return ConstructionResult(coloring, t, tuple(self.rules))
+        return ConstructionResult(coloring, tuple(self.rules))
 
 
 def cylinder_coloring(m: int, n: int) -> ConstructionResult:

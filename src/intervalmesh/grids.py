@@ -38,8 +38,6 @@ __all__ = [
     "is_regular",
     "is_bipartite",
     "diameter",
-    "graph_to_json_dict",
-    "graph_from_json_dict",
     "dumps_canonical",
 ]
 
@@ -385,21 +383,6 @@ def diameter(g: MeshGraph) -> int:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _json_header(g: MeshGraph) -> dict:
-    """The keys that graph and coloring documents open with."""
-    return {
-        "family": g.family.value,
-        "m": g.m,
-        "n": g.n,
-        "vertices": [list(v) for v in g.vertices],
-    }
-
-
-def graph_to_json_dict(g: MeshGraph) -> dict:
-    edges = [[list(u), list(v)] for u, v in g.edges]
-    return {**_json_header(g), "edges": edges}
-
-
 def _parse_vertex(obj: object) -> GridVertex:
     # exact type test: True and 1.0 hash and compare equal to 1, so an edge
     # lookup alone would take them for coordinates
@@ -419,14 +402,17 @@ def _parse_optional_size(d: dict, key: str) -> int | None:
     return value
 
 
-def _listed_graph(d: dict, rows: list) -> tuple[MeshGraph, list[int]]:
-    """The graph a document lists, and the position in its ``edges`` of each row.
+def _member_name(family: Family, m: int | None, n: int | None) -> str:
+    return f"family {family.value!r} with m={m}, n={n}"
 
-    ``rows`` are the document's raw ``(u, v)`` endpoint pairs.  A recognized
-    family is built once from (m, n) after its closed-form vertex count is
-    compared with the listing; only ``product`` graphs are assembled as
-    listed.  Every row must be an edge of that graph, listed once, and
-    every edge must be listed.
+
+def _listed_graph(d: dict, pairs: list[Edge]) -> MeshGraph:
+    """The graph a document lists, given its rows as parsed edges.
+
+    A recognized family is built once from (m, n) after its closed-form
+    vertex count is compared with the listing; only ``product`` graphs are
+    assembled from ``pairs``.  Whether each pair is an edge of a built
+    family is left to the caller, which places the rows.
     """
     for key in ("family", "vertices"):
         if key not in d:
@@ -443,61 +429,24 @@ def _listed_graph(d: dict, rows: list) -> tuple[MeshGraph, list[int]]:
     vertex_set = set(vertices)
     if len(vertex_set) != len(vertices):
         raise SchemaError("duplicate vertices in document")
-    pairs = []
-    for u, v in rows:
-        a, b = _parse_vertex(u), _parse_vertex(v)
-        if a == b:
-            raise SchemaError(f"loop edge at {vertex_name(a)}")
-        pairs.append(_edge(a, b))
-    what = f"family {family.value!r} with m={m}, n={n}"
     law = _FAMILIES.get(family)
     if law is None:
         try:
-            g = _assemble(family, m, n, vertices, pairs)
+            return _assemble(family, m, n, vertices, pairs)
         except InvalidParameterError as exc:
             raise SchemaError(str(exc)) from None
-    else:
-        if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
-            raise SchemaError(f"family {family.value!r} has inconsistent m/n")
-        # compare sizes first, so a claimed (m, n) is never built beyond the listing
-        if law.num_vertices(m, n) != len(vertices):
-            raise SchemaError(f"listed vertices do not match {what}")
-        try:
-            g = law.build(m, n)
-        except InvalidParameterError as exc:
-            raise SchemaError(str(exc)) from None
-        if g.incident.keys() != vertex_set:
-            raise SchemaError(f"listed vertices do not match {what}")
-    positions = []
-    placed = bytearray(g.num_edges)
-    for a, b in pairs:
-        pos = g.edge_index.get((a, b))
-        if pos is None:
-            raise SchemaError(f"{_edge_name(a, b)} is not an edge of {what}")
-        if placed[pos]:
-            raise SchemaError(f"edge {_edge_name(a, b)} is listed twice")
-        placed[pos] = 1
-        positions.append(pos)
-    if len(positions) != g.num_edges:
-        missing = g.num_edges - len(positions)
-        raise SchemaError(f"{missing} of the {g.num_edges} edges of {what} are not listed")
-    return g, positions
-
-
-def graph_from_json_dict(d: dict) -> MeshGraph:
-    """Parse and validate a graph document.
-
-    Recognized families are rebuilt from (m, n) and must match the listed
-    vertices and edges exactly; ``product`` graphs are taken as listed.
-    """
-    if not isinstance(d, dict):
-        raise SchemaError("graph document must be a JSON object")
-    if not isinstance(d.get("edges"), list):
-        raise SchemaError("'edges' must be an array")
-    for item in d["edges"]:
-        if not isinstance(item, (list, tuple)) or len(item) != 2:
-            raise SchemaError(f"edge must be a pair of vertices, got {item!r}")
-    return _listed_graph(d, d["edges"])[0]
+    if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
+        raise SchemaError(f"family {family.value!r} has inconsistent m/n")
+    # compare sizes first, so a claimed (m, n) is never built beyond the listing
+    if law.num_vertices(m, n) != len(vertices):
+        raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
+    try:
+        g = law.build(m, n)
+    except InvalidParameterError as exc:
+        raise SchemaError(str(exc)) from None
+    if g.incident.keys() != vertex_set:
+        raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
+    return g
 
 
 def dumps_canonical(d: dict) -> str:

@@ -218,7 +218,7 @@ def test_acceptance_06_bound_consistency():
     for m, n in CYLINDER_GRID:
         g = build_cylinder(m, n)
         upper = theorem1_upper(g)
-        _check(6, construct("cylinder", m, n).claimed_t <= upper, f"cylinder ({m},{n}) bounds cross")
+        _check(6, construct("cylinder", m, n).coloring.palette_size <= upper, f"cylinder ({m},{n}) bounds cross")
         if m >= 3:
             _check(
                 6,
@@ -227,7 +227,7 @@ def test_acceptance_06_bound_consistency():
             )
     for m, n in TORUS_GRID:
         g = build_torus(m, n)
-        _check(6, construct("torus", m, n).claimed_t <= theorem1_upper(g), f"torus ({m},{n}) bounds cross")
+        _check(6, construct("torus", m, n).coloring.palette_size <= theorem1_upper(g), f"torus ({m},{n}) bounds cross")
     elapsed = time.perf_counter() - start
     _report(6, True, f"lower <= upper on all {len(CYLINDER_GRID) + len(TORUS_GRID)} instances, "
                      f"wide-cylinder closed form holds, {elapsed:.2f}s")
@@ -257,9 +257,9 @@ def test_acceptance_07_search_oracle_cross_check():
     _check(7, w_cyl == 3 == max(cyl.degree(v) for v in cyl.vertices), "w(C(2,4)) != degree")
 
     # greatest palettes are pinched between the constructive and diameter bounds
-    _check(7, construct("cylinder", 1, 2).claimed_t <= W_c4 <= theorem1_upper(c4), "W(C_4) out of range")
-    _check(7, construct("cylinder", 1, 3).claimed_t <= W_c6 <= theorem1_upper(c6), "W(C_6) out of range")
-    _check(7, construct("cylinder", 2, 2).claimed_t <= W_cyl <= theorem1_upper(cyl), "W(C(2,4)) out of range")
+    _check(7, construct("cylinder", 1, 2).coloring.palette_size <= W_c4 <= theorem1_upper(c4), "W(C_4) out of range")
+    _check(7, construct("cylinder", 1, 3).coloring.palette_size <= W_c6 <= theorem1_upper(c6), "W(C_6) out of range")
+    _check(7, construct("cylinder", 2, 2).coloring.palette_size <= W_cyl <= theorem1_upper(cyl), "W(C(2,4)) out of range")
     _check(7, W_cyl == 6, f"W(C(2,4)) = {W_cyl}, constructive bound not tight")
 
     elapsed = time.perf_counter() - start
@@ -272,10 +272,11 @@ def test_acceptance_08_fault_injection():
     caught = 0
     for make in (cylinder_coloring, torus_coloring):
         base = make(2, 2).coloring
-        for edge in base.graph.edges:
+        for i, edge in enumerate(base.graph.edges):
             for delta in (1, -1):
-                recolored = {**base.colors, edge: base.colors[edge] + delta}
-                mutated = EdgeColoring(base.graph, recolored, base.palette_size)
+                recolored = list(base.aligned)
+                recolored[i] += delta
+                mutated = EdgeColoring(base.graph, tuple(recolored), base.palette_size)
                 report = verify_interval(mutated)
                 mutations += 1
                 if not report.interval:

@@ -44,10 +44,10 @@ def test_theorem1_upper_rejects_odd_cycles():
 
 
 def test_lower_bound_values():
-    assert construct("cylinder", 3, 2).claimed_t == 9
-    assert construct("torus", 2, 3).claimed_t == 11
-    assert construct("cylinder", 1, 2).claimed_t == 3
-    assert construct("torus", 3, 2).claimed_t == 11  # transposed witness
+    assert construct("cylinder", 3, 2).coloring.palette_size == 9
+    assert construct("torus", 2, 3).coloring.palette_size == 11
+    assert construct("cylinder", 1, 2).coloring.palette_size == 3
+    assert construct("torus", 3, 2).coloring.palette_size == 11  # transposed witness
 
 
 def test_lower_bound_rejects_bad_parameters():
@@ -75,9 +75,9 @@ def test_lower_bound_monotonicity():
         lo = 1 if family == "cylinder" else 2
         for m in range(lo, 5):
             for n in range(2, 5):
-                here = construct(family, m, n).claimed_t
-                assert construct(family, m + 1, n).claimed_t > here
-                assert construct(family, m, n + 1).claimed_t > here
+                here = construct(family, m, n).coloring.palette_size
+                assert construct(family, m + 1, n).coloring.palette_size > here
+                assert construct(family, m, n + 1).coloring.palette_size > here
 
 
 def test_bounds_rows_frozen_examples():

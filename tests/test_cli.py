@@ -556,8 +556,8 @@ def test_generate_reports_broken_step_down(capsys, monkeypatch):
 
     def corrupt(c):
         out = real(c)
-        e = out.graph.edges[0]
-        return EdgeColoring(out.graph, {**out.colors, e: out.colors[e] + 1}, out.palette_size)
+        bumped = (out.aligned[0] + 1,) + out.aligned[1:]
+        return EdgeColoring(out.graph, bumped, out.palette_size)
 
     monkeypatch.setattr(constructions, "step_down", corrupt)
     code, out, err = invoke(

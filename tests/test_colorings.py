@@ -14,6 +14,9 @@ from intervalmesh import (
     Family,
     build_cylinder,
     build_even_cycle,
+    build_path,
+    build_torus,
+    cartesian_product,
     coloring_from_json_dict,
     coloring_to_json_dict,
     cylinder_coloring,
@@ -21,7 +24,7 @@ from intervalmesh import (
     torus_coloring,
     verify_interval,
 )
-from intervalmesh import grids
+from intervalmesh import colorings, grids
 from intervalmesh.cli import run
 from intervalmesh.constructions import construct
 from intervalmesh.errors import InvalidColoringError, SchemaError
@@ -31,13 +34,15 @@ def ring4_coloring(colors, t):
     """C_4 with colors (ring1, ring2, ring3, wrap) in cycle order."""
     g = build_even_cycle(4)
     v = [(1, j) for j in range(1, 5)]
-    assignment = {
-        (v[0], v[1]): colors[0],
-        (v[1], v[2]): colors[1],
-        (v[2], v[3]): colors[2],
-        (v[0], v[3]): colors[3],
-    }
-    return EdgeColoring(g, assignment, t)
+    at = {g.position(a, b): col for a, b, col in zip(v, v[1:] + v[:1], colors)}
+    return EdgeColoring(g, tuple(at[i] for i in range(4)), t)
+
+
+def recolored(c, e, color):
+    """``c`` with edge ``e`` painted ``color``."""
+    aligned = list(c.aligned)
+    aligned[c.graph.position(*e)] = color
+    return EdgeColoring(c.graph, tuple(aligned), c.palette_size)
 
 
 def test_c4_interval_example():
@@ -84,7 +89,7 @@ def test_proper_and_surjective_flags():
     assert report.proper and report.surjective
     tor = torus_coloring(2, 2).coloring
     assert verify_interval(tor).proper
-    wide = EdgeColoring(cyl.graph, dict(cyl.colors), cyl.palette_size + 1)
+    wide = EdgeColoring(cyl.graph, cyl.aligned, cyl.palette_size + 1)
     report = verify_interval(wide)
     assert report.proper and not report.surjective
     assert not report.interval
@@ -92,13 +97,10 @@ def test_proper_and_surjective_flags():
 
 def test_coloring_must_cover_edge_set():
     g = build_even_cycle(4)
-    partial = {((1, 1), (1, 2)): 1}
-    with pytest.raises(InvalidColoringError):
-        EdgeColoring(g, partial, 2)
-    foreign = dict(ring4_coloring([1, 2, 3, 2], 3).colors)
-    foreign[((9, 1), (9, 2))] = 1
-    with pytest.raises(InvalidColoringError):
-        EdgeColoring(g, foreign, 3)
+    with pytest.raises(InvalidColoringError, match="3 colors for 4 edges"):
+        EdgeColoring(g, (1, 2, 3), 3)
+    with pytest.raises(InvalidColoringError, match="5 colors for 4 edges"):
+        EdgeColoring(g, (1, 2, 3, 2, 1), 3)
     with pytest.raises(InvalidColoringError):
         ring4_coloring([1, 2, 3, 2], 0)
 
@@ -107,15 +109,13 @@ def test_verifier_diagnoses_out_of_range_colors():
     # damaged colorings are reported, never raised on
     base = cylinder_coloring(2, 2).coloring
     edge_of_one = next(e for e, col in base.colors.items() if col == 1)
-    low = EdgeColoring(base.graph, {**base.colors, edge_of_one: 0}, base.palette_size)
+    low = recolored(base, edge_of_one, 0)
     report = verify_interval(low)
     assert not report.interval and report.violating_vertices
     edge_of_top = next(
         e for e, col in base.colors.items() if col == base.palette_size
     )
-    high = EdgeColoring(
-        base.graph, {**base.colors, edge_of_top: base.palette_size + 1}, base.palette_size
-    )
+    high = recolored(base, edge_of_top, base.palette_size + 1)
     report = verify_interval(high)
     assert not report.interval and report.violating_vertices
 
@@ -130,16 +130,16 @@ def test_coloring_is_immutable():
     assert c.colors[e] == c.aligned[0] == 1
 
 
-def test_coloring_takes_a_mapping_or_the_aligned_tuple():
+def test_coloring_takes_only_the_aligned_tuple():
     g = build_even_cycle(4)
-    by_edge = ring4_coloring([1, 2, 3, 2], 3)
-    aligned = EdgeColoring(g, by_edge.aligned, 3)
-    assert aligned == by_edge
-    assert aligned.colors == by_edge.colors == dict(zip(g.edges, by_edge.aligned))
-    with pytest.raises(InvalidColoringError):
-        EdgeColoring(g, by_edge.aligned[:3], 3)
-    with pytest.raises(InvalidColoringError):
+    c = EdgeColoring(g, (1, 2, 2, 3), 3)
+    assert c.colors == dict(zip(g.edges, (1, 2, 2, 3)))
+    assert c == ring4_coloring([1, 2, 3, 2], 3)
+    with pytest.raises(InvalidColoringError, match="not an integer"):
         EdgeColoring(g, (1, 2, 3, "2"), 3)
+    # a mapping from edges to colors is refused: its keys are not colors
+    with pytest.raises(InvalidColoringError, match="not an integer"):
+        EdgeColoring(g, dict(c.colors), 3)
 
 
 def test_interval_implies_tight_vertex_windows():
@@ -157,7 +157,7 @@ def test_reversal_invariance_cylinder(m, n):
     # the mirror relabeling c -> t+1-c preserves every interval property
     c = cylinder_coloring(m, n).coloring
     t = c.palette_size
-    mirrored = EdgeColoring(c.graph, {e: t + 1 - col for e, col in c.colors.items()}, t)
+    mirrored = EdgeColoring(c.graph, tuple(t + 1 - col for col in c.aligned), t)
     assert verify_interval(mirrored).interval
 
 
@@ -166,7 +166,7 @@ def test_reversal_invariance_cylinder(m, n):
 def test_reversal_invariance_torus(m, n):
     c = torus_coloring(m, n).coloring
     t = c.palette_size
-    mirrored = EdgeColoring(c.graph, {e: t + 1 - col for e, col in c.colors.items()}, t)
+    mirrored = EdgeColoring(c.graph, tuple(t + 1 - col for col in c.aligned), t)
     assert verify_interval(mirrored).interval
 
 
@@ -181,9 +181,7 @@ def test_verified_palette_at_least_max_degree(m, n):
 def test_report_serialization_names_vertices():
     base = cylinder_coloring(2, 2).coloring
     edge = base.graph.edges[0]
-    mutated = EdgeColoring(
-        base.graph, {**base.colors, edge: base.colors[edge] + 1}, base.palette_size
-    )
+    mutated = recolored(base, edge, base.colors[edge] + 1)
     doc = verify_interval(mutated).to_json_dict()
     assert doc["interval"] is False
     assert doc["violations"]
@@ -204,39 +202,97 @@ def test_coloring_json_round_trip():
     assert loaded2.colors == res.coloring.colors
     assert trace2 is None
 
+    # every family, products included, comes back as the same graph
+    graphs = [
+        build_path(3),
+        build_even_cycle(6),
+        build_cylinder(2, 3),
+        build_torus(2, 2),
+        cartesian_product(build_path(2), build_even_cycle(4)),
+    ]
+    for g in graphs:
+        c = EdgeColoring(g, tuple(range(1, g.num_edges + 1)), g.num_edges)
+        doc = json.loads(json.dumps(coloring_to_json_dict(c)))
+        assert coloring_from_json_dict(doc) == (c, None)
+
 
 def test_coloring_json_schema_errors():
     res = cylinder_coloring(1, 2)
     doc = coloring_to_json_dict(res.coloring)
 
+    def copy():
+        return json.loads(json.dumps(doc))
+
+    def rejects(bad, message):
+        with pytest.raises(SchemaError) as info:
+            coloring_from_json_dict(bad)
+        assert str(info.value) == message
+
     missing_t = {k: v for k, v in doc.items() if k != "t"}
-    with pytest.raises(SchemaError):
-        coloring_from_json_dict(missing_t)
+    rejects(missing_t, "coloring document is missing 't'")
 
-    bad_color = json.loads(json.dumps(doc))
+    for key in ("family", "vertices"):
+        rejects({k: v for k, v in doc.items() if k != key}, f"graph document is missing {key!r}")
+    rejects({k: v for k, v in doc.items() if k != "edges"}, "'edges' must be an array")
+
+    rejects({**doc, "family": "moebius"}, "unknown family 'moebius'")
+    rejects({**doc, "n": None}, "family 'cylinder' has inconsistent m/n")
+    rejects({**doc, "vertices": doc["vertices"] + [[1, 1]]}, "duplicate vertices in document")
+
+    bad_color = copy()
     bad_color["edges"][0]["color"] = "red"
-    with pytest.raises(SchemaError):
-        coloring_from_json_dict(bad_color)
+    rejects(bad_color, "edge color must be an integer, got 'red'")
 
-    missing_color = json.loads(json.dumps(doc))
+    missing_color = copy()
     del missing_color["edges"][0]["color"]
-    with pytest.raises(SchemaError):
-        coloring_from_json_dict(missing_color)
+    rejects(missing_color, "edge [1, 1]-[1, 2] has no color")
 
-    doubled = json.loads(json.dumps(doc))
+    doubled = copy()
     doubled["edges"].append(doubled["edges"][0])
-    with pytest.raises(SchemaError):
-        coloring_from_json_dict(doubled)
+    rejects(doubled, "edge x_1_1-x_2_1 is listed twice")
 
-    partial_trace = json.loads(json.dumps(doc))
+    dropped = copy()
+    del dropped["edges"][-1]
+    rejects(dropped, "1 of the 4 edges of family 'cylinder' with m=1, n=2 are not listed")
+
+    partial_trace = copy()
     partial_trace["edges"][0]["rule"] = "ring-asc"
-    with pytest.raises(SchemaError):
-        coloring_from_json_dict(partial_trace)
+    rejects(partial_trace, "rule trace must cover every edge or none")
 
-    looped = json.loads(json.dumps(doc))
+    looped = copy()
     looped["edges"][0]["v"] = looped["edges"][0]["u"]
-    with pytest.raises(SchemaError):
-        coloring_from_json_dict(looped)
+    rejects(looped, "loop edge at x_1_1")
+
+    # 1.0 and True hash and compare equal to 1, so an edge lookup alone
+    # would accept them
+    for bad in ([1.0, 1], [1, True], ["1", 1], [1, 1, 1]):
+        message = f"vertex must be a [layer, ring] pair of integers, got {bad!r}"
+        retyped = copy()
+        retyped["edges"][0]["u"] = bad
+        rejects(retyped, message)
+        retyped = copy()
+        retyped["vertices"][0] = bad
+        rejects(retyped, message)
+
+
+def test_rows_are_checked_before_the_graph_is_built(monkeypatch):
+    doc = coloring_to_json_dict(cylinder_coloring(2, 3).coloring)
+
+    def refuse(*args):
+        pytest.fail("the graph was built before every row was checked")
+
+    monkeypatch.setattr(colorings, "_listed_graph", refuse)
+    last = len(doc["edges"]) - 1
+    for key, value, message in (
+        ("color", 1.5, "edge color must be an integer"),
+        ("u", [1, True], "vertex must be a"),
+        ("v", doc["edges"][last]["u"], "loop edge at"),
+        ("rule", "ring-asc", "rule trace must cover every edge or none"),
+    ):
+        bad = json.loads(json.dumps(doc))
+        bad["edges"][last][key] = value
+        with pytest.raises(SchemaError, match=message):
+            coloring_from_json_dict(bad)
 
 
 def test_coloring_document_is_assembled_once(monkeypatch):

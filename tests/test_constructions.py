@@ -33,6 +33,13 @@ def E(i1, j1, i2, j2):
     return tuple(sorted([(i1, j1), (i2, j2)]))
 
 
+def recolored(c, e, color):
+    """``c`` with edge ``e`` painted ``color``."""
+    aligned = list(c.aligned)
+    aligned[c.graph.position(*e)] = color
+    return EdgeColoring(c.graph, tuple(aligned), c.palette_size)
+
+
 def test_cylinder_1_2_is_the_ring_example():
     c = cylinder_coloring(1, 2).coloring
     assert c.palette_size == 3
@@ -65,9 +72,8 @@ def test_cylinder_2_2_full_frozen_map():
 def test_cylinder_palette_formula_sample():
     for m, n in ((1, 5), (2, 4), (4, 2), (6, 6)):
         res = cylinder_coloring(m, n)
-        assert res.claimed_t == 3 * m + n - 2
-        assert res.coloring.palette_size == res.claimed_t
-        assert verify_interval(res.coloring).palette_size == res.claimed_t
+        assert res.coloring.palette_size == 3 * m + n - 2
+        assert verify_interval(res.coloring).palette_size == res.coloring.palette_size
 
 
 def test_cylinder_layer_ring_runs():
@@ -86,7 +92,7 @@ def test_cylinder_layer_ring_runs():
 def test_torus_2_2_frozen_values():
     res = torus_coloring(2, 2)
     c = res.coloring
-    assert res.claimed_t == 8
+    assert res.coloring.palette_size == 8
     assert c.colors[E(1, 1, 1, 2)] == 1
     assert c.colors[E(1, 1, 4, 1)] == 2
     assert c.colors[E(1, 2, 4, 2)] == 2
@@ -106,10 +112,10 @@ def test_torus_mirror_layers_match():
 
 def test_torus_transposed_palette():
     res = torus_coloring(3, 2)
-    assert res.claimed_t == 11
+    assert res.coloring.palette_size == 11
     assert verify_interval(res.coloring).interval
     res2 = torus_coloring(5, 3)
-    assert res2.claimed_t == 18
+    assert res2.coloring.palette_size == 18
     assert verify_interval(res2.coloring).interval
 
 
@@ -142,13 +148,6 @@ def test_rule_trace_partitions_edges():
     assert set(res2.rule_trace) <= set(TORUS_RULES)
     assert "seam-mid" in res2.rule_trace
     assert "seam-low" in res2.rule_trace
-
-
-def test_claimed_t_matches_verified_palette():
-    for res in (cylinder_coloring(2, 5), torus_coloring(4, 2)):
-        assert res.claimed_t == res.coloring.palette_size
-        report = verify_interval(res.coloring)
-        assert report.interval and report.palette_size == res.claimed_t
 
 
 @settings(max_examples=20, deadline=None)
@@ -197,7 +196,7 @@ def test_step_down_requires_regular():
 def test_step_down_requires_interval_input():
     c = torus_coloring(2, 2).coloring
     edge = c.graph.edges[0]
-    broken = EdgeColoring(c.graph, {**c.colors, edge: c.colors[edge] + 1}, c.palette_size)
+    broken = recolored(c, edge, c.colors[edge] + 1)
     with pytest.raises(InvalidColoringError, match="x_"):
         step_down(broken)
 
@@ -244,7 +243,8 @@ def test_constructions_reject_bad_parameters():
 def test_construct_dispatches_by_family():
     built = construct("cylinder", 2, 3).coloring
     assert built.colors == cylinder_coloring(2, 3).coloring.colors
-    assert construct("torus", 3, 2).claimed_t == torus_coloring(3, 2).claimed_t
+    transposed = construct("torus", 3, 2).coloring
+    assert transposed.palette_size == torus_coloring(3, 2).coloring.palette_size
     with pytest.raises(InvalidParameterError):
         construct("path", 3, 3)
 
@@ -270,7 +270,7 @@ def test_stepped_colorings_are_verified(monkeypatch):
         if out.palette_size > 4:
             return out
         e = out.graph.edges[0]
-        return EdgeColoring(out.graph, {**out.colors, e: out.colors[e] + 1}, out.palette_size)
+        return recolored(out, e, out.colors[e] + 1)
 
     monkeypatch.setattr(constructions, "step_down", corrupt_last)
     with pytest.raises(ConstructionError, match="x_"):
@@ -294,7 +294,7 @@ def _count_reports(monkeypatch) -> list[int]:
 
 def test_each_coloring_is_verified_once(monkeypatch):
     base = torus_coloring(2, 2).coloring
-    c = EdgeColoring(base.graph, dict(base.colors), base.palette_size)
+    c = EdgeColoring(base.graph, base.aligned, base.palette_size)
     built = _count_reports(monkeypatch)
     assert verify_interval(c).interval
     down = step_down(c)

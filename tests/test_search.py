@@ -75,7 +75,7 @@ def test_exact_W_of_the_cube_cylinder():
     # the 12-edge cylinder tops out at its constructive bound, one below
     # the diameter bound of 7
     g = build_cylinder(2, 2)
-    assert construct(Family.CYLINDER, 2, 2).claimed_t == 6
+    assert construct(Family.CYLINDER, 2, 2).coloring.palette_size == 6
     assert theorem1_upper(g) == 7
     assert exact_W(g) == 6
 
@@ -94,7 +94,7 @@ def test_spectrum_continuity_in_budget():
 def test_construction_claims_match_oracle():
     for m, n in ((1, 2), (1, 3), (1, 4), (2, 2)):
         res = cylinder_coloring(m, n)
-        found = find_interval_coloring(res.coloring.graph, res.claimed_t)
+        found = find_interval_coloring(res.coloring.graph, res.coloring.palette_size)
         assert found.outcome is Outcome.FOUND
 
 
@@ -159,7 +159,7 @@ def test_exact_scans_respect_bounds():
         w = exact_w(g)
         W = exact_W(g)
         assert w <= W
-        assert construct(Family.CYLINDER, m, n).claimed_t <= W <= theorem1_upper(g)
+        assert construct(Family.CYLINDER, m, n).coloring.palette_size <= W <= theorem1_upper(g)
 
 
 # Node counts of the current attempt order. A pruning change alters them
