@@ -4,14 +4,18 @@ Subcommands: generate, verify, bounds, search, sweep, export, replay.
 Coloring JSON is the interchange format between stages, so each one can
 be exercised alone.  Exit codes follow a fixed contract: 0 for a valid
 result, 1 for an invalid coloring or a proved absence, 2 for usage and
-input problems, 3 for an exceeded search budget.  Every subcommand can
-record a run manifest from which ``replay`` reproduces the primary
-output byte for byte.
+input problems, 3 for an exceeded search budget.  Each subcommand's
+handler returns its text, and ``run`` alone writes outputs and manifests.
+Every subcommand but ``replay`` can record a run manifest, from which
+``replay`` reproduces the primary output byte for byte: it re-runs the
+recorded arguments through the same subcommand, an ``-o`` given to
+``replay`` replaces the recorded one, and a replay writes no manifest.
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import time
@@ -90,69 +94,30 @@ def _fail(exc: Exception) -> int:
     return code
 
 
-def _emit(text: str, path: str | None) -> list[str]:
-    """Write to the output path, or stdout when the path is absent or '-'."""
-    if path is None or path == "-":
-        sys.stdout.write(text)
-        return []
-    Path(path).write_text(text, encoding="utf-8")
-    return [path]
-
-
-def _parse_json(fh) -> dict:
-    """``json.load``, with nesting and number limits reported as schema errors."""
-    try:
-        return json.load(fh)
-    except (json.JSONDecodeError, UnicodeDecodeError):
-        raise
-    except (RecursionError, ValueError) as exc:
-        # nested too deeply, or an integer beyond Python's digit limit
-        raise SchemaError(f"unreadable JSON: {type(exc).__name__}: {exc}") from None
-
-
 def _load_json(path: str) -> dict:
-    if path == "-":
-        return _parse_json(sys.stdin)
-    with open(path, "r", encoding="utf-8") as fh:
-        return _parse_json(fh)
+    """JSON read from ``path``, or stdin for '-', with nesting and number
+    limits reported as schema errors."""
+    stdin = contextlib.nullcontext(sys.stdin)
+    with stdin if path == "-" else open(path, "r", encoding="utf-8") as fh:
+        try:
+            return json.load(fh)
+        except (json.JSONDecodeError, UnicodeDecodeError):
+            raise
+        except (RecursionError, ValueError) as exc:
+            # nested too deeply, or an integer beyond Python's digit limit
+            raise SchemaError(f"unreadable JSON: {type(exc).__name__}: {exc}") from None
 
 
-def _write_manifest(
-    path: str | None,
-    subcommand: str,
-    argv: list[str],
-    parameters: dict,
-    inputs: list[str],
-    outputs: list[str],
-    wall_time_s: float,
-    result: str,
-) -> None:
-    if path is None:
-        return
-    manifest = {
-        "tool": "intervalmesh",
-        "version": __version__,
-        "subcommand": subcommand,
-        "argv": argv,
-        "parameters": parameters,
-        "inputs": inputs,
-        "outputs": outputs,
-        "wall_time_s": round(wall_time_s, 6),
-        "result": result,
-    }
-    Path(path).write_text(dumps_canonical(manifest), encoding="utf-8")
-
-
-def _drop_flag(argv: list[str], *names: str) -> list[str]:
-    """``argv`` without each named flag, given as ``NAME VALUE`` or ``NAME=VALUE``."""
+def _drop_flag(argv: list[str], name: str) -> list[str]:
+    """``argv`` without the named flag, given as ``NAME VALUE`` or ``NAME=VALUE``."""
     out = []
     skip = False
     for token in argv:
         if skip:
             skip = False
-        elif token in names:
+        elif token == name:
             skip = True
-        elif not token.startswith(tuple(f"{name}=" for name in names)):
+        elif not token.startswith(f"{name}="):
             out.append(token)
     return out
 
@@ -175,7 +140,7 @@ def _parse_range(text: str) -> tuple[int, int]:
 # ---------------------------------------------------------------------------
 
 
-def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, list[str]]:
+def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, str | None]:
     family = Family(args.family)
     result = construct(family, args.m, args.n)
     claimed = result.coloring.palette_size
@@ -196,12 +161,11 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, list[str]]:
                 f"{low}..{claimed}, got {t}"
             )
         doc = coloring_to_json_dict(step_down_to(result.coloring, t))
-    outputs = _emit(dumps_canonical(doc), args.output)
     summary = f"{family.value} m={args.m} n={args.n} t={t}"
-    return EXIT_VALID, summary, outputs
+    return EXIT_VALID, summary, dumps_canonical(doc)
 
 
-def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, list[str]]:
+def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, str | None]:
     doc = _load_json(args.path)
     coloring, _ = coloring_from_json_dict(doc)
     report = verify_interval(coloring)
@@ -209,21 +173,19 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, list[str]]:
         text = dumps_canonical(report.to_json_dict())
     else:
         text = report.format_table() + "\n"
-    outputs = _emit(text, args.output)
     code = EXIT_VALID if report.interval else EXIT_INVALID
-    return code, f"interval={report.interval}", outputs
+    return code, f"interval={report.interval}", text
 
 
-def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, list[str]]:
+def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, str | None]:
     families = list(CONSTRUCTIONS) if args.family == "both" else [args.family]
     m_range = _parse_range(args.m_range)
     n_range = _parse_range(args.n_range)
     rows = bounds_table(families, m_range, n_range, args.oracle_budget)
-    outputs = _emit(bounds_table_csv(rows), args.output)
-    return EXIT_VALID, f"{len(rows)} rows", outputs
+    return EXIT_VALID, f"{len(rows)} rows", bounds_table_csv(rows)
 
 
-def _cmd_search(args: argparse.Namespace) -> tuple[int, str, list[str]]:
+def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
     budget = SearchBudget(
         max_edges=DEFAULT_MAX_EDGES if args.max_edges is None else args.max_edges,
         max_nodes=args.max_nodes,
@@ -241,44 +203,40 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str, list[str]]:
         )
         if result.outcome is Outcome.FOUND:
             doc = coloring_to_json_dict(result.coloring)
-            outputs = _emit(dumps_canonical(doc), args.output)
-            return EXIT_VALID, f"found t={args.t}", outputs
+            return EXIT_VALID, f"found t={args.t}", dumps_canonical(doc)
         if result.outcome is Outcome.ABSENT:
             print(
                 f"no interval {args.t}-coloring exists "
                 f"({result.nodes} nodes searched)",
                 file=sys.stderr,
             )
-            return EXIT_INVALID, f"absent t={args.t}", []
+            return EXIT_INVALID, f"absent t={args.t}", None
         print(f"search budget exceeded: {result.detail}", file=sys.stderr)
-        return EXIT_BUDGET, f"budget-exceeded t={args.t}", []
+        return EXIT_BUDGET, f"budget-exceeded t={args.t}", None
     if refused is not None:
         raise BudgetExceededError(refused.detail)
     g = build(args.family, args.m, args.n)
     name = "w" if args.exact_w else "W"
     value = exact_w(g, budget) if args.exact_w else exact_W(g, budget)
-    outputs = _emit(f"{value}\n", args.output)
-    return EXIT_VALID, f"exact_{name}={value}", outputs
+    return EXIT_VALID, f"exact_{name}={value}", f"{value}\n"
 
 
-def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str, list[str]]:
+def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str, str | None]:
     colorings = spectrum_sweep(args.m, args.n)
     docs = [coloring_to_json_dict(c) for c in colorings]
-    outputs = _emit(dumps_canonical({"colorings": docs}), args.output)
     summary = f"{len(docs)} colorings t={colorings[0].palette_size}..4"
-    return EXIT_VALID, summary, outputs
+    return EXIT_VALID, summary, dumps_canonical({"colorings": docs})
 
 
-def _cmd_export(args: argparse.Namespace) -> tuple[int, str, list[str]]:
+def _cmd_export(args: argparse.Namespace) -> tuple[int, str, str | None]:
     doc = _load_json(args.path)
     coloring, trace = coloring_from_json_dict(doc)
     require_interval(coloring, InvalidColoringError, "coloring to export")
     text = to_dot(coloring) if args.format == "dot" else to_csv(coloring, trace)
-    outputs = _emit(text, args.output)
-    return EXIT_VALID, f"{args.format} export", outputs
+    return EXIT_VALID, f"{args.format} export", text
 
 
-def _cmd_replay(args: argparse.Namespace) -> tuple[int, str, list[str]]:
+def _cmd_replay(args: argparse.Namespace) -> tuple[int, str, str | None]:
     doc = _load_json(args.manifest_path)
     if not isinstance(doc, dict) or "argv" not in doc:
         raise SchemaError("manifest must be an object with an 'argv' array")
@@ -288,25 +246,16 @@ def _cmd_replay(args: argparse.Namespace) -> tuple[int, str, list[str]]:
     if argv[:1] == ["replay"]:
         # replay records no manifest, so such an argv is forged or cyclic
         raise SchemaError("a manifest cannot replay another replay")
-    if args.output is not None:
-        argv = _drop_flag(argv, "-o", "--output") + ["-o", args.output]
-    code = run(argv)
-    return code, f"replayed {doc.get('subcommand', '?')}", []
+    # argparse exits on an argv that no longer parses; run passes its code on
+    recorded = build_parser().parse_args(argv)
+    if args.output is None:
+        args.output = recorded.output  # run writes where the recorded run wrote
+    return recorded.handler(recorded)
 
 
 # ---------------------------------------------------------------------------
 # argument parsing
 # ---------------------------------------------------------------------------
-
-
-def _add_manifest_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--manifest", metavar="FILE", help="write a replayable run manifest")
-
-
-def _add_output_flag(p: argparse.ArgumentParser) -> None:
-    p.add_argument(
-        "-o", "--output", metavar="FILE", help="write to FILE instead of stdout"
-    )
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -323,15 +272,11 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--t", type=int, help="palette size (torus: any value down to 4)")
-    _add_output_flag(p)
-    _add_manifest_flag(p)
     p.set_defaults(handler=_cmd_generate)
 
     p = sub.add_parser("verify", help="check a coloring JSON file")
     p.add_argument("path", help="coloring JSON path, or - for stdin")
     p.add_argument("--json", action="store_true", help="emit the report as JSON")
-    _add_output_flag(p)
-    _add_manifest_flag(p)
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("bounds", help="emit the bounds table as CSV")
@@ -344,8 +289,6 @@ def build_parser() -> argparse.ArgumentParser:
         metavar="EDGES",
         help="fill exact columns for instances with at most EDGES edges",
     )
-    _add_output_flag(p)
-    _add_manifest_flag(p)
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("search", help="exhaustive search for interval colorings")
@@ -370,67 +313,75 @@ def build_parser() -> argparse.ArgumentParser:
         "distance bounds",
     )
     p.add_argument("--timeout", type=float, metavar="S", help="wall time cap in seconds")
-    _add_output_flag(p)
-    _add_manifest_flag(p)
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("sweep", help="torus colorings for every t down to 4")
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
-    _add_output_flag(p)
-    _add_manifest_flag(p)
     p.set_defaults(handler=_cmd_sweep)
 
     p = sub.add_parser("export", help="render a coloring as DOT or CSV")
     p.add_argument("path", help="coloring JSON path, or - for stdin")
     p.add_argument("--format", choices=["dot", "csv"], required=True)
-    _add_output_flag(p)
-    _add_manifest_flag(p)
     p.set_defaults(handler=_cmd_export)
 
     p = sub.add_parser("replay", help="re-run a recorded manifest")
     p.add_argument("manifest_path", help="manifest JSON path")
-    _add_output_flag(p)
     p.set_defaults(handler=_cmd_replay)
 
+    # shared flags, last in every subcommand's help
+    for name, p in sub.choices.items():
+        p.add_argument(
+            "-o", "--output", metavar="FILE", help="write to FILE instead of stdout"
+        )
+        if name != "replay":
+            p.add_argument(
+                "--manifest", metavar="FILE", help="write a replayable run manifest"
+            )
     return parser
 
 
 def run(argv: list[str]) -> int:
-    parser = build_parser()
+    outputs: list[str] = []
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
+        started = time.perf_counter()
+        code, result, text = args.handler(args)
+        if text is not None and args.output not in (None, "-"):
+            Path(args.output).write_text(text, encoding="utf-8")
+            outputs.append(args.output)
+        elif text is not None:
+            sys.stdout.write(text)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help; pass both through
+        # argparse exits 2 on usage errors and 0 on --help, on this argv or on
+        # the one replay parses; pass both through
         if exc.code is None:
             return EXIT_VALID
         return exc.code if isinstance(exc.code, int) else EXIT_USAGE
-    started = time.perf_counter()
-    try:
-        code, result, outputs = args.handler(args)
     except tuple(_FAILURES) as exc:
         code = _fail(exc)
-        result, outputs = f"failed: {type(exc).__name__}", []
-    # the file that verify, export or replay reads, failed or not
-    read = getattr(args, "path", None) or getattr(args, "manifest_path", None)
-    inputs = [] if read is None else [read]
-    wall = time.perf_counter() - started
-    parameters = {
-        k: v
-        for k, v in vars(args).items()
-        if k not in ("handler", "manifest", "subcommand") and v is not None
+        result = f"failed: {type(exc).__name__}"
+    path = getattr(args, "manifest", None)
+    if path is None:
+        return code
+    read = getattr(args, "path", None)  # the file verify or export reads, failed or not
+    manifest = {
+        "tool": "intervalmesh",
+        "version": __version__,
+        "subcommand": args.subcommand,
+        "argv": _drop_flag(argv, "--manifest"),
+        "parameters": {
+            k: v
+            for k, v in vars(args).items()
+            if k not in ("handler", "manifest", "subcommand") and v is not None
+        },
+        "inputs": [] if read is None else [read],
+        "outputs": outputs,
+        "wall_time_s": round(time.perf_counter() - started, 6),
+        "result": result,
     }
     try:
-        _write_manifest(
-            getattr(args, "manifest", None),
-            args.subcommand,
-            _drop_flag(argv, "--manifest"),
-            parameters,
-            inputs,
-            outputs,
-            wall,
-            result,
-        )
+        Path(path).write_text(dumps_canonical(manifest), encoding="utf-8")
     except OSError as exc:
         return _fail(exc)
     return code

@@ -416,7 +416,7 @@ def _listed_graph(d: dict, pairs: list[Edge]) -> MeshGraph:
     """
     for key in ("family", "vertices"):
         if key not in d:
-            raise SchemaError(f"graph document is missing {key!r}")
+            raise SchemaError(f"coloring document is missing {key!r}")
     try:
         family = _family(d["family"])
     except InvalidParameterError as exc:

@@ -219,8 +219,8 @@ def find_interval_coloring(
     mask = [0] * len(degree)  # bit c set: color c sits at the vertex
     used_count = [0] * (t + 1)
     unused = t
+    # an edge's color, 0 while it has none; a revisited edge resumes after it
     assigned: list[int] = [0] * num_edges
-    next_color = [1] * num_edges
     max_nodes = budget.max_nodes
     time_cap_s = budget.time_cap_s
     nodes = 0
@@ -244,7 +244,7 @@ def find_interval_coloring(
         fb = allowed >> ob & field
         # colors run from the least start to the greatest start + d - 1
         c = max(
-            next_color[idx],
+            assigned[idx] + 1,
             (fa & -fa).bit_length() - low,
             (fb & -fb).bit_length() - low,
         )
@@ -280,7 +280,7 @@ def find_interval_coloring(
             c += 1
         else:
             # no color fits: undo the previous edge, resume after its color
-            next_color[idx] = 1
+            assigned[idx] = 0
             idx -= 1
             if idx < 0:
                 return SearchResult(Outcome.ABSENT, None, nodes, pruned=pruned)
@@ -298,13 +298,12 @@ def find_interval_coloring(
             unused -= 1
         used_count[c] += 1
         assigned[idx] = c
-        next_color[idx] = c + 1
         state[idx + 1] = tightened
         idx += 1
 
 
 def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool) -> int:
-    """First palette in [max degree, diameter bound] that admits a coloring.
+    """First palette in [max(1, max degree), diameter bound] that admits a coloring.
 
     Scans upward, or downward when ``descending``.  Raises
     ``BudgetExceededError`` instead of guessing when the instance is over
@@ -313,7 +312,7 @@ def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool)
     refused = edge_cap_refusal(g.num_edges, budget or SearchBudget())
     if refused is not None:
         raise BudgetExceededError(refused.detail)
-    lo = max_degree(g)
+    lo = max(1, max_degree(g))  # an edgeless graph still needs one color
     hi = theorem1_upper(g)
     palettes = range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
     for t in palettes:
@@ -331,7 +330,7 @@ def exact_w(g: MeshGraph, budget: SearchBudget | None = None) -> int:
     """Least palette size admitting an interval coloring, by upward scan.
 
     Starts at the maximum degree (every palette must cover some vertex's
-    full degree).
+    full degree), and at 1 for an edgeless graph.
     """
     return _first_feasible(g, budget, descending=False)
 

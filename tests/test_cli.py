@@ -498,6 +498,45 @@ def test_manifest_for_bounds_replay(tmp_path, capsys):
     assert out1.read_bytes() == out2.read_bytes()
 
 
+def test_replay_of_an_abbreviated_manifest_flag_writes_no_manifest(tmp_path, capsys):
+    # argparse takes --man for --manifest, so the recorded argv keeps it
+    out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
+    manifest = tmp_path / "m.json"
+    code, _, _ = invoke(
+        capsys,
+        "generate", "--family", "torus", "-m", "2", "-n", "2",
+        "-o", str(out1), "--man", str(manifest),
+    )
+    assert code == 0
+    recorded = manifest.read_bytes()
+    code, _, _ = invoke(capsys, "replay", str(manifest), "-o", str(out2))
+    assert code == 0
+    assert out1.read_bytes() == out2.read_bytes()
+    assert manifest.read_bytes() == recorded
+
+
+def test_replay_without_output_writes_the_recorded_path(tmp_path, capsys):
+    out = tmp_path / "first.json"
+    manifest = tmp_path / "m.json"
+    invoke(
+        capsys,
+        "sweep", "-m", "2", "-n", "2", "-o", str(out), "--manifest", str(manifest),
+    )
+    first = out.read_bytes()
+    out.unlink()
+    code, stdout, _ = invoke(capsys, "replay", str(manifest))
+    assert (code, stdout) == (0, "")
+    assert out.read_bytes() == first
+
+
+def test_replay_of_an_argv_that_no_longer_parses(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    manifest.write_text(json.dumps({"argv": ["generate", "--family", "moebius"]}))
+    code, out, err = invoke(capsys, "replay", str(manifest))
+    assert (code, out) == (2, "")
+    assert "invalid choice" in err and "Traceback" not in err
+
+
 def test_usage_errors(capsys):
     code, _, _ = invoke(capsys, "no-such-subcommand")
     assert code == 2

@@ -232,7 +232,7 @@ def test_coloring_json_schema_errors():
     rejects(missing_t, "coloring document is missing 't'")
 
     for key in ("family", "vertices"):
-        rejects({k: v for k, v in doc.items() if k != key}, f"graph document is missing {key!r}")
+        rejects({k: v for k, v in doc.items() if k != key}, f"coloring document is missing {key!r}")
     rejects({k: v for k, v in doc.items() if k != "edges"}, "'edges' must be an array")
 
     rejects({**doc, "family": "moebius"}, "unknown family 'moebius'")

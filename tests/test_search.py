@@ -28,6 +28,7 @@ from intervalmesh.errors import (
     DisconnectedGraphError,
     InvalidColoringError,
     InvalidParameterError,
+    NotIntervalColorableError,
 )
 from intervalmesh.grids import Family, _assemble
 
@@ -160,6 +161,13 @@ def test_exact_scans_respect_bounds():
         W = exact_W(g)
         assert w <= W
         assert construct(Family.CYLINDER, m, n).coloring.palette_size <= W <= theorem1_upper(g)
+
+
+def test_exact_scans_of_an_edgeless_graph_start_at_one_color():
+    # the maximum degree is 0 here, yet no palette is smaller than 1
+    for scan in (exact_w, exact_W):
+        with pytest.raises(NotIntervalColorableError, match=r"for any t in \[1, 1\]"):
+            scan(build_path(1))
 
 
 # Node counts of the current attempt order. A pruning change alters them
