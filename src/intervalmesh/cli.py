@@ -94,11 +94,18 @@ def _fail(exc: Exception) -> int:
     return code
 
 
+def _path(name: str) -> Path:
+    """``name`` as a path; a NUL, which ``open`` refuses, is a usage error."""
+    if "\0" in name:
+        raise _UsageError(f"path contains a NUL character: {name!r}")
+    return Path(name)
+
+
 def _load_json(path: str) -> dict:
     """JSON read from ``path``, or stdin for '-', with nesting and number
     limits reported as schema errors."""
     stdin = contextlib.nullcontext(sys.stdin)
-    with stdin if path == "-" else open(path, "r", encoding="utf-8") as fh:
+    with stdin if path == "-" else _path(path).open("r", encoding="utf-8") as fh:
         try:
             return json.load(fh)
         except (json.JSONDecodeError, UnicodeDecodeError):
@@ -109,15 +116,20 @@ def _load_json(path: str) -> dict:
 
 
 def _drop_flag(argv: list[str], name: str) -> list[str]:
-    """``argv`` without the named flag, given as ``NAME VALUE`` or ``NAME=VALUE``."""
+    """``argv`` without the named long flag and its value, given in full or as
+    a prefix, which argparse accepts only when it names one option; tokens
+    from ``--`` on are kept."""
     out = []
     skip = False
-    for token in argv:
+    for i, token in enumerate(argv):
+        spelling, eq, _ = token.partition("=")
         if skip:
             skip = False
-        elif token == name:
-            skip = True
-        elif not token.startswith(f"{name}="):
+        elif token == "--":
+            return out + argv[i:]
+        elif len(spelling) > 2 and name.startswith(spelling):
+            skip = not eq
+        else:
             out.append(token)
     return out
 
@@ -348,7 +360,7 @@ def run(argv: list[str]) -> int:
         started = time.perf_counter()
         code, result, text = args.handler(args)
         if text is not None and args.output not in (None, "-"):
-            Path(args.output).write_text(text, encoding="utf-8")
+            _path(args.output).write_text(text, encoding="utf-8")
             outputs.append(args.output)
         elif text is not None:
             sys.stdout.write(text)
@@ -381,8 +393,8 @@ def run(argv: list[str]) -> int:
         "result": result,
     }
     try:
-        Path(path).write_text(dumps_canonical(manifest), encoding="utf-8")
-    except OSError as exc:
+        _path(path).write_text(dumps_canonical(manifest), encoding="utf-8")
+    except (OSError, _UsageError) as exc:
         return _fail(exc)
     return code
 

@@ -10,6 +10,7 @@ iteration, and search are deterministic.
 
 from __future__ import annotations
 
+import functools
 import json
 from collections import deque
 from dataclasses import dataclass, field
@@ -450,5 +451,69 @@ def _listed_graph(d: dict, pairs: list[Edge]) -> MeshGraph:
 
 
 def dumps_canonical(d: dict) -> str:
-    """Stable JSON rendering used for every file the package writes."""
-    return json.dumps(d, indent=2, sort_keys=False) + "\n"
+    """Stable JSON rendering used for every file the package writes.
+
+    Byte for byte ``json.dumps(d, indent=2) + "\\n"``, without ``json``'s
+    pure-Python encoder: dicts with ``str`` keys and lists are walked, and a
+    list of ``[int, int]`` vertex pairs or of edge rows (``u``, ``v``,
+    ``color``, optional ``rule``) is written one ``%``-template row per item.
+    Values are matched by exact type, so a bool, float or int subclass never
+    reaches ``%d``; strings are quoted by ``json.encoder``'s own
+    ``encode_basestring_ascii``.  Anything else goes to ``json.dumps``.
+    """
+    return _render(d, "") + "\n"
+
+
+_quote = json.encoder.encode_basestring_ascii
+_ROW_KEYS = {("u", "v", "color"), ("u", "v", "color", "rule")}
+_PAIR = "[\n{0}  %d,\n{0}  %d\n{0}]".format
+
+
+@functools.cache
+def _row_templates(ind: str) -> tuple[str, str, str]:
+    """Rows at ``ind``: a vertex pair, an edge row whose ``%s`` takes the
+    rule line, and the start of that line."""
+    pair = _PAIR(ind + "  ")
+    edge = f'{ind}{{\n{ind}  "u": {pair},\n{ind}  "v": {pair},\n{ind}  "color": %d%s\n{ind}}}'
+    return ind + _PAIR(ind), edge, f',\n{ind}  "rule": '
+
+
+def _templated(items: list, ind: str) -> str | None:
+    """A list's items as template rows at ``ind``; None unless all fit one."""
+    if type(items[0]) not in (list, dict):
+        return None
+    pair, edge, rule_head = _row_templates(ind)
+    if all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in items):
+        return ",\n".join([pair % (a, b) for a, b in items])
+    rows = []
+    for r in items:
+        if type(r) is not dict or tuple(r) not in _ROW_KEYS:
+            return None
+        u, v, color, rule = r["u"], r["v"], r["color"], r.get("rule", "")
+        if not (type(u) is type(v) is list and len(u) == len(v) == 2 and type(rule) is str
+                and type(u[0]) is type(u[1]) is type(v[0]) is type(v[1]) is type(color) is int):
+            return None
+        line = rule_head + _quote(rule) if len(r) == 4 else ""
+        rows.append(edge % (u[0], u[1], v[0], v[1], color, line))
+    return ",\n".join(rows)
+
+
+def _render(x: object, ind: str) -> str:
+    """``x`` as ``json.dumps(x, indent=2)`` writes it when it starts at ``ind``."""
+    kind = type(x)
+    if kind is int:
+        return int.__repr__(x)
+    if kind is str:
+        return _quote(x)
+    if x is None or kind is bool:
+        return "null" if x is None else "true" if x else "false"
+    inner = ind + "  "
+    if kind is dict and x and all(type(k) is str for k in x):
+        body = ",\n".join([f"{inner}{_quote(k)}: {_render(v, inner)}" for k, v in x.items()])
+        return f"{{\n{body}\n{ind}}}"
+    if kind is list and x:
+        body = _templated(x, inner) or ",\n".join([inner + _render(i, inner) for i in x])
+        return f"[\n{body}\n{ind}]"
+    if isinstance(x, (dict, list, tuple)) and x:
+        return json.dumps(x, indent=2).replace("\n", "\n" + ind)
+    return json.dumps(x)  # indent changes nothing outside a non-empty container

@@ -499,20 +499,39 @@ def test_manifest_for_bounds_replay(tmp_path, capsys):
 
 
 def test_replay_of_an_abbreviated_manifest_flag_writes_no_manifest(tmp_path, capsys):
-    # argparse takes --man for --manifest, so the recorded argv keeps it
+    # argparse takes --man for --manifest; the recorded argv drops the flag
+    # under every spelling argparse accepts, and a replay writes no manifest
     out1, out2 = tmp_path / "a.json", tmp_path / "b.json"
     manifest = tmp_path / "m.json"
-    code, _, _ = invoke(
-        capsys,
-        "generate", "--family", "torus", "-m", "2", "-n", "2",
-        "-o", str(out1), "--man", str(manifest),
-    )
-    assert code == 0
-    recorded = manifest.read_bytes()
-    code, _, _ = invoke(capsys, "replay", str(manifest), "-o", str(out2))
-    assert code == 0
-    assert out1.read_bytes() == out2.read_bytes()
-    assert manifest.read_bytes() == recorded
+    generate = ["generate", "--family", "torus", "-m", "2", "-n", "2", "-o", str(out1)]
+    for flag in (["--man", str(manifest)], ["--manif", str(manifest)], [f"--ma={manifest}"]):
+        code, _, _ = invoke(capsys, *generate, *flag)
+        assert code == 0
+        recorded = manifest.read_bytes()
+        argv = json.loads(recorded)["argv"]
+        assert "--man" not in argv and argv == generate
+        code, _, _ = invoke(capsys, "replay", str(manifest), "-o", str(out2))
+        assert code == 0
+        assert out1.read_bytes() == out2.read_bytes()
+        assert manifest.read_bytes() == recorded
+
+
+def test_a_nul_in_a_path_is_a_usage_error(tmp_path, capsys):
+    # no shell argv holds a NUL, but an in-process argv or a manifest can
+    generate = ["generate", "--family", "torus", "-m", "2", "-n", "2"]
+    runs = [
+        ["verify", "a\0b"],
+        [*generate, "-o", str(tmp_path / "a\0b.json")],
+        [*generate, "-o", str(tmp_path / "a.json"), "--manifest", "m\0.json"],
+    ]
+    for i, argv in enumerate(runs[:2]):
+        manifest = tmp_path / f"recorded{i}.json"
+        manifest.write_text(json.dumps({"argv": argv}))
+        runs.append(["replay", str(manifest)])
+    for argv in runs:
+        code, _, err = invoke(capsys, *argv)
+        assert code == 2, argv
+        assert err.startswith("error: path contains a NUL") and err.count("\n") == 1, argv
 
 
 def test_replay_without_output_writes_the_recorded_path(tmp_path, capsys):

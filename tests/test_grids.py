@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import copy
+import json
+from enum import IntEnum
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +31,9 @@ from intervalmesh.errors import (
     InvalidParameterError,
     SchemaError,
 )
-from intervalmesh import grids
+from intervalmesh import grids, verify_interval
+from intervalmesh.cli import run
+from intervalmesh.constructions import construct, spectrum_sweep
 from intervalmesh.grids import _assemble, admits, build, dumps_canonical, edge_count
 
 
@@ -339,3 +345,139 @@ def test_closed_form_edge_count_matches_built_graphs():
             assert edge_count("cylinder", m, n) == build_cylinder(m, n).num_edges
         for m in range(2, 6):
             assert edge_count("torus", m, n) == build_torus(m, n).num_edges
+
+
+def stdlib_dumps(d):
+    """What ``dumps_canonical`` must write: ``json.dumps(indent=2)``, or its exception type."""
+    try:
+        return json.dumps(d, indent=2) + "\n"
+    except Exception as exc:  # noqa: BLE001 - the type is what is compared
+        return type(exc)
+
+
+def canonical_or_exception(d):
+    try:
+        return dumps_canonical(d)
+    except Exception as exc:  # noqa: BLE001
+        return type(exc)
+
+
+def family_colorings():
+    """A coloring of every family at every size up to m, n = 6, with its rule
+    trace where it has one: constructed for cylinders and tori, numbered edges
+    for the other families and a product."""
+    graphs = [build("path", m, None) for m in range(1, 7)]
+    graphs += [build("even_cycle", None, n) for n in range(2, 7)]
+    graphs.append(cartesian_product(build_path(3), build_even_cycle(4)))
+    for g in graphs:
+        aligned = tuple(i % 5 + 1 for i in range(g.num_edges))
+        yield EdgeColoring(g, aligned, max((1, *aligned))), None
+    for family in ("cylinder", "torus"):
+        for m in range(1, 7):
+            for n in range(1, 7):
+                if admits(family, m, n):
+                    result = construct(family, m, n)
+                    yield result.coloring, result.rule_trace
+
+
+def test_writer_matches_json_dumps_on_every_family_and_size():
+    for coloring, trace in family_colorings():
+        ruled = trace or tuple(f"rule-{i}" for i in range(coloring.graph.num_edges))
+        for rule_trace in (None, ruled):
+            doc = coloring_to_json_dict(coloring, rule_trace)
+            assert dumps_canonical(doc) == stdlib_dumps(doc)
+
+
+def test_writer_matches_json_dumps_on_sweeps_reports_and_manifests(tmp_path):
+    sweep = {"colorings": [coloring_to_json_dict(c) for c in spectrum_sweep(2, 3)]}
+    assert dumps_canonical(sweep) == stdlib_dumps(sweep)
+    for coloring, _ in family_colorings():
+        report = verify_interval(coloring).to_json_dict()
+        assert dumps_canonical(report) == stdlib_dumps(report)
+    manifest = tmp_path / "m.json"
+    out = tmp_path / "a.json"
+    argv = ["search", "--family", "cylinder", "-m", "1", "-n", "2", "--t", "2"]
+    assert run([*argv, "--timeout", "5.5", "-o", str(out), "--manifest", str(manifest)]) == 0
+    for path in (out, manifest):
+        text = path.read_text(encoding="utf-8")
+        assert dumps_canonical(json.loads(text)) == text == stdlib_dumps(json.loads(text))
+
+
+class Shade(IntEnum):
+    RED = 1
+
+
+# quotes, backslashes, control and non-ASCII characters, lone surrogates
+TEXT = st.text(st.sampled_from('"\\\n\té\u2028\ud800\udfff/x')) | st.text(
+    st.characters(exclude_categories=())
+)
+
+# values that must not be written through a template: not exact ints, pairs of
+# the wrong length, strings that need escaping, and containers json renders itself
+HOSTILE = st.one_of(
+    st.booleans(),
+    st.none(),
+    st.floats(),
+    st.just(Shade.RED),
+    st.integers(min_value=-(10**20), max_value=10**20),
+    st.lists(st.integers(min_value=-5, max_value=5), max_size=3),
+    TEXT,
+    st.dictionaries(
+        st.one_of(st.integers(), st.booleans(), st.none(), st.text(max_size=2)),
+        st.integers(),
+        max_size=2,
+    ),
+    st.just({1, 2}),
+)
+
+
+@st.composite
+def damaged_documents(draw):
+    """A small coloring document with one to three faults, sometimes inside a sweep."""
+    result = construct(draw(st.sampled_from(["cylinder", "torus"])), 2, 2)
+    doc = coloring_to_json_dict(result.coloring, draw(st.sampled_from([None, result.rule_trace])))
+    for _ in range(draw(st.integers(1, 3))):
+        row = draw(st.sampled_from(doc["edges"])) if doc["edges"] else {}
+        key = draw(st.sampled_from(["u", "v", "color", "rule"]))
+        pairs = [p for p in (row.get("u"), row.get("v"), *doc["vertices"]) if type(p) is list]
+        pair = draw(st.sampled_from(pairs)) if pairs else []
+        kind = draw(st.sampled_from(
+            ["value", "rule", "coordinate", "resize", "drop", "extra", "reorder", "empty"]
+        ))
+        if kind == "value":
+            row[key] = draw(HOSTILE)
+        elif kind == "rule":
+            row["rule"] = draw(TEXT)
+        elif kind == "coordinate" and pair:
+            pair[draw(st.integers(0, len(pair) - 1))] = draw(HOSTILE)
+        elif kind == "resize":
+            # a 1- or 3-element pair
+            pair[1:] = [] if draw(st.booleans()) else [*pair[1:], draw(st.integers(0, 9))]
+        elif kind == "drop":
+            row.pop(key, None)
+        elif kind == "extra":
+            row[draw(st.one_of(st.text(max_size=3), st.integers(), st.none()))] = draw(HOSTILE)
+        elif kind == "reorder":
+            items = list(row.items())
+            row.clear()
+            row.update(draw(st.permutations(items)))
+        elif kind == "empty":
+            doc[draw(st.sampled_from(["vertices", "edges"]))].clear()
+    if draw(st.booleans()):
+        doc = {"colorings": [doc, copy.deepcopy(doc)]}
+    return doc
+
+
+@settings(max_examples=300, deadline=None)
+@given(damaged_documents())
+def test_writer_matches_json_dumps_on_damaged_documents(doc):
+    assert canonical_or_exception(doc) == stdlib_dumps(doc)
+
+
+def test_writer_raises_what_json_dumps_raises():
+    doc = coloring_to_json_dict(cylinder_coloring(2, 2).coloring)
+    doc["edges"][3]["color"] = {3}
+    with pytest.raises(TypeError):
+        json.dumps(doc, indent=2)
+    with pytest.raises(TypeError):
+        dumps_canonical(doc)
