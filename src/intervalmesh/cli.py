@@ -84,6 +84,8 @@ _FAILURES = {
     ConstructionError: (EXIT_INVALID, "construction failed: {exc}"),
     NotIntervalColorableError: (EXIT_INVALID, "error: {exc}"),
     BudgetExceededError: (EXIT_BUDGET, "search budget exceeded: {exc}"),
+    # a backstop: no input is refused for its size before it is built
+    MemoryError: (EXIT_USAGE, "error: out of memory: the instance is too large"),
 }
 
 
@@ -324,7 +326,9 @@ def build_parser() -> argparse.ArgumentParser:
         help="cap on color attempts, counting only colors inside both endpoints' "
         "distance bounds",
     )
-    p.add_argument("--timeout", type=float, metavar="S", help="wall time cap in seconds")
+    p.add_argument(
+        "--timeout", type=float, metavar="S", help="wall time cap in seconds, a number >= 0"
+    )
     p.set_defaults(handler=_cmd_search)
 
     p = sub.add_parser("sweep", help="torus colorings for every t down to 4")

@@ -154,20 +154,40 @@ def _assemble(
 # ---------------------------------------------------------------------------
 
 
-def _ring_edges(layer: int, length: int) -> list[Edge]:
-    """Cycle edges within one layer: (j, j+1) for j < length, plus the wrap."""
-    out = [((layer, j), (layer, j + 1)) for j in range(1, length)]
-    out.append(((layer, 1), (layer, length)))
-    return out
+def _product(
+    family: Family, m: int | None, n: int | None,
+    layers: int, layer_pairs: list[tuple[int, int]], rings: int, ring_pairs: list[tuple[int, int]],
+) -> MeshGraph:
+    """Cartesian product of a layer factor on 1..layers and a ring factor on
+    1..rings, each given by its edges as index pairs: vertex (i, j) sits on
+    layer i and ring j, every layer carries a copy of the ring factor's
+    edges and every ring a copy of the layer factor's."""
+    layer_range, ring_range = range(1, layers + 1), range(1, rings + 1)
+    vertices = [(i, j) for i in layer_range for j in ring_range]
+    edges = [((i, a), (i, b)) for i in layer_range for a, b in ring_pairs]
+    edges += [((a, j), (b, j)) for j in ring_range for a, b in layer_pairs]
+    return _assemble(family, m, n, vertices, edges)
+
+
+def _factor_pairs(k: int, closed: bool) -> list[tuple[int, int]]:
+    """Edges of the path on 1..k, closed into a cycle when ``closed``."""
+    return [(j, j + 1) for j in range(1, k)] + ([(1, k)] if closed else [])
+
+
+def _grid(family: Family, m: int | None, n: int | None) -> MeshGraph:
+    """The member (m, n) of a named family: the product of its shape's factors."""
+    law = _FAMILIES[family]
+    shortfall = _shortfall(law, m, n)
+    if shortfall:
+        raise InvalidParameterError(f"{family.value} needs {shortfall}")
+    (layers, closed_layers), (rings, closed_rings) = law.shape(m, n)
+    return _product(family, m, n, layers, _factor_pairs(layers, closed_layers),
+                    rings, _factor_pairs(rings, closed_rings))
 
 
 def build_path(m: int) -> MeshGraph:
     """Path on ``m`` vertices, laid out as layers 1..m on ring 1."""
-    if m < 1:
-        raise InvalidParameterError(f"path needs m >= 1, got {m}")
-    vertices = [(i, 1) for i in range(1, m + 1)]
-    edges = [((i, 1), (i + 1, 1)) for i in range(1, m)]
-    return _assemble(Family.PATH, m, None, vertices, edges)
+    return _grid(Family.PATH, m, None)
 
 
 def build_even_cycle(length: int) -> MeshGraph:
@@ -176,8 +196,7 @@ def build_even_cycle(length: int) -> MeshGraph:
         raise InvalidParameterError(
             f"even cycle needs an even length >= 4, got {length}"
         )
-    vertices = [(1, j) for j in range(1, length + 1)]
-    return _assemble(Family.EVEN_CYCLE, None, length // 2, vertices, _ring_edges(1, length))
+    return _grid(Family.EVEN_CYCLE, None, length // 2)
 
 
 def build_cylinder(m: int, n: int) -> MeshGraph:
@@ -187,19 +206,7 @@ def build_cylinder(m: int, n: int) -> MeshGraph:
     joined by one rung per ring.  Equals ``cartesian_product(build_path(m),
     build_even_cycle(2 * n))`` vertex for vertex.
     """
-    if m < 1:
-        raise InvalidParameterError(f"cylinder needs m >= 1, got m={m}")
-    if n < 2:
-        raise InvalidParameterError(f"cylinder needs n >= 2, got n={n}")
-    width = 2 * n
-    vertices = [(i, j) for i in range(1, m + 1) for j in range(1, width + 1)]
-    edges: list[Edge] = []
-    for i in range(1, m + 1):
-        edges.extend(_ring_edges(i, width))
-    for i in range(1, m):
-        for j in range(1, width + 1):
-            edges.append(((i, j), (i + 1, j)))
-    return _assemble(Family.CYLINDER, m, n, vertices, edges)
+    return _grid(Family.CYLINDER, m, n)
 
 
 def build_torus(m: int, n: int) -> MeshGraph:
@@ -207,20 +214,7 @@ def build_torus(m: int, n: int) -> MeshGraph:
 
     Both factors are even cycles, so the graph is 4-regular and bipartite.
     """
-    if m < 2:
-        raise InvalidParameterError(f"torus needs m >= 2, got m={m}")
-    if n < 2:
-        raise InvalidParameterError(f"torus needs n >= 2, got n={n}")
-    height, width = 2 * m, 2 * n
-    vertices = [(i, j) for i in range(1, height + 1) for j in range(1, width + 1)]
-    edges: list[Edge] = []
-    for i in range(1, height + 1):
-        edges.extend(_ring_edges(i, width))
-    for j in range(1, width + 1):
-        for i in range(1, height):
-            edges.append(((i, j), (i + 1, j)))
-        edges.append(((1, j), (height, j)))
-    return _assemble(Family.TORUS, m, n, vertices, edges)
+    return _grid(Family.TORUS, m, n)
 
 
 def cartesian_product(g1: MeshGraph, g2: MeshGraph) -> MeshGraph:
@@ -232,56 +226,60 @@ def cartesian_product(g1: MeshGraph, g2: MeshGraph) -> MeshGraph:
     """
     rank1 = {v: i for i, v in enumerate(g1.vertices, start=1)}
     rank2 = {v: i for i, v in enumerate(g2.vertices, start=1)}
-    vertices = [(rank1[a], rank2[b]) for a in g1.vertices for b in g2.vertices]
-    edges: list[Edge] = []
-    for a in g1.vertices:
-        for u, v in g2.edges:
-            edges.append(((rank1[a], rank2[u]), (rank1[a], rank2[v])))
-    for b in g2.vertices:
-        for u, v in g1.edges:
-            edges.append(((rank1[u], rank2[b]), (rank1[v], rank2[b])))
-    return _assemble(Family.PRODUCT, None, None, vertices, edges)
+    return _product(
+        Family.PRODUCT, None, None,
+        len(rank1), [(rank1[u], rank1[v]) for u, v in g1.edges],
+        len(rank2), [(rank2[u], rank2[v]) for u, v in g2.edges],
+    )
 
 
 class _FamilyLaw(NamedTuple):
-    """How a named family is built from (m, n), its size and its diameter.
+    """How a named family is built from (m, n), and its shape.
 
     ``min_m``/``min_n`` are the least admissible parameters; ``None``
     means the family takes no such parameter.  ``build`` looks the
     builder up at call time, so rebinding a builder name reaches it.
-    ``num_edges`` and ``diameter`` are closed forms: a cylinder has 2n
-    edges on each of its m rings and on each of its m - 1 rung layers,
-    and a torus is 4-regular on 4mn vertices.  A Cartesian product's
-    diameter is the sum of its factors', with m - 1 for a path on m
-    vertices and n for a cycle on 2n vertices.
+    ``shape`` gives the member's layer and ring factors, each as its
+    vertex count and whether it is closed into a cycle; the member is
+    their Cartesian product, and its sizes and diameter follow.
     """
 
     build: Callable[[int | None, int | None], MeshGraph]
     min_m: int | None
     min_n: int | None
-    num_vertices: Callable[[int | None, int | None], int]
-    num_edges: Callable[[int | None, int | None], int]
-    diameter: Callable[[int | None, int | None], int]
+    shape: Callable[[int | None, int | None], tuple[tuple[int, bool], tuple[int, bool]]]
 
 
 _FAMILIES = {
     Family.PATH: _FamilyLaw(
-        lambda m, n: build_path(m), 1, None, lambda m, n: m, lambda m, n: m - 1,
-        lambda m, n: m - 1,
-    ),
+        lambda m, n: build_path(m), 1, None, lambda m, n: ((m, False), (1, False))),
     Family.EVEN_CYCLE: _FamilyLaw(
-        lambda m, n: build_even_cycle(2 * n), None, 2, lambda m, n: 2 * n,
-        lambda m, n: 2 * n, lambda m, n: n,
-    ),
+        lambda m, n: build_even_cycle(2 * n), None, 2, lambda m, n: ((1, False), (2 * n, True))),
     Family.CYLINDER: _FamilyLaw(
-        lambda m, n: build_cylinder(m, n), 1, 2, lambda m, n: 2 * m * n,
-        lambda m, n: 2 * n * (2 * m - 1), lambda m, n: m - 1 + n,
-    ),
+        lambda m, n: build_cylinder(m, n), 1, 2, lambda m, n: ((m, False), (2 * n, True))),
     Family.TORUS: _FamilyLaw(
-        lambda m, n: build_torus(m, n), 2, 2, lambda m, n: 4 * m * n,
-        lambda m, n: 8 * m * n, lambda m, n: m + n,
-    ),
+        lambda m, n: build_torus(m, n), 2, 2, lambda m, n: ((2 * m, True), (2 * n, True))),
 }
+
+
+def _measure(law: _FamilyLaw, m: int | None, n: int | None) -> tuple[int, int, int]:
+    """|V|, |E| and diameter of the member (m, n), unbuilt.  A factor on k
+    vertices has k - 1 edges and diameter k - 1 as a path, k edges and
+    diameter k // 2 as a cycle; the product has L·R vertices, each factor's
+    edges once per vertex of the other, and the sum of the diameters."""
+    (layers, closed_layers), (rings, closed_rings) = law.shape(m, n)
+    layer_edges, layer_diam = (layers, layers // 2) if closed_layers else (layers - 1, layers - 1)
+    ring_edges, ring_diam = (rings, rings // 2) if closed_rings else (rings - 1, rings - 1)
+    return layers * rings, layers * ring_edges + rings * layer_edges, layer_diam + ring_diam
+
+
+def _shortfall(law: _FamilyLaw, m: int | None, n: int | None) -> str:
+    """The first parameter below its least value, as ``m >= 1, got m=0``;
+    empty when (m, n) lies in the family's range."""
+    for name, value, least in (("m", m, law.min_m), ("n", n, law.min_n)):
+        if least is not None and value < least:
+            return f"{name} >= {least}, got {name}={value}"
+    return ""
 
 
 def _family(name: Family | str) -> Family:
@@ -306,13 +304,12 @@ def build(family: Family | str, m: int | None, n: int | None) -> MeshGraph:
 
 def edge_count(family: Family | str, m: int | None, n: int | None) -> int:
     """|E| of the member of a named family with parameters (m, n), unbuilt."""
-    return _law(family).num_edges(m, n)
+    return _measure(_law(family), m, n)[1]
 
 
 def admits(family: Family | str, m: int, n: int) -> bool:
     """Whether (m, n) lies in the parameter range of a named family."""
-    law = _law(family)
-    return (law.min_m is None or m >= law.min_m) and (law.min_n is None or n >= law.min_n)
+    return not _shortfall(_law(family), m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -370,13 +367,13 @@ def _eccentricity(g: MeshGraph, start: GridVertex) -> int:
 def diameter(g: MeshGraph) -> int:
     """Largest shortest-path distance.
 
-    A named family's diameter comes from its closed form in ``_FAMILIES``
-    (only the builders label a graph with a named family); any other graph
+    A named family's diameter follows from its shape in ``_FAMILIES`` (only
+    the builders label a graph with a named family); any other graph
     takes a breadth-first search per vertex.
     """
     law = _FAMILIES.get(g.family)
     if law is not None:
-        return law.diameter(g.m, g.n)
+        return _measure(law, g.m, g.n)[2]
     return max(_eccentricity(g, v) for v in g.vertices)
 
 
@@ -439,7 +436,7 @@ def _listed_graph(d: dict, pairs: list[Edge]) -> MeshGraph:
     if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
         raise SchemaError(f"family {family.value!r} has inconsistent m/n")
     # compare sizes first, so a claimed (m, n) is never built beyond the listing
-    if law.num_vertices(m, n) != len(vertices):
+    if _measure(law, m, n)[0] != len(vertices):
         raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
     try:
         g = law.build(m, n)

@@ -55,12 +55,19 @@ class SearchBudget:
 
     ``max_edges`` refuses larger instances outright; ``max_nodes`` caps
     backtracking nodes (color attempts); ``time_cap_s`` is wall time in
-    seconds.  ``None`` disables a cap.
+    seconds and must be ``>= 0`` (NaN is not).  ``None`` disables a cap.
     """
 
     max_edges: int = DEFAULT_MAX_EDGES
     max_nodes: int | None = None
     time_cap_s: float | None = None
+
+    def __post_init__(self) -> None:
+        # a NaN cap would compare False with every elapsed time and never stop
+        if self.time_cap_s is not None and not self.time_cap_s >= 0:
+            raise InvalidParameterError(
+                f"time cap must be a number >= 0 seconds, got {self.time_cap_s}"
+            )
 
 
 class Outcome(str, Enum):

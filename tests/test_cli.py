@@ -273,6 +273,9 @@ def _search_argv(draw):
     argv.append(f"--max-nodes={draw(st.integers(-1, 2000))}")
     if draw(st.booleans()):
         argv.append(f"--max-edges={draw(st.integers(-1, 24))}")
+    if draw(st.booleans()):
+        timeout = st.sampled_from(["nan", "-1", "-0.0", "0", "1e-9", "inf", "x"])
+        argv.append(f"--timeout={draw(timeout | st.floats().map(str))}")
     return argv
 
 
@@ -422,6 +425,50 @@ def test_search_node_cap_flag(capsys):
         "--max-nodes", "50",
     )
     assert code == 3
+
+
+def test_search_timeout_must_be_a_number_at_least_zero(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search must not start")
+
+    monkeypatch.setattr(cli, "find_interval_coloring", refuse)
+    # the node cap ends the search if a bad time cap were ever let through
+    argv = ["search", "--family", "torus", "-m", "2", "-n", "2", "--t", "12",
+            "--max-edges", "32", "--max-nodes", "100000"]
+    for bad in ("nan", "-1", "-inf"):
+        code, out, err = invoke(capsys, *argv, f"--timeout={bad}")
+        assert (code, out) == (2, "")
+        assert err.startswith("error: time cap must be a number >= 0"), err
+
+
+def _limit_address_space():
+    import resource
+
+    limit = 512 * 2**20
+    resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+
+
+@pytest.mark.skipif(not sys.platform.startswith("linux"), reason="sets RLIMIT_AS")
+def test_an_instance_too_large_for_memory_is_a_usage_error(tmp_path):
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    manifest = tmp_path / "m.json"
+    for argv in (
+        ["generate", "--family", "torus", "-m", "3000", "-n", "3000", "--manifest", str(manifest)],
+        ["sweep", "-m", "3000", "-n", "3000"],
+    ):
+        # the limit applies to the child interpreter only
+        proc = subprocess.run(
+            [sys.executable, "-m", "intervalmesh.cli", *argv],
+            capture_output=True,
+            text=True,
+            env={"PYTHONPATH": src, "PATH": ""},
+            preexec_fn=_limit_address_space,
+            timeout=120,
+        )
+        assert (proc.returncode, proc.stdout) == (2, ""), proc.stderr
+        assert "Traceback" not in proc.stderr
+        assert proc.stderr.splitlines() == ["error: out of memory: the instance is too large"]
+    assert json.loads(manifest.read_text())["result"] == "failed: MemoryError"
 
 
 def test_bounds_subcommand(tmp_path, capsys):

@@ -50,7 +50,7 @@ def test_path_sizes():
 
 
 def test_path_invalid():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"^path needs m >= 1, got m=0$"):
         build_path(0)
 
 
@@ -77,9 +77,9 @@ def test_cylinder_vertex_and_edge_counts():
 
 
 def test_cylinder_invalid_parameters():
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"^cylinder needs m >= 1, got m=0$"):
         build_cylinder(0, 2)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"^cylinder needs n >= 2, got n=1$"):
         build_cylinder(1, 1)
 
 
@@ -120,8 +120,12 @@ def test_torus_counts_and_regularity():
 
 
 def test_torus_invalid_parameters():
-    for m, n in ((1, 2), (2, 1), (0, 0)):
-        with pytest.raises(InvalidParameterError):
+    for m, n, message in (
+        (1, 2, "torus needs m >= 2, got m=1"),
+        (2, 1, "torus needs n >= 2, got n=1"),
+        (0, 0, "torus needs m >= 2, got m=0"),
+    ):
+        with pytest.raises(InvalidParameterError, match=f"^{message}$"):
             build_torus(m, n)
 
 
@@ -185,10 +189,66 @@ def test_diameter_small_cases():
     graphs = [build_path(m) for m in range(1, 9)]
     graphs += [build_even_cycle(2 * n) for n in range(2, 9)]
     graphs += [build_cylinder(m, n) for m in range(1, 6) for n in range(2, 6)]
+    graphs += [build_torus(m, n) for m in range(2, 5) for n in range(2, 5)]
     for g in graphs:
         assert diameter(g) == bfs_diameter(g), (g.family, g.m, g.n)
     product = cartesian_product(build_path(3), build_even_cycle(6))
     assert diameter(product) == bfs_diameter(product) == 5
+
+
+# Each named family's layer and ring counts, and whether each closes into a
+# cycle, written out here rather than read from the package.
+FAMILY_GRIDS = {
+    "path": (1, None, lambda m, n: (m, False, 1, False)),
+    "even_cycle": (None, 2, lambda m, n: (1, False, 2 * n, True)),
+    "cylinder": (1, 2, lambda m, n: (m, False, 2 * n, True)),
+    "torus": (2, 2, lambda m, n: (2 * m, True, 2 * n, True)),
+}
+
+
+def neighbour_rule_grid(layers, closed_layers, rings, closed_rings):
+    """Vertices, edges and diameter from the neighbour rules alone: (i, j) ~
+    (i, j + 1) and (i, j) ~ (i + 1, j), plus (i, rings) ~ (i, 1) and
+    (layers, j) ~ (1, j) on a closed factor; the diameter by BFS over them."""
+    vertices = [(i, j) for i in range(1, layers + 1) for j in range(1, rings + 1)]
+    adjacent = {v: set() for v in vertices}
+    for i, j in vertices:
+        steps = [(i, j + 1), (i + 1, j)]
+        if closed_rings and j == rings:
+            steps.append((i, 1))
+        if closed_layers and i == layers:
+            steps.append((1, j))
+        for w in steps:
+            if w in adjacent and w != (i, j):
+                adjacent[(i, j)].add(w)
+                adjacent[w].add((i, j))
+    edges = sorted({(min(a, b), max(a, b)) for a in adjacent for b in adjacent[a]})
+
+    def eccentricity(root):
+        seen, frontier, depth = {root}, {root}, 0
+        while True:
+            frontier = {w for u in frontier for w in adjacent[u]} - seen
+            if not frontier:
+                return depth
+            seen |= frontier
+            depth += 1
+
+    return vertices, edges, max(map(eccentricity, vertices))
+
+
+def test_named_families_match_their_neighbour_rules():
+    checked = 0
+    for family, (min_m, min_n, shape) in FAMILY_GRIDS.items():
+        for m in [None] if min_m is None else range(min_m, 7):
+            for n in [None] if min_n is None else range(min_n, 7):
+                vertices, edges, diam = neighbour_rule_grid(*shape(m, n))
+                g = build(family, m, n)
+                assert list(g.vertices) == vertices, (family, m, n)
+                assert list(g.edges) == edges, (family, m, n)
+                assert edge_count(family, m, n) == len(edges), (family, m, n)
+                assert diameter(g) == diam, (family, m, n)
+                checked += 1
+    assert checked == 6 + 5 + 30 + 25
 
 
 def floyd_warshall_diameter(g):
