@@ -113,10 +113,5 @@ def bounds_table_csv(rows: list[BoundsRow]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(BOUNDS_COLUMNS), lineterminator="\n")
     writer.writeheader()
-    for row in rows:
-        record = row.as_record()
-        for key in ("w_exact", "W_exact"):
-            if record[key] is None:
-                record[key] = ""
-        writer.writerow(record)
+    writer.writerows(row.as_record() for row in rows)
     return buf.getvalue()

@@ -273,7 +273,11 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | No
         if a == b:
             raise SchemaError(f"loop edge at {vertex_name(a)}")
         pairs.append(_edge(a, b))
-        ruled += "rule" in item
+        if "rule" in item:
+            if not isinstance(item["rule"], str):
+                name = _edge_name(*pairs[-1])
+                raise SchemaError(f"edge {name} rule must be a string, got {item['rule']!r}")
+            ruled += 1
     if ruled and ruled != len(rows):
         raise SchemaError("rule trace must cover every edge or none")
     g = _listed_graph(d, pairs)
@@ -288,7 +292,7 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | No
             raise SchemaError(f"edge {_edge_name(*e)} is listed twice")
         colors[pos] = item["color"]
         if ruled:
-            rules[pos] = str(item["rule"])
+            rules[pos] = item["rule"]
     if len(rows) != g.num_edges:
         missing = g.num_edges - len(rows)
         raise SchemaError(f"{missing} of the {g.num_edges} edges of {what} are not listed")

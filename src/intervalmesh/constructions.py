@@ -5,7 +5,8 @@ with palette 1..3m+n-2.  ``torus_coloring(m, n)`` paints the torus on 2m
 by 2n vertices with palette 1..max(3m+n, 3n+m); when m > n it paints
 the rules of the transposed torus through the factor-swap isomorphism,
 so the graph is built and verified once.  Every edge is painted by
-exactly one named rule and the rule trace, aligned with ``graph.edges``
+exactly one named rule, a closed formula in the edge's coordinates
+asked once per edge, and the rule trace, aligned with ``graph.edges``
 like the colors, is kept, so exports can say which rule produced each
 color.
 Constructions verify their own output and fail loudly, naming a broken
@@ -39,7 +40,7 @@ from .grids import (
     Family,
     GridVertex,
     MeshGraph,
-    _edge_name,
+    _edge,
     _family,
     build_cylinder,
     build_torus,
@@ -81,47 +82,22 @@ class ConstructionResult:
     rule_trace: tuple[str, ...]
 
 
-class _Painter:
-    """Collects rule assignments; repainting an edge must agree exactly.
+def _paint(
+    g: MeshGraph, rule: Callable[[GridVertex, GridVertex], tuple[int, str]], t: int,
+    swap: bool = False,
+) -> ConstructionResult:
+    """The verified coloring that ``rule`` gives each edge of ``g``.
 
-    The torus rules touch the mid rung edges twice (the mirror image of
-    layer m is layer m itself there); agreement is checked instead of
-    silently overwriting.  With ``swap`` every vertex a rule names as
-    (layer, ring) is painted at (ring, layer) instead.
+    ``rule(a, b)`` returns the color and rule name of the edge from ``a``
+    to ``b`` (a < b); it is asked once per edge, in ``graph.edges``
+    order, so colors and trace come out aligned.  With ``swap`` every
+    endpoint is read as (ring, layer) and the pair ordered again, so the
+    rules of the transposed grid paint ``g``.
     """
-
-    def __init__(self, g: MeshGraph, swap: bool = False):
-        self.g = g
-        self.swap = swap
-        self.colors: list[int | None] = [None] * g.num_edges
-        self.rules: list[str | None] = [None] * g.num_edges
-
-    def put(self, a: GridVertex, b: GridVertex, color: int, rule: str) -> None:
-        if self.swap:
-            a, b = a[::-1], b[::-1]
-        i = self.g.position(a, b)
-        if i is None:
-            raise ConstructionError(f"rule {rule} painted a non-edge {_edge_name(a, b)}")
-        if self.rules[i] is not None:
-            if self.colors[i] != color or self.rules[i] != rule:
-                raise ConstructionError(
-                    f"rules {self.rules[i]} and {rule} disagree on {_edge_name(a, b)}: "
-                    f"{self.colors[i]} vs {color}"
-                )
-            return
-        self.colors[i] = color
-        self.rules[i] = rule
-
-    def finish(self, t: int) -> ConstructionResult:
-        """The verified coloring, once every edge is painted."""
-        unpainted = self.rules.count(None)
-        if unpainted:
-            first = _edge_name(*self.g.edges[self.rules.index(None)])
-            raise ConstructionError(f"{unpainted} edges left unpainted, first {first}")
-        coloring = require_interval(
-            EdgeColoring(self.g, tuple(self.colors), t), ConstructionError, "construction"
-        )
-        return ConstructionResult(coloring, tuple(self.rules))
+    edges = (_edge(a[::-1], b[::-1]) for a, b in g.edges) if swap else g.edges
+    colors, rules = zip(*(rule(a, b) for a, b in edges))
+    coloring = require_interval(EdgeColoring(g, colors, t), ConstructionError, "construction")
+    return ConstructionResult(coloring, rules)
 
 
 def cylinder_coloring(m: int, n: int) -> ConstructionResult:
@@ -133,21 +109,23 @@ def cylinder_coloring(m: int, n: int) -> ConstructionResult:
     layers share enough colors to keep every vertex consecutive.
     """
     g = build_cylinder(m, n)
-    p = _Painter(g)
-    width = 2 * n
-    for i in range(1, m + 1):
-        for j in range(1, n + 2):
-            p.put((i, j), (i, j + 1), 3 * i + j - 3, "ring-asc")
-        for j in range(n + 2, width):
-            p.put((i, j), (i, j + 1), 3 * i - j + 2 * n - 1, "ring-desc")
-        p.put((i, 1), (i, width), 3 * i - 1, "ring-wrap")
-    for i in range(1, m):
-        for j in range(2, n + 2):
-            p.put((i, j), (i + 1, j), 3 * i + j - 2, "rung-asc")
-        for j in range(n + 2, width + 1):
-            p.put((i, j), (i + 1, j), 3 * i - j + 2 * n + 1, "rung-desc")
-        p.put((i, 1), (i + 1, 1), 3 * i, "rung-first")
-    return p.finish(3 * m + n - 2)
+
+    def rule(a: GridVertex, b: GridVertex) -> tuple[int, str]:
+        (i, j), (k, j2) = a, b
+        if i == k:  # ring edge of layer i
+            if j == 1 and j2 == 2 * n:
+                return 3 * i - 1, "ring-wrap"
+            if j <= n + 1:
+                return 3 * i + j - 3, "ring-asc"
+            return 3 * i - j + 2 * n - 1, "ring-desc"
+        # rung edge (i, j)-(i+1, j)
+        if j == 1:
+            return 3 * i, "rung-first"
+        if j <= n + 1:
+            return 3 * i + j - 2, "rung-asc"
+        return 3 * i - j + 2 * n + 1, "rung-desc"
+
+    return _paint(g, rule, 3 * m + n - 2)
 
 
 def torus_coloring(m: int, n: int) -> ConstructionResult:
@@ -159,29 +137,31 @@ def torus_coloring(m: int, n: int) -> ConstructionResult:
     layers i and 2m+1-i (rings, when swapped) are painted alike.
     """
     g = build_torus(m, n)
-    p = _Painter(g, swap=m > n)
+    swap = m > n
     m, n = min(m, n), max(m, n)
-    height = 2 * m
-    width = 2 * n
-    for i in range(1, m + 1):
-        for layer in (i, 2 * m + 1 - i):
-            for j in range(1, n + 2):
-                p.put((layer, j), (layer, j + 1), i + 3 * j - 3, "ring-asc")
-            for j in range(n + 2, width):
-                p.put((layer, j), (layer, j + 1), i - 3 * j + 6 * n + 3, "ring-desc")
-            p.put((layer, 1), (layer, width), i + 3, "ring-wrap")
-        for top in (i, 2 * m - i):
-            for j in range(2, n + 2):
-                p.put((top, j), (top + 1, j), i + 3 * j - 4, "rung-asc")
-            for j in range(n + 2, width + 1):
-                p.put((top, j), (top + 1, j), i - 3 * j + 6 * n + 5, "rung-desc")
-            p.put((top, 1), (top + 1, 1), i + 2, "rung-first")
-    for j in range(3, n + 2):
-        for ring in (j, width + 3 - j):
-            p.put((1, ring), (height, ring), 3 * j - 4, "seam-mid")
-    p.put((1, 1), (height, 1), 2, "seam-low")
-    p.put((1, 2), (height, 2), 2, "seam-low")
-    return p.finish(3 * n + m)
+
+    def rule(a: GridVertex, b: GridVertex) -> tuple[int, str]:
+        (layer, j), (layer2, j2) = a, b
+        if layer == layer2:  # ring edge, painted like its mirror layer 2m+1-layer
+            i = min(layer, 2 * m + 1 - layer)
+            if j == 1 and j2 == 2 * n:
+                return i + 3, "ring-wrap"
+            if j <= n + 1:
+                return i + 3 * j - 3, "ring-asc"
+            return i - 3 * j + 6 * n + 3, "ring-desc"
+        if layer2 == layer + 1:  # rung edge, painted like its mirror rung below 2m-layer
+            i = min(layer, 2 * m - layer)
+            if j == 1:
+                return i + 2, "rung-first"
+            if j <= n + 1:
+                return i + 3 * j - 4, "rung-asc"
+            return i - 3 * j + 6 * n + 5, "rung-desc"
+        # seam edge (1, j)-(2m, j), painted like its mirror ring 2n+3-j
+        if j <= 2:
+            return 2, "seam-low"
+        return 3 * min(j, 2 * n + 3 - j) - 4, "seam-mid"
+
+    return _paint(g, rule, 3 * n + m, swap)
 
 
 CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {

@@ -316,6 +316,19 @@ def test_verify_schema_mismatch(tmp_path, capsys):
     assert "schema error" in err
 
 
+def test_export_refuses_a_rule_that_is_not_a_string(tmp_path, capsys):
+    out = tmp_path / "c.json"
+    invoke(capsys, "generate", "--family", "cylinder", "-m", "1", "-n", "2", "-o", str(out))
+    doc = json.loads(out.read_text())
+    doc["edges"][0]["rule"] = None
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc))
+    code, out, err = invoke(capsys, "export", str(bad), "--format", "csv")
+    assert code == 2
+    assert out == ""
+    assert "edge x_1_1-x_2_1 rule must be a string, got None" in err
+
+
 def test_verify_missing_file(capsys):
     code, _, err = invoke(capsys, "verify", "/nonexistent/coloring.json")
     assert code == 2

@@ -275,6 +275,18 @@ def test_coloring_json_schema_errors():
         rejects(retyped, message)
 
 
+def test_a_rule_that_is_not_a_string_is_refused():
+    res = cylinder_coloring(1, 2)
+    doc = coloring_to_json_dict(res.coloring, res.rule_trace)
+    for bad in (None, 3, [1, 2]):
+        ruled = json.loads(json.dumps(doc))
+        ruled["edges"][1]["rule"] = bad
+        with pytest.raises(SchemaError) as info:
+            coloring_from_json_dict(ruled)
+        assert str(info.value) == f"edge x_1_1-x_4_1 rule must be a string, got {bad!r}"
+    assert coloring_from_json_dict(doc) == (res.coloring, res.rule_trace)
+
+
 def test_rows_are_checked_before_the_graph_is_built(monkeypatch):
     doc = coloring_to_json_dict(cylinder_coloring(2, 3).coloring)
 
@@ -288,6 +300,7 @@ def test_rows_are_checked_before_the_graph_is_built(monkeypatch):
         ("u", [1, True], "vertex must be a"),
         ("v", doc["edges"][last]["u"], "loop edge at"),
         ("rule", "ring-asc", "rule trace must cover every edge or none"),
+        ("rule", None, "rule must be a string"),
     ):
         bad = json.loads(json.dumps(doc))
         bad["edges"][last][key] = value

@@ -140,14 +140,24 @@ def test_torus_transposition_is_factor_swap():
 
 
 def test_rule_trace_partitions_edges():
-    res = cylinder_coloring(3, 3)
-    assert len(res.rule_trace) == res.coloring.graph.num_edges
-    assert set(res.rule_trace) <= set(CYLINDER_RULES)
-    res2 = torus_coloring(2, 3)
-    assert len(res2.rule_trace) == res2.coloring.graph.num_edges
-    assert set(res2.rule_trace) <= set(TORUS_RULES)
-    assert "seam-mid" in res2.rule_trace
-    assert "seam-low" in res2.rule_trace
+    # each instance is large enough that every rule of its family paints an edge
+    for res, rules in (
+        (cylinder_coloring(3, 3), CYLINDER_RULES),
+        (torus_coloring(2, 3), TORUS_RULES),
+        (torus_coloring(3, 2), TORUS_RULES),
+    ):
+        assert len(res.rule_trace) == res.coloring.graph.num_edges
+        assert set(res.rule_trace) == set(rules)
+
+
+def test_construction_gate_rejects_a_wrong_rule():
+    g = build_torus(2, 2)
+    with pytest.raises(ConstructionError, match=r"construction breaks at vertex x_\d+_\d+"):
+        constructions._paint(g, lambda a, b: (1, "ring-asc"), 4)
+    # a proper rule is caught too when it leaves a gap: 3 and 5 meet at x_1_1
+    ring = cylinder_coloring(1, 2).coloring.graph
+    with pytest.raises(ConstructionError, match=r"at vertex x_1_1: incident colors \[3, 5\]"):
+        constructions._paint(ring, lambda a, b: (a[1] + b[1], "ring-asc"), 7)
 
 
 @settings(max_examples=20, deadline=None)
