@@ -156,29 +156,71 @@ class SpectrumReport:
         return "\n".join(lines)
 
 
+# Colors 1.._K give a vertex a bit field of at most 1025 bits, about 16
+# machine words, and every palette the package builds for m, n <= 250
+# (at most 1..4*250) lies inside it.
+_K = 1024
+
+
+def _loop_scan(
+    incident: Mapping[GridVertex, tuple[int, ...]], colors: tuple[int, ...]
+) -> tuple[list[GridVertex], bool]:
+    """The violated vertices in ``incident`` order, and whether they are all
+    proper: each vertex's colors tested as a list.  Any colors at all."""
+    violating = []
+    all_proper = True
+    for v, edges in incident.items():
+        proper_v, interval_v = _vertex_flags([colors[i] for i in edges])
+        if not interval_v:
+            violating.append(v)
+            all_proper = all_proper and proper_v
+    return violating, all_proper
+
+
+def _bit_scan(
+    incident: Mapping[GridVertex, tuple[int, ...]], colors: tuple[int, ...]
+) -> tuple[list[GridVertex], bool]:
+    """``_loop_scan`` for colors in 1.._K.  A vertex of degree d ORs
+    ``1 << color`` over its edges; it is interval iff the field ``b`` is d
+    consecutive set bits, that is ``b == low * (2**d - 1)`` for its lowest
+    set bit ``low``.  A repeated color leaves fewer than d bits, and at a
+    vertex of degree 0 both sides are 0.  Only a failed vertex is tested
+    as a list, for properness."""
+    bit = [1 << c for c in colors]
+    violating = []
+    all_proper = True
+    for v, edges in incident.items():
+        b = 0
+        for i in edges:
+            b |= bit[i]
+        if b != (b & -b) * ((1 << len(edges)) - 1):
+            violating.append(v)
+            all_proper = all_proper and _vertex_flags([colors[i] for i in edges])[0]
+    return violating, all_proper
+
+
 def verify_interval(c: EdgeColoring) -> SpectrumReport:
     """Check properness, palette coverage, and per-vertex consecutiveness.
 
     Diagnostic by design: every outcome is encoded in flags, and
     ``violating_vertices`` names each vertex whose incident colors
-    repeat or leave a gap.  The report is computed on the first call and
+    repeat or leave a gap.  When every color lies in 1.._K each vertex is
+    one bit-field test (``_bit_scan``); a color outside it, as in a hostile
+    document, sends every vertex through the list test (``_loop_scan``),
+    with the same report.  The report is computed on the first call and
     kept on the coloring, which cannot change, for every later call.
     """
     if c._report is not None:
         return c._report
     colors = c.aligned
-    violating = []
-    all_proper = True
-    for v, incident in c.graph.incident.items():
-        proper_v, interval_v = _vertex_flags([colors[i] for i in incident])
-        if not interval_v:
-            violating.append(v)
-            all_proper = all_proper and proper_v
     used = set(colors)
+    lo, hi = (min(used), max(used)) if used else (1, 0)
+    scan = _bit_scan if 1 <= lo and hi <= _K else _loop_scan
+    violating, all_proper = scan(c.graph.incident, colors)
     t = c.palette_size
     # t distinct colors inside 1..t are exactly 1..t; the test never
     # builds the palette, so a document claiming a huge t costs O(|E|)
-    surjective = len(used) == t and min(used) == 1 and max(used) == t
+    surjective = len(used) == t and lo == 1 and hi == t
     report = SpectrumReport(
         palette_size=t,
         proper=all_proper,

@@ -77,7 +77,9 @@ class MeshGraph:
     ``vertices`` and ``edges`` are sorted tuples; ``incident`` (the one
     vertex lookup: the positions in ``edges`` of each vertex's edges) and
     ``edge_index`` (each edge's position in ``edges``) are built once at
-    assembly time and excluded from equality.
+    assembly time and excluded from equality.  A named family's graph is
+    shared by every caller that builds the same member while it is cached,
+    so these two dicts are read-only: never mutate them.
     """
 
     family: Family
@@ -174,8 +176,15 @@ def _factor_pairs(k: int, closed: bool) -> list[tuple[int, int]]:
     return [(j, j + 1) for j in range(1, k)] + ([(1, k)] if closed else [])
 
 
+@functools.lru_cache(maxsize=2, typed=True)
 def _grid(family: Family, m: int | None, n: int | None) -> MeshGraph:
-    """The member (m, n) of a named family: the product of its shape's factors."""
+    """The member (m, n) of a named family: the product of its shape's factors.
+
+    The last two members built are kept, so a document parsed right after
+    its construction gets the very graph that construction built (shared,
+    hence read-only: see ``MeshGraph``).  ``typed`` keeps ``m=True`` apart
+    from ``m=1``, and a build that raises is not kept.
+    """
     law = _FAMILIES[family]
     shortfall = _shortfall(law, m, n)
     if shortfall:
@@ -408,8 +417,9 @@ def _listed_graph(d: dict, pairs: list[Edge]) -> MeshGraph:
     """The graph a document lists, given its rows as parsed edges.
 
     A recognized family is built once from (m, n) after its closed-form
-    vertex count is compared with the listing; only ``product`` graphs are
-    assembled from ``pairs``.  Whether each pair is an edge of a built
+    vertex count is compared with the listing (or taken from ``_grid``'s
+    cache when this process has just built it); only ``product`` graphs
+    are assembled from ``pairs``.  Whether each pair is an edge of a built
     family is left to the caller, which places the rows.
     """
     for key in ("family", "vertices"):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -26,6 +27,7 @@ from intervalmesh import (
 )
 from intervalmesh import colorings, grids
 from intervalmesh.cli import run
+from intervalmesh.colorings import require_interval
 from intervalmesh.constructions import construct
 from intervalmesh.errors import InvalidColoringError, SchemaError
 
@@ -308,8 +310,8 @@ def test_rows_are_checked_before_the_graph_is_built(monkeypatch):
             coloring_from_json_dict(bad)
 
 
-def test_coloring_document_is_assembled_once(monkeypatch):
-    doc = coloring_to_json_dict(cylinder_coloring(2, 3).coloring)
+def _counted_assemblies(monkeypatch):
+    """The family of every graph assembled from now on, in call order."""
     calls = []
     original = grids._assemble
 
@@ -318,8 +320,83 @@ def test_coloring_document_is_assembled_once(monkeypatch):
         return original(*args)
 
     monkeypatch.setattr(grids, "_assemble", counting)
+    return calls
+
+
+def test_coloring_document_is_assembled_once(monkeypatch):
+    doc = coloring_to_json_dict(cylinder_coloring(2, 3).coloring)
+    grids._grid.cache_clear()  # a parse in a fresh process
+    calls = _counted_assemblies(monkeypatch)
     coloring_from_json_dict(doc)
     assert calls == [Family.CYLINDER]
+
+
+def test_a_document_parsed_after_its_construction_reuses_its_graph(monkeypatch):
+    built = torus_coloring(2, 3).coloring
+    doc = json.loads(json.dumps(coloring_to_json_dict(built)))
+    calls = _counted_assemblies(monkeypatch)
+    parsed, _ = coloring_from_json_dict(doc)
+    assert parsed.graph is built.graph
+    assert parsed.aligned == built.aligned
+    assert calls == []
+
+
+def _document_graph(vertices, pairs):
+    """A product graph read from a document that lists ``pairs`` as edges."""
+    doc = {"family": "product", "m": None, "n": None, "vertices": vertices, "t": 1,
+           "edges": [{"u": list(a), "v": list(b), "color": 1} for a, b in pairs]}
+    return coloring_from_json_dict(doc)[0].graph
+
+
+# each graph with an interval coloring of it, or None where any colors will do
+VERIFIER_CASES = [
+    *((c.graph, c.aligned) for c in (cylinder_coloring(1, 2).coloring,
+                                     cylinder_coloring(2, 3).coloring,
+                                     torus_coloring(2, 2).coloring,
+                                     torus_coloring(3, 2).coloring)),
+    (cartesian_product(build_path(2), build_path(3)), None),
+    (cartesian_product(build_path(3), build_even_cycle(4)), None),
+    (_document_graph([[1, 1], [1, 2], [1, 3], [2, 1]], [((1, 1), (1, 2)), ((1, 2), (1, 3))]),
+     None),
+    (_document_graph([[1, 1], [2, 2]], []), None),
+]
+_K = colorings._K
+_ODD_COLORS = st.one_of(st.integers(-3, 12), st.sampled_from([_K - 1, _K, _K + 1, 10**6]))
+
+
+def _gate_message(c):
+    try:
+        require_interval(c, InvalidColoringError, "coloring")
+    except InvalidColoringError as exc:
+        return str(exc)
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(case=st.sampled_from(VERIFIER_CASES), data=st.data())
+def test_bit_field_verifier_matches_the_list_test(case, data):
+    g, interval = case
+    if interval is None:
+        colors = data.draw(st.lists(st.integers(1, 5), min_size=g.num_edges,
+                                    max_size=g.num_edges), label="colors")
+    else:
+        shift = data.draw(st.sampled_from([0, 0, -1, _K - 12, _K - 3]), label="shift")
+        colors = [c + shift for c in interval]
+    for i in data.draw(st.lists(st.integers(0, max(g.num_edges - 1, 0)), max_size=3)
+                       if g.num_edges else st.just([]), label="damaged"):
+        colors[i] = data.draw(_ODD_COLORS, label="color")
+    colors = tuple(colors)
+    t = data.draw(st.integers(1, 14), label="t")
+    if all(1 <= c <= _K for c in colors):
+        assert colorings._bit_scan(g.incident, colors) == colorings._loop_scan(g.incident, colors)
+    fast = EdgeColoring(g, colors, t)
+    slow = EdgeColoring(g, colors, t)
+    report = verify_interval(fast)
+    with mock.patch.object(colorings, "_K", 0):  # no color fits: the list test alone
+        reference = verify_interval(slow)
+    assert report == reference  # the flags and violating_vertices, in order
+    assert report.entries == reference.entries
+    assert _gate_message(fast) == _gate_message(slow)
 
 
 def _mutate(doc: dict, kind: str, data) -> None:

@@ -396,6 +396,51 @@ def test_family_table_builds_and_bounds_parameters():
         build("product", 2, 2)
 
 
+def test_the_graph_cache_keeps_the_last_two_members():
+    first = build_cylinder(2, 3)
+    assert build("cylinder", 2, 3) is first
+    assert grids._grid(Family.CYLINDER, 2, 3) is first
+    build_torus(2, 2)
+    build_path(3)
+    assert grids._grid.cache_info().currsize == 2
+    assert build_cylinder(2, 3) is not first
+    assert build_cylinder(2, 3) == first
+
+
+def test_the_graph_cache_keeps_bool_and_int_apart():
+    assert type(build_cylinder(1, 2).m) is int
+    assert build_cylinder(True, 2).m is True
+    grids._grid.cache_clear()
+    assert build_cylinder(True, 2).m is True
+    assert type(build_cylinder(1, 2).m) is int
+
+
+def test_a_build_that_raises_is_not_cached():
+    for _ in range(3):
+        with pytest.raises(InvalidParameterError, match="m >= 2, got m=1"):
+            build_torus(1, 2)
+    assert grids._grid.cache_info().currsize == 0
+
+
+def test_a_cached_graph_is_left_as_built(tmp_path):
+    g = build_torus(2, 2)
+    doc = tmp_path / "t5.json"
+    assert run(["generate", "--family", "torus", "-m", "2", "-n", "2", "--t", "5",
+                "-o", str(doc)]) == 0
+    assert run(["verify", str(doc)]) == 0
+    assert run(["export", str(doc), "--format", "csv"]) == 0
+    assert run(["export", str(doc), "--format", "dot"]) == 0
+    assert run(["search", "--family", "torus", "-m", "2", "-n", "2", "--t", "4",
+                "--max-edges", "32"]) == 0
+    coloring, _ = coloring_from_json_dict(json.loads(doc.read_text()))
+    spectrum_sweep(2, 2)
+    assert coloring.graph is build_torus(2, 2) is g
+    fresh = grids._grid.__wrapped__(Family.TORUS, 2, 2)
+    assert fresh is not g
+    assert g.incident == fresh.incident
+    assert g.edge_index == fresh.edge_index
+
+
 def test_closed_form_edge_count_matches_built_graphs():
     for m in range(1, 7):
         assert edge_count("path", m, None) == build_path(m).num_edges
