@@ -11,7 +11,7 @@ import csv
 import io
 
 from .colorings import EdgeColoring
-from .grids import vertex_name
+from .grids import GridVertex, MeshGraph, vertex_name
 
 __all__ = ["to_dot", "to_csv"]
 
@@ -26,8 +26,9 @@ def to_dot(c: EdgeColoring) -> str:
         f'  label="{title} t={c.palette_size}";',
         "  node [shape=circle];",
     ]
+    name = _names(g)
     for (u, v), color in zip(g.edges, c.aligned):
-        lines.append(f'  {vertex_name(u)} -- {vertex_name(v)} [label="{color}"];')
+        lines.append(f'  {name[u]} -- {name[v]} [label="{color}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -38,6 +39,12 @@ def to_csv(c: EdgeColoring, rule_trace: tuple[str, ...] | None = None) -> str:
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v", "rule", "color"])
     rules = rule_trace or ("",) * c.graph.num_edges
+    name = _names(c.graph)
     for (u, v), color, rule in zip(c.graph.edges, c.aligned, rules, strict=True):
-        writer.writerow([vertex_name(u), vertex_name(v), rule, color])
+        writer.writerow([name[u], name[v], rule, color])
     return buf.getvalue()
+
+
+def _names(g: MeshGraph) -> dict[GridVertex, str]:
+    """Each vertex's name, formatted once rather than once per incident edge."""
+    return {v: vertex_name(v) for v in g.vertices}

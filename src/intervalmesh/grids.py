@@ -282,6 +282,37 @@ def _measure(law: _FamilyLaw, m: int | None, n: int | None) -> tuple[int, int, i
     return layers * rings, layers * ring_edges + rings * layer_edges, layer_diam + ring_diam
 
 
+def _representatives(g: MeshGraph) -> list[int]:
+    """Positions in ``g.edges``, ascending, of one edge from each edge orbit.
+
+    A named family's orbits follow from its shape in ``_FAMILIES``: the
+    symmetries of each factor (rotations and reflections of a cycle, the
+    reversal of a path) act on its copies, and a transpose swaps the
+    factors when they are alike.  A cycle has one vertex orbit and one
+    edge orbit; a path on k vertices has vertex orbits i <= ceil(k/2) and
+    edge orbits (i, i+1), i <= floor(k/2).  A ring edge (i, j)-(i, j+1)
+    pairs a layer vertex orbit with a ring edge orbit, a rung
+    (i, j)-(i+1, j) a layer edge orbit with a ring vertex orbit, and the
+    transpose folds each rung onto a ring edge.  So a torus lists the ring
+    edge (1,1)-(1,2) and the rung (1,1)-(2,1), the ring edge alone when
+    m = n; a cylinder lists (i,1)-(i,2) for i <= ceil(m/2) and
+    (i,1)-(i+1,1) for i <= floor(m/2).  Any other graph lists every edge.
+    """
+    law = _FAMILIES.get(g.family)
+    if law is None:
+        return list(range(g.num_edges))
+    layer, ring = law.shape(g.m, g.n)
+
+    def orbits(k: int, closed: bool) -> tuple[range, range]:
+        return (range(1, 2), range(1, 2)) if closed else (range(1, (k + 1) // 2 + 1), range(1, k // 2 + 1))
+
+    (layer_vertices, layer_edges), (ring_vertices, ring_edges) = orbits(*layer), orbits(*ring)
+    edges = [((i, j), (i, j + 1)) for i in layer_vertices for j in ring_edges]
+    if layer != ring:
+        edges += [((i, j), (i + 1, j)) for i in layer_edges for j in ring_vertices]
+    return sorted(g.edge_index[e] for e in edges)
+
+
 def _shortfall(law: _FamilyLaw, m: int | None, n: int | None) -> str:
     """The first parameter below its least value, as ``m >= 1, got m=0``;
     empty when (m, n) lies in the family's range."""

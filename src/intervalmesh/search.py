@@ -2,17 +2,20 @@
 
 This is the package's independent oracle: small instances are decided
 exactly, with a three-valued outcome so a truncated search is never
-mistaken for a proof of absence.  Edge order (breadth-first from the
-least vertex), color order (ascending), and pruning are all fixed, so
-identical queries give identical results.
+mistaken for a proof of absence.  Anchor pairs, edge order, color order
+(ascending) and pruning are all fixed, so identical queries give
+identical results.
 
-Every color placed bounds the colors of every vertex by a path-weight
-distance (the Asratian-Kamalian argument behind W <= diam(G)(Δ-1)+1,
-applied to a partial coloring).  An edge only tries the colors inside
-both endpoints' bounds (a node is one such attempt), a placement that
-leaves some vertex too few colors is refused, and the first edge's
-colors are halved by the color-reversal symmetry;
-``find_interval_coloring`` gives the arguments.
+Colors seen at vertices x and y of an interval coloring differ by at
+most the path weight P[x][y], the least sum of d(w) - 1 over the
+vertices w of a path from x to y (the Asratian-Kamalian argument behind
+W <= diam(G)(Δ-1)+1).  Every interval t-coloring has an edge e of color
+1, which an automorphism moves onto its edge orbit's representative, and
+an edge f of color t with t - 1 <= min P[x][y] over x in e and y in f.
+So the search runs once per such pair, with e anchored at color 1 and f
+at color t, and no pair qualifies above 1 + max over e, f of min P[x][y].
+Inside a run every color placed bounds every vertex's colors by the same
+path weights; ``find_interval_coloring`` gives the rules.
 """
 
 from __future__ import annotations
@@ -21,6 +24,7 @@ import time
 from dataclasses import dataclass
 from enum import Enum
 from heapq import heappop, heappush
+from typing import Iterator, NamedTuple
 
 from .bounds import theorem1_upper
 from .colorings import EdgeColoring, require_interval
@@ -31,7 +35,7 @@ from .errors import (
     InvalidParameterError,
     NotIntervalColorableError,
 )
-from .grids import GridVertex, MeshGraph, _bfs, max_degree
+from .grids import GridVertex, MeshGraph, _bfs, _representatives, max_degree
 
 __all__ = [
     "SearchBudget",
@@ -83,6 +87,9 @@ class SearchResult:
     nodes: int
     detail: str = ""
     pruned: int = 0  # attempts refused by the distance bound
+    # the anchor pairs searched, in order: (e, f, nodes), e and f positions
+    # in graph.edges, f None when t = 1
+    pairs: tuple[tuple[int, int | None, int], ...] = ()
 
 
 def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | None:
@@ -98,16 +105,15 @@ def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | Non
     )
 
 
-def _bfs_edge_order(g: MeshGraph) -> list[int]:
-    """Edge positions in breadth-first discovery order from the least vertex.
+def _bfs_edge_order(g: MeshGraph, first: int = 0) -> list[int]:
+    """Edge positions in breadth-first order from the edge at ``first``.
 
-    Each vertex, in discovery order, lists its edges not listed yet;
+    That edge comes first.  Then each vertex, in discovery order from the
+    edge's least endpoint, lists its edges not listed yet;
     ``g.incident[u]`` runs in ascending order of the other endpoint.
     """
-    reached = _bfs(g, g.vertices[0])
-    if len(reached) != g.num_vertices:
-        raise DisconnectedGraphError("search requires a connected graph")
-    return list(dict.fromkeys([i for u in reached for i in g.incident[u]]))
+    reached = _bfs(g, g.edges[first][0])
+    return list(dict.fromkeys([first] + [i for u in reached for i in g.incident[u]]))
 
 
 def _path_weights(g: MeshGraph, index: dict[GridVertex, int]) -> list[list[int]]:
@@ -141,34 +147,101 @@ def _path_weights(g: MeshGraph, index: dict[GridVertex, int]) -> list[list[int]]
     return table
 
 
+class _Plan(NamedTuple):
+    """What a search needs of a graph, whatever the palette.
+
+    ``degree`` and the path ``weights`` are by vertex index (position in
+    ``graph.vertices``), ``ends`` holds the endpoint indices of each edge
+    position, and ``reach`` is the largest weight.  ``anchors`` holds, for
+    each edge-orbit representative e in ascending position, the
+    breadth-first edge order from e and, aligned with it, the least
+    weight P[x][y] over x in e and y in that edge.
+    """
+
+    graph: MeshGraph
+    degree: list[int]
+    ends: list[tuple[int, int]]
+    weights: list[list[int]]
+    reach: int
+    anchors: list[tuple[int, list[int], list[int]]]
+
+
+def _plan(g: MeshGraph) -> _Plan:
+    """The search plan of ``g``, which must be connected."""
+    if len(_bfs(g, g.vertices[0])) != g.num_vertices:
+        raise DisconnectedGraphError("search requires a connected graph")
+    index = {v: i for i, v in enumerate(g.vertices)}
+    ends = [(index[a], index[b]) for a, b in g.edges]
+    weights = _path_weights(g, index)
+    anchors = []
+    for e in _representatives(g):
+        a, b = ends[e]
+        near = list(map(min, weights[a], weights[b]))  # min over x in e of P[x][v]
+        order = _bfs_edge_order(g, e)
+        anchors.append((e, order, [min(near[x], near[y]) for x, y in (ends[i] for i in order)]))
+    degree = [g.degree(v) for v in g.vertices]
+    return _Plan(g, degree, ends, weights, max(map(max, weights)), anchors)
+
+
+def _anchor_pairs(plan: _Plan, t: int) -> Iterator[tuple[int, int | None, list[int]]]:
+    """(e, f, edge order) of every anchor pair of palette t, in search order.
+
+    e runs over the representatives, and f over the edges in breadth-first
+    order from e with t - 1 <= min P[x][y] over x in e and y in f; f is
+    None when t = 1.  The order is e, f, then the rest from e's order.
+    """
+    for e, order, far in plan.anchors:
+        if t == 1:
+            yield e, None, order
+            continue
+        for f, p in zip(order[1:], far[1:]):
+            if p >= t - 1:
+                yield e, f, [e, f] + [i for i in order[1:] if i != f]
+
+
 def find_interval_coloring(
-    g: MeshGraph, t: int, budget: SearchBudget | None = None
+    g: MeshGraph, t: int, budget: SearchBudget | None = None, *, plan: _Plan | None = None
 ) -> SearchResult:
     """Decide whether ``g`` has an interval t-coloring, within a budget.
 
-    Edges are colored in breadth-first order, each with colors ascending;
-    one color attempt is one node.  A color c on an edge (a, b) confines
-    every color at a vertex v to [c - r, c + r], where r is the lesser
-    path weight (``_path_weights``) from a or from b to v.  Every vertex
-    keeps the bounds [L, U] that the placed colors give it, and an edge
-    tries only the colors inside both endpoints' bounds, 1..t and above
-    the last color it tried.  An attempt is refused when the color
-    repeats at an endpoint, when fewer edges would remain than colors
-    still unused, or, counted in ``pruned``, when the tightened bounds
-    leave some vertex of degree d fewer than d colors, or leave no vertex
-    able to take an unused color 1 or t.  The first edge never takes a
-    color above (t+1)//2: c -> t+1-c maps interval t-colorings to
-    interval t-colorings, and the search returns the least coloring in
-    its edge order, whose first color is the smaller of a mirrored pair.
-    Outcome ``absent`` is only reported after the whole tree has been
-    exhausted, or at once when t exceeds the edge count or falls below
-    the maximum degree.  A found coloring is verified before it is
-    returned.
+    Every interval t-coloring has an edge e of color 1 and an edge f of
+    color t.  An automorphism moves e onto the representative of its edge
+    orbit (``grids._representatives``), and the colors 1 at e and t at f
+    differ by at most the path weight (``_path_weights``) between any end
+    of e and any end of f.  So the search runs once per anchor pair: e
+    over the representatives by ascending edge position, and for each e,
+    f over the other edges in breadth-first order from e that satisfy
+    t - 1 <= min P[x][y] over x in e and y in f.  A run colors e, then
+    f, then the other edges in breadth-first order from e; e tries only
+    color 1 and f only color t, and for t = 1 e alone is anchored.  The
+    outcome is ``found`` at the first run that finds a coloring, and
+    ``absent`` only when every run is exhausted, with 0 nodes when no
+    pair qualifies: W <= 1 + max over e, f of min P[x][y].  ``nodes``
+    and ``pruned`` are summed over the runs, which ``pairs`` lists in
+    order with the nodes of each; the node and time caps bound the total,
+    and the clock is read every 1024 nodes of it.
+
+    Within a run, edges take colors ascending; one color attempt is one
+    node.  A color c on an edge (a, b) confines every color at a vertex v
+    to [c - r, c + r], where r is the lesser path weight from a or from b
+    to v.  Every vertex keeps the bounds [L, U] that the placed colors
+    give it, and an edge tries only the colors inside both endpoints'
+    bounds, 1..t and above the last color it tried.  An attempt is
+    refused when the color repeats at an endpoint, when fewer edges would
+    remain than colors still unused, or, counted in ``pruned``, when the
+    tightened bounds leave some vertex of degree d fewer than d colors,
+    or leave no vertex able to take an unused color 1 or t.  Outcome
+    ``absent`` is also reported at once when t exceeds the edge count or
+    falls below the maximum degree.  A found coloring is verified before
+    it is returned.
 
     A vertex's bounds are kept as the set of colors that can start its
     run of d consecutive colors, one bit field per vertex in a single
     int: a placement is one AND with a precomputed mask, and one
-    addition tests every field for emptiness at once.
+    addition tests every field for emptiness at once.  Only these masks
+    depend on t; the rest is ``plan``, which a caller that decides many
+    palettes of ``g`` builds once with ``_plan(g)`` (a plan of another
+    graph is rebuilt).
     """
     if t < 1:
         raise InvalidParameterError(f"palette size must be >= 1, got {t}")
@@ -177,25 +250,21 @@ def find_interval_coloring(
     refused = edge_cap_refusal(g.num_edges, budget)
     if refused is not None:
         return refused
-    order = _bfs_edge_order(g)
-    num_edges = len(order)
-    degree = [g.degree(v) for v in g.vertices]
-    if t > num_edges or t < max(degree):
+    if plan is None or plan.graph is not g:
+        plan = _plan(g)
+    degree = plan.degree
+    if t > g.num_edges or t < max(degree):
         # each color of a surjective coloring needs an edge of its own, and
         # each vertex a color per edge
         return SearchResult(Outcome.ABSENT, None, 0)
-    index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(index[a], index[b]) for a, b in (g.edges[i] for i in order)]
-    weights = _path_weights(g, index)
     # Vertex v owns bits [v*width, (v+1)*width) of a start set; bit
     # v*width + base + s set: v's run of colors may start at s.  A color c
     # at x confines v's colors to [c - r, c + r], r = weights[x][v], and a
     # reach of t - 1 confines nothing, so base >= every reach that matters
     # keeps the cuts below non-negative.  The top bit of a field takes the
     # carry of the emptiness test.
-    base = min(t - 1, max(map(max, weights)))
+    base = min(t - 1, plan.reach)
     width = base + t + 2
-    field = (1 << width) - 1
     offset = [v * width + base for v in range(len(degree))]
     allowed = carry_in = carry_out = can_top = can_bottom = 0
     for o, d in zip(offset, degree):
@@ -207,43 +276,73 @@ def find_interval_coloring(
     # cut[x]: the starts c-r..c+r-d+1 of every v for a color c at x, less
     # the shift by c; a color on edge (a, b) cuts with cut[a] & cut[b]
     cut = []
-    for row in weights:
+    for row in plan.weights:
         bits = 0
         for p, d, o in zip(row, degree, offset):
             r = min(p, base)
             bits |= ((1 << (2 * r - d + 2)) - 1) << (o - r)
         cut.append(bits)
-    # per edge: endpoints, their field offsets, the terms that turn a
-    # field's top bit into its top color, and the cut
+    # per edge position: endpoints, their field offsets, the terms that
+    # turn a field's top bit into its top color, and the cut
     edge_plan = [
         (a, b, offset[a] - base, offset[b] - base, degree[a] - base - 2,
          degree[b] - base - 2, cut[a] & cut[b])
-        for a, b in ends
+        for a, b in plan.ends
     ]
-    low = base + 1  # bit_length of a field's start-1 bit, less one color
+    fields = (len(degree), (1 << width) - 1, base + 1, allowed, carry_in, carry_out,
+              can_top, can_bottom)
 
+    searched = []
+    nodes = pruned = 0
+    started = time.monotonic()
+    for e, f, order in _anchor_pairs(plan, t):
+        # each row ends with the least and greatest color of its edge
+        pinned = {e: (1, 1), f: (t, t)}
+        rows = [edge_plan[i] + pinned.get(i, (1, t)) for i in order]
+        before = nodes
+        colors, nodes, run_pruned, stop = _run(rows, t, fields, budget, nodes, started)
+        pruned += run_pruned
+        searched.append((e, f, nodes - before))
+        if stop:
+            return SearchResult(
+                Outcome.BUDGET_EXCEEDED, None, nodes, stop, pruned, tuple(searched)
+            )
+        if colors is not None:
+            aligned = [0] * len(order)
+            for i, c in zip(order, colors):
+                aligned[i] = c
+            coloring = EdgeColoring(g, tuple(aligned), t)
+            require_interval(coloring, InvalidColoringError, "found coloring")
+            return SearchResult(Outcome.FOUND, coloring, nodes, "", pruned, tuple(searched))
+    return SearchResult(Outcome.ABSENT, None, nodes, "", pruned, tuple(searched))
+
+
+def _run(
+    rows: list[tuple], t: int, fields: tuple, budget: SearchBudget, nodes: int, started: float
+) -> tuple[list[int] | None, int, int, str]:
+    """One anchored run over the edges ``rows`` (see ``find_interval_coloring``).
+
+    ``nodes`` counts on from the runs before this one.  Returns the
+    colors in row order (None once the tree is exhausted), the node
+    count, the attempts pruned, and why a cap stopped the run ("" if none).
+    """
+    num_vertices, field, low, allowed, carry_in, carry_out, can_top, can_bottom = fields
+    num_edges = len(rows)
     state = [allowed] + [0] * num_edges  # start sets before each edge
-    mask = [0] * len(degree)  # bit c set: color c sits at the vertex
+    mask = [0] * num_vertices  # bit c set: color c sits at the vertex
     used_count = [0] * (t + 1)
     unused = t
     # an edge's color, 0 while it has none; a revisited edge resumes after it
     assigned: list[int] = [0] * num_edges
     max_nodes = budget.max_nodes
     time_cap_s = budget.time_cap_s
-    nodes = 0
     pruned = 0
-    started = time.monotonic()
 
     idx = 0
     while True:
         if idx == num_edges:
-            aligned = [0] * num_edges
-            for i, c in zip(order, assigned):
-                aligned[i] = c
-            coloring = EdgeColoring(g, tuple(aligned), t)
-            require_interval(coloring, InvalidColoringError, "found coloring")
-            return SearchResult(Outcome.FOUND, coloring, nodes, pruned=pruned)
-        a, b, oa, ob, ta, tb, cut = edge_plan[idx]
+            return assigned, nodes, pruned, ""
+        a, b, oa, ob, ta, tb, cut, least, most = rows[idx]
         allowed = state[idx]
         ma = mask[a]
         mb = mask[b]
@@ -252,29 +351,24 @@ def find_interval_coloring(
         # colors run from the least start to the greatest start + d - 1
         c = max(
             assigned[idx] + 1,
+            least,
             (fa & -fa).bit_length() - low,
             (fb & -fb).bit_length() - low,
         )
-        top = min(
-            t if idx else (t + 1) // 2, fa.bit_length() + ta, fb.bit_length() + tb
-        )
+        top = min(most, fa.bit_length() + ta, fb.bit_length() + tb)
         placed = ma | mb
         # the colors still unused after placing c must fit on the edges left
         left = num_edges - idx - 1
         while c <= top:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
-                return SearchResult(
-                    Outcome.BUDGET_EXCEEDED, None, nodes, "node cap reached", pruned
-                )
+                return None, nodes, pruned, "node cap reached"
             if (
                 time_cap_s is not None
                 and nodes & _TIME_CHECK_MASK == 0
                 and time.monotonic() - started > time_cap_s
             ):
-                return SearchResult(
-                    Outcome.BUDGET_EXCEEDED, None, nodes, "time cap reached", pruned
-                )
+                return None, nodes, pruned, "time cap reached"
             if not placed >> c & 1 and unused - (used_count[c] == 0) <= left:
                 tightened = allowed & cut << c
                 if (
@@ -290,8 +384,8 @@ def find_interval_coloring(
             assigned[idx] = 0
             idx -= 1
             if idx < 0:
-                return SearchResult(Outcome.ABSENT, None, nodes, pruned=pruned)
-            a, b = ends[idx]
+                return None, nodes, pruned, ""
+            a, b = rows[idx][:2]
             c = assigned[idx]
             mask[a] ^= 1 << c
             mask[b] ^= 1 << c
@@ -312,18 +406,22 @@ def find_interval_coloring(
 def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool) -> int:
     """First palette in [max(1, max degree), diameter bound] that admits a coloring.
 
-    Scans upward, or downward when ``descending``.  Raises
-    ``BudgetExceededError`` instead of guessing when the instance is over
-    the edge cap or any single search is truncated.
+    Scans upward, or downward when ``descending``, with one search plan
+    for every palette.  A palette above 1 + max over e, f of min P[x][y]
+    (see ``find_interval_coloring``) has no anchor pair and is absent
+    without a node.  Raises ``BudgetExceededError`` instead of guessing
+    when the instance is over the edge cap or any single search is
+    truncated.
     """
     refused = edge_cap_refusal(g.num_edges, budget or SearchBudget())
     if refused is not None:
         raise BudgetExceededError(refused.detail)
     lo = max(1, max_degree(g))  # an edgeless graph still needs one color
     hi = theorem1_upper(g)
+    plan = _plan(g)
     palettes = range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
     for t in palettes:
-        result = find_interval_coloring(g, t, budget)
+        result = find_interval_coloring(g, t, budget, plan=plan)
         if result.outcome is Outcome.FOUND:
             return t
         if result.outcome is Outcome.BUDGET_EXCEEDED:

@@ -434,8 +434,8 @@ def test_huge_search_is_refused_before_any_build(capsys, monkeypatch):
 def test_search_node_cap_flag(capsys):
     code, _, err = invoke(
         capsys,
-        "search", "--family", "cylinder", "-m", "2", "-n", "2", "--t", "7",
-        "--max-nodes", "50",
+        "search", "--family", "torus", "-m", "2", "-n", "2", "--t", "11",
+        "--max-edges", "32", "--max-nodes", "50",
     )
     assert code == 3
 
@@ -644,8 +644,8 @@ def test_manifest_written_on_failure(tmp_path, capsys):
     manifest = tmp_path / "m.json"
     code, _, _ = invoke(
         capsys,
-        "search", "--family", "cylinder", "-m", "2", "-n", "2", "--exact-W",
-        "--max-nodes", "50", "--manifest", str(manifest),
+        "search", "--family", "torus", "-m", "2", "-n", "2", "--exact-W",
+        "--max-edges", "32", "--max-nodes", "50", "--manifest", str(manifest),
     )
     assert code == 3
     doc = json.loads(manifest.read_text())

@@ -75,6 +75,7 @@ CASES = (
     ("search --family cylinder -m 1 -n 3 --exact-w", ()),
     ("search --family cylinder -m 1 -n 3 --exact-W -o W.txt", ("W.txt",)),
     ("search --family cylinder -m 2 -n 2 --exact-W --max-nodes 50", ()),
+    ("search --family torus -m 2 -n 2 --exact-W --max-edges 32 --max-nodes 50", ()),
     (
         "generate --family torus -m 2 -n 2 -o gen.json --manifest=gen.manifest.json",
         ("gen.json",),
@@ -235,6 +236,11 @@ GOLDEN = {
         ('7de1555df0c2700329e815b93b32c571c3ea54dc967b89e81ab73b9972b72d1d',),
     ),
     'search --family cylinder -m 2 -n 2 --exact-W --max-nodes 50': (
+        0,
+        '06e9d52c1720fca412803e3b07c4b228ff113e303f4c7ab94665319d832bbfb7',
+        (),
+    ),
+    'search --family torus -m 2 -n 2 --exact-W --max-edges 32 --max-nodes 50': (
         3,
         'e3b0c44298fc1c149afbf4c8996fb92427ae41e4649b934ca495991b7852b855',
         (),

@@ -284,6 +284,60 @@ def test_diameter_torus_against_floyd_warshall():
             assert diameter(h) == floyd_warshall_diameter(h) == m + n
 
 
+def factor_symmetries(k, closed):
+    """Generators of a factor's symmetries, as maps of 1..k: a cycle's
+    rotation and reflection, or a path's reversal."""
+    reverse = lambda j: k + 1 - j  # noqa: E731
+    return [lambda j: j % k + 1, reverse] if closed else [reverse]
+
+
+def edge_orbits(g, layer, ring):
+    """Edge orbits of the group generated by the symmetries of the layer and
+    ring factors acting on their copies, and by the transpose (i, j) -> (j, i)
+    when the factors are alike; each orbit as a set of edge positions."""
+    maps = [lambda v, s=s: (s(v[0]), v[1]) for s in factor_symmetries(*layer)]
+    maps += [lambda v, s=s: (v[0], s(v[1])) for s in factor_symmetries(*ring)]
+    if layer == ring:
+        maps.append(lambda v: (v[1], v[0]))
+    parent = list(range(g.num_edges))
+
+    def find(i):
+        while parent[i] != i:
+            i = parent[i]
+        return i
+
+    for i, (a, b) in enumerate(g.edges):
+        for f in maps:
+            image = g.position(f(a), f(b))
+            assert image is not None, "a symmetry must map edges to edges"
+            parent[find(i)] = find(image)
+    orbits = {}
+    for i in range(g.num_edges):
+        orbits.setdefault(find(i), set()).add(i)
+    return list(orbits.values())
+
+
+@pytest.mark.parametrize(
+    ("family", "m", "n"),
+    [("cylinder", m, n) for m in range(1, 6) for n in range(2, 5)]
+    + [("torus", m, n) for m in (2, 3) for n in (2, 3)]
+    + [("path", m, None) for m in range(1, 6)]
+    + [("even_cycle", None, n) for n in (2, 3)],
+)
+def test_every_edge_orbit_has_one_representative(family, m, n):
+    g = build(family, m, n)
+    layers, closed_layers, rings, closed_rings = FAMILY_GRIDS[family][2](m, n)
+    listed = grids._representatives(g)
+    assert listed == sorted(set(listed))
+    for orbit in edge_orbits(g, (layers, closed_layers), (rings, closed_rings)):
+        assert len(orbit & set(listed)) == 1, [g.edges[i] for i in sorted(orbit)]
+
+
+def test_a_product_lists_every_edge_as_its_own_representative():
+    g = cartesian_product(build_path(2), build_even_cycle(4))
+    assert grids._representatives(g) == list(range(g.num_edges))
+
+
 def test_named_family_diameter_needs_no_search(monkeypatch):
     def refuse(g, start):
         raise AssertionError("breadth-first search on a named family")

@@ -20,7 +20,7 @@ from intervalmesh import (
     theorem1_upper,
     verify_interval,
 )
-from intervalmesh import colorings, search
+from intervalmesh import colorings, grids, search
 from intervalmesh.colorings import EdgeColoring
 from intervalmesh.constructions import construct
 from intervalmesh.errors import (
@@ -30,7 +30,7 @@ from intervalmesh.errors import (
     InvalidParameterError,
     NotIntervalColorableError,
 )
-from intervalmesh.grids import Family, _assemble
+from intervalmesh.grids import Family, _assemble, build
 
 
 def E(i1, j1, i2, j2):
@@ -120,18 +120,22 @@ def test_scans_over_the_edge_cap_are_refused_before_any_search(monkeypatch):
 
 
 def test_node_cap_is_not_reported_as_absence():
-    g = build_cylinder(2, 2)
-    result = find_interval_coloring(g, 7, SearchBudget(max_nodes=50))
+    g = build_torus(2, 2)
+    result = find_interval_coloring(g, 11, SearchBudget(max_edges=32, max_nodes=50))
     assert result.outcome is Outcome.BUDGET_EXCEEDED
-    assert result.nodes > 0
-    full = find_interval_coloring(g, 7)
+    assert result.nodes == 51
+    # the truncated pair is listed with the nodes it took
+    assert result.pairs == ((0, 25, 51),)
+    full = find_interval_coloring(g, 11, SearchBudget(max_edges=32))
     assert full.outcome is Outcome.ABSENT
 
 
 def test_time_cap_zero_exceeds_quickly():
-    g = build_cylinder(2, 2)
-    result = find_interval_coloring(g, 7, SearchBudget(time_cap_s=0.0))
+    # the clock is read every 1024 nodes; this proof takes 2,054
+    g = build_torus(2, 2)
+    result = find_interval_coloring(g, 11, SearchBudget(max_edges=32, time_cap_s=0.0))
     assert result.outcome is Outcome.BUDGET_EXCEEDED
+    assert result.nodes == 1024
 
 
 def test_time_cap_must_be_a_number_at_least_zero():
@@ -179,32 +183,68 @@ def test_exact_scans_of_an_edgeless_graph_start_at_one_color():
             scan(build_path(1))
 
 
-# Node counts of the current attempt order. A pruning change alters them
-# on purpose and records the new values here.
+# Node counts of the current anchor pairs and attempt order. A pruning
+# change alters them on purpose and records the new values here; the test
+# ids name the instance only, so a re-pin keeps them.
+NODE_COUNTS = [
+    (Family.CYLINDER, 2, 2, 3, Outcome.FOUND, 22),
+    (Family.CYLINDER, 2, 2, 6, Outcome.FOUND, 20),
+    (Family.CYLINDER, 2, 2, 7, Outcome.ABSENT, 8),
+    (Family.CYLINDER, 1, 5, 7, Outcome.ABSENT, 0),
+    (Family.CYLINDER, 1, 6, 2, Outcome.FOUND, 17),
+    (Family.CYLINDER, 1, 6, 7, Outcome.FOUND, 12),
+    (Family.CYLINDER, 1, 6, 8, Outcome.ABSENT, 0),
+    (Family.CYLINDER, 2, 3, 9, Outcome.ABSENT, 8),
+    (Family.CYLINDER, 3, 2, 10, Outcome.ABSENT, 8),
+    (Family.CYLINDER, 2, 4, 11, Outcome.ABSENT, 8),
+    (Family.TORUS, 2, 2, 11, Outcome.ABSENT, 2054),
+]
+
+
 @pytest.mark.parametrize(
-    ("m", "n", "t", "outcome", "nodes"),
-    [
-        (2, 2, 3, Outcome.FOUND, 24),
-        (2, 2, 6, Outcome.FOUND, 53),
-        (2, 2, 7, Outcome.ABSENT, 1612),
-        (1, 5, 7, Outcome.ABSENT, 118),
-        (1, 6, 2, Outcome.FOUND, 18),
-        (1, 6, 7, Outcome.FOUND, 32),
-        (1, 6, 8, Outcome.ABSENT, 184),
-        (2, 3, 9, Outcome.ABSENT, 14851),
-        (3, 2, 10, Outcome.ABSENT, 34416),
-        (2, 4, 11, Outcome.ABSENT, 104386),
-    ],
+    ("family", "m", "n", "t", "outcome", "nodes"),
+    NODE_COUNTS,
+    ids=[f"{family.value}({m},{n})-t{t}" for family, m, n, t, *_ in NODE_COUNTS],
 )
-def test_search_node_counts_are_pinned(m, n, t, outcome, nodes):
-    result = find_interval_coloring(build_cylinder(m, n), t, SearchBudget(max_edges=32))
+def test_search_node_counts_are_pinned(family, m, n, t, outcome, nodes):
+    result = find_interval_coloring(build(family, m, n), t, SearchBudget(max_edges=32))
     assert (result.outcome, result.nodes) == (outcome, nodes)
+    assert sum(spent for _, _, spent in result.pairs) == nodes
+
+
+def test_anchor_pairs_are_listed_in_search_order():
+    budget = SearchBudget(max_edges=32)
+    g = build_cylinder(2, 2)
+    result = find_interval_coloring(g, 7, budget)
+    # ring edge (1,1)-(1,2) with color 1 and ring edge (2,3)-(2,4) with color 7,
+    # then rung (1,1)-(2,1) with color 1 and rung (1,3)-(2,3) with color 7
+    assert result.pairs == ((0, 11, 4), (2, 6, 4))
+    assert [g.edges[i] for i in (0, 11, 2, 6)] == [
+        E(1, 1, 1, 2), E(2, 3, 2, 4), E(1, 1, 2, 1), E(1, 3, 2, 3)
+    ]
+    found = find_interval_coloring(g, 6, budget)
+    assert found.pairs == ((0, 11, 20),)
+    assert (found.coloring.aligned[0], found.coloring.aligned[11]) == (1, 6)
+    # a palette too wide for every pair is absent before any node
+    assert find_interval_coloring(build_cylinder(1, 5), 7).pairs == ()
+    # for t = 1 the color-1 edge alone is anchored
+    single = find_interval_coloring(build_path(2), 1)
+    assert (single.outcome, single.pairs) == (Outcome.FOUND, ((0, None, 1),))
+
+
+def test_a_scan_shares_one_plan(monkeypatch):
+    built = []
+    plan = search._plan
+    monkeypatch.setattr(search, "_plan", lambda g: built.append(g) or plan(g))
+    assert exact_W(build_cylinder(2, 2)) == 6
+    assert exact_w(build_cylinder(2, 2)) == 3
+    assert len(built) == 2
 
 
 def test_distance_bound_refusals_are_counted():
     budget = SearchBudget(max_edges=32)
     result = find_interval_coloring(build_cylinder(2, 2), 7, budget)
-    assert (result.nodes, result.pruned) == (1612, 313)
+    assert (result.nodes, result.pruned) == (8, 0)
     # a 3-coloring of C(2,4) is found without a refusal by the bound
     assert find_interval_coloring(build_cylinder(2, 2), 3, budget).pruned == 0
 
@@ -255,6 +295,12 @@ def reference_search(g, t):
     """Colors 1..t tried on every edge in BFS order, refused by the
     per-endpoint span and repeat rules and the surjectivity count."""
     order = [g.edges[i] for i in search._bfs_edge_order(g)]
+    return unpruned(g, t, [(e, range(1, t + 1)) for e in order])
+
+
+def unpruned(g, t, steps):
+    """Colors for the edges of ``steps`` in order, each tried ascending from
+    its own range, refused by the span, repeat and count rules alone."""
     placed = {v: [] for v in g.vertices}
     colors = {}
 
@@ -263,12 +309,13 @@ def reference_search(g, t):
         return not lst or (c not in lst and max(lst + [c]) - min(lst + [c]) < g.degree(v))
 
     def extend(idx):
-        if idx == len(order):
+        if idx == len(steps):
             return True
-        u, v = e = order[idx]
-        for c in range(1, t + 1):
+        e, choices = steps[idx]
+        u, v = e
+        for c in choices:
             unused = t - len(set(colors.values()) | {c})
-            if fits(u, c) and fits(v, c) and unused <= len(order) - idx - 1:
+            if fits(u, c) and fits(v, c) and unused <= len(steps) - idx - 1:
                 placed[u].append(c)
                 placed[v].append(c)
                 colors[e] = c
@@ -282,6 +329,22 @@ def reference_search(g, t):
     return colors if extend(0) else None
 
 
+def anchored_reference(g, t):
+    """The unpruned search with two ends anchored: every representative e
+    with color 1 and every other edge f with color t, unfiltered, in the
+    engine's pair and edge order.  The first coloring found, with its pair
+    (f None when t = 1), or None."""
+    for e in grids._representatives(g):
+        order = search._bfs_edge_order(g, e)
+        for f in order[1:] if t > 1 else [None]:
+            steps = [(e, range(1, 2))] + ([] if f is None else [(f, range(t, t + 1))])
+            steps += [(i, range(1, t + 1)) for i in order[1:] if i != f]
+            colors = unpruned(g, t, [(g.edges[i], choices) for i, choices in steps])
+            if colors is not None:
+                return colors, e, f
+    return None
+
+
 @pytest.mark.parametrize(
     "g",
     [build_cylinder(1, n) for n in range(2, 6)]
@@ -293,7 +356,6 @@ def reference_search(g, t):
     ids=["C(1,4)", "C(1,6)", "C(1,8)", "C(1,10)", "C(2,4)", "P3xP3", "P2xP4"],
 )
 def test_search_agrees_with_unpruned_reference(g):
-    first = g.edges[search._bfs_edge_order(g)[0]]
     for t in range(1, g.num_edges + 1):
         expected = reference_search(g, t)
         result = find_interval_coloring(g, t)
@@ -301,8 +363,11 @@ def test_search_agrees_with_unpruned_reference(g):
             assert result.outcome is Outcome.ABSENT, t
         else:
             assert result.outcome is Outcome.FOUND, t
-            assert result.coloring.colors == expected, t
-            assert result.coloring.colors[first] <= (t + 1) // 2, t
+            witness, e, f = anchored_reference(g, t)
+            assert result.coloring.colors == witness, t
+            assert result.pairs[-1][:2] == (e, f), t
+            assert result.coloring.aligned[e] == 1, t
+            assert f is None or result.coloring.aligned[f] == t, t
 
 
 def test_palette_beyond_edge_count_is_absent_at_once():
