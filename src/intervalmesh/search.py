@@ -16,14 +16,17 @@ So the search runs once per such pair, with e anchored at color 1 and f
 at color t, and no pair qualifies above 1 + max over e, f of min P[x][y].
 Inside a run every color placed bounds every vertex's colors by the same
 path weights; ``find_interval_coloring`` gives the rules.
+
+A graph's search plan, all of it but one mask per palette, is built at
+its first search and kept while the graph lives.
 """
 
 from __future__ import annotations
 
 import time
+import weakref
 from dataclasses import dataclass
 from enum import Enum
-from heapq import heappop, heappush
 from typing import Iterator, NamedTuple
 
 from .bounds import theorem1_upper
@@ -86,7 +89,6 @@ class SearchResult:
     coloring: EdgeColoring | None
     nodes: int
     detail: str = ""
-    pruned: int = 0  # attempts refused by the distance bound
     # the anchor pairs searched, in order: (e, f, nodes), e and f positions
     # in graph.edges, f None when t = 1
     pairs: tuple[tuple[int, int | None, int], ...] = ()
@@ -124,25 +126,29 @@ def _path_weights(g: MeshGraph, index: dict[GridVertex, int]) -> list[list[int]]
     path from x to v, both ends included, so [x][x] is d(x) - 1.  In an
     interval coloring two colors seen at x and at v differ by at most
     this much: consecutive edges of the path share a vertex w, whose
-    colors lie within d(w) - 1 of each other.  Dijkstra from every vertex.
+    colors lie within d(w) - 1 of each other.  From every vertex, the
+    vertices whose entry fell relax their neighbours, level by level.
     """
     weight = [g.degree(v) - 1 for v in g.vertices]
     neighbours: list[list[int]] = [[] for _ in weight]
     for a, b in g.edges:
         neighbours[index[a]].append(index[b])
         neighbours[index[b]].append(index[a])
+    unreached = sum(weight) + 1  # above every path's weight
     table = []
     for x, wx in enumerate(weight):
-        dist: list[int | None] = [None] * len(weight)
-        heap = [(wx, x)]
-        while heap:
-            d, u = heappop(heap)
-            if dist[u] is not None:
-                continue
-            dist[u] = d
-            for w in neighbours[u]:
-                if dist[w] is None:
-                    heappush(heap, (d + weight[w], w))
+        dist = [unreached] * len(weight)
+        dist[x] = wx
+        level = [x]
+        while level:
+            fell = []
+            for u in level:
+                du = dist[u]
+                for w in neighbours[u]:
+                    if du + weight[w] < dist[w]:
+                        dist[w] = du + weight[w]
+                        fell.append(w)
+            level = fell
         table.append(dist)
     return table
 
@@ -150,37 +156,71 @@ def _path_weights(g: MeshGraph, index: dict[GridVertex, int]) -> list[list[int]]
 class _Plan(NamedTuple):
     """What a search needs of a graph, whatever the palette.
 
-    ``degree`` and the path ``weights`` are by vertex index (position in
-    ``graph.vertices``), ``ends`` holds the endpoint indices of each edge
-    position, and ``reach`` is the largest weight.  ``anchors`` holds, for
-    each edge-orbit representative e in ascending position, the
-    breadth-first edge order from e and, aligned with it, the least
-    weight P[x][y] over x in e and y in that edge.
+    ``degree`` is by vertex index (position in ``graph.vertices``),
+    ``reach`` is the largest path weight and ``width`` the bits of a
+    vertex's field.  ``rows`` holds, per edge position, the endpoints,
+    their field offsets, the terms that turn a field's top bit into its
+    top color, and the edge's cut.  ``anchors`` holds, for each edge-orbit
+    representative e in ascending position, the breadth-first edge order
+    from e and, aligned with it, the least P[x][y] over x in e and y in
+    that edge.  No field refers to the graph, lest a kept plan keep it alive.
     """
 
-    graph: MeshGraph
     degree: list[int]
-    ends: list[tuple[int, int]]
-    weights: list[list[int]]
     reach: int
+    width: int
+    rows: list[tuple[int, int, int, int, int, int, int]]
     anchors: list[tuple[int, list[int], list[int]]]
 
 
+# one plan per live graph; equal graphs share it
+_PLANS: weakref.WeakKeyDictionary[MeshGraph, _Plan] = weakref.WeakKeyDictionary()
+
+
 def _plan(g: MeshGraph) -> _Plan:
-    """The search plan of ``g``, which must be connected."""
+    """The search plan of ``g``, built at the first call and kept while ``g``
+    lives; a disconnected ``g`` raises on every call and leaves nothing."""
+    plan = _PLANS.get(g)
+    if plan is None:
+        plan = _PLANS[g] = _build_plan(g)
+    return plan
+
+
+def _build_plan(g: MeshGraph) -> _Plan:
     if len(_bfs(g, g.vertices[0])) != g.num_vertices:
         raise DisconnectedGraphError("search requires a connected graph")
     index = {v: i for i, v in enumerate(g.vertices)}
     ends = [(index[a], index[b]) for a, b in g.edges]
+    degree = [g.degree(v) for v in g.vertices]
     weights = _path_weights(g, index)
+    reach = max(map(max, weights))
+    # Vertex v owns bits [v*width, (v+1)*width) of a start set; bit
+    # v*width + reach + s set: v's run of colors may start at s.  A color
+    # c at x confines v's colors to [c - r, c + r], r = weights[x][v], so
+    # cut[x] << c keeps v's starts c-r..c+r-d+1; a color on edge (a, b)
+    # cuts with cut[a] & cut[b].  No mask depends on t: an anchor pair
+    # needs t - 1 <= reach, so every palette searched has t <= reach + 1.
+    # The lowest start kept, c - r >= 1 - reach, lies in the field; the
+    # highest, c + r - d + 1 <= 2*reach + 2 - d, may pass it, but only
+    # onto starts <= -1 - d of the next vertex, which no state holds.
+    # Inside 1..t-d+1 an unclipped cut keeps what r clipped to t - 1 keeps.
+    width = 2 * reach + 3
+    offset = [v * width + reach for v in range(len(degree))]
+    cut = []
+    for row in weights:
+        bits = 0
+        for r, d, o in zip(row, degree, offset):
+            bits |= ((1 << (2 * r - d + 2)) - 1) << (o - r)
+        cut.append(bits)
+    rows = [(a, b, offset[a] - reach, offset[b] - reach, degree[a] - reach - 2,
+             degree[b] - reach - 2, cut[a] & cut[b]) for a, b in ends]
     anchors = []
     for e in _representatives(g):
         a, b = ends[e]
         near = list(map(min, weights[a], weights[b]))  # min over x in e of P[x][v]
         order = _bfs_edge_order(g, e)
         anchors.append((e, order, [min(near[x], near[y]) for x, y in (ends[i] for i in order)]))
-    degree = [g.degree(v) for v in g.vertices]
-    return _Plan(g, degree, ends, weights, max(map(max, weights)), anchors)
+    return _Plan(degree, reach, width, rows, anchors)
 
 
 def _anchor_pairs(plan: _Plan, t: int) -> Iterator[tuple[int, int | None, list[int]]]:
@@ -200,7 +240,7 @@ def _anchor_pairs(plan: _Plan, t: int) -> Iterator[tuple[int, int | None, list[i
 
 
 def find_interval_coloring(
-    g: MeshGraph, t: int, budget: SearchBudget | None = None, *, plan: _Plan | None = None
+    g: MeshGraph, t: int, budget: SearchBudget | None = None
 ) -> SearchResult:
     """Decide whether ``g`` has an interval t-coloring, within a budget.
 
@@ -215,11 +255,11 @@ def find_interval_coloring(
     f, then the other edges in breadth-first order from e; e tries only
     color 1 and f only color t, and for t = 1 e alone is anchored.  The
     outcome is ``found`` at the first run that finds a coloring, and
-    ``absent`` only when every run is exhausted, with 0 nodes when no
-    pair qualifies: W <= 1 + max over e, f of min P[x][y].  ``nodes``
-    and ``pruned`` are summed over the runs, which ``pairs`` lists in
-    order with the nodes of each; the node and time caps bound the total,
-    and the clock is read every 1024 nodes of it.
+    ``absent`` only when every run is exhausted, with 0 nodes and no
+    pairs when none qualifies: W <= 1 + max over e, f of min P[x][y].
+    ``nodes`` is summed over the runs, which ``pairs`` lists in order
+    with the nodes of each; the node and time caps bound the total, and
+    the clock is read every 1024 nodes of it.
 
     Within a run, edges take colors ascending; one color attempt is one
     node.  A color c on an edge (a, b) confines every color at a vertex v
@@ -227,21 +267,16 @@ def find_interval_coloring(
     to v.  Every vertex keeps the bounds [L, U] that the placed colors
     give it, and an edge tries only the colors inside both endpoints'
     bounds, 1..t and above the last color it tried.  An attempt is
-    refused when the color repeats at an endpoint, when fewer edges would
-    remain than colors still unused, or, counted in ``pruned``, when the
-    tightened bounds leave some vertex of degree d fewer than d colors,
-    or leave no vertex able to take an unused color 1 or t.  Outcome
-    ``absent`` is also reported at once when t exceeds the edge count or
-    falls below the maximum degree.  A found coloring is verified before
-    it is returned.
+    refused when the color repeats at an endpoint, or when fewer edges
+    would remain than colors still unused.  Outcome ``absent`` is also
+    reported at once when t exceeds the edge count or falls below the
+    maximum degree.  A found coloring is verified before it is returned.
 
     A vertex's bounds are kept as the set of colors that can start its
     run of d consecutive colors, one bit field per vertex in a single
-    int: a placement is one AND with a precomputed mask, and one
-    addition tests every field for emptiness at once.  Only these masks
-    depend on t; the rest is ``plan``, which a caller that decides many
-    palettes of ``g`` builds once with ``_plan(g)`` (a plan of another
-    graph is rebuilt).
+    int, and a placement is one AND with a mask.  Every such mask is
+    part of ``g``'s plan, which all searches of ``g`` share; a palette
+    builds only the mask of the starts 1..t-d+1.
     """
     if t < 1:
         raise InvalidParameterError(f"palette size must be >= 1, got {t}")
@@ -250,98 +285,71 @@ def find_interval_coloring(
     refused = edge_cap_refusal(g.num_edges, budget)
     if refused is not None:
         return refused
-    if plan is None or plan.graph is not g:
-        plan = _plan(g)
-    degree = plan.degree
-    if t > g.num_edges or t < max(degree):
-        # each color of a surjective coloring needs an edge of its own, and
-        # each vertex a color per edge
+    plan = _plan(g)
+    if t > g.num_edges or t < max(plan.degree) or t > plan.reach + 1:
+        # each color of a surjective coloring needs an edge of its own, each
+        # vertex a color per edge, and each palette an anchor pair
         return SearchResult(Outcome.ABSENT, None, 0)
-    # Vertex v owns bits [v*width, (v+1)*width) of a start set; bit
-    # v*width + base + s set: v's run of colors may start at s.  A color c
-    # at x confines v's colors to [c - r, c + r], r = weights[x][v], and a
-    # reach of t - 1 confines nothing, so base >= every reach that matters
-    # keeps the cuts below non-negative.  The top bit of a field takes the
-    # carry of the emptiness test.
-    base = min(t - 1, plan.reach)
-    width = base + t + 2
-    offset = [v * width + base for v in range(len(degree))]
-    allowed = carry_in = carry_out = can_top = can_bottom = 0
-    for o, d in zip(offset, degree):
-        allowed |= ((1 << (t - d + 1)) - 1) << (o + 1)
-        carry_in |= ((1 << t) - 1) << (o + 1)
-        carry_out |= 1 << (o + t + 1)
-        can_top |= 1 << (o + t - d + 1)
-        can_bottom |= 1 << (o + 1)
-    # cut[x]: the starts c-r..c+r-d+1 of every v for a color c at x, less
-    # the shift by c; a color on edge (a, b) cuts with cut[a] & cut[b]
-    cut = []
-    for row in plan.weights:
-        bits = 0
-        for p, d, o in zip(row, degree, offset):
-            r = min(p, base)
-            bits |= ((1 << (2 * r - d + 2)) - 1) << (o - r)
-        cut.append(bits)
-    # per edge position: endpoints, their field offsets, the terms that
-    # turn a field's top bit into its top color, and the cut
-    edge_plan = [
-        (a, b, offset[a] - base, offset[b] - base, degree[a] - base - 2,
-         degree[b] - base - 2, cut[a] & cut[b])
-        for a, b in plan.ends
-    ]
-    fields = (len(degree), (1 << width) - 1, base + 1, allowed, carry_in, carry_out,
-              can_top, can_bottom)
+    allowed = 0
+    for v, d in enumerate(plan.degree):
+        allowed |= ((1 << (t - d + 1)) - 1) << (v * plan.width + plan.reach + 1)
 
     searched = []
-    nodes = pruned = 0
+    nodes = 0
     started = time.monotonic()
     for e, f, order in _anchor_pairs(plan, t):
         # each row ends with the least and greatest color of its edge
         pinned = {e: (1, 1), f: (t, t)}
-        rows = [edge_plan[i] + pinned.get(i, (1, t)) for i in order]
+        rows = [plan.rows[i] + pinned.get(i, (1, t)) for i in order]
         before = nodes
-        colors, nodes, run_pruned, stop = _run(rows, t, fields, budget, nodes, started)
-        pruned += run_pruned
+        colors, nodes, stop = _run(rows, t, allowed, plan, budget, nodes, started)
         searched.append((e, f, nodes - before))
         if stop:
-            return SearchResult(
-                Outcome.BUDGET_EXCEEDED, None, nodes, stop, pruned, tuple(searched)
-            )
+            return SearchResult(Outcome.BUDGET_EXCEEDED, None, nodes, stop, tuple(searched))
         if colors is not None:
             aligned = [0] * len(order)
             for i, c in zip(order, colors):
                 aligned[i] = c
             coloring = EdgeColoring(g, tuple(aligned), t)
             require_interval(coloring, InvalidColoringError, "found coloring")
-            return SearchResult(Outcome.FOUND, coloring, nodes, "", pruned, tuple(searched))
-    return SearchResult(Outcome.ABSENT, None, nodes, "", pruned, tuple(searched))
+            return SearchResult(Outcome.FOUND, coloring, nodes, "", tuple(searched))
+    return SearchResult(Outcome.ABSENT, None, nodes, "", tuple(searched))
 
 
 def _run(
-    rows: list[tuple], t: int, fields: tuple, budget: SearchBudget, nodes: int, started: float
-) -> tuple[list[int] | None, int, int, str]:
+    rows: list[tuple], t: int, allowed: int, plan: _Plan, budget: SearchBudget, nodes: int,
+    started: float,
+) -> tuple[list[int] | None, int, str]:
     """One anchored run over the edges ``rows`` (see ``find_interval_coloring``).
 
-    ``nodes`` counts on from the runs before this one.  Returns the
-    colors in row order (None once the tree is exhausted), the node
-    count, the attempts pruned, and why a cap stopped the run ("" if none).
+    ``allowed`` holds the starts before the first edge; ``nodes`` counts
+    on from earlier runs.  Returns the colors in row order (None once the
+    tree is exhausted), the node count, and why a cap stopped it ("" if none).
+
+    No attempt tests that a start set stays nonempty or that colors 1
+    and t stay reachable: neither can fail.  A color tried on (a, b) lies
+    inside both ends' bounds, and P[x][a] <= P[x][v] + P[v][a] - (d(v) - 1)
+    (a path through v counts v twice), so its cut of v's starts meets
+    every earlier cut and 1..t-d+1; intervals that meet pairwise share a
+    start, a run of d(v) colors.  Colors 1 and t are used once both
+    anchors are placed, and e leaves f's ends, t - 1 away, a start for t.
     """
-    num_vertices, field, low, allowed, carry_in, carry_out, can_top, can_bottom = fields
+    field = (1 << plan.width) - 1
+    low = plan.reach + 1
     num_edges = len(rows)
     state = [allowed] + [0] * num_edges  # start sets before each edge
-    mask = [0] * num_vertices  # bit c set: color c sits at the vertex
+    mask = [0] * len(plan.degree)  # bit c set: color c sits at the vertex
     used_count = [0] * (t + 1)
     unused = t
     # an edge's color, 0 while it has none; a revisited edge resumes after it
     assigned: list[int] = [0] * num_edges
     max_nodes = budget.max_nodes
     time_cap_s = budget.time_cap_s
-    pruned = 0
 
     idx = 0
     while True:
         if idx == num_edges:
-            return assigned, nodes, pruned, ""
+            return assigned, nodes, ""
         a, b, oa, ob, ta, tb, cut, least, most = rows[idx]
         allowed = state[idx]
         ma = mask[a]
@@ -362,29 +370,22 @@ def _run(
         while c <= top:
             nodes += 1
             if max_nodes is not None and nodes > max_nodes:
-                return None, nodes, pruned, "node cap reached"
+                return None, nodes, "node cap reached"
             if (
                 time_cap_s is not None
                 and nodes & _TIME_CHECK_MASK == 0
                 and time.monotonic() - started > time_cap_s
             ):
-                return None, nodes, pruned, "time cap reached"
+                return None, nodes, "time cap reached"
             if not placed >> c & 1 and unused - (used_count[c] == 0) <= left:
-                tightened = allowed & cut << c
-                if (
-                    (tightened + carry_in) & carry_out == carry_out
-                    and (c == t or used_count[t] or tightened & can_top)
-                    and (c == 1 or used_count[1] or tightened & can_bottom)
-                ):
-                    break
-                pruned += 1
+                break
             c += 1
         else:
             # no color fits: undo the previous edge, resume after its color
             assigned[idx] = 0
             idx -= 1
             if idx < 0:
-                return None, nodes, pruned, ""
+                return None, nodes, ""
             a, b = rows[idx][:2]
             c = assigned[idx]
             mask[a] ^= 1 << c
@@ -399,29 +400,28 @@ def _run(
             unused -= 1
         used_count[c] += 1
         assigned[idx] = c
-        state[idx + 1] = tightened
+        state[idx + 1] = allowed & cut << c
         idx += 1
 
 
 def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool) -> int:
     """First palette in [max(1, max degree), diameter bound] that admits a coloring.
 
-    Scans upward, or downward when ``descending``, with one search plan
-    for every palette.  A palette above 1 + max over e, f of min P[x][y]
-    (see ``find_interval_coloring``) has no anchor pair and is absent
-    without a node.  Raises ``BudgetExceededError`` instead of guessing
-    when the instance is over the edge cap or any single search is
-    truncated.
+    Scans upward, or downward when ``descending``; every palette shares
+    ``g``'s one search plan.  A palette above 1 + max over e, f of
+    min P[x][y] (see ``find_interval_coloring``) has no anchor pair and
+    is absent without a node.  Raises ``BudgetExceededError`` instead of
+    guessing when the instance is over the edge cap or any single search
+    is truncated.
     """
     refused = edge_cap_refusal(g.num_edges, budget or SearchBudget())
     if refused is not None:
         raise BudgetExceededError(refused.detail)
     lo = max(1, max_degree(g))  # an edgeless graph still needs one color
     hi = theorem1_upper(g)
-    plan = _plan(g)
     palettes = range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
     for t in palettes:
-        result = find_interval_coloring(g, t, budget, plan=plan)
+        result = find_interval_coloring(g, t, budget)
         if result.outcome is Outcome.FOUND:
             return t
         if result.outcome is Outcome.BUDGET_EXCEEDED:

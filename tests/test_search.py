@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import gc
 import hashlib
+import weakref
 
 import pytest
 
@@ -10,6 +12,7 @@ from intervalmesh import (
     Outcome,
     SearchBudget,
     build_cylinder,
+    build_even_cycle,
     build_path,
     build_torus,
     cartesian_product,
@@ -163,8 +166,11 @@ def test_bad_palette_parameter():
 
 def test_search_requires_connected_graph():
     g = _assemble(Family.PRODUCT, None, None, [(1, 1), (2, 2)], [])
-    with pytest.raises(DisconnectedGraphError):
-        find_interval_coloring(g, 1)
+    # raised on every call, since a disconnected graph keeps no plan
+    for _ in range(2):
+        with pytest.raises(DisconnectedGraphError):
+            find_interval_coloring(g, 1)
+    assert g not in search._PLANS
 
 
 def test_exact_scans_respect_bounds():
@@ -198,6 +204,9 @@ NODE_COUNTS = [
     (Family.CYLINDER, 3, 2, 10, Outcome.ABSENT, 8),
     (Family.CYLINDER, 2, 4, 11, Outcome.ABSENT, 8),
     (Family.TORUS, 2, 2, 11, Outcome.ABSENT, 2054),
+    # where the palette-free bit fields are widest against t
+    (Family.TORUS, 3, 3, 5, Outcome.FOUND, 174),
+    (Family.TORUS, 2, 4, 17, Outcome.ABSENT, 3314),
 ]
 
 
@@ -207,7 +216,7 @@ NODE_COUNTS = [
     ids=[f"{family.value}({m},{n})-t{t}" for family, m, n, t, *_ in NODE_COUNTS],
 )
 def test_search_node_counts_are_pinned(family, m, n, t, outcome, nodes):
-    result = find_interval_coloring(build(family, m, n), t, SearchBudget(max_edges=32))
+    result = find_interval_coloring(build(family, m, n), t, SearchBudget(max_edges=72))
     assert (result.outcome, result.nodes) == (outcome, nodes)
     assert sum(spent for _, _, spent in result.pairs) == nodes
 
@@ -233,20 +242,38 @@ def test_anchor_pairs_are_listed_in_search_order():
 
 
 def test_a_scan_shares_one_plan(monkeypatch):
+    # an empty cache, so plans that earlier tests kept do not count
+    monkeypatch.setattr(search, "_PLANS", weakref.WeakKeyDictionary())
     built = []
-    plan = search._plan
-    monkeypatch.setattr(search, "_plan", lambda g: built.append(g) or plan(g))
-    assert exact_W(build_cylinder(2, 2)) == 6
-    assert exact_w(build_cylinder(2, 2)) == 3
-    assert len(built) == 2
+    build_plan = search._build_plan
+    monkeypatch.setattr(search, "_build_plan", lambda g: built.append(g) or build_plan(g))
+    g = build_cylinder(2, 2)
+    assert exact_W(g) == 6
+    assert exact_w(g) == 3
+    assert find_interval_coloring(g, 6).outcome is Outcome.FOUND
+    assert find_interval_coloring(g, 7).outcome is Outcome.ABSENT
+    assert built == [g]
+
+
+def test_a_plan_is_kept_only_while_its_graph_lives(monkeypatch):
+    monkeypatch.setattr(search, "_PLANS", weakref.WeakKeyDictionary())
+    g = cartesian_product(build_path(2), build_path(4))  # held by nothing else
+    result = find_interval_coloring(g, 4)
+    assert result.outcome is Outcome.FOUND
+    assert len(search._PLANS) == 1
+    del g, result
+    gc.collect()
+    assert len(search._PLANS) == 0
 
 
 def test_distance_bound_refusals_are_counted():
+    # the bound refuses a color before it becomes a node, so its refusals
+    # show as the nodes a proof does not need
     budget = SearchBudget(max_edges=32)
     result = find_interval_coloring(build_cylinder(2, 2), 7, budget)
-    assert (result.nodes, result.pruned) == (8, 0)
-    # a 3-coloring of C(2,4) is found without a refusal by the bound
-    assert find_interval_coloring(build_cylinder(2, 2), 3, budget).pruned == 0
+    assert (result.outcome, result.nodes) == (Outcome.ABSENT, 8)
+    found = find_interval_coloring(build_cylinder(2, 2), 3, budget)
+    assert (found.outcome, found.nodes) == (Outcome.FOUND, 22)
 
 
 def test_torus_witness_matches_the_window_only_search():
@@ -283,8 +310,12 @@ def floyd_warshall_path_weights(g):
 @pytest.mark.parametrize(
     "g",
     [build_cylinder(m, n) for m in (2, 3) for n in (2, 3)]
-    + [build_torus(2, 2), cartesian_product(build_path(3), build_path(3))],
-    ids=["C(2,4)", "C(2,6)", "C(3,4)", "C(3,6)", "T(4,4)", "P3xP3"],
+    + [build_torus(2, 2), cartesian_product(build_path(3), build_path(3))]
+    # degree-1 ends weigh 0; T(6,6) has 36 vertices
+    + [build_path(2), build_path(5), build_even_cycle(6), build_cylinder(1, 4)]
+    + [build_torus(3, 3), cartesian_product(build_path(2), build_path(4))],
+    ids=["C(2,4)", "C(2,6)", "C(3,4)", "C(3,6)", "T(4,4)", "P3xP3",
+         "P2", "P5", "C6", "C(1,8)", "T(6,6)", "P2xP4"],
 )
 def test_path_weights_match_floyd_warshall(g):
     index = {v: i for i, v in enumerate(g.vertices)}
