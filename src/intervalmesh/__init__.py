@@ -1,50 +1,25 @@
-"""Interval edge colorings of bipartite cylinder and torus grids."""
+"""Interval edge colorings of bipartite cylinder and torus grids.
 
-from .bounds import (
-    BoundsRow,
-    bounds_row,
-    bounds_table,
-    bounds_table_csv,
-    theorem1_upper,
-)
-from .colorings import (
-    EdgeColoring,
-    SpectrumReport,
-    VertexSpectrum,
-    coloring_from_json_dict,
-    coloring_to_json_dict,
-    verify_interval,
-)
-from .constructions import (
-    CYLINDER_RULES,
-    TORUS_RULES,
-    ConstructionResult,
-    cylinder_coloring,
-    spectrum_sweep,
-    step_down,
-    torus_coloring,
-)
-from .grids import (
-    Family,
-    MeshGraph,
-    build_cylinder,
-    build_even_cycle,
-    build_path,
-    build_torus,
-    cartesian_product,
-    diameter,
-    is_bipartite,
-    is_regular,
-    max_degree,
-)
-from .search import (
-    Outcome,
-    SearchBudget,
-    SearchResult,
-    exact_W,
-    exact_w,
-    find_interval_coloring,
-)
+Each public name is loaded from its submodule on first use (PEP 562) and
+kept here after, so ``import intervalmesh`` loads no submodule and a
+command line run loads only the modules its subcommand needs.
+"""
+
+# the submodule that defines each public name
+_HOMES = {
+    name: home
+    for home, names in (
+        ("bounds", "BoundsRow bounds_row bounds_table bounds_table_csv theorem1_upper"),
+        ("colorings", "EdgeColoring SpectrumReport VertexSpectrum coloring_from_json_dict "
+                      "coloring_to_json_dict verify_interval"),
+        ("constructions", "CYLINDER_RULES TORUS_RULES ConstructionResult cylinder_coloring "
+                          "spectrum_sweep step_down torus_coloring"),
+        ("grids", "Family MeshGraph build_cylinder build_even_cycle build_path build_torus "
+                  "cartesian_product diameter is_bipartite is_regular max_degree"),
+        ("search", "Outcome SearchBudget SearchResult exact_W exact_w find_interval_coloring"),
+    )
+    for name in names.split()
+}
 
 __version__ = "0.1.0"
 
@@ -86,3 +61,14 @@ __all__ = [
     "torus_coloring",
     "verify_interval",
 ]
+
+
+def __getattr__(name: str) -> object:
+    """The public ``name``, loaded from its submodule and kept here."""
+    home = _HOMES.get(name)
+    if home is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from importlib import import_module
+
+    value = globals()[name] = getattr(import_module(f".{home}", __name__), name)
+    return value

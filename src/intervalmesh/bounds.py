@@ -12,9 +12,8 @@ from __future__ import annotations
 
 import csv
 import io
-from dataclasses import asdict, dataclass, fields
+from typing import NamedTuple
 
-from .constructions import construct
 from .errors import InvalidParameterError, NonBipartiteError
 from .grids import Family, MeshGraph, _family, admits, diameter, is_bipartite, max_degree
 
@@ -28,8 +27,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class BoundsRow:
+class BoundsRow(NamedTuple):
     family: str
     m: int
     n: int
@@ -42,10 +40,11 @@ class BoundsRow:
     W_exact: int | None = None
 
     def as_record(self) -> dict:
-        return asdict(self)
+        """The row as a column -> value dict, ``_asdict()`` under its old name."""
+        return self._asdict()
 
 
-BOUNDS_COLUMNS = tuple(f.name for f in fields(BoundsRow))
+BOUNDS_COLUMNS = BoundsRow._fields
 
 
 def theorem1_upper(g: MeshGraph) -> int:
@@ -58,8 +57,12 @@ def theorem1_upper(g: MeshGraph) -> int:
 def bounds_row(
     family: Family | str, m: int, n: int, oracle_budget: int | None = None
 ) -> BoundsRow:
-    """One table row; oracle columns only when the instance fits the budget."""
-    from .search import SearchBudget, exact_W, exact_w
+    """One table row; oracle columns only when the instance fits the budget.
+
+    The construction and the search are loaded when a row first needs them,
+    so that the search, which imports ``theorem1_upper``, loads neither.
+    """
+    from .constructions import construct
 
     family = _family(family)
     # the verified witness carries the row's graph, so it is built only once
@@ -68,6 +71,8 @@ def bounds_row(
     delta = max_degree(g)
     w_exact = W_exact = None
     if oracle_budget is not None and g.num_edges <= oracle_budget:
+        from .search import SearchBudget, exact_W, exact_w
+
         budget = SearchBudget(max_edges=oracle_budget)
         w_exact = exact_w(g, budget)
         W_exact = exact_W(g, budget)
@@ -113,5 +118,5 @@ def bounds_table_csv(rows: list[BoundsRow]) -> str:
     buf = io.StringIO()
     writer = csv.DictWriter(buf, fieldnames=list(BOUNDS_COLUMNS), lineterminator="\n")
     writer.writeheader()
-    writer.writerows(row.as_record() for row in rows)
+    writer.writerows(row._asdict() for row in rows)
     return buf.getvalue()

@@ -10,6 +10,8 @@ Every subcommand but ``replay`` can record a run manifest, from which
 ``replay`` reproduces the primary output byte for byte: it re-runs the
 recorded arguments through the same subcommand, an ``-o`` given to
 ``replay`` replaces the recorded one, and a replay writes no manifest.
+Each handler imports the modules it runs, and the parser none, so a
+process loads only what its subcommand needs.
 """
 
 from __future__ import annotations
@@ -22,14 +24,6 @@ import time
 from pathlib import Path
 
 from . import __version__
-from .bounds import bounds_table, bounds_table_csv
-from .colorings import (
-    coloring_from_json_dict,
-    coloring_to_json_dict,
-    require_interval,
-    verify_interval,
-)
-from .constructions import CONSTRUCTIONS, construct, spectrum_sweep, step_down_to
 from .errors import (
     BudgetExceededError,
     CannotStepDownError,
@@ -42,22 +36,18 @@ from .errors import (
     NotRegularError,
     SchemaError,
 )
-from .export import to_csv, to_dot
-from .grids import Family, admits, build, dumps_canonical, edge_count, max_degree
-from .search import (
-    DEFAULT_MAX_EDGES,
-    Outcome,
-    SearchBudget,
-    edge_cap_refusal,
-    exact_W,
-    exact_w,
-    find_interval_coloring,
+from .grids import (
+    DEFAULT_MAX_EDGES, Family, admits, build, dumps_canonical, edge_count, max_degree,
 )
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
+
+# the families with a construction (``constructions.CONSTRUCTIONS``), offered
+# by --family without loading that module
+_FAMILIES = (Family.CYLINDER.value, Family.TORUS.value)
 
 
 class _UsageError(Exception):
@@ -155,6 +145,9 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, str | None]:
+    from .colorings import coloring_to_json_dict
+    from .constructions import construct, step_down_to
+
     family = Family(args.family)
     result = construct(family, args.m, args.n)
     claimed = result.coloring.palette_size
@@ -180,6 +173,8 @@ def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, str | None]:
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, str | None]:
+    from .colorings import coloring_from_json_dict, verify_interval
+
     doc = _load_json(args.path)
     coloring, _ = coloring_from_json_dict(doc)
     report = verify_interval(coloring)
@@ -192,7 +187,9 @@ def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, str | None]:
 
 
 def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, str | None]:
-    families = list(CONSTRUCTIONS) if args.family == "both" else [args.family]
+    from .bounds import bounds_table, bounds_table_csv
+
+    families = _FAMILIES if args.family == "both" else [args.family]
     m_range = _parse_range(args.m_range)
     n_range = _parse_range(args.n_range)
     rows = bounds_table(families, m_range, n_range, args.oracle_budget)
@@ -200,6 +197,11 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, str | None]:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
+    from .colorings import coloring_to_json_dict
+    from .search import (
+        Outcome, SearchBudget, edge_cap_refusal, exact_W, exact_w, find_interval_coloring,
+    )
+
     budget = SearchBudget(
         max_edges=DEFAULT_MAX_EDGES if args.max_edges is None else args.max_edges,
         max_nodes=args.max_nodes,
@@ -236,6 +238,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str, str | None]:
+    from .colorings import coloring_to_json_dict
+    from .constructions import spectrum_sweep
+
     colorings = spectrum_sweep(args.m, args.n)
     docs = [coloring_to_json_dict(c) for c in colorings]
     summary = f"{len(docs)} colorings t={colorings[0].palette_size}..4"
@@ -243,6 +248,9 @@ def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str, str | None]:
 
 
 def _cmd_export(args: argparse.Namespace) -> tuple[int, str, str | None]:
+    from .colorings import coloring_from_json_dict, require_interval
+    from .export import to_csv, to_dot
+
     doc = _load_json(args.path)
     coloring, trace = coloring_from_json_dict(doc)
     require_interval(coloring, InvalidColoringError, "coloring to export")
@@ -279,10 +287,9 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="subcommand", required=True)
-    families = [family.value for family in CONSTRUCTIONS]
 
     p = sub.add_parser("generate", help="emit a constructed coloring as JSON")
-    p.add_argument("--family", choices=families, required=True)
+    p.add_argument("--family", choices=_FAMILIES, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     p.add_argument("--t", type=int, help="palette size (torus: any value down to 4)")
@@ -294,7 +301,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_verify)
 
     p = sub.add_parser("bounds", help="emit the bounds table as CSV")
-    p.add_argument("--family", choices=[*families, "both"], default="both")
+    p.add_argument("--family", choices=[*_FAMILIES, "both"], default="both")
     p.add_argument("--m-range", "-m-range", dest="m_range", required=True, metavar="A..B")
     p.add_argument("--n-range", "-n-range", dest="n_range", required=True, metavar="A..B")
     p.add_argument(
@@ -306,7 +313,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(handler=_cmd_bounds)
 
     p = sub.add_parser("search", help="exhaustive search for interval colorings")
-    p.add_argument("--family", choices=families, required=True)
+    p.add_argument("--family", choices=_FAMILIES, required=True)
     p.add_argument("-m", type=int, required=True)
     p.add_argument("-n", type=int, required=True)
     group = p.add_mutually_exclusive_group(required=True)

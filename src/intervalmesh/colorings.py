@@ -12,10 +12,8 @@ gate that turns a failed report into an error.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
-from functools import cached_property
 from types import MappingProxyType
-from typing import Mapping
+from typing import Mapping, NamedTuple
 
 from .errors import InvalidColoringError, SchemaError
 from .grids import (
@@ -27,6 +25,7 @@ from .grids import (
     _listed_graph,
     _member_name,
     _parse_vertex,
+    _Record,
     vertex_name,
 )
 
@@ -41,8 +40,7 @@ __all__ = [
 ]
 
 
-@dataclass(frozen=True)
-class EdgeColoring:
+class EdgeColoring(_Record):
     """A total assignment of integer colors to the edges of one graph.
 
     ``aligned[i]`` is the color of ``graph.edges[i]``, one integer per
@@ -51,41 +49,38 @@ class EdgeColoring:
     palette 1..t.
     Assigned colors are not forced into that range here; out-of-range
     colors are reported by :func:`verify_interval` instead of rejected, so
-    that damaged colorings can still be diagnosed.
+    that damaged colorings can still be diagnosed.  Equality, hash and
+    repr read the graph, the colors and the palette.
     """
 
-    graph: MeshGraph
-    aligned: tuple[int, ...]
-    palette_size: int
-    _report: SpectrumReport | None = field(
-        default=None, init=False, repr=False, compare=False
-    )
+    __slots__ = ("graph", "aligned", "palette_size", "_report", "_colors")
+    _compared = ("graph", "aligned", "palette_size")
 
-    def __post_init__(self) -> None:
-        if self.palette_size < 1:
+    def __init__(self, graph: MeshGraph, aligned: tuple[int, ...], palette_size: int) -> None:
+        if palette_size < 1:
+            raise InvalidColoringError(f"palette size must be >= 1, got {palette_size}")
+        edges = graph.edges
+        if len(aligned) != len(edges):
             raise InvalidColoringError(
-                f"palette size must be >= 1, got {self.palette_size}"
+                f"coloring has {len(aligned)} colors for {len(edges)} edges"
             )
-        colors = self.aligned
-        edges = self.graph.edges
-        if len(colors) != len(edges):
-            raise InvalidColoringError(
-                f"coloring has {len(colors)} colors for {len(edges)} edges"
-            )
-        for e, c in zip(edges, colors):
+        for e, c in zip(edges, aligned):
             if not isinstance(c, int) or isinstance(c, bool):
                 raise InvalidColoringError(
                     f"color of {_edge_name(*e)} is not an integer: {c!r}"
                 )
+        self._fill(graph, aligned, palette_size, None, None)
 
-    @cached_property
+    @property
     def colors(self) -> Mapping[Edge, int]:
         """Read-only edge -> color view of ``aligned``, built on first read."""
-        return MappingProxyType(dict(zip(self.graph.edges, self.aligned)))
+        if self._colors is None:
+            view = MappingProxyType(dict(zip(self.graph.edges, self.aligned)))
+            object.__setattr__(self, "_colors", view)
+        return self._colors
 
 
-@dataclass(frozen=True)
-class VertexSpectrum:
+class VertexSpectrum(NamedTuple):
     vertex: GridVertex
     colors: tuple[int, ...]
     degree: int
@@ -100,21 +95,22 @@ def _vertex_flags(colors: list[int]) -> tuple[bool, bool]:
     return proper, proper and (d == 0 or max(colors) - min(colors) == d - 1)
 
 
-@dataclass(frozen=True)
-class SpectrumReport:
+class SpectrumReport(_Record):
     """Full verification outcome for one coloring.
 
-    ``graph`` and ``aligned`` are the verified coloring's; ``entries``
-    rebuilds the per-vertex spectra from them on each read.
+    ``graph`` and ``aligned`` are the verified coloring's, left out of
+    equality, hash and repr; ``entries`` rebuilds the per-vertex spectra
+    from them on each read.
     """
 
-    palette_size: int
-    proper: bool
-    surjective: bool
-    interval: bool
-    violating_vertices: tuple[GridVertex, ...]
-    graph: MeshGraph = field(repr=False, compare=False)
-    aligned: tuple[int, ...] = field(repr=False, compare=False)
+    __slots__ = ("palette_size", "proper", "surjective", "interval", "violating_vertices",
+                 "graph", "aligned")
+    _compared = __slots__[:5]
+
+    def __init__(self, palette_size: int, proper: bool, surjective: bool, interval: bool,
+                 violating_vertices: tuple[GridVertex, ...], graph: MeshGraph,
+                 aligned: tuple[int, ...]) -> None:
+        self._fill(palette_size, proper, surjective, interval, violating_vertices, graph, aligned)
 
     @property
     def entries(self) -> tuple[VertexSpectrum, ...]:

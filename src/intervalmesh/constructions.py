@@ -25,8 +25,7 @@ through the gate ``require_interval``, which raises naming a vertex.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from .colorings import EdgeColoring, require_interval
 from .errors import (
@@ -73,8 +72,7 @@ CYLINDER_RULES = (
 TORUS_RULES = CYLINDER_RULES + ("seam-mid", "seam-low")
 
 
-@dataclass(frozen=True)
-class ConstructionResult:
+class ConstructionResult(NamedTuple):
     """A verified coloring; ``rule_trace[i]`` names the rule that painted
     ``graph.edges[i]``."""
 

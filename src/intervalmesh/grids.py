@@ -12,8 +12,8 @@ from __future__ import annotations
 
 import functools
 import json
+import operator
 from collections import deque
-from dataclasses import dataclass, field
 from enum import Enum
 from typing import Callable, Iterable, NamedTuple
 
@@ -33,6 +33,7 @@ __all__ = [
     "cartesian_product",
     "build",
     "edge_count",
+    "DEFAULT_MAX_EDGES",
     "admits",
     "vertex_name",
     "max_degree",
@@ -70,25 +71,71 @@ def _edge(a: GridVertex, b: GridVertex) -> Edge:
     return (a, b) if a < b else (b, a)
 
 
-@dataclass(frozen=True)
-class MeshGraph:
+class _Record:
+    """Base of the package's immutable records, kept in ``__slots__``.
+
+    Equality (same class only), hash and repr read the fields named in
+    ``_compared``; no field can be assigned or deleted once ``__init__``
+    has set it through ``object.__setattr__``.
+    """
+
+    __slots__ = ()
+    _compared: tuple[str, ...] = ()
+
+    def __init_subclass__(cls) -> None:
+        # the compared fields as a tuple, read in C: graph equality and hash
+        # sit on the search's plan lookup
+        cls._values = operator.attrgetter(*cls._compared)
+
+    def _fill(self, *values: object) -> None:
+        """Set the slots, in ``__slots__`` order; called once, by ``__init__``."""
+        for name, value in zip(self.__slots__, values):
+            object.__setattr__(self, name, value)
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return self is other or self._values(self) == self._values(other)
+
+    def __hash__(self) -> int:
+        return hash(self._values(self))
+
+    def __repr__(self) -> str:
+        fields = ", ".join([f"{name}={getattr(self, name)!r}" for name in self._compared])
+        return f"{type(self).__qualname__}({fields})"
+
+    def __setattr__(self, name: str, value: object) -> None:
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name: str) -> None:
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __setstate__(self, state: tuple[None, dict]) -> None:
+        # copy and pickle restore the slots here, past __setattr__
+        for name, value in state[1].items():
+            object.__setattr__(self, name, value)
+
+
+class MeshGraph(_Record):
     """A finite simple graph with grid-coordinate vertices.
 
     ``vertices`` and ``edges`` are sorted tuples; ``incident`` (the one
     vertex lookup: the positions in ``edges`` of each vertex's edges) and
     ``edge_index`` (each edge's position in ``edges``) are built once at
-    assembly time and excluded from equality.  A named family's graph is
-    shared by every caller that builds the same member while it is cached,
-    so these two dicts are read-only: never mutate them.
+    assembly time and excluded from equality and repr.  A named family's
+    graph is shared by every caller that builds the same member while it
+    is cached, so these two dicts are read-only: never mutate them.  A
+    graph can be weakly referenced, as the search's plan cache does.
     """
 
-    family: Family
-    m: int | None
-    n: int | None
-    vertices: tuple[GridVertex, ...]
-    edges: tuple[Edge, ...]
-    incident: dict[GridVertex, tuple[int, ...]] = field(repr=False, compare=False)
-    edge_index: dict[Edge, int] = field(repr=False, compare=False)
+    __slots__ = ("family", "m", "n", "vertices", "edges", "incident", "edge_index",
+                 "__weakref__")
+    _compared = ("family", "m", "n", "vertices", "edges")
+
+    def __init__(self, family: Family, m: int | None, n: int | None,
+                 vertices: tuple[GridVertex, ...], edges: tuple[Edge, ...],
+                 incident: dict[GridVertex, tuple[int, ...]], edge_index: dict[Edge, int]) -> None:
+        self._fill(family, m, n, vertices, edges, incident, edge_index)
 
     @property
     def num_vertices(self) -> int:
@@ -340,6 +387,11 @@ def _law(family: Family | str) -> _FamilyLaw:
 def build(family: Family | str, m: int | None, n: int | None) -> MeshGraph:
     """The member of a named family with parameters (m, n)."""
     return _law(family).build(m, n)
+
+
+# the edge cap of an exhaustive search unless its budget says otherwise;
+# kept here so that the CLI's help text names it without loading the search
+DEFAULT_MAX_EDGES = 16
 
 
 def edge_count(family: Family | str, m: int | None, n: int | None) -> int:

@@ -25,7 +25,6 @@ from __future__ import annotations
 
 import time
 import weakref
-from dataclasses import dataclass
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -38,7 +37,9 @@ from .errors import (
     InvalidParameterError,
     NotIntervalColorableError,
 )
-from .grids import GridVertex, MeshGraph, _bfs, _representatives, max_degree
+from .grids import (
+    DEFAULT_MAX_EDGES, GridVertex, MeshGraph, _bfs, _Record, _representatives, max_degree,
+)
 
 __all__ = [
     "SearchBudget",
@@ -51,13 +52,10 @@ __all__ = [
     "DEFAULT_MAX_EDGES",
 ]
 
-DEFAULT_MAX_EDGES = 16
-
 _TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes
 
 
-@dataclass(frozen=True)
-class SearchBudget:
+class SearchBudget(_Record):
     """Limits for one exhaustive search.
 
     ``max_edges`` refuses larger instances outright; ``max_nodes`` caps
@@ -65,16 +63,16 @@ class SearchBudget:
     seconds and must be ``>= 0`` (NaN is not).  ``None`` disables a cap.
     """
 
-    max_edges: int = DEFAULT_MAX_EDGES
-    max_nodes: int | None = None
-    time_cap_s: float | None = None
+    __slots__ = _compared = ("max_edges", "max_nodes", "time_cap_s")
 
-    def __post_init__(self) -> None:
+    def __init__(self, max_edges: int = DEFAULT_MAX_EDGES, max_nodes: int | None = None,
+                 time_cap_s: float | None = None) -> None:
         # a NaN cap would compare False with every elapsed time and never stop
-        if self.time_cap_s is not None and not self.time_cap_s >= 0:
+        if time_cap_s is not None and not time_cap_s >= 0:
             raise InvalidParameterError(
-                f"time cap must be a number >= 0 seconds, got {self.time_cap_s}"
+                f"time cap must be a number >= 0 seconds, got {time_cap_s}"
             )
+        self._fill(max_edges, max_nodes, time_cap_s)
 
 
 class Outcome(str, Enum):
@@ -83,8 +81,7 @@ class Outcome(str, Enum):
     BUDGET_EXCEEDED = "budget-exceeded"
 
 
-@dataclass(frozen=True)
-class SearchResult:
+class SearchResult(NamedTuple):
     outcome: Outcome
     coloring: EdgeColoring | None
     nodes: int

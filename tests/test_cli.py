@@ -20,6 +20,7 @@ from intervalmesh import (
     coloring_to_json_dict,
     constructions,
     grids,
+    search,
     verify_interval,
 )
 from intervalmesh.cli import run
@@ -444,7 +445,8 @@ def test_search_timeout_must_be_a_number_at_least_zero(capsys, monkeypatch):
     def refuse(*args):
         raise AssertionError("the search must not start")
 
-    monkeypatch.setattr(cli, "find_interval_coloring", refuse)
+    # the handler loads search when it runs and calls through the module
+    monkeypatch.setattr(search, "find_interval_coloring", refuse)
     # the node cap ends the search if a bad time cap were ever let through
     argv = ["search", "--family", "torus", "-m", "2", "-n", "2", "--t", "12",
             "--max-edges", "32", "--max-nodes", "100000"]

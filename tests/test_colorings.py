@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import dataclasses
 import json
 from unittest import mock
 
@@ -127,7 +126,7 @@ def test_coloring_is_immutable():
     e = c.graph.edges[0]
     with pytest.raises(TypeError):
         c.colors[e] = 1
-    with pytest.raises(dataclasses.FrozenInstanceError):
+    with pytest.raises(AttributeError):
         c.aligned = (1, 1, 1, 1)
     assert c.colors[e] == c.aligned[0] == 1
 
