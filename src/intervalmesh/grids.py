@@ -30,7 +30,6 @@ __all__ = [
     "build_even_cycle",
     "build_cylinder",
     "build_torus",
-    "cartesian_product",
     "build",
     "edge_count",
     "DEFAULT_MAX_EDGES",
@@ -83,8 +82,7 @@ class _Record:
     _compared: tuple[str, ...] = ()
 
     def __init_subclass__(cls) -> None:
-        # the compared fields as a tuple, read in C: graph equality and hash
-        # sit on the search's plan lookup
+        # the compared fields as a tuple, read in C
         cls._values = operator.attrgetter(*cls._compared)
 
     def _fill(self, *values: object) -> None:
@@ -124,18 +122,20 @@ class MeshGraph(_Record):
     ``edge_index`` (each edge's position in ``edges``) are built once at
     assembly time and excluded from equality and repr.  A named family's
     graph is shared by every caller that builds the same member while it
-    is cached, so these two dicts are read-only: never mutate them.  A
-    graph can be weakly referenced, as the search's plan cache does.
+    is cached, so these two dicts are read-only: never mutate them.
+    ``_plan``, also outside equality and repr, holds the search's plan
+    from the graph's first search on (``search._plan``).  A graph can be
+    weakly referenced.
     """
 
-    __slots__ = ("family", "m", "n", "vertices", "edges", "incident", "edge_index",
+    __slots__ = ("family", "m", "n", "vertices", "edges", "incident", "edge_index", "_plan",
                  "__weakref__")
     _compared = ("family", "m", "n", "vertices", "edges")
 
     def __init__(self, family: Family, m: int | None, n: int | None,
                  vertices: tuple[GridVertex, ...], edges: tuple[Edge, ...],
                  incident: dict[GridVertex, tuple[int, ...]], edge_index: dict[Edge, int]) -> None:
-        self._fill(family, m, n, vertices, edges, incident, edge_index)
+        self._fill(family, m, n, vertices, edges, incident, edge_index, None)
 
     @property
     def num_vertices(self) -> int:
@@ -203,24 +203,21 @@ def _assemble(
 # ---------------------------------------------------------------------------
 
 
-def _product(
-    family: Family, m: int | None, n: int | None,
-    layers: int, layer_pairs: list[tuple[int, int]], rings: int, ring_pairs: list[tuple[int, int]],
-) -> MeshGraph:
-    """Cartesian product of a layer factor on 1..layers and a ring factor on
-    1..rings, each given by its edges as index pairs: vertex (i, j) sits on
-    layer i and ring j, every layer carries a copy of the ring factor's
-    edges and every ring a copy of the layer factor's."""
+def _product(family: Family, m: int | None, n: int | None,
+             layer: tuple[int, bool], ring: tuple[int, bool]) -> MeshGraph:
+    """Cartesian product of a layer factor and a ring factor, each given as
+    its vertex count k and whether it is closed: the path on 1..k, closed
+    into a cycle when ``closed``.  Vertex (i, j) sits on layer i and ring j;
+    every layer carries a copy of the ring factor's edges and every ring a
+    copy of the layer factor's."""
+    (layers, closed_layers), (rings, closed_rings) = layer, ring
     layer_range, ring_range = range(1, layers + 1), range(1, rings + 1)
+    layer_pairs = list(zip(layer_range, layer_range[1:])) + ([(1, layers)] if closed_layers else [])
+    ring_pairs = list(zip(ring_range, ring_range[1:])) + ([(1, rings)] if closed_rings else [])
     vertices = [(i, j) for i in layer_range for j in ring_range]
     edges = [((i, a), (i, b)) for i in layer_range for a, b in ring_pairs]
     edges += [((a, j), (b, j)) for j in ring_range for a, b in layer_pairs]
     return _assemble(family, m, n, vertices, edges)
-
-
-def _factor_pairs(k: int, closed: bool) -> list[tuple[int, int]]:
-    """Edges of the path on 1..k, closed into a cycle when ``closed``."""
-    return [(j, j + 1) for j in range(1, k)] + ([(1, k)] if closed else [])
 
 
 @functools.lru_cache(maxsize=2, typed=True)
@@ -236,9 +233,7 @@ def _grid(family: Family, m: int | None, n: int | None) -> MeshGraph:
     shortfall = _shortfall(law, m, n)
     if shortfall:
         raise InvalidParameterError(f"{family.value} needs {shortfall}")
-    (layers, closed_layers), (rings, closed_rings) = law.shape(m, n)
-    return _product(family, m, n, layers, _factor_pairs(layers, closed_layers),
-                    rings, _factor_pairs(rings, closed_rings))
+    return _product(family, m, n, *law.shape(m, n))
 
 
 def build_path(m: int) -> MeshGraph:
@@ -259,8 +254,8 @@ def build_cylinder(m: int, n: int) -> MeshGraph:
     """Cylinder grid on ``m`` layers and ``2n`` rings.
 
     Layer ``i`` carries a cycle on rings 1..2n; consecutive layers are
-    joined by one rung per ring.  Equals ``cartesian_product(build_path(m),
-    build_even_cycle(2 * n))`` vertex for vertex.
+    joined by one rung per ring: the product of a path on ``m`` vertices
+    with a cycle on ``2n``.
     """
     return _grid(Family.CYLINDER, m, n)
 
@@ -271,22 +266,6 @@ def build_torus(m: int, n: int) -> MeshGraph:
     Both factors are even cycles, so the graph is 4-regular and bipartite.
     """
     return _grid(Family.TORUS, m, n)
-
-
-def cartesian_product(g1: MeshGraph, g2: MeshGraph) -> MeshGraph:
-    """Cartesian product, with vertex (a, b) relabeled to grid coordinates.
-
-    The layer of a product vertex is the 1-based rank of ``a`` among
-    ``g1.vertices`` and the ring is the rank of ``b`` among ``g2.vertices``,
-    so products of paths and even cycles coincide with the direct builders.
-    """
-    rank1 = {v: i for i, v in enumerate(g1.vertices, start=1)}
-    rank2 = {v: i for i, v in enumerate(g2.vertices, start=1)}
-    return _product(
-        Family.PRODUCT, None, None,
-        len(rank1), [(rank1[u], rank1[v]) for u, v in g1.edges],
-        len(rank2), [(rank2[u], rank2[v]) for u, v in g2.edges],
-    )
 
 
 class _FamilyLaw(NamedTuple):

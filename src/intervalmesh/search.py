@@ -18,13 +18,12 @@ Inside a run every color placed bounds every vertex's colors by the same
 path weights; ``find_interval_coloring`` gives the rules.
 
 A graph's search plan, all of it but one mask per palette, is built at
-its first search and kept while the graph lives.
+its first search and kept on the graph.
 """
 
 from __future__ import annotations
 
 import time
-import weakref
 from enum import Enum
 from typing import Iterator, NamedTuple
 
@@ -160,7 +159,7 @@ class _Plan(NamedTuple):
     top color, and the edge's cut.  ``anchors`` holds, for each edge-orbit
     representative e in ascending position, the breadth-first edge order
     from e and, aligned with it, the least P[x][y] over x in e and y in
-    that edge.  No field refers to the graph, lest a kept plan keep it alive.
+    that edge.
     """
 
     degree: list[int]
@@ -170,16 +169,13 @@ class _Plan(NamedTuple):
     anchors: list[tuple[int, list[int], list[int]]]
 
 
-# one plan per live graph; equal graphs share it
-_PLANS: weakref.WeakKeyDictionary[MeshGraph, _Plan] = weakref.WeakKeyDictionary()
-
-
 def _plan(g: MeshGraph) -> _Plan:
-    """The search plan of ``g``, built at the first call and kept while ``g``
-    lives; a disconnected ``g`` raises on every call and leaves nothing."""
-    plan = _PLANS.get(g)
+    """The search plan of ``g``, built at the first call and kept on ``g``;
+    a disconnected ``g`` raises on every call and keeps nothing."""
+    plan = g._plan
     if plan is None:
-        plan = _PLANS[g] = _build_plan(g)
+        plan = _build_plan(g)
+        object.__setattr__(g, "_plan", plan)
     return plan
 
 

@@ -16,7 +16,6 @@ from intervalmesh import (
     build_even_cycle,
     build_path,
     build_torus,
-    cartesian_product,
     coloring_from_json_dict,
     coloring_to_json_dict,
     cylinder_coloring,
@@ -209,7 +208,7 @@ def test_coloring_json_round_trip():
         build_even_cycle(6),
         build_cylinder(2, 3),
         build_torus(2, 2),
-        cartesian_product(build_path(2), build_even_cycle(4)),
+        grids._product(Family.PRODUCT, None, None, (2, False), (4, True)),
     ]
     for g in graphs:
         c = EdgeColoring(g, tuple(range(1, g.num_edges + 1)), g.num_edges)
@@ -353,8 +352,8 @@ VERIFIER_CASES = [
                                      cylinder_coloring(2, 3).coloring,
                                      torus_coloring(2, 2).coloring,
                                      torus_coloring(3, 2).coloring)),
-    (cartesian_product(build_path(2), build_path(3)), None),
-    (cartesian_product(build_path(3), build_even_cycle(4)), None),
+    (grids._product(Family.PRODUCT, None, None, (2, False), (3, False)), None),
+    (grids._product(Family.PRODUCT, None, None, (3, False), (4, True)), None),
     (_document_graph([[1, 1], [1, 2], [1, 3], [2, 1]], [((1, 1), (1, 2)), ((1, 2), (1, 3))]),
      None),
     (_document_graph([[1, 1], [2, 2]], []), None),

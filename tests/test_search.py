@@ -15,7 +15,6 @@ from intervalmesh import (
     build_even_cycle,
     build_path,
     build_torus,
-    cartesian_product,
     cylinder_coloring,
     exact_W,
     exact_w,
@@ -170,7 +169,7 @@ def test_search_requires_connected_graph():
     for _ in range(2):
         with pytest.raises(DisconnectedGraphError):
             find_interval_coloring(g, 1)
-    assert g not in search._PLANS
+        assert g._plan is None
 
 
 def test_exact_scans_respect_bounds():
@@ -242,12 +241,10 @@ def test_anchor_pairs_are_listed_in_search_order():
 
 
 def test_a_scan_shares_one_plan(monkeypatch):
-    # an empty cache, so plans that earlier tests kept do not count
-    monkeypatch.setattr(search, "_PLANS", weakref.WeakKeyDictionary())
     built = []
     build_plan = search._build_plan
     monkeypatch.setattr(search, "_build_plan", lambda g: built.append(g) or build_plan(g))
-    g = build_cylinder(2, 2)
+    g = build_cylinder(2, 2)  # a fresh graph: each test starts with an empty graph cache
     assert exact_W(g) == 6
     assert exact_w(g) == 3
     assert find_interval_coloring(g, 6).outcome is Outcome.FOUND
@@ -255,15 +252,14 @@ def test_a_scan_shares_one_plan(monkeypatch):
     assert built == [g]
 
 
-def test_a_plan_is_kept_only_while_its_graph_lives(monkeypatch):
-    monkeypatch.setattr(search, "_PLANS", weakref.WeakKeyDictionary())
-    g = cartesian_product(build_path(2), build_path(4))  # held by nothing else
+def test_a_searched_graph_is_collected_once_dropped():
+    g = grids._product(Family.PRODUCT, None, None, (2, False), (4, False))  # held by nothing else
     result = find_interval_coloring(g, 4)
-    assert result.outcome is Outcome.FOUND
-    assert len(search._PLANS) == 1
+    assert result.outcome is Outcome.FOUND and g._plan is not None
+    ref = weakref.ref(g)
     del g, result
     gc.collect()
-    assert len(search._PLANS) == 0
+    assert ref() is None
 
 
 def test_distance_bound_refusals_are_counted():
@@ -310,10 +306,10 @@ def floyd_warshall_path_weights(g):
 @pytest.mark.parametrize(
     "g",
     [build_cylinder(m, n) for m in (2, 3) for n in (2, 3)]
-    + [build_torus(2, 2), cartesian_product(build_path(3), build_path(3))]
+    + [build_torus(2, 2), grids._product(Family.PRODUCT, None, None, (3, False), (3, False))]
     # degree-1 ends weigh 0; T(6,6) has 36 vertices
     + [build_path(2), build_path(5), build_even_cycle(6), build_cylinder(1, 4)]
-    + [build_torus(3, 3), cartesian_product(build_path(2), build_path(4))],
+    + [build_torus(3, 3), grids._product(Family.PRODUCT, None, None, (2, False), (4, False))],
     ids=["C(2,4)", "C(2,6)", "C(3,4)", "C(3,6)", "T(4,4)", "P3xP3",
          "P2", "P5", "C6", "C(1,8)", "T(6,6)", "P2xP4"],
 )
@@ -381,8 +377,8 @@ def anchored_reference(g, t):
     [build_cylinder(1, n) for n in range(2, 6)]
     + [
         build_cylinder(2, 2),
-        cartesian_product(build_path(3), build_path(3)),
-        cartesian_product(build_path(2), build_path(4)),
+        grids._product(Family.PRODUCT, None, None, (3, False), (3, False)),
+        grids._product(Family.PRODUCT, None, None, (2, False), (4, False)),
     ],
     ids=["C(1,4)", "C(1,6)", "C(1,8)", "C(1,10)", "C(2,4)", "P3xP3", "P2xP4"],
 )
