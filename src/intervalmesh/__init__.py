@@ -9,13 +9,13 @@ command line run loads only the modules its subcommand needs.
 _HOMES = {
     name: home
     for home, names in (
-        ("bounds", "BoundsRow bounds_row bounds_table bounds_table_csv theorem1_upper"),
+        ("bounds", "BoundsRow bounds_row bounds_table bounds_table_csv"),
         ("colorings", "EdgeColoring SpectrumReport VertexSpectrum coloring_from_json_dict "
                       "coloring_to_json_dict verify_interval"),
-        ("constructions", "CYLINDER_RULES TORUS_RULES ConstructionResult cylinder_coloring "
-                          "spectrum_sweep step_down torus_coloring"),
-        ("grids", "Family MeshGraph build_cylinder build_even_cycle build_path build_torus "
-                  "diameter is_bipartite is_regular max_degree"),
+        ("constructions", "ConstructionResult cylinder_coloring spectrum_sweep step_down "
+                          "torus_coloring"),
+        ("grids", "Family MeshGraph build_cylinder build_torus diameter is_bipartite "
+                  "is_regular max_degree theorem1_upper"),
         ("search", "Outcome SearchBudget SearchResult exact_W exact_w find_interval_coloring"),
     )
     for name in names.split()

@@ -14,16 +14,15 @@ import csv
 import io
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, NonBipartiteError
-from .grids import Family, MeshGraph, _family, admits, diameter, is_bipartite, max_degree
+from .constructions import construct
+from .errors import InvalidParameterError
+from .grids import Family, _family, admits, diameter, max_degree, theorem1_upper
 
 __all__ = [
     "BoundsRow",
     "bounds_row",
-    "theorem1_upper",
     "bounds_table",
     "bounds_table_csv",
-    "BOUNDS_COLUMNS",
 ]
 
 
@@ -44,26 +43,13 @@ class BoundsRow(NamedTuple):
         return self._asdict()
 
 
-BOUNDS_COLUMNS = BoundsRow._fields
-
-
-def theorem1_upper(g: MeshGraph) -> int:
-    """Diameter upper bound on the greatest palette of a bipartite graph."""
-    if not is_bipartite(g):
-        raise NonBipartiteError("the diameter bound needs a bipartite graph")
-    return diameter(g) * (max_degree(g) - 1) + 1
-
-
 def bounds_row(
     family: Family | str, m: int, n: int, oracle_budget: int | None = None
 ) -> BoundsRow:
     """One table row; oracle columns only when the instance fits the budget.
 
-    The construction and the search are loaded when a row first needs them,
-    so that the search, which imports ``theorem1_upper``, loads neither.
+    The search is loaded when a row first needs it.
     """
-    from .constructions import construct
-
     family = _family(family)
     # the verified witness carries the row's graph, so it is built only once
     witness = construct(family, m, n).coloring
@@ -116,7 +102,7 @@ def bounds_table(
 def bounds_table_csv(rows: list[BoundsRow]) -> str:
     """CSV with the fixed column order; empty cells for absent oracle values."""
     buf = io.StringIO()
-    writer = csv.DictWriter(buf, fieldnames=list(BOUNDS_COLUMNS), lineterminator="\n")
+    writer = csv.DictWriter(buf, fieldnames=BoundsRow._fields, lineterminator="\n")
     writer.writeheader()
     writer.writerows(row._asdict() for row in rows)
     return buf.getvalue()

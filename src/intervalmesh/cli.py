@@ -45,7 +45,7 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# the families with a construction (``constructions.CONSTRUCTIONS``), offered
+# the families with a construction (``constructions._CONSTRUCTIONS``), offered
 # by --family without loading that module
 _FAMILIES = (Family.CYLINDER.value, Family.TORUS.value)
 

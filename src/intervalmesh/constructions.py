@@ -12,8 +12,8 @@ color.
 Constructions verify their own output and fail loudly, naming a broken
 vertex and its incident colors, rather than return a bad coloring.
 
-``CONSTRUCTIONS`` maps each family that has one to its construction;
-``construct(family, m, n)`` dispatches through it.
+``construct(family, m, n)`` dispatches to the construction of a family
+that has one, through the private table ``_CONSTRUCTIONS``.
 
 ``step_down`` converts an interval t-coloring of a regular graph into an
 interval (t-1)-coloring by recoloring the color-t edges to t - degree;
@@ -51,26 +51,11 @@ __all__ = [
     "ConstructionResult",
     "cylinder_coloring",
     "torus_coloring",
-    "CONSTRUCTIONS",
     "construct",
     "step_down",
     "step_down_to",
     "spectrum_sweep",
-    "CYLINDER_RULES",
-    "TORUS_RULES",
 ]
-
-CYLINDER_RULES = (
-    "ring-asc",
-    "ring-desc",
-    "ring-wrap",
-    "rung-asc",
-    "rung-desc",
-    "rung-first",
-)
-
-TORUS_RULES = CYLINDER_RULES + ("seam-mid", "seam-low")
-
 
 class ConstructionResult(NamedTuple):
     """A verified coloring; ``rule_trace[i]`` names the rule that painted
@@ -162,7 +147,7 @@ def torus_coloring(m: int, n: int) -> ConstructionResult:
     return _paint(g, rule, 3 * n + m, swap)
 
 
-CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
+_CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
     Family.CYLINDER: cylinder_coloring,
     Family.TORUS: torus_coloring,
 }
@@ -171,9 +156,9 @@ CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
 def construct(family: Family | str, m: int, n: int) -> ConstructionResult:
     """The closed-form coloring of a named family at parameters (m, n)."""
     family = _family(family)
-    if family not in CONSTRUCTIONS:
+    if family not in _CONSTRUCTIONS:
         raise InvalidParameterError(f"no construction for family {family.value}")
-    return CONSTRUCTIONS[family](m, n)
+    return _CONSTRUCTIONS[family](m, n)
 
 
 def step_down(c: EdgeColoring) -> EdgeColoring:

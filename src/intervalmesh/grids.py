@@ -20,14 +20,13 @@ from typing import Callable, Iterable, NamedTuple
 from .errors import (
     DisconnectedGraphError,
     InvalidParameterError,
+    NonBipartiteError,
     SchemaError,
 )
 
 __all__ = [
     "Family",
     "MeshGraph",
-    "build_path",
-    "build_even_cycle",
     "build_cylinder",
     "build_torus",
     "build",
@@ -39,6 +38,7 @@ __all__ = [
     "is_regular",
     "is_bipartite",
     "diameter",
+    "theorem1_upper",
     "dumps_canonical",
 ]
 
@@ -236,20 +236,6 @@ def _grid(family: Family, m: int | None, n: int | None) -> MeshGraph:
     return _product(family, m, n, *law.shape(m, n))
 
 
-def build_path(m: int) -> MeshGraph:
-    """Path on ``m`` vertices, laid out as layers 1..m on ring 1."""
-    return _grid(Family.PATH, m, None)
-
-
-def build_even_cycle(length: int) -> MeshGraph:
-    """Cycle on an even number of vertices, laid out as rings on layer 1."""
-    if length < 4 or length % 2 != 0:
-        raise InvalidParameterError(
-            f"even cycle needs an even length >= 4, got {length}"
-        )
-    return _grid(Family.EVEN_CYCLE, None, length // 2)
-
-
 def build_cylinder(m: int, n: int) -> MeshGraph:
     """Cylinder grid on ``m`` layers and ``2n`` rings.
 
@@ -272,8 +258,9 @@ class _FamilyLaw(NamedTuple):
     """How a named family is built from (m, n), and its shape.
 
     ``min_m``/``min_n`` are the least admissible parameters; ``None``
-    means the family takes no such parameter.  ``build`` looks the
-    builder up at call time, so rebinding a builder name reaches it.
+    means the family takes no such parameter.  ``build`` looks
+    ``build_cylinder`` and ``build_torus`` up at call time, so rebinding
+    either name reaches it; path and even cycle go to ``_grid`` directly.
     ``shape`` gives the member's layer and ring factors, each as its
     vertex count and whether it is closed into a cycle; the member is
     their Cartesian product, and its sizes and diameter follow.
@@ -287,9 +274,10 @@ class _FamilyLaw(NamedTuple):
 
 _FAMILIES = {
     Family.PATH: _FamilyLaw(
-        lambda m, n: build_path(m), 1, None, lambda m, n: ((m, False), (1, False))),
+        lambda m, n: _grid(Family.PATH, m, None), 1, None, lambda m, n: ((m, False), (1, False))),
     Family.EVEN_CYCLE: _FamilyLaw(
-        lambda m, n: build_even_cycle(2 * n), None, 2, lambda m, n: ((1, False), (2 * n, True))),
+        lambda m, n: _grid(Family.EVEN_CYCLE, None, n), None, 2,
+        lambda m, n: ((1, False), (2 * n, True))),
     Family.CYLINDER: _FamilyLaw(
         lambda m, n: build_cylinder(m, n), 1, 2, lambda m, n: ((m, False), (2 * n, True))),
     Family.TORUS: _FamilyLaw(
@@ -446,6 +434,13 @@ def diameter(g: MeshGraph) -> int:
     if law is not None:
         return _measure(law, g.m, g.n)[2]
     return max(_eccentricity(g, v) for v in g.vertices)
+
+
+def theorem1_upper(g: MeshGraph) -> int:
+    """Diameter upper bound on the greatest palette of a bipartite graph."""
+    if not is_bipartite(g):
+        raise NonBipartiteError("the diameter bound needs a bipartite graph")
+    return diameter(g) * (max_degree(g) - 1) + 1
 
 
 # ---------------------------------------------------------------------------

@@ -27,7 +27,6 @@ import time
 from enum import Enum
 from typing import Iterator, NamedTuple
 
-from .bounds import theorem1_upper
 from .colorings import EdgeColoring, require_interval
 from .errors import (
     BudgetExceededError,
@@ -38,6 +37,7 @@ from .errors import (
 )
 from .grids import (
     DEFAULT_MAX_EDGES, GridVertex, MeshGraph, _bfs, _Record, _representatives, max_degree,
+    theorem1_upper,
 )
 
 __all__ = [
@@ -48,7 +48,6 @@ __all__ = [
     "edge_cap_refusal",
     "exact_w",
     "exact_W",
-    "DEFAULT_MAX_EDGES",
 ]
 
 _TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes
@@ -59,13 +58,17 @@ class SearchBudget(_Record):
 
     ``max_edges`` refuses larger instances outright; ``max_nodes`` caps
     backtracking nodes (color attempts); ``time_cap_s`` is wall time in
-    seconds and must be ``>= 0`` (NaN is not).  ``None`` disables a cap.
+    seconds.  Each cap must be ``>= 0`` (a NaN time is not), and ``None``
+    disables it.
     """
 
     __slots__ = _compared = ("max_edges", "max_nodes", "time_cap_s")
 
-    def __init__(self, max_edges: int = DEFAULT_MAX_EDGES, max_nodes: int | None = None,
+    def __init__(self, max_edges: int | None = DEFAULT_MAX_EDGES, max_nodes: int | None = None,
                  time_cap_s: float | None = None) -> None:
+        for name, cap in (("edge", max_edges), ("node", max_nodes)):
+            if cap is not None and cap < 0:
+                raise InvalidParameterError(f"{name} cap must be >= 0, got {cap}")
         # a NaN cap would compare False with every elapsed time and never stop
         if time_cap_s is not None and not time_cap_s >= 0:
             raise InvalidParameterError(
@@ -93,7 +96,7 @@ class SearchResult(NamedTuple):
 def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | None:
     """The result for an instance of ``num_edges`` edges over the budget's
     edge cap, or None when the instance fits."""
-    if num_edges <= budget.max_edges:
+    if budget.max_edges is None or num_edges <= budget.max_edges:
         return None
     return SearchResult(
         Outcome.BUDGET_EXCEEDED,

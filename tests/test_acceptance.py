@@ -14,7 +14,6 @@ from intervalmesh import (
     EdgeColoring,
     SearchBudget,
     build_cylinder,
-    build_even_cycle,
     build_torus,
     cylinder_coloring,
     exact_W,
@@ -26,6 +25,7 @@ from intervalmesh import (
     verify_interval,
 )
 from intervalmesh.constructions import construct
+from intervalmesh.grids import build
 
 CYLINDER_GRID = [(m, n) for m in range(1, 13) for n in range(2, 13)]
 TORUS_GRID = [(m, n) for m in range(2, 13) for n in range(2, 13)]
@@ -237,8 +237,8 @@ def test_acceptance_07_search_oracle_cross_check():
     start = time.perf_counter()
     budget = SearchBudget(max_edges=16)
 
-    c4 = build_even_cycle(4)
-    c6 = build_even_cycle(6)
+    c4 = build("even_cycle", None, 2)
+    c6 = build("even_cycle", None, 3)
     cyl = build_cylinder(2, 2)
 
     w_c4 = exact_w(c4, budget)

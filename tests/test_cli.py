@@ -456,6 +456,19 @@ def test_search_timeout_must_be_a_number_at_least_zero(capsys, monkeypatch):
         assert err.startswith("error: time cap must be a number >= 0"), err
 
 
+def test_search_caps_must_be_at_least_zero(capsys, monkeypatch):
+    def refuse(*args):
+        raise AssertionError("the search must not start")
+
+    monkeypatch.setattr(search, "find_interval_coloring", refuse)
+    monkeypatch.setattr(search, "exact_W", refuse)
+    argv = ["search", "--family", "cylinder", "-m", "1", "-n", "2"]
+    for mode in (("--t", "3"), ("--exact-W",)):
+        for flag, cap in (("--max-nodes", "node"), ("--max-edges", "edge")):
+            code, out, err = invoke(capsys, *argv, *mode, flag, "-5")
+            assert (code, out, err) == (2, "", f"error: {cap} cap must be >= 0, got -5\n")
+
+
 def _limit_address_space():
     import resource
 

@@ -13,8 +13,6 @@ from intervalmesh import (
     EdgeColoring,
     Family,
     build_cylinder,
-    build_even_cycle,
-    build_path,
     build_torus,
     coloring_from_json_dict,
     coloring_to_json_dict,
@@ -27,12 +25,13 @@ from intervalmesh import colorings, grids
 from intervalmesh.cli import run
 from intervalmesh.colorings import require_interval
 from intervalmesh.constructions import construct
+from intervalmesh.grids import build
 from intervalmesh.errors import InvalidColoringError, SchemaError
 
 
 def ring4_coloring(colors, t):
     """C_4 with colors (ring1, ring2, ring3, wrap) in cycle order."""
-    g = build_even_cycle(4)
+    g = build("even_cycle", None, 2)
     v = [(1, j) for j in range(1, 5)]
     at = {g.position(a, b): col for a, b, col in zip(v, v[1:] + v[:1], colors)}
     return EdgeColoring(g, tuple(at[i] for i in range(4)), t)
@@ -96,7 +95,7 @@ def test_proper_and_surjective_flags():
 
 
 def test_coloring_must_cover_edge_set():
-    g = build_even_cycle(4)
+    g = build("even_cycle", None, 2)
     with pytest.raises(InvalidColoringError, match="3 colors for 4 edges"):
         EdgeColoring(g, (1, 2, 3), 3)
     with pytest.raises(InvalidColoringError, match="5 colors for 4 edges"):
@@ -131,7 +130,7 @@ def test_coloring_is_immutable():
 
 
 def test_coloring_takes_only_the_aligned_tuple():
-    g = build_even_cycle(4)
+    g = build("even_cycle", None, 2)
     c = EdgeColoring(g, (1, 2, 2, 3), 3)
     assert c.colors == dict(zip(g.edges, (1, 2, 2, 3)))
     assert c == ring4_coloring([1, 2, 3, 2], 3)
@@ -204,8 +203,8 @@ def test_coloring_json_round_trip():
 
     # every family, products included, comes back as the same graph
     graphs = [
-        build_path(3),
-        build_even_cycle(6),
+        build("path", 3, None),
+        build("even_cycle", None, 3),
         build_cylinder(2, 3),
         build_torus(2, 2),
         grids._product(Family.PRODUCT, None, None, (2, False), (4, True)),

@@ -14,8 +14,6 @@ from intervalmesh import (
     EdgeColoring,
     Family,
     build_cylinder,
-    build_even_cycle,
-    build_path,
     build_torus,
     coloring_from_json_dict,
     coloring_to_json_dict,
@@ -43,18 +41,18 @@ def degree_by_edge_scan(g, v):
 
 def test_path_sizes():
     for m in (1, 2, 5):
-        g = build_path(m)
+        g = build("path", m, None)
         assert g.num_vertices == m
         assert g.num_edges == m - 1
 
 
 def test_path_invalid():
     with pytest.raises(InvalidParameterError, match=r"^path needs m >= 1, got m=0$"):
-        build_path(0)
+        build("path", 0, None)
 
 
 def test_even_cycle_basic():
-    g = build_even_cycle(4)
+    g = build("even_cycle", None, 2)
     assert g.num_vertices == 4
     assert g.num_edges == 4
     assert all(g.degree(v) == 2 for v in g.vertices)
@@ -62,9 +60,9 @@ def test_even_cycle_basic():
 
 
 def test_even_cycle_invalid():
-    for bad in (2, 3, 5, 0, -4):
-        with pytest.raises(InvalidParameterError):
-            build_even_cycle(bad)
+    for bad in (1, 0, -2):
+        with pytest.raises(InvalidParameterError, match=rf"^even_cycle needs n >= 2, got n={bad}$"):
+            build("even_cycle", None, bad)
 
 
 def test_cylinder_vertex_and_edge_counts():
@@ -96,7 +94,7 @@ def test_cylinder_degrees():
 
 def test_cylinder_m1_equals_even_cycle():
     c = build_cylinder(1, 2)
-    cyc = build_even_cycle(4)
+    cyc = build("even_cycle", None, 2)
     assert c.vertices == cyc.vertices
     assert c.edges == cyc.edges
 
@@ -131,7 +129,7 @@ def test_torus_invalid_parameters():
 def test_bipartite_by_coordinate_parity():
     # (layer + ring) parity is a proper 2-coloring because every edge steps
     # one coordinate by 1 or wraps across an odd span
-    for g in (build_cylinder(3, 3), build_torus(2, 3), build_even_cycle(6)):
+    for g in (build_cylinder(3, 3), build_torus(2, 3), build("even_cycle", None, 3)):
         assert is_bipartite(g)
         for u, v in g.edges:
             assert sum(u) % 2 != sum(v) % 2
@@ -139,7 +137,7 @@ def test_bipartite_by_coordinate_parity():
 
 def test_product_identity_factor():
     prod = grids._product(Family.PRODUCT, None, None, (1, False), (4, True))
-    cyc = build_even_cycle(4)
+    cyc = build("even_cycle", None, 2)
     assert prod.vertices == cyc.vertices
     assert prod.edges == cyc.edges
 
@@ -155,8 +153,8 @@ def test_product_counts_frozen():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=5))
 def test_product_edge_count_law(m, n):
-    g1 = build_path(m)
-    g2 = build_even_cycle(2 * n)
+    g1 = build("path", m, None)
+    g2 = build("even_cycle", None, n)
     g = grids._product(Family.PRODUCT, None, None, (m, False), (2 * n, True))
     assert g.num_vertices == g1.num_vertices * g2.num_vertices
     assert (
@@ -171,13 +169,13 @@ def bfs_diameter(g):
 
 
 def test_diameter_small_cases():
-    assert diameter(build_even_cycle(4)) == 2
-    assert diameter(build_even_cycle(8)) == 4
+    assert diameter(build("even_cycle", None, 2)) == 2
+    assert diameter(build("even_cycle", None, 4)) == 4
     for m, n in ((1, 2), (2, 2), (3, 4), (5, 2)):
         assert diameter(build_cylinder(m, n)) == m + n - 1
     # the family table's closed forms against BFS eccentricities
-    graphs = [build_path(m) for m in range(1, 9)]
-    graphs += [build_even_cycle(2 * n) for n in range(2, 9)]
+    graphs = [build("path", m, None) for m in range(1, 9)]
+    graphs += [build("even_cycle", None, n) for n in range(2, 9)]
     graphs += [build_cylinder(m, n) for m in range(1, 6) for n in range(2, 6)]
     graphs += [build_torus(m, n) for m in range(2, 5) for n in range(2, 5)]
     for g in graphs:
@@ -333,8 +331,8 @@ def test_named_family_diameter_needs_no_search(monkeypatch):
         raise AssertionError("breadth-first search on a named family")
 
     monkeypatch.setattr(grids, "_eccentricity", refuse)
-    assert diameter(build_path(4)) == 3
-    assert diameter(build_even_cycle(6)) == 3
+    assert diameter(build("path", 4, None)) == 3
+    assert diameter(build("even_cycle", None, 3)) == 3
     assert diameter(build_cylinder(2, 3)) == 4
     assert diameter(build_torus(2, 3)) == 5
     with pytest.raises(AssertionError):
@@ -342,7 +340,8 @@ def test_named_family_diameter_needs_no_search(monkeypatch):
 
 
 def test_named_family_is_bipartite_without_search(monkeypatch):
-    named = [build_path(4), build_even_cycle(6), build_cylinder(2, 3), build_torus(2, 3)]
+    named = [build("path", 4, None), build("even_cycle", None, 3)]
+    named += [build_cylinder(2, 3), build_torus(2, 3)]
     product = grids._product(Family.PRODUCT, None, None, (3, False), (4, True))
 
     def refuse(*args):
@@ -401,7 +400,7 @@ def test_assemble_rejects_bad_structure():
 
 
 def test_degree_unknown_vertex():
-    g = build_even_cycle(4)
+    g = build("even_cycle", None, 2)
     with pytest.raises(InvalidParameterError):
         g.degree((9, 9))
 
@@ -418,7 +417,7 @@ def test_claimed_size_is_checked_before_building(monkeypatch):
     def refuse(*args):
         pytest.fail("the claimed grid was built before its size was compared")
 
-    doc = coloring_to_json_dict(EdgeColoring(build_even_cycle(4), (1, 2, 2, 3), 3))
+    doc = coloring_to_json_dict(EdgeColoring(build("even_cycle", None, 2), (1, 2, 2, 3), 3))
     doc.update(family="cylinder", m=10**5, n=10**4)
     original = grids.build_cylinder
     monkeypatch.setattr(grids, "build_cylinder", refuse)
@@ -433,7 +432,9 @@ def test_claimed_size_is_checked_before_building(monkeypatch):
 def test_family_table_builds_and_bounds_parameters():
     assert build("cylinder", 2, 3).edges == build_cylinder(2, 3).edges
     assert build(Family.TORUS, 2, 2).edges == build_torus(2, 2).edges
-    assert build("even_cycle", None, 3).edges == build_even_cycle(6).edges
+    assert build("even_cycle", None, 2).edges == (
+        ((1, 1), (1, 2)), ((1, 1), (1, 4)), ((1, 2), (1, 3)), ((1, 3), (1, 4)))
+    assert build("path", 3, None).edges == (((1, 1), (2, 1)), ((2, 1), (3, 1)))
     assert admits("cylinder", 1, 2) and not admits("torus", 1, 2)
     assert not admits("cylinder", 2, 1)
     with pytest.raises(InvalidParameterError):
@@ -445,7 +446,7 @@ def test_the_graph_cache_keeps_the_last_two_members():
     assert build("cylinder", 2, 3) is first
     assert grids._grid(Family.CYLINDER, 2, 3) is first
     build_torus(2, 2)
-    build_path(3)
+    build("path", 3, None)
     assert grids._grid.cache_info().currsize == 2
     assert build_cylinder(2, 3) is not first
     assert build_cylinder(2, 3) == first
@@ -487,9 +488,9 @@ def test_a_cached_graph_is_left_as_built(tmp_path):
 
 def test_closed_form_edge_count_matches_built_graphs():
     for m in range(1, 7):
-        assert edge_count("path", m, None) == build_path(m).num_edges
+        assert edge_count("path", m, None) == build("path", m, None).num_edges
     for n in range(2, 7):
-        assert edge_count("even_cycle", None, n) == build_even_cycle(2 * n).num_edges
+        assert edge_count("even_cycle", None, n) == build("even_cycle", None, n).num_edges
         for m in range(1, 6):
             assert edge_count("cylinder", m, n) == build_cylinder(m, n).num_edges
         for m in range(2, 6):

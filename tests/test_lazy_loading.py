@@ -17,16 +17,18 @@ import pytest
 import intervalmesh
 from intervalmesh import cli, grids, search
 from intervalmesh.colorings import EdgeColoring, verify_interval
-from intervalmesh.constructions import CONSTRUCTIONS, cylinder_coloring
+from intervalmesh.constructions import _CONSTRUCTIONS, cylinder_coloring
 from intervalmesh.search import SearchBudget, find_interval_coloring
 
 SRC = str(Path(intervalmesh.__file__).resolve().parents[1])
 
 # the child prints the package modules it loaded, and whether it loaded dataclasses
 _CHILD = """
-import contextlib, io, json, sys
+import contextlib, importlib, io, json, sys
 argv = json.loads(sys.argv[1])
-if argv is not None:
+if isinstance(argv, str):
+    importlib.import_module(argv)
+elif argv is not None:
     from intervalmesh import cli
     with contextlib.redirect_stdout(io.StringIO()):
         try:
@@ -40,10 +42,10 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("intervalmesh"))
 """
 
 
-def _loaded(argv: list[str] | None) -> tuple[set[str], bool]:
+def _loaded(argv: list[str] | str | None) -> tuple[set[str], bool]:
     """Package modules a fresh bare interpreter loads to run ``argv`` through
-    ``cli.run`` (only to import the package when None), and whether it
-    loaded ``dataclasses``."""
+    ``cli.run`` (only to import the package when None, only the module it
+    names when a str), and whether it loaded ``dataclasses``."""
     proc = subprocess.run(
         [sys.executable, "-S", "-c", _CHILD, json.dumps(argv)],
         capture_output=True,
@@ -76,7 +78,7 @@ LOADS = {
     "bounds": (["bounds", "--m-range", "1..2", "--n-range", "2..3"],
                {"bounds", "colorings", "constructions"}),
     "search": (["search", "--family", "cylinder", "-m", "2", "-n", "2", "--exact-W"],
-               {"search", "bounds", "colorings"}),
+               {"search", "colorings"}),
 }
 
 
@@ -90,6 +92,26 @@ def test_each_subcommand_loads_only_its_modules(name, coloring_file):
 
 def test_importing_the_package_loads_no_submodule():
     assert _loaded(None) == ({"intervalmesh"}, False)
+
+
+# the package modules below each module, all of which importing it loads:
+# errors -> grids -> colorings -> constructions -> {bounds, search, export} -> cli,
+# where the cli loads each subcommand's modules when the subcommand runs
+BELOW = {
+    "errors": set(),
+    "grids": {"errors"},
+    "colorings": {"errors", "grids"},
+    "constructions": {"errors", "grids", "colorings"},
+    "search": {"errors", "grids", "colorings"},
+    "bounds": {"errors", "grids", "colorings", "constructions"},
+    "export": {"errors", "grids", "colorings"},
+    "cli": {"errors", "grids"},
+}
+
+
+@pytest.mark.parametrize("name", BELOW)
+def test_each_module_imports_only_the_layers_below_it(name):
+    assert _loaded(f"intervalmesh.{name}") == ({"intervalmesh", name} | BELOW[name], False)
 
 
 def test_every_public_name_resolves_to_its_submodules_object():
@@ -113,7 +135,7 @@ def test_an_unknown_name_is_an_attribute_error_naming_the_module():
 
 
 def test_cli_constants_match_the_modules_they_stand_for():
-    assert cli._FAMILIES == tuple(family.value for family in CONSTRUCTIONS)
+    assert cli._FAMILIES == tuple(family.value for family in _CONSTRUCTIONS)
     assert search.DEFAULT_MAX_EDGES is grids.DEFAULT_MAX_EDGES
     assert SearchBudget().max_edges == grids.DEFAULT_MAX_EDGES
 

@@ -12,8 +12,6 @@ from intervalmesh import (
     Outcome,
     SearchBudget,
     build_cylinder,
-    build_even_cycle,
-    build_path,
     build_torus,
     cylinder_coloring,
     exact_W,
@@ -149,6 +147,19 @@ def test_time_cap_must_be_a_number_at_least_zero():
     assert result.outcome is Outcome.FOUND
 
 
+def test_caps_must_be_at_least_zero_and_none_lifts_them():
+    for kwargs in ({"max_edges": -1}, {"max_nodes": -5}, {"max_edges": 8, "max_nodes": -1}):
+        with pytest.raises(InvalidParameterError, match=r"^(edge|node) cap must be >= 0, got -\d$"):
+            SearchBudget(**kwargs)
+    g = build_cylinder(1, 2)
+    zero = SearchBudget(max_edges=0, max_nodes=0)
+    assert find_interval_coloring(g, 3, zero).outcome is Outcome.BUDGET_EXCEEDED
+    uncapped = SearchBudget(max_edges=None)
+    assert find_interval_coloring(g, 3, uncapped).outcome is Outcome.FOUND
+    assert (exact_w(g, uncapped), exact_W(g, uncapped)) == (2, 3)
+    assert find_interval_coloring(build_torus(2, 2), 11, uncapped).outcome is Outcome.ABSENT
+
+
 def test_determinism():
     g = build_cylinder(1, 4)
     a = find_interval_coloring(g, 5)
@@ -185,7 +196,7 @@ def test_exact_scans_of_an_edgeless_graph_start_at_one_color():
     # the maximum degree is 0 here, yet no palette is smaller than 1
     for scan in (exact_w, exact_W):
         with pytest.raises(NotIntervalColorableError, match=r"for any t in \[1, 1\]"):
-            scan(build_path(1))
+            scan(build("path", 1, None))
 
 
 # Node counts of the current anchor pairs and attempt order. A pruning
@@ -236,7 +247,7 @@ def test_anchor_pairs_are_listed_in_search_order():
     # a palette too wide for every pair is absent before any node
     assert find_interval_coloring(build_cylinder(1, 5), 7).pairs == ()
     # for t = 1 the color-1 edge alone is anchored
-    single = find_interval_coloring(build_path(2), 1)
+    single = find_interval_coloring(build("path", 2, None), 1)
     assert (single.outcome, single.pairs) == (Outcome.FOUND, ((0, None, 1),))
 
 
@@ -308,7 +319,8 @@ def floyd_warshall_path_weights(g):
     [build_cylinder(m, n) for m in (2, 3) for n in (2, 3)]
     + [build_torus(2, 2), grids._product(Family.PRODUCT, None, None, (3, False), (3, False))]
     # degree-1 ends weigh 0; T(6,6) has 36 vertices
-    + [build_path(2), build_path(5), build_even_cycle(6), build_cylinder(1, 4)]
+    + [build("path", 2, None), build("path", 5, None), build("even_cycle", None, 3)]
+    + [build_cylinder(1, 4)]
     + [build_torus(3, 3), grids._product(Family.PRODUCT, None, None, (2, False), (4, False))],
     ids=["C(2,4)", "C(2,6)", "C(3,4)", "C(3,6)", "T(4,4)", "P3xP3",
          "P2", "P5", "C6", "C(1,8)", "T(6,6)", "P2xP4"],
