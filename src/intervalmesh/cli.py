@@ -36,9 +36,7 @@ from .errors import (
     NotRegularError,
     SchemaError,
 )
-from .grids import (
-    DEFAULT_MAX_EDGES, Family, admits, build, dumps_canonical, edge_count, max_degree,
-)
+from .grids import DEFAULT_MAX_EDGES, Family, admits, build, dumps_canonical, edge_count
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -146,29 +144,11 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, str | None]:
     from .colorings import coloring_to_json_dict
-    from .constructions import construct, step_down_to
+    from .constructions import construct
 
-    family = Family(args.family)
-    result = construct(family, args.m, args.n)
-    claimed = result.coloring.palette_size
-    t = claimed if args.t is None else args.t
-    if t == claimed:
-        doc = coloring_to_json_dict(result.coloring, result.rule_trace)
-    elif family is Family.CYLINDER:
-        # an explicit rule: C(1, 2n) is a regular cycle, yet it is offered
-        # only at its claimed palette like every other cylinder
-        raise _UsageError(
-            f"cylinder ({args.m},{args.n}) is constructible only at t={claimed}"
-        )
-    else:
-        low = max_degree(result.coloring.graph)
-        if not low <= t < claimed:
-            raise _UsageError(
-                f"{family.value} ({args.m},{args.n}) supports t in "
-                f"{low}..{claimed}, got {t}"
-            )
-        doc = coloring_to_json_dict(step_down_to(result.coloring, t))
-    summary = f"{family.value} m={args.m} n={args.n} t={t}"
+    result = construct(args.family, args.m, args.n, args.t)
+    doc = coloring_to_json_dict(result.coloring, result.rule_trace)
+    summary = f"{args.family} m={args.m} n={args.n} t={result.coloring.palette_size}"
     return EXIT_VALID, summary, dumps_canonical(doc)
 
 

@@ -12,15 +12,18 @@ color.
 Constructions verify their own output and fail loudly, naming a broken
 vertex and its incident colors, rather than return a bad coloring.
 
-``construct(family, m, n)`` dispatches to the construction of a family
-that has one, through the private table ``_CONSTRUCTIONS``.
-
 ``step_down`` converts an interval t-coloring of a regular graph into an
 interval (t-1)-coloring by recoloring the color-t edges to t - degree;
-``step_down_to`` iterates it to a target palette and ``spectrum_sweep``
-to exhibit a torus coloring for every palette size from the maximum down
-to 4.  ``step_down`` verifies its result, and all three pass their output
-through the gate ``require_interval``, which raises naming a vertex.
+``spectrum_sweep`` iterates it to exhibit a torus coloring for every
+palette size from the maximum down to 4.
+
+``construct(family, m, n, t)`` is the one place that decides the
+palettes a family is generated at: a cylinder at its construction's
+palette alone, a torus at any t from its degree 4 up to its
+construction's, stepped down from that.  It reaches each family's
+construction through the private table ``_CONSTRUCTIONS``.  Every
+coloring here passes the gate ``require_interval``, which raises naming
+a vertex.
 """
 
 from __future__ import annotations
@@ -53,16 +56,15 @@ __all__ = [
     "torus_coloring",
     "construct",
     "step_down",
-    "step_down_to",
     "spectrum_sweep",
 ]
 
 class ConstructionResult(NamedTuple):
     """A verified coloring; ``rule_trace[i]`` names the rule that painted
-    ``graph.edges[i]``."""
+    ``graph.edges[i]``, and is ``None`` for a stepped coloring."""
 
     coloring: EdgeColoring
-    rule_trace: tuple[str, ...]
+    rule_trace: tuple[str, ...] | None
 
 
 def _paint(
@@ -153,14 +155,6 @@ _CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
 }
 
 
-def construct(family: Family | str, m: int, n: int) -> ConstructionResult:
-    """The closed-form coloring of a named family at parameters (m, n)."""
-    family = _family(family)
-    if family not in _CONSTRUCTIONS:
-        raise InvalidParameterError(f"no construction for family {family.value}")
-    return _CONSTRUCTIONS[family](m, n)
-
-
 def step_down(c: EdgeColoring) -> EdgeColoring:
     """Interval (t-1)-coloring from an interval t-coloring of a regular graph.
 
@@ -183,14 +177,31 @@ def step_down(c: EdgeColoring) -> EdgeColoring:
     return require_interval(EdgeColoring(g, recolored, t - 1), ConstructionError, "step-down")
 
 
-def step_down_to(c: EdgeColoring, t: int) -> EdgeColoring:
-    """Interval t-coloring from ``c`` by repeated ``step_down``, verified;
-    t above the palette of ``c`` is refused, since stepping only lowers it."""
-    if t > c.palette_size:
-        raise InvalidParameterError(f"cannot step palette 1..{c.palette_size} up to 1..{t}")
+def construct(family: Family | str, m: int, n: int, t: int | None = None) -> ConstructionResult:
+    """The verified coloring of a named family at parameters (m, n) and palette t.
+
+    With t None or the construction's own palette it is the construction,
+    rule trace included.  A torus also takes any t from its degree up,
+    stepped down from the construction with no rule trace; a cylinder,
+    C(1, 2n) included although that cycle is regular, takes no other t.
+    """
+    family = _family(family)
+    if family not in _CONSTRUCTIONS:
+        raise InvalidParameterError(f"no construction for family {family.value}")
+    result = _CONSTRUCTIONS[family](m, n)
+    c = result.coloring
+    if t is None or t == c.palette_size:
+        return result
+    if family is Family.CYLINDER:
+        raise InvalidParameterError(f"cylinder ({m},{n}) is constructible only at t={c.palette_size}")
+    low = max_degree(c.graph)
+    if not low <= t < c.palette_size:
+        raise InvalidParameterError(
+            f"{family.value} ({m},{n}) supports t in {low}..{c.palette_size}, got {t}"
+        )
     while c.palette_size > t:
         c = step_down(c)
-    return require_interval(c, ConstructionError, "stepped coloring")
+    return ConstructionResult(require_interval(c, ConstructionError, "stepped coloring"), None)
 
 
 def spectrum_sweep(m: int, n: int) -> list[EdgeColoring]:

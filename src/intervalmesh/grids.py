@@ -229,7 +229,7 @@ def _grid(family: Family, m: int | None, n: int | None) -> MeshGraph:
     hence read-only: see ``MeshGraph``).  ``typed`` keeps ``m=True`` apart
     from ``m=1``, and a build that raises is not kept.
     """
-    law = _FAMILIES[family]
+    law = _law(family)
     shortfall = _shortfall(law, m, n)
     if shortfall:
         raise InvalidParameterError(f"{family.value} needs {shortfall}")
@@ -255,33 +255,25 @@ def build_torus(m: int, n: int) -> MeshGraph:
 
 
 class _FamilyLaw(NamedTuple):
-    """How a named family is built from (m, n), and its shape.
+    """The parameter range and shape of a named family.
 
     ``min_m``/``min_n`` are the least admissible parameters; ``None``
-    means the family takes no such parameter.  ``build`` looks
-    ``build_cylinder`` and ``build_torus`` up at call time, so rebinding
-    either name reaches it; path and even cycle go to ``_grid`` directly.
-    ``shape`` gives the member's layer and ring factors, each as its
-    vertex count and whether it is closed into a cycle; the member is
-    their Cartesian product, and its sizes and diameter follow.
+    means the family takes no such parameter.  ``shape`` gives the
+    member's layer and ring factors, each as its vertex count and whether
+    it is closed into a cycle; the member is their Cartesian product,
+    built by ``_grid``, and its sizes and diameter follow.
     """
 
-    build: Callable[[int | None, int | None], MeshGraph]
     min_m: int | None
     min_n: int | None
     shape: Callable[[int | None, int | None], tuple[tuple[int, bool], tuple[int, bool]]]
 
 
 _FAMILIES = {
-    Family.PATH: _FamilyLaw(
-        lambda m, n: _grid(Family.PATH, m, None), 1, None, lambda m, n: ((m, False), (1, False))),
-    Family.EVEN_CYCLE: _FamilyLaw(
-        lambda m, n: _grid(Family.EVEN_CYCLE, None, n), None, 2,
-        lambda m, n: ((1, False), (2 * n, True))),
-    Family.CYLINDER: _FamilyLaw(
-        lambda m, n: build_cylinder(m, n), 1, 2, lambda m, n: ((m, False), (2 * n, True))),
-    Family.TORUS: _FamilyLaw(
-        lambda m, n: build_torus(m, n), 2, 2, lambda m, n: ((2 * m, True), (2 * n, True))),
+    Family.PATH: _FamilyLaw(1, None, lambda m, n: ((m, False), (1, False))),
+    Family.EVEN_CYCLE: _FamilyLaw(None, 2, lambda m, n: ((1, False), (2 * n, True))),
+    Family.CYLINDER: _FamilyLaw(1, 2, lambda m, n: ((m, False), (2 * n, True))),
+    Family.TORUS: _FamilyLaw(2, 2, lambda m, n: ((2 * m, True), (2 * n, True))),
 }
 
 
@@ -328,10 +320,14 @@ def _representatives(g: MeshGraph) -> list[int]:
 
 
 def _shortfall(law: _FamilyLaw, m: int | None, n: int | None) -> str:
-    """The first parameter below its least value, as ``m >= 1, got m=0``;
-    empty when (m, n) lies in the family's range."""
+    """The first parameter below its least value, as ``m >= 1, got m=0``,
+    or given to a family that takes none, as ``n=None, got n=3``; empty
+    when (m, n) lies in the family's range."""
     for name, value, least in (("m", m, law.min_m), ("n", n, law.min_n)):
-        if least is not None and value < least:
+        if least is None:
+            if value is not None:
+                return f"{name}=None, got {name}={value}"
+        elif value < least:
             return f"{name} >= {least}, got {name}={value}"
     return ""
 
@@ -353,7 +349,7 @@ def _law(family: Family | str) -> _FamilyLaw:
 
 def build(family: Family | str, m: int | None, n: int | None) -> MeshGraph:
     """The member of a named family with parameters (m, n)."""
-    return _law(family).build(m, n)
+    return _grid(_family(family), m, n)
 
 
 # the edge cap of an exhaustive search unless its budget says otherwise;
@@ -506,7 +502,7 @@ def _listed_graph(d: dict, pairs: list[Edge]) -> MeshGraph:
     if _measure(law, m, n)[0] != len(vertices):
         raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
     try:
-        g = law.build(m, n)
+        g = _grid(family, m, n)
     except InvalidParameterError as exc:
         raise SchemaError(str(exc)) from None
     if g.incident.keys() != vertex_set:

@@ -86,16 +86,27 @@ def test_generate_torus_with_t(capsys):
 
 
 def test_generate_t_out_of_range(capsys):
-    code, _, err = invoke(
-        capsys, "generate", "--family", "torus", "-m", "2", "-n", "2", "--t", "3"
+    refusals = {
+        ("torus", 2, 2, 3): "torus (2,2) supports t in 4..8, got 3",
+        ("torus", 3, 2, 12): "torus (3,2) supports t in 4..11, got 12",
+        ("torus", 3, 2, 3): "torus (3,2) supports t in 4..11, got 3",
+        ("cylinder", 2, 2, 5): "cylinder (2,2) is constructible only at t=6",
+        # C(1, 4) is a regular cycle, yet it is offered at its own palette only
+        ("cylinder", 1, 2, 2): "cylinder (1,2) is constructible only at t=3",
+    }
+    for (family, m, n, t), message in refusals.items():
+        argv = ["generate", "--family", family, "-m", str(m), "-n", str(n), "--t", str(t)]
+        assert invoke(capsys, *argv) == (2, "", f"error: {message}\n")
+
+
+def test_generate_refusal_is_recorded_in_the_manifest(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    code, out, _ = invoke(
+        capsys, "generate", "--family", "cylinder", "-m", "2", "-n", "2", "--t", "5",
+        "--manifest", str(manifest),
     )
-    assert code == 2
-    assert "4..8" in err
-    code, _, err = invoke(
-        capsys, "generate", "--family", "cylinder", "-m", "2", "-n", "2", "--t", "5"
-    )
-    assert code == 2
-    assert "t=6" in err
+    assert (code, out) == (2, "")
+    assert json.loads(manifest.read_text())["result"] == "failed: InvalidParameterError"
 
 
 def test_verify_names_mutated_vertex(tmp_path, capsys):
@@ -424,7 +435,7 @@ def test_huge_search_is_refused_before_any_build(capsys, monkeypatch):
         raise AssertionError("the instance must not be built")
 
     monkeypatch.setattr(cli, "build", refuse)
-    monkeypatch.setattr(grids, "build_torus", refuse)
+    monkeypatch.setattr(grids, "_product", refuse)  # every grid build goes through it
     huge = ("--family", "torus", "-m", str(10**6), "-n", str(10**6))
     for mode in (("--t", "5"), ("--exact-W",)):
         code, out, err = invoke(capsys, "search", *huge, *mode)

@@ -17,7 +17,7 @@ from intervalmesh import (
     verify_interval,
 )
 from intervalmesh import colorings, constructions
-from intervalmesh.constructions import construct, step_down_to
+from intervalmesh.constructions import construct
 from intervalmesh.errors import (
     CannotStepDownError,
     ConstructionError,
@@ -259,17 +259,46 @@ def test_construct_dispatches_by_family():
         construct("path", 3, 3)
 
 
-def test_step_down_to_reaches_the_target():
-    c = step_down_to(torus_coloring(2, 3).coloring, 6)
-    assert c.palette_size == 6
-    assert verify_interval(c).interval
+def test_construct_steps_a_torus_down_to_the_target():
+    result = construct("torus", 2, 3, 6)
+    assert result.coloring.palette_size == 6
+    assert result.rule_trace is None
+    assert verify_interval(result.coloring).interval
 
 
-def test_step_down_to_refuses_a_larger_palette():
-    c = torus_coloring(2, 3).coloring
-    assert c.palette_size == 11
-    with pytest.raises(InvalidParameterError, match=r"1\.\.11.*1\.\.20"):
-        step_down_to(c, 20)
+def test_construct_refuses_a_torus_palette_outside_its_range():
+    assert torus_coloring(2, 3).coloring.palette_size == 11
+    for t in (20, 12, 3, 0, -1):
+        message = rf"^torus \(2,3\) supports t in 4\.\.11, got {t}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            construct("torus", 2, 3, t)
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 5) for n in range(2, 5)])
+def test_construct_matches_the_step_down_chain(m, n):
+    paper = torus_coloring(m, n)
+    chain = [paper.coloring]
+    while chain[-1].palette_size > 4:
+        chain.append(step_down(chain[-1]))
+    claimed = paper.coloring.palette_size
+    assert [c.palette_size for c in chain] == list(range(claimed, 3, -1))
+    for expected in chain:
+        t = expected.palette_size
+        result = construct("torus", m, n, t)
+        assert result.coloring.palette_size == t
+        assert result.coloring.aligned == expected.aligned
+        assert result.rule_trace == (paper.rule_trace if t == claimed else None)
+    assert construct("torus", m, n).rule_trace == paper.rule_trace
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(1, 4) for n in range(2, 4)])
+def test_construct_offers_a_cylinder_at_its_own_palette_only(m, n):
+    claimed = 3 * m + n - 2
+    assert construct("cylinder", m, n, claimed).coloring.palette_size == claimed
+    for t in [*range(-1, claimed), *range(claimed + 1, claimed + 4)]:
+        message = rf"^cylinder \({m},{n}\) is constructible only at t={claimed}$"
+        with pytest.raises(InvalidParameterError, match=message):
+            construct("cylinder", m, n, t)
 
 
 def test_stepped_colorings_are_verified(monkeypatch):
@@ -286,7 +315,7 @@ def test_stepped_colorings_are_verified(monkeypatch):
     with pytest.raises(ConstructionError, match="x_"):
         spectrum_sweep(2, 2)
     with pytest.raises(ConstructionError, match="x_"):
-        step_down_to(torus_coloring(2, 2).coloring, 4)
+        construct("torus", 2, 2, 4)
 
 
 def _count_reports(monkeypatch) -> list[int]:
@@ -317,5 +346,8 @@ def test_step_down_result_is_verified_without_a_further_call(monkeypatch):
     down = step_down(torus_coloring(2, 2).coloring)
     built = _count_reports(monkeypatch)
     assert verify_interval(down).interval
-    assert step_down_to(down, 6).palette_size == 6
+    assert step_down(down).palette_size == 6
     assert built == [6]
+    # construct verifies each coloring of its chain once, the last included
+    assert construct("torus", 2, 2, 5).coloring.palette_size == 5
+    assert built == [6, 8, 7, 6, 5]

@@ -51,6 +51,15 @@ def test_path_invalid():
         build("path", 0, None)
 
 
+def test_a_parameter_the_family_does_not_take_is_refused():
+    # the graph would carry it, and its document would not parse
+    with pytest.raises(InvalidParameterError, match=r"^path needs n=None, got n=3$"):
+        build("path", 2, 3)
+    with pytest.raises(InvalidParameterError, match=r"^even_cycle needs m=None, got m=1$"):
+        build("even_cycle", 1, 2)
+    assert not admits("path", 2, 3)
+
+
 def test_even_cycle_basic():
     g = build("even_cycle", None, 2)
     assert g.num_vertices == 4
@@ -419,12 +428,7 @@ def test_claimed_size_is_checked_before_building(monkeypatch):
 
     doc = coloring_to_json_dict(EdgeColoring(build("even_cycle", None, 2), (1, 2, 2, 3), 3))
     doc.update(family="cylinder", m=10**5, n=10**4)
-    original = grids.build_cylinder
-    monkeypatch.setattr(grids, "build_cylinder", refuse)
-    for table in [v for v in vars(grids).values() if isinstance(v, dict)]:
-        for key, value in table.items():
-            if value is original:
-                monkeypatch.setitem(table, key, refuse)
+    monkeypatch.setattr(grids, "_product", refuse)  # every grid build goes through it
     with pytest.raises(SchemaError, match="do not match"):
         coloring_from_json_dict(doc)
 

@@ -72,6 +72,8 @@ LOADS = {
     "version": (["--version"], set()),
     "generate": (["generate", "--family", "torus", "-m", "2", "-n", "3"],
                  {"colorings", "constructions"}),
+    "generate --t": (["generate", "--family", "torus", "-m", "2", "-n", "3", "--t", "5"],
+                     {"colorings", "constructions"}),
     "verify": (["verify", "{doc}"], {"colorings"}),
     "export": (["export", "{doc}", "--format", "csv"], {"colorings", "export"}),
     "sweep": (["sweep", "-m", "2", "-n", "2"], {"colorings", "constructions"}),
