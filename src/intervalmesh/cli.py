@@ -36,7 +36,7 @@ from .errors import (
     NotRegularError,
     SchemaError,
 )
-from .grids import DEFAULT_MAX_EDGES, Family, admits, build, dumps_canonical, edge_count
+from .grids import DEFAULT_MAX_EDGES, Family, build, dumps_canonical, edge_count
 
 EXIT_VALID = 0
 EXIT_INVALID = 1
@@ -187,12 +187,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
         max_nodes=args.max_nodes,
         time_cap_s=args.timeout,
     )
-    # an instance over the edge cap is refused before it is built
-    refused = (
-        edge_cap_refusal(edge_count(args.family, args.m, args.n), budget)
-        if admits(args.family, args.m, args.n)
-        else None
-    )
+    # an instance over the edge cap is refused before it is built, and one
+    # outside its family's range before it is counted
+    refused = edge_cap_refusal(edge_count(args.family, args.m, args.n), budget)
     if args.t is not None:
         result = refused or find_interval_coloring(
             build(args.family, args.m, args.n), args.t, budget

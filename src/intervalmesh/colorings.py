@@ -44,8 +44,9 @@ class EdgeColoring(_Record):
     """A total assignment of integer colors to the edges of one graph.
 
     ``aligned[i]`` is the color of ``graph.edges[i]``, one integer per
-    edge.  ``colors`` is a read-only view of it keyed by edge (the sorted
-    pair of ``(layer, ring)`` vertices).  ``palette_size`` is the declared
+    edge, kept as a tuple (a list passed in is copied).  ``colors`` is a
+    read-only view of it keyed by edge (the sorted pair of
+    ``(layer, ring)`` vertices).  ``palette_size`` is the declared
     palette 1..t.
     Assigned colors are not forced into that range here; out-of-range
     colors are reported by :func:`verify_interval` instead of rejected, so
@@ -69,7 +70,7 @@ class EdgeColoring(_Record):
                 raise InvalidColoringError(
                     f"color of {_edge_name(*e)} is not an integer: {c!r}"
                 )
-        self._fill(graph, aligned, palette_size, None, None)
+        self._fill(graph, tuple(aligned), palette_size, None, None)
 
     @property
     def colors(self) -> Mapping[Edge, int]:
@@ -152,47 +153,13 @@ class SpectrumReport(_Record):
         return "\n".join(lines)
 
 
-# Colors 1.._K give a vertex a bit field of at most 1025 bits, about 16
-# machine words, and every palette the package builds for m, n <= 250
-# (at most 1..4*250) lies inside it.
+# A color c in 1.._K sets bit c of its vertex's field, and every other
+# color the one stray bit _K + 2, so a field has at most 1027 bits, about
+# 16 machine words.  Bit _K + 1 is never set, so the stray bit is never
+# part of a run of two or more.  Every palette the package builds for
+# m, n <= 250 (at most 1..4*250) lies inside 1.._K.
 _K = 1024
-
-
-def _loop_scan(
-    incident: Mapping[GridVertex, tuple[int, ...]], colors: tuple[int, ...]
-) -> tuple[list[GridVertex], bool]:
-    """The violated vertices in ``incident`` order, and whether they are all
-    proper: each vertex's colors tested as a list.  Any colors at all."""
-    violating = []
-    all_proper = True
-    for v, edges in incident.items():
-        proper_v, interval_v = _vertex_flags([colors[i] for i in edges])
-        if not interval_v:
-            violating.append(v)
-            all_proper = all_proper and proper_v
-    return violating, all_proper
-
-
-def _bit_scan(
-    incident: Mapping[GridVertex, tuple[int, ...]], colors: tuple[int, ...]
-) -> tuple[list[GridVertex], bool]:
-    """``_loop_scan`` for colors in 1.._K.  A vertex of degree d ORs
-    ``1 << color`` over its edges; it is interval iff the field ``b`` is d
-    consecutive set bits, that is ``b == low * (2**d - 1)`` for its lowest
-    set bit ``low``.  A repeated color leaves fewer than d bits, and at a
-    vertex of degree 0 both sides are 0.  Only a failed vertex is tested
-    as a list, for properness."""
-    bit = [1 << c for c in colors]
-    violating = []
-    all_proper = True
-    for v, edges in incident.items():
-        b = 0
-        for i in edges:
-            b |= bit[i]
-        if b != (b & -b) * ((1 << len(edges)) - 1):
-            violating.append(v)
-            all_proper = all_proper and _vertex_flags([colors[i] for i in edges])[0]
-    return violating, all_proper
+_STRAY = 1 << (_K + 2)
 
 
 def verify_interval(c: EdgeColoring) -> SpectrumReport:
@@ -200,19 +167,35 @@ def verify_interval(c: EdgeColoring) -> SpectrumReport:
 
     Diagnostic by design: every outcome is encoded in flags, and
     ``violating_vertices`` names each vertex whose incident colors
-    repeat or leave a gap.  When every color lies in 1.._K each vertex is
-    one bit-field test (``_bit_scan``); a color outside it, as in a hostile
-    document, sends every vertex through the list test (``_loop_scan``),
-    with the same report.  The report is computed on the first call and
-    kept on the coloring, which cannot change, for every later call.
+    repeat or leave a gap.  A vertex of degree d ORs its colors' bits
+    (see ``_K``) and is accepted when the field ``b`` is d consecutive set
+    bits, that is ``b == low * (2**d - 1)`` for its lowest set bit
+    ``low``: exact for in-range colors, and for d <= 1 whatever the
+    colors.  Any other vertex is decided by the list test
+    ``_vertex_flags``, so a repeat, a gap or a stray color is reported as
+    the list test reports it.  The report is computed on the first call
+    and kept on the coloring, which cannot change, for every later call.
     """
     if c._report is not None:
         return c._report
     colors = c.aligned
     used = set(colors)
     lo, hi = (min(used), max(used)) if used else (1, 0)
-    scan = _bit_scan if 1 <= lo and hi <= _K else _loop_scan
-    violating, all_proper = scan(c.graph.incident, colors)
+    if 1 <= lo and hi <= _K:
+        bit = [1 << x for x in colors]
+    else:
+        bit = [1 << x if 1 <= x <= _K else _STRAY for x in colors]
+    violating = []
+    all_proper = True
+    for v, edges in c.graph.incident.items():
+        b = 0
+        for i in edges:
+            b |= bit[i]
+        if b != (b & -b) * ((1 << len(edges)) - 1):
+            proper_v, interval_v = _vertex_flags([colors[i] for i in edges])
+            if not interval_v:
+                violating.append(v)
+                all_proper = all_proper and proper_v
     t = c.palette_size
     # t distinct colors inside 1..t are exactly 1..t; the test never
     # builds the palette, so a document claiming a huge t costs O(|E|)

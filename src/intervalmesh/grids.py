@@ -226,14 +226,11 @@ def _grid(family: Family, m: int | None, n: int | None) -> MeshGraph:
 
     The last two members built are kept, so a document parsed right after
     its construction gets the very graph that construction built (shared,
-    hence read-only: see ``MeshGraph``).  ``typed`` keeps ``m=True`` apart
-    from ``m=1``, and a build that raises is not kept.
+    hence read-only: see ``MeshGraph``).  ``typed`` keeps a kept ``m=1``
+    graph from answering ``m=True``, which the range check refuses, and a
+    build that raises is not kept.
     """
-    law = _law(family)
-    shortfall = _shortfall(law, m, n)
-    if shortfall:
-        raise InvalidParameterError(f"{family.value} needs {shortfall}")
-    return _product(family, m, n, *law.shape(m, n))
+    return _product(family, m, n, *_admitted(family, m, n).shape(m, n))
 
 
 def build_cylinder(m: int, n: int) -> MeshGraph:
@@ -320,15 +317,16 @@ def _representatives(g: MeshGraph) -> list[int]:
 
 
 def _shortfall(law: _FamilyLaw, m: int | None, n: int | None) -> str:
-    """The first parameter below its least value, as ``m >= 1, got m=0``,
-    or given to a family that takes none, as ``n=None, got n=3``; empty
-    when (m, n) lies in the family's range."""
+    """The first parameter that is not an ``int`` of at least its least
+    value, as ``m >= 1, got m=0`` (or ``got m=None``, ``got m=True``), or
+    that is given to a family that takes none, as ``n=None, got n=3``;
+    empty when (m, n) lies in the family's range."""
     for name, value, least in (("m", m, law.min_m), ("n", n, law.min_n)):
         if least is None:
             if value is not None:
-                return f"{name}=None, got {name}={value}"
-        elif value < least:
-            return f"{name} >= {least}, got {name}={value}"
+                return f"{name}=None, got {name}={value!r}"
+        elif type(value) is not int or value < least:
+            return f"{name} >= {least}, got {name}={value!r}"
     return ""
 
 
@@ -347,6 +345,15 @@ def _law(family: Family | str) -> _FamilyLaw:
     return _FAMILIES[family]
 
 
+def _admitted(family: Family, m: int | None, n: int | None) -> _FamilyLaw:
+    """The law of a named family, once (m, n) is found in its range."""
+    law = _law(family)
+    shortfall = _shortfall(law, m, n)
+    if shortfall:
+        raise InvalidParameterError(f"{family.value} needs {shortfall}")
+    return law
+
+
 def build(family: Family | str, m: int | None, n: int | None) -> MeshGraph:
     """The member of a named family with parameters (m, n)."""
     return _grid(_family(family), m, n)
@@ -358,8 +365,9 @@ DEFAULT_MAX_EDGES = 16
 
 
 def edge_count(family: Family | str, m: int | None, n: int | None) -> int:
-    """|E| of the member of a named family with parameters (m, n), unbuilt."""
-    return _measure(_law(family), m, n)[1]
+    """|E| of the member of a named family with parameters (m, n), unbuilt;
+    (m, n) outside the family's range is refused as ``build`` refuses it."""
+    return _measure(_admitted(_family(family), m, n), m, n)[1]
 
 
 def admits(family: Family | str, m: int, n: int) -> bool:

@@ -480,6 +480,19 @@ def test_search_caps_must_be_at_least_zero(capsys, monkeypatch):
             assert (code, out, err) == (2, "", f"error: {cap} cap must be >= 0, got -5\n")
 
 
+def test_search_refuses_a_member_outside_its_family_range(capsys):
+    # the range check comes before the edge cap, whatever the cap
+    refusals = {
+        ("cylinder", "0", "2"): "cylinder needs m >= 1, got m=0",
+        ("cylinder", "2", "1"): "cylinder needs n >= 2, got n=1",
+        ("torus", "1", "2"): "torus needs m >= 2, got m=1",
+    }
+    for (family, m, n), message in refusals.items():
+        argv = ["search", "--family", family, "-m", m, "-n", n]
+        for mode in (("--t", "3"), ("--exact-w",), ("--exact-W",), ("--t", "3", "--max-edges", "0")):
+            assert invoke(capsys, *argv, *mode) == (2, "", f"error: {message}\n"), mode
+
+
 def _limit_address_space():
     import resource
 

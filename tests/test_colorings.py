@@ -3,7 +3,6 @@
 from __future__ import annotations
 
 import json
-from unittest import mock
 
 import pytest
 from hypothesis import given, settings
@@ -127,6 +126,18 @@ def test_coloring_is_immutable():
     with pytest.raises(AttributeError):
         c.aligned = (1, 1, 1, 1)
     assert c.colors[e] == c.aligned[0] == 1
+
+
+def test_a_coloring_copies_a_list_of_colors():
+    # the caller's list may change after the report is kept on the coloring
+    built = cylinder_coloring(1, 2).coloring
+    cols = list(built.aligned)
+    c = EdgeColoring(built.graph, cols, built.palette_size)
+    assert verify_interval(c).interval
+    cols[0] = 99
+    assert type(c.aligned) is tuple and c.aligned == built.aligned
+    assert require_interval(c, InvalidColoringError, "coloring") is c
+    assert c == built and hash(c) == hash(built)
 
 
 def test_coloring_takes_only_the_aligned_tuple():
@@ -358,7 +369,11 @@ VERIFIER_CASES = [
     (_document_graph([[1, 1], [2, 2]], []), None),
 ]
 _K = colorings._K
-_ODD_COLORS = st.one_of(st.integers(-3, 12), st.sampled_from([_K - 1, _K, _K + 1, 10**6]))
+_ODD_COLORS = st.one_of(st.integers(-3, 12),
+                        st.sampled_from([_K - 1, _K, _K + 1, _K + 2, _K + 3, 10**6]))
+# 0 keeps the palette; -1 puts color 0 in it; _K - 12 ends at or below _K;
+# _K - 3 and _K - 1 run across _K/_K+1; _K + 1 and 10**6 put every color above _K
+_SHIFTS = [0, 0, -1, _K - 12, _K - 3, _K - 1, _K + 1, 10**6]
 
 
 def _gate_message(c):
@@ -369,7 +384,33 @@ def _gate_message(c):
     return None
 
 
-@settings(max_examples=300, deadline=None)
+def _reference_report(g, colors, t):
+    """The flags, violated vertices, entries and gate message of a coloring,
+    read off each vertex's sorted incident colors: consecutive means every
+    step between neighbours in that list is exactly 1."""
+    entries, violating = [], []
+    for v, incident in g.incident.items():
+        cols = sorted(colors[i] for i in incident)
+        distinct = len(set(cols)) == len(cols)
+        consecutive = all(b - a == 1 for a, b in zip(cols, cols[1:]))
+        entries.append((v, tuple(cols), len(cols), distinct, consecutive))
+        if not consecutive:
+            violating.append(v)
+    proper = all(e[3] for e in entries)
+    surjective = set(colors) == set(range(1, t + 1))
+    interval = proper and surjective and not violating
+    if interval:
+        message = None
+    elif violating:
+        layer, ring = violating[0]
+        cols = sorted(colors[i] for i in g.incident[violating[0]])
+        message = f"coloring breaks at vertex x_{ring}_{layer}: incident colors {cols}"
+    else:
+        message = f"coloring leaves palette 1..{t} uncovered"
+    return (proper, surjective, interval, violating), entries, message
+
+
+@settings(max_examples=400, deadline=None)
 @given(case=st.sampled_from(VERIFIER_CASES), data=st.data())
 def test_bit_field_verifier_matches_the_list_test(case, data):
     g, interval = case
@@ -377,23 +418,19 @@ def test_bit_field_verifier_matches_the_list_test(case, data):
         colors = data.draw(st.lists(st.integers(1, 5), min_size=g.num_edges,
                                     max_size=g.num_edges), label="colors")
     else:
-        shift = data.draw(st.sampled_from([0, 0, -1, _K - 12, _K - 3]), label="shift")
+        shift = data.draw(st.sampled_from(_SHIFTS), label="shift")
         colors = [c + shift for c in interval]
     for i in data.draw(st.lists(st.integers(0, max(g.num_edges - 1, 0)), max_size=3)
                        if g.num_edges else st.just([]), label="damaged"):
         colors[i] = data.draw(_ODD_COLORS, label="color")
-    colors = tuple(colors)
     t = data.draw(st.integers(1, 14), label="t")
-    if all(1 <= c <= _K for c in colors):
-        assert colorings._bit_scan(g.incident, colors) == colorings._loop_scan(g.incident, colors)
-    fast = EdgeColoring(g, colors, t)
-    slow = EdgeColoring(g, colors, t)
-    report = verify_interval(fast)
-    with mock.patch.object(colorings, "_K", 0):  # no color fits: the list test alone
-        reference = verify_interval(slow)
-    assert report == reference  # the flags and violating_vertices, in order
-    assert report.entries == reference.entries
-    assert _gate_message(fast) == _gate_message(slow)
+    c = EdgeColoring(g, tuple(colors), t)
+    report = verify_interval(c)
+    flags, entries, message = _reference_report(g, colors, t)
+    assert (report.proper, report.surjective, report.interval,
+            list(report.violating_vertices)) == flags
+    assert [tuple(e) for e in report.entries] == entries
+    assert _gate_message(c) == message
 
 
 def _mutate(doc: dict, kind: str, data) -> None:

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import re
 from enum import IntEnum
 
 import pytest
@@ -457,11 +458,32 @@ def test_the_graph_cache_keeps_the_last_two_members():
 
 
 def test_the_graph_cache_keeps_bool_and_int_apart():
+    # a cached m=1 graph must not answer m=True before the range check runs
     assert type(build_cylinder(1, 2).m) is int
-    assert build_cylinder(True, 2).m is True
-    grids._grid.cache_clear()
-    assert build_cylinder(True, 2).m is True
+    with pytest.raises(InvalidParameterError, match=r"^cylinder needs m >= 1, got m=True$"):
+        build_cylinder(True, 2)
     assert type(build_cylinder(1, 2).m) is int
+
+
+@pytest.mark.parametrize("bad", [None, 2.0, True, "2"])
+def test_a_parameter_that_is_not_an_int_is_refused(bad):
+    text = rf"^cylinder needs m >= 1, got m={re.escape(repr(bad))}$"
+    with pytest.raises(InvalidParameterError, match=text):
+        build("cylinder", bad, 2)
+    with pytest.raises(InvalidParameterError, match=text):
+        edge_count("cylinder", bad, 2)
+    assert not admits("cylinder", bad, 2)
+    with pytest.raises(InvalidParameterError, match=r"^torus needs n >= 2, got n="):
+        build("torus", 2, bad)
+
+
+def test_edge_count_refuses_what_build_refuses():
+    for family, m, n in [("cylinder", 0, 2), ("cylinder", 2, 1), ("torus", 1, 2),
+                         ("path", 2, 3), ("even_cycle", 1, 2), ("even_cycle", None, 1)]:
+        with pytest.raises(InvalidParameterError) as built:
+            build(family, m, n)
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(str(built.value))}$"):
+            edge_count(family, m, n)
 
 
 def test_a_build_that_raises_is_not_cached():
