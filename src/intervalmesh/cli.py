@@ -28,10 +28,8 @@ from .errors import (
     BudgetExceededError,
     CannotStepDownError,
     ConstructionError,
-    DisconnectedGraphError,
     InvalidColoringError,
     InvalidParameterError,
-    NonBipartiteError,
     NotIntervalColorableError,
     NotRegularError,
     SchemaError,
@@ -64,8 +62,6 @@ _FAILURES = {
     UnicodeDecodeError: (EXIT_USAGE, "error: input is not UTF-8: {exc}"),
     OSError: (EXIT_USAGE, "error: {exc}"),
     InvalidParameterError: (EXIT_USAGE, "error: {exc}"),
-    DisconnectedGraphError: (EXIT_USAGE, "error: {exc}"),
-    NonBipartiteError: (EXIT_USAGE, "error: {exc}"),
     NotRegularError: (EXIT_USAGE, "error: {exc}"),
     CannotStepDownError: (EXIT_USAGE, "error: {exc}"),
     InvalidColoringError: (EXIT_INVALID, "invalid coloring: {exc}"),

@@ -47,7 +47,7 @@ class EdgeColoring(_Record):
     edge, kept as a tuple (a list passed in is copied).  ``colors`` is a
     read-only view of it keyed by edge (the sorted pair of
     ``(layer, ring)`` vertices).  ``palette_size`` is the declared
-    palette 1..t.
+    palette 1..t, an integer by the colors' rule (a bool is refused).
     Assigned colors are not forced into that range here; out-of-range
     colors are reported by :func:`verify_interval` instead of rejected, so
     that damaged colorings can still be diagnosed.  Equality, hash and
@@ -58,8 +58,10 @@ class EdgeColoring(_Record):
     _compared = ("graph", "aligned", "palette_size")
 
     def __init__(self, graph: MeshGraph, aligned: tuple[int, ...], palette_size: int) -> None:
-        if palette_size < 1:
-            raise InvalidColoringError(f"palette size must be >= 1, got {palette_size}")
+        # the colors' type rule: a float or bool palette would verify, and its
+        # document would write a "t" that the parser refuses
+        if not isinstance(palette_size, int) or isinstance(palette_size, bool) or palette_size < 1:
+            raise InvalidColoringError(f"palette size must be >= 1, got {palette_size!r}")
         edges = graph.edges
         if len(aligned) != len(edges):
             raise InvalidColoringError(
@@ -301,7 +303,7 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | No
             ruled += 1
     if ruled and ruled != len(rows):
         raise SchemaError("rule trace must cover every edge or none")
-    g = _listed_graph(d, pairs)
+    g = _listed_graph(d)
     what = _member_name(g.family, g.m, g.n)
     colors: list[int | None] = [None] * g.num_edges
     rules = [""] * g.num_edges

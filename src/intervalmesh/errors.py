@@ -4,12 +4,10 @@ from __future__ import annotations
 
 __all__ = [
     "InvalidParameterError",
-    "DisconnectedGraphError",
     "InvalidColoringError",
     "NotRegularError",
     "CannotStepDownError",
     "ConstructionError",
-    "NonBipartiteError",
     "SchemaError",
     "BudgetExceededError",
     "NotIntervalColorableError",
@@ -18,10 +16,6 @@ __all__ = [
 
 class InvalidParameterError(ValueError):
     """A family parameter is out of its admissible range."""
-
-
-class DisconnectedGraphError(ValueError):
-    """The graph has no finite diameter."""
 
 
 class InvalidColoringError(ValueError):
@@ -38,10 +32,6 @@ class CannotStepDownError(ValueError):
 
 class ConstructionError(RuntimeError):
     """A closed-form construction failed its own self-check."""
-
-
-class NonBipartiteError(ValueError):
-    """The operation requires a bipartite graph."""
 
 
 class SchemaError(ValueError):

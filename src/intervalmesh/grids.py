@@ -1,7 +1,10 @@
 """Bipartite grid graphs on path, cycle, cylinder, and torus meshes.
 
-A vertex is a plain ``(layer, ring)`` pair of 1-based ints, and an edge
-the pair of its endpoints in ascending order.  A cylinder on
+Every graph is the member (m, n) of one of these four named families,
+so it is connected and bipartite by construction, and its size,
+diameter and edge orbits follow from its family's shape without a
+search.  A vertex is a plain ``(layer, ring)`` pair of 1-based ints, and
+an edge the pair of its endpoints in ascending order.  A cylinder on
 ``m`` layers and ``2n`` rings is the Cartesian product of a path with an
 even cycle; the torus closes the layer factor into an even cycle too.
 Edge lists are kept in a single canonical order so that serialization,
@@ -15,14 +18,9 @@ import json
 import operator
 from collections import deque
 from enum import Enum
-from typing import Callable, Iterable, NamedTuple
+from typing import Callable, NamedTuple
 
-from .errors import (
-    DisconnectedGraphError,
-    InvalidParameterError,
-    NonBipartiteError,
-    SchemaError,
-)
+from .errors import InvalidParameterError, SchemaError
 
 __all__ = [
     "Family",
@@ -36,7 +34,6 @@ __all__ = [
     "vertex_name",
     "max_degree",
     "is_regular",
-    "is_bipartite",
     "diameter",
     "theorem1_upper",
     "dumps_canonical",
@@ -48,7 +45,6 @@ class Family(str, Enum):
     EVEN_CYCLE = "even_cycle"
     CYLINDER = "cylinder"
     TORUS = "torus"
-    PRODUCT = "product"
 
 
 GridVertex = tuple[int, int]  # (layer, ring)
@@ -115,14 +111,14 @@ class _Record:
 
 
 class MeshGraph(_Record):
-    """A finite simple graph with grid-coordinate vertices.
+    """The member (m, n) of a named family, with grid-coordinate vertices.
 
     ``vertices`` and ``edges`` are sorted tuples; ``incident`` (the one
     vertex lookup: the positions in ``edges`` of each vertex's edges) and
     ``edge_index`` (each edge's position in ``edges``) are built once at
-    assembly time and excluded from equality and repr.  A named family's
-    graph is shared by every caller that builds the same member while it
-    is cached, so these two dicts are read-only: never mutate them.
+    assembly time and excluded from equality and repr.  A graph is shared
+    by every caller that builds the same member while it is cached, so
+    these two dicts are read-only: never mutate them.
     ``_plan``, also outside equality and repr, holds the search's plan
     from the graph's first search on (``search._plan``).  A graph can be
     weakly referenced.
@@ -155,49 +151,6 @@ class MeshGraph(_Record):
         return self.edge_index.get(_edge(a, b))
 
 
-def _assemble(
-    family: Family,
-    m: int | None,
-    n: int | None,
-    vertices: Iterable[GridVertex],
-    edge_pairs: Iterable[Edge],
-) -> MeshGraph:
-    vs = tuple(sorted(set(vertices)))
-    if not vs:
-        raise InvalidParameterError("graph needs at least one vertex")
-    for v in vs:
-        if min(v) < 1:
-            raise InvalidParameterError(f"vertex {vertex_name(v)} has a coordinate below 1")
-    vset = set(vs)
-    edges = []
-    seen: set[Edge] = set()
-    for a, b in edge_pairs:
-        if a == b:
-            raise InvalidParameterError(f"loop edge at {vertex_name(a)}")
-        e = _edge(a, b)
-        if a not in vset or b not in vset:
-            raise InvalidParameterError(f"edge {_edge_name(*e)} leaves the vertex set")
-        if e in seen:
-            raise InvalidParameterError(f"duplicate edge {_edge_name(*e)}")
-        seen.add(e)
-        edges.append(e)
-    edges.sort()
-    # sorted edges list each vertex's edges in ascending order of the other end
-    inc: dict[GridVertex, list[int]] = {v: [] for v in vs}
-    for i, (a, b) in enumerate(edges):
-        inc[a].append(i)
-        inc[b].append(i)
-    return MeshGraph(
-        family=family,
-        m=m,
-        n=n,
-        vertices=vs,
-        edges=tuple(edges),
-        incident={v: tuple(es) for v, es in inc.items()},
-        edge_index={e: i for i, e in enumerate(edges)},
-    )
-
-
 # ---------------------------------------------------------------------------
 # builders
 # ---------------------------------------------------------------------------
@@ -209,28 +162,45 @@ def _product(family: Family, m: int | None, n: int | None,
     its vertex count k and whether it is closed: the path on 1..k, closed
     into a cycle when ``closed``.  Vertex (i, j) sits on layer i and ring j;
     every layer carries a copy of the ring factor's edges and every ring a
-    copy of the layer factor's."""
+    copy of the layer factor's.  Each pair is generated with its ends in
+    ascending order, and the vertices come out sorted."""
     (layers, closed_layers), (rings, closed_rings) = layer, ring
     layer_range, ring_range = range(1, layers + 1), range(1, rings + 1)
     layer_pairs = list(zip(layer_range, layer_range[1:])) + ([(1, layers)] if closed_layers else [])
     ring_pairs = list(zip(ring_range, ring_range[1:])) + ([(1, rings)] if closed_rings else [])
-    vertices = [(i, j) for i in layer_range for j in ring_range]
+    vertices = tuple([(i, j) for i in layer_range for j in ring_range])
     edges = [((i, a), (i, b)) for i in layer_range for a, b in ring_pairs]
     edges += [((a, j), (b, j)) for j in ring_range for a, b in layer_pairs]
-    return _assemble(family, m, n, vertices, edges)
+    edges.sort()
+    # sorted edges list each vertex's edges in ascending order of the other end
+    inc: dict[GridVertex, list[int]] = {v: [] for v in vertices}
+    for i, (a, b) in enumerate(edges):
+        inc[a].append(i)
+        inc[b].append(i)
+    return MeshGraph(
+        family=family,
+        m=m,
+        n=n,
+        vertices=vertices,
+        edges=tuple(edges),
+        incident={v: tuple(es) for v, es in inc.items()},
+        edge_index={e: i for i, e in enumerate(edges)},
+    )
 
 
-@functools.lru_cache(maxsize=2, typed=True)
+@functools.lru_cache(maxsize=2)
 def _grid(family: Family, m: int | None, n: int | None) -> MeshGraph:
-    """The member (m, n) of a named family: the product of its shape's factors.
+    """The member (m, n) of a named family, whose range ``build`` has
+    checked: the product of its shape's factors.
 
     The last two members built are kept, so a document parsed right after
     its construction gets the very graph that construction built (shared,
-    hence read-only: see ``MeshGraph``).  ``typed`` keeps a kept ``m=1``
-    graph from answering ``m=True``, which the range check refuses, and a
-    build that raises is not kept.
+    hence read-only: see ``MeshGraph``).  Every key is a ``Family`` and
+    an exact ``int`` or None for each parameter, since ``build`` refuses
+    anything else first (``True`` included, so it never meets a kept
+    ``m=1`` graph).
     """
-    return _product(family, m, n, *_admitted(family, m, n).shape(m, n))
+    return _product(family, m, n, *_FAMILIES[family].shape(m, n))
 
 
 def build_cylinder(m: int, n: int) -> MeshGraph:
@@ -240,7 +210,7 @@ def build_cylinder(m: int, n: int) -> MeshGraph:
     joined by one rung per ring: the product of a path on ``m`` vertices
     with a cycle on ``2n``.
     """
-    return _grid(Family.CYLINDER, m, n)
+    return build(Family.CYLINDER, m, n)
 
 
 def build_torus(m: int, n: int) -> MeshGraph:
@@ -248,7 +218,7 @@ def build_torus(m: int, n: int) -> MeshGraph:
 
     Both factors are even cycles, so the graph is 4-regular and bipartite.
     """
-    return _grid(Family.TORUS, m, n)
+    return build(Family.TORUS, m, n)
 
 
 class _FamilyLaw(NamedTuple):
@@ -299,12 +269,9 @@ def _representatives(g: MeshGraph) -> list[int]:
     transpose folds each rung onto a ring edge.  So a torus lists the ring
     edge (1,1)-(1,2) and the rung (1,1)-(2,1), the ring edge alone when
     m = n; a cylinder lists (i,1)-(i,2) for i <= ceil(m/2) and
-    (i,1)-(i+1,1) for i <= floor(m/2).  Any other graph lists every edge.
+    (i,1)-(i+1,1) for i <= floor(m/2).
     """
-    law = _FAMILIES.get(g.family)
-    if law is None:
-        return list(range(g.num_edges))
-    layer, ring = law.shape(g.m, g.n)
+    layer, ring = _FAMILIES[g.family].shape(g.m, g.n)
 
     def orbits(k: int, closed: bool) -> tuple[range, range]:
         return (range(1, 2), range(1, 2)) if closed else (range(1, (k + 1) // 2 + 1), range(1, k // 2 + 1))
@@ -338,16 +305,9 @@ def _family(name: Family | str) -> Family:
         raise InvalidParameterError(f"unknown family {name!r}") from None
 
 
-def _law(family: Family | str) -> _FamilyLaw:
-    family = _family(family)
-    if family not in _FAMILIES:
-        raise InvalidParameterError(f"family {family.value} has no (m, n) builder")
-    return _FAMILIES[family]
-
-
 def _admitted(family: Family, m: int | None, n: int | None) -> _FamilyLaw:
     """The law of a named family, once (m, n) is found in its range."""
-    law = _law(family)
+    law = _FAMILIES[family]
     shortfall = _shortfall(law, m, n)
     if shortfall:
         raise InvalidParameterError(f"{family.value} needs {shortfall}")
@@ -355,8 +315,12 @@ def _admitted(family: Family, m: int | None, n: int | None) -> _FamilyLaw:
 
 
 def build(family: Family | str, m: int | None, n: int | None) -> MeshGraph:
-    """The member of a named family with parameters (m, n)."""
-    return _grid(_family(family), m, n)
+    """The member of a named family with parameters (m, n).  The range is
+    checked before the graph cache is asked, so a parameter that cannot be
+    a cache key, such as a list, is refused as out of range too."""
+    family = _family(family)
+    _admitted(family, m, n)
+    return _grid(family, m, n)
 
 
 # the edge cap of an exhaustive search unless its budget says otherwise;
@@ -372,7 +336,7 @@ def edge_count(family: Family | str, m: int | None, n: int | None) -> int:
 
 def admits(family: Family | str, m: int, n: int) -> bool:
     """Whether (m, n) lies in the parameter range of a named family."""
-    return not _shortfall(_law(family), m, n)
+    return not _shortfall(_FAMILIES[_family(family)], m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -403,47 +367,18 @@ def _bfs(g: MeshGraph, root: GridVertex) -> dict[GridVertex, int]:
     return dist
 
 
-def is_bipartite(g: MeshGraph) -> bool:
-    """Whether ``g`` has a proper 2-coloring of its vertices.
-
-    Every named family in ``_FAMILIES`` is bipartite by construction (only
-    the builders label a graph with a named family); any other graph is
-    bipartite when every edge joins breadth-first distances of different
-    parity, each component measured from its least vertex.
-    """
-    if g.family in _FAMILIES:
-        return True
-    dist: dict[GridVertex, int] = {}
-    for root in g.vertices:
-        if root not in dist:
-            dist.update(_bfs(g, root))
-    return all((dist[a] ^ dist[b]) & 1 for a, b in g.edges)
-
-
-def _eccentricity(g: MeshGraph, start: GridVertex) -> int:
-    dist = _bfs(g, start)
-    if len(dist) != g.num_vertices:
-        raise DisconnectedGraphError("graph is disconnected, diameter is infinite")
-    return max(dist.values())
-
-
 def diameter(g: MeshGraph) -> int:
-    """Largest shortest-path distance.
-
-    A named family's diameter follows from its shape in ``_FAMILIES`` (only
-    the builders label a graph with a named family); any other graph
-    takes a breadth-first search per vertex.
-    """
-    law = _FAMILIES.get(g.family)
-    if law is not None:
-        return _measure(law, g.m, g.n)[2]
-    return max(_eccentricity(g, v) for v in g.vertices)
+    """Largest shortest-path distance, from the family's shape in
+    ``_FAMILIES`` (see ``_measure``): no breadth-first search is run."""
+    return _measure(_FAMILIES[g.family], g.m, g.n)[2]
 
 
 def theorem1_upper(g: MeshGraph) -> int:
-    """Diameter upper bound on the greatest palette of a bipartite graph."""
-    if not is_bipartite(g):
-        raise NonBipartiteError("the diameter bound needs a bipartite graph")
+    """Diameter upper bound on the greatest palette of a bipartite graph.
+
+    Every graph is a member of a named family, bipartite by construction,
+    so the bound's hypothesis holds without a check.
+    """
     return diameter(g) * (max_degree(g) - 1) + 1
 
 
@@ -474,14 +409,13 @@ def _member_name(family: Family, m: int | None, n: int | None) -> str:
     return f"family {family.value!r} with m={m}, n={n}"
 
 
-def _listed_graph(d: dict, pairs: list[Edge]) -> MeshGraph:
-    """The graph a document lists, given its rows as parsed edges.
+def _listed_graph(d: dict) -> MeshGraph:
+    """The graph a document names and lists.
 
-    A recognized family is built once from (m, n) after its closed-form
-    vertex count is compared with the listing (or taken from ``_grid``'s
-    cache when this process has just built it); only ``product`` graphs
-    are assembled from ``pairs``.  Whether each pair is an edge of a built
-    family is left to the caller, which places the rows.
+    Its family is built once from (m, n) after its closed-form vertex
+    count is compared with the listing (or taken from ``_grid``'s cache
+    when this process has just built it).  Whether each row is an edge of
+    the graph is left to the caller, which places the rows.
     """
     for key in ("family", "vertices"):
         if key not in d:
@@ -498,19 +432,14 @@ def _listed_graph(d: dict, pairs: list[Edge]) -> MeshGraph:
     vertex_set = set(vertices)
     if len(vertex_set) != len(vertices):
         raise SchemaError("duplicate vertices in document")
-    law = _FAMILIES.get(family)
-    if law is None:
-        try:
-            return _assemble(family, m, n, vertices, pairs)
-        except InvalidParameterError as exc:
-            raise SchemaError(str(exc)) from None
+    law = _FAMILIES[family]
     if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
         raise SchemaError(f"family {family.value!r} has inconsistent m/n")
     # compare sizes first, so a claimed (m, n) is never built beyond the listing
     if _measure(law, m, n)[0] != len(vertices):
         raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
     try:
-        g = _grid(family, m, n)
+        g = build(family, m, n)
     except InvalidParameterError as exc:
         raise SchemaError(str(exc)) from None
     if g.incident.keys() != vertex_set:

@@ -30,7 +30,6 @@ from typing import Iterator, NamedTuple
 from .colorings import EdgeColoring, require_interval
 from .errors import (
     BudgetExceededError,
-    DisconnectedGraphError,
     InvalidColoringError,
     InvalidParameterError,
     NotIntervalColorableError,
@@ -173,8 +172,9 @@ class _Plan(NamedTuple):
 
 
 def _plan(g: MeshGraph) -> _Plan:
-    """The search plan of ``g``, built at the first call and kept on ``g``;
-    a disconnected ``g`` raises on every call and keeps nothing."""
+    """The search plan of ``g``, built at the first call and kept on ``g``.
+    Every graph is a member of a named family, hence connected, so every
+    edge lies in each anchor's breadth-first edge order."""
     plan = g._plan
     if plan is None:
         plan = _build_plan(g)
@@ -183,8 +183,6 @@ def _plan(g: MeshGraph) -> _Plan:
 
 
 def _build_plan(g: MeshGraph) -> _Plan:
-    if len(_bfs(g, g.vertices[0])) != g.num_vertices:
-        raise DisconnectedGraphError("search requires a connected graph")
     index = {v: i for i, v in enumerate(g.vertices)}
     ends = [(index[a], index[b]) for a, b in g.edges]
     degree = [g.degree(v) for v in g.vertices]
@@ -274,8 +272,8 @@ def find_interval_coloring(
     part of ``g``'s plan, which all searches of ``g`` share; a palette
     builds only the mask of the starts 1..t-d+1.
     """
-    if t < 1:
-        raise InvalidParameterError(f"palette size must be >= 1, got {t}")
+    if type(t) is not int or t < 1:
+        raise InvalidParameterError(f"palette size must be >= 1, got {t!r}")
     if budget is None:
         budget = SearchBudget()
     refused = edge_cap_refusal(g.num_edges, budget)

@@ -14,9 +14,8 @@ from intervalmesh import (
 )
 from intervalmesh.bounds import bounds_row
 from intervalmesh.constructions import construct
-from intervalmesh.errors import InvalidParameterError, NonBipartiteError
+from intervalmesh.errors import InvalidParameterError
 from intervalmesh import grids
-from intervalmesh.grids import _assemble
 
 
 def test_theorem1_upper_small():
@@ -28,19 +27,6 @@ def test_theorem1_upper_matches_closed_form_for_wide_cylinders():
     for m in range(3, 7):
         for n in range(2, 7):
             assert theorem1_upper(build_cylinder(m, n)) == 3 * m + 3 * n - 2
-
-
-def test_theorem1_upper_rejects_odd_cycles():
-    tri = [(1, 1), (1, 2), (1, 3)]
-    g = _assemble(
-        Family.PRODUCT,
-        None,
-        None,
-        tri,
-        [(tri[0], tri[1]), (tri[1], tri[2]), (tri[0], tri[2])],
-    )
-    with pytest.raises(NonBipartiteError):
-        theorem1_upper(g)
 
 
 def test_lower_bound_values():
@@ -92,13 +78,13 @@ def test_bounds_rows_frozen_examples():
 
 def test_bounds_row_builds_its_graph_once(monkeypatch):
     calls = []
-    original = grids._assemble
+    original = grids._product
 
     def counting(*args):
         calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(grids, "_assemble", counting)
+    monkeypatch.setattr(grids, "_product", counting)
     row = bounds_row("cylinder", 2, 3)
     assert calls == [Family.CYLINDER]
     assert (row.diam, row.lower_W, row.upper_W) == (4, 7, 9)

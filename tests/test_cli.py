@@ -159,19 +159,22 @@ def test_hostile_json_is_a_usage_error(tmp_path, capsys, monkeypatch):
 
 
 def test_schema_error_names_vertices(capsys, monkeypatch):
-    doc = {
-        "family": "product",
-        "m": None,
-        "n": None,
-        "t": 1,
-        "vertices": [[1, 1], [1, 2]],
-        "edges": [{"u": [1, 1], "v": [1, 3], "color": 1}],
-    }
+    doc = {**GAP_DOC, "t": 1, "edges": [{"u": [1, 1], "v": [1, 3], "color": 1}]}
     monkeypatch.setattr("sys.stdin", io.StringIO(json.dumps(doc)))
     code, _, err = invoke(capsys, "verify", "-")
     assert code == 2
     assert "x_1_1" in err
     assert "(1, 1)" not in err  # a vertex is named, never shown as its tuple
+
+
+def test_a_product_document_is_an_unknown_family(tmp_path, capsys):
+    path = tmp_path / "t.json"
+    invoke(capsys, "generate", "--family", "torus", "-m", "2", "-n", "3", "-o", str(path))
+    doc = json.loads(path.read_text())
+    doc.update(family="product", m=None, n=None)
+    path.write_text(json.dumps(doc))
+    for argv in (["verify", str(path)], ["export", str(path), "--format", "csv"]):
+        assert invoke(capsys, *argv) == (2, "", "schema error: unknown family 'product'\n")
 
 
 def test_huge_claimed_palette_is_checked_in_bounded_work(tmp_path, capsys):

@@ -212,13 +212,12 @@ def test_coloring_json_round_trip():
     assert loaded2.colors == res.coloring.colors
     assert trace2 is None
 
-    # every family, products included, comes back as the same graph
+    # every family comes back as the same graph
     graphs = [
         build("path", 3, None),
         build("even_cycle", None, 3),
         build_cylinder(2, 3),
         build_torus(2, 2),
-        grids._product(Family.PRODUCT, None, None, (2, False), (4, True)),
     ]
     for g in graphs:
         c = EdgeColoring(g, tuple(range(1, g.num_edges + 1)), g.num_edges)
@@ -285,6 +284,23 @@ def test_coloring_json_schema_errors():
         rejects(retyped, message)
 
 
+def test_a_product_document_is_an_unknown_family():
+    doc = coloring_to_json_dict(torus_coloring(2, 3).coloring)
+    doc.update(family="product", m=None, n=None)
+    with pytest.raises(SchemaError) as info:
+        coloring_from_json_dict(doc)
+    assert str(info.value) == "unknown family 'product'"
+
+
+def test_a_palette_that_is_not_an_int_is_refused():
+    # either would verify, and its document would write a "t" that the
+    # parser refuses
+    g = build("cylinder", 1, 2)
+    for bad in (3.0, True):
+        with pytest.raises(InvalidColoringError, match=f"^palette size must be >= 1, got {bad!r}$"):
+            EdgeColoring(g, (1, 2, 2, 3), bad)
+
+
 def test_a_rule_that_is_not_a_string_is_refused():
     res = cylinder_coloring(1, 2)
     doc = coloring_to_json_dict(res.coloring, res.rule_trace)
@@ -321,13 +337,13 @@ def test_rows_are_checked_before_the_graph_is_built(monkeypatch):
 def _counted_assemblies(monkeypatch):
     """The family of every graph assembled from now on, in call order."""
     calls = []
-    original = grids._assemble
+    original = grids._product
 
     def counting(*args):
         calls.append(args[0])
         return original(*args)
 
-    monkeypatch.setattr(grids, "_assemble", counting)
+    monkeypatch.setattr(grids, "_product", counting)
     return calls
 
 
@@ -349,24 +365,15 @@ def test_a_document_parsed_after_its_construction_reuses_its_graph(monkeypatch):
     assert calls == []
 
 
-def _document_graph(vertices, pairs):
-    """A product graph read from a document that lists ``pairs`` as edges."""
-    doc = {"family": "product", "m": None, "n": None, "vertices": vertices, "t": 1,
-           "edges": [{"u": list(a), "v": list(b), "color": 1} for a, b in pairs]}
-    return coloring_from_json_dict(doc)[0].graph
-
-
 # each graph with an interval coloring of it, or None where any colors will do
 VERIFIER_CASES = [
     *((c.graph, c.aligned) for c in (cylinder_coloring(1, 2).coloring,
                                      cylinder_coloring(2, 3).coloring,
                                      torus_coloring(2, 2).coloring,
                                      torus_coloring(3, 2).coloring)),
-    (grids._product(Family.PRODUCT, None, None, (2, False), (3, False)), None),
-    (grids._product(Family.PRODUCT, None, None, (3, False), (4, True)), None),
-    (_document_graph([[1, 1], [1, 2], [1, 3], [2, 1]], [((1, 1), (1, 2)), ((1, 2), (1, 3))]),
-     None),
-    (_document_graph([[1, 1], [2, 2]], []), None),
+    (build_cylinder(3, 2), None),
+    (build("path", 4, None), None),  # degrees 1 and 2
+    (build("path", 1, None), None),  # one vertex of degree 0
 ]
 _K = colorings._K
 _ODD_COLORS = st.one_of(st.integers(-3, 12),

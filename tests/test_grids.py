@@ -20,19 +20,14 @@ from intervalmesh import (
     coloring_to_json_dict,
     cylinder_coloring,
     diameter,
-    is_bipartite,
     is_regular,
     max_degree,
 )
-from intervalmesh.errors import (
-    DisconnectedGraphError,
-    InvalidParameterError,
-    SchemaError,
-)
+from intervalmesh.errors import InvalidParameterError, SchemaError
 from intervalmesh import grids, verify_interval
 from intervalmesh.cli import run
 from intervalmesh.constructions import construct, spectrum_sweep
-from intervalmesh.grids import _assemble, admits, build, dumps_canonical, edge_count
+from intervalmesh.grids import admits, build, dumps_canonical, edge_count
 
 
 def degree_by_edge_scan(g, v):
@@ -140,32 +135,17 @@ def test_bipartite_by_coordinate_parity():
     # (layer + ring) parity is a proper 2-coloring because every edge steps
     # one coordinate by 1 or wraps across an odd span
     for g in (build_cylinder(3, 3), build_torus(2, 3), build("even_cycle", None, 3)):
-        assert is_bipartite(g)
         for u, v in g.edges:
             assert sum(u) % 2 != sum(v) % 2
-
-
-def test_product_identity_factor():
-    prod = grids._product(Family.PRODUCT, None, None, (1, False), (4, True))
-    cyc = build("even_cycle", None, 2)
-    assert prod.vertices == cyc.vertices
-    assert prod.edges == cyc.edges
-
-
-def test_product_counts_frozen():
-    g = grids._product(Family.PRODUCT, None, None, (2, False), (4, True))
-    assert (g.num_vertices, g.num_edges) == (8, 12)
-    h = grids._product(Family.PRODUCT, None, None, (4, True), (4, True))
-    assert (h.num_vertices, h.num_edges) == (16, 32)
-    assert is_regular(h) and max_degree(h) == 4
 
 
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=5))
 def test_product_edge_count_law(m, n):
+    # the cylinder is the Cartesian product of a path with an even cycle
     g1 = build("path", m, None)
     g2 = build("even_cycle", None, n)
-    g = grids._product(Family.PRODUCT, None, None, (m, False), (2 * n, True))
+    g = build_cylinder(m, n)
     assert g.num_vertices == g1.num_vertices * g2.num_vertices
     assert (
         g.num_edges
@@ -174,8 +154,13 @@ def test_product_edge_count_law(m, n):
 
 
 def bfs_diameter(g):
-    # the general path, one breadth-first search per vertex
-    return max(grids._eccentricity(g, v) for v in g.vertices)
+    # one breadth-first search per vertex, each reaching every vertex
+    eccentricities = []
+    for v in g.vertices:
+        dist = grids._bfs(g, v)
+        assert len(dist) == g.num_vertices
+        eccentricities.append(max(dist.values()))
+    return max(eccentricities)
 
 
 def test_diameter_small_cases():
@@ -190,8 +175,6 @@ def test_diameter_small_cases():
     graphs += [build_torus(m, n) for m in range(2, 5) for n in range(2, 5)]
     for g in graphs:
         assert diameter(g) == bfs_diameter(g), (g.family, g.m, g.n)
-    product = grids._product(Family.PRODUCT, None, None, (3, False), (6, True))
-    assert diameter(product) == bfs_diameter(product) == 5
 
 
 # Each named family's layer and ring counts, and whether each closes into a
@@ -331,82 +314,31 @@ def test_every_edge_orbit_has_one_representative(family, m, n):
         assert len(orbit & set(listed)) == 1, [g.edges[i] for i in sorted(orbit)]
 
 
-def test_a_product_lists_every_edge_as_its_own_representative():
-    g = grids._product(Family.PRODUCT, None, None, (2, False), (4, True))
-    assert grids._representatives(g) == list(range(g.num_edges))
-
-
 def test_named_family_diameter_needs_no_search(monkeypatch):
     def refuse(g, start):
         raise AssertionError("breadth-first search on a named family")
 
-    monkeypatch.setattr(grids, "_eccentricity", refuse)
+    monkeypatch.setattr(grids, "_bfs", refuse)
     assert diameter(build("path", 4, None)) == 3
     assert diameter(build("even_cycle", None, 3)) == 3
     assert diameter(build_cylinder(2, 3)) == 4
     assert diameter(build_torus(2, 3)) == 5
-    with pytest.raises(AssertionError):
-        diameter(grids._product(Family.PRODUCT, None, None, (2, False), (4, True)))
-
-
-def test_named_family_is_bipartite_without_search(monkeypatch):
-    named = [build("path", 4, None), build("even_cycle", None, 3)]
-    named += [build_cylinder(2, 3), build_torus(2, 3)]
-    product = grids._product(Family.PRODUCT, None, None, (3, False), (4, True))
-
-    def refuse(*args):
-        raise AssertionError("breadth-first search on a named family")
-
-    # every breadth-first walk in grids starts from a deque
-    monkeypatch.setattr(grids, "deque", refuse)
-    for g in named:
-        assert is_bipartite(g)
-    with pytest.raises(AssertionError):
-        is_bipartite(product)
-
-
-def test_is_bipartite_checks_every_component():
-    def cycle(layer, length):
-        ring = [(layer, j) for j in range(1, length + 1)]
-        return ring, list(zip(ring, ring[1:] + ring[:1]))
-
-    square, square_edges = cycle(1, 4)
-    triangle, triangle_edges = cycle(2, 3)
-    hexagon, hexagon_edges = cycle(2, 6)
-    odd = _assemble(
-        Family.PRODUCT, None, None, square + triangle, square_edges + triangle_edges
-    )
-    even = _assemble(
-        Family.PRODUCT, None, None, square + hexagon, square_edges + hexagon_edges
-    )
-    assert not is_bipartite(odd)
-    assert is_bipartite(even)
-
-
-def test_diameter_disconnected_raises():
-    g = _assemble(Family.PRODUCT, None, None, [(1, 1), (2, 2)], [])
-    with pytest.raises(DisconnectedGraphError):
-        diameter(g)
 
 
 def test_edge_canonical_order_and_loop_rejection():
-    a, b = (2, 1), (1, 3)
-    # a reversed pair is stored with its endpoints in ascending order
-    g = _assemble(Family.PRODUCT, None, None, [a, b], [(a, b)])
-    assert g.edges == ((b, a),)
-    assert g.position(a, b) == g.position(b, a) == 0
-    with pytest.raises(InvalidParameterError, match="loop edge at x_1_2"):
-        _assemble(Family.PRODUCT, None, None, [a, b], [(a, a)])
-
-
-def test_assemble_rejects_bad_structure():
-    v1, v2 = (1, 1), (1, 2)
-    with pytest.raises(InvalidParameterError):
-        _assemble(Family.PRODUCT, None, None, [v1, v2], [(v1, v2), (v2, v1)])
-    with pytest.raises(InvalidParameterError):
-        _assemble(Family.PRODUCT, None, None, [v1], [(v1, v2)])
-    with pytest.raises(InvalidParameterError):
-        _assemble(Family.PRODUCT, None, None, [(0, 1)], [])
+    g = build_cylinder(2, 2)
+    # every edge is stored with its endpoints in ascending order, and found
+    # from either end
+    assert all(a < b for a, b in g.edges)
+    for i, (a, b) in enumerate(g.edges):
+        assert g.position(a, b) == g.position(b, a) == i
+    a, b = (2, 1), (1, 1)
+    assert g.position(a, b) == g.position(b, a) == g.edges.index((b, a))
+    assert g.position(a, a) is None
+    doc = coloring_to_json_dict(cylinder_coloring(2, 2).coloring)
+    doc["edges"][0]["u"] = doc["edges"][0]["v"] = list(a)
+    with pytest.raises(SchemaError, match="^loop edge at x_1_2$"):
+        coloring_from_json_dict(doc)
 
 
 def test_degree_unknown_vertex():
@@ -442,7 +374,7 @@ def test_family_table_builds_and_bounds_parameters():
     assert build("path", 3, None).edges == (((1, 1), (2, 1)), ((2, 1), (3, 1)))
     assert admits("cylinder", 1, 2) and not admits("torus", 1, 2)
     assert not admits("cylinder", 2, 1)
-    with pytest.raises(InvalidParameterError):
+    with pytest.raises(InvalidParameterError, match=r"^unknown family 'product'$"):
         build("product", 2, 2)
 
 
@@ -458,18 +390,22 @@ def test_the_graph_cache_keeps_the_last_two_members():
 
 
 def test_the_graph_cache_keeps_bool_and_int_apart():
-    # a cached m=1 graph must not answer m=True before the range check runs
+    # the range check runs before the cache, so a cached m=1 graph never
+    # answers m=True
     assert type(build_cylinder(1, 2).m) is int
     with pytest.raises(InvalidParameterError, match=r"^cylinder needs m >= 1, got m=True$"):
         build_cylinder(True, 2)
     assert type(build_cylinder(1, 2).m) is int
 
 
-@pytest.mark.parametrize("bad", [None, 2.0, True, "2"])
+# [1] cannot key the graph cache, so it is refused before the cache is asked
+@pytest.mark.parametrize("bad", [None, 2.0, True, "2", [1]])
 def test_a_parameter_that_is_not_an_int_is_refused(bad):
     text = rf"^cylinder needs m >= 1, got m={re.escape(repr(bad))}$"
     with pytest.raises(InvalidParameterError, match=text):
         build("cylinder", bad, 2)
+    with pytest.raises(InvalidParameterError, match=text):
+        construct("cylinder", bad, 2)
     with pytest.raises(InvalidParameterError, match=text):
         edge_count("cylinder", bad, 2)
     assert not admits("cylinder", bad, 2)
@@ -541,10 +477,9 @@ def canonical_or_exception(d):
 def family_colorings():
     """A coloring of every family at every size up to m, n = 6, with its rule
     trace where it has one: constructed for cylinders and tori, numbered edges
-    for the other families and a product."""
+    for the other families."""
     graphs = [build("path", m, None) for m in range(1, 7)]
     graphs += [build("even_cycle", None, n) for n in range(2, 7)]
-    graphs.append(grids._product(Family.PRODUCT, None, None, (3, False), (4, True)))
     for g in graphs:
         aligned = tuple(i % 5 + 1 for i in range(g.num_edges))
         yield EdgeColoring(g, aligned, max((1, *aligned))), None

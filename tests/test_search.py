@@ -25,12 +25,11 @@ from intervalmesh.colorings import EdgeColoring
 from intervalmesh.constructions import construct
 from intervalmesh.errors import (
     BudgetExceededError,
-    DisconnectedGraphError,
     InvalidColoringError,
     InvalidParameterError,
     NotIntervalColorableError,
 )
-from intervalmesh.grids import Family, _assemble, build
+from intervalmesh.grids import Family, build
 
 
 def E(i1, j1, i2, j2):
@@ -170,17 +169,10 @@ def test_determinism():
 
 
 def test_bad_palette_parameter():
-    with pytest.raises(InvalidParameterError):
-        find_interval_coloring(build_cylinder(1, 2), 0)
-
-
-def test_search_requires_connected_graph():
-    g = _assemble(Family.PRODUCT, None, None, [(1, 1), (2, 2)], [])
-    # raised on every call, since a disconnected graph keeps no plan
-    for _ in range(2):
-        with pytest.raises(DisconnectedGraphError):
-            find_interval_coloring(g, 1)
-        assert g._plan is None
+    # 3.0 would reach a shift, and True would be searched as the palette 1
+    for bad in (0, 3.0, True):
+        with pytest.raises(InvalidParameterError, match=f"^palette size must be >= 1, got {bad!r}$"):
+            find_interval_coloring(build_cylinder(1, 2), bad)
 
 
 def test_exact_scans_respect_bounds():
@@ -264,7 +256,7 @@ def test_a_scan_shares_one_plan(monkeypatch):
 
 
 def test_a_searched_graph_is_collected_once_dropped():
-    g = grids._product(Family.PRODUCT, None, None, (2, False), (4, False))  # held by nothing else
+    g = grids._product(Family.CYLINDER, 2, 2, (2, False), (4, True))  # outside the graph cache
     result = find_interval_coloring(g, 4)
     assert result.outcome is Outcome.FOUND and g._plan is not None
     ref = weakref.ref(g)
@@ -317,13 +309,13 @@ def floyd_warshall_path_weights(g):
 @pytest.mark.parametrize(
     "g",
     [build_cylinder(m, n) for m in (2, 3) for n in (2, 3)]
-    + [build_torus(2, 2), grids._product(Family.PRODUCT, None, None, (3, False), (3, False))]
+    + [build_torus(2, 2)]
     # degree-1 ends weigh 0; T(6,6) has 36 vertices
     + [build("path", 2, None), build("path", 5, None), build("even_cycle", None, 3)]
     + [build_cylinder(1, 4)]
-    + [build_torus(3, 3), grids._product(Family.PRODUCT, None, None, (2, False), (4, False))],
-    ids=["C(2,4)", "C(2,6)", "C(3,4)", "C(3,6)", "T(4,4)", "P3xP3",
-         "P2", "P5", "C6", "C(1,8)", "T(6,6)", "P2xP4"],
+    + [build_torus(3, 3)],
+    ids=["C(2,4)", "C(2,6)", "C(3,4)", "C(3,6)", "T(4,4)",
+         "P2", "P5", "C6", "C(1,8)", "T(6,6)"],
 )
 def test_path_weights_match_floyd_warshall(g):
     index = {v: i for i, v in enumerate(g.vertices)}
@@ -387,12 +379,8 @@ def anchored_reference(g, t):
 @pytest.mark.parametrize(
     "g",
     [build_cylinder(1, n) for n in range(2, 6)]
-    + [
-        build_cylinder(2, 2),
-        grids._product(Family.PRODUCT, None, None, (3, False), (3, False)),
-        grids._product(Family.PRODUCT, None, None, (2, False), (4, False)),
-    ],
-    ids=["C(1,4)", "C(1,6)", "C(1,8)", "C(1,10)", "C(2,4)", "P3xP3", "P2xP4"],
+    + [build_cylinder(2, 2), build("path", 5, None)],
+    ids=["C(1,4)", "C(1,6)", "C(1,8)", "C(1,10)", "C(2,4)", "P5"],
 )
 def test_search_agrees_with_unpruned_reference(g):
     for t in range(1, g.num_edges + 1):
