@@ -67,11 +67,13 @@ class EdgeColoring(_Record):
             raise InvalidColoringError(
                 f"coloring has {len(aligned)} colors for {len(edges)} edges"
             )
-        for e, c in zip(edges, aligned):
-            if not isinstance(c, int) or isinstance(c, bool):
-                raise InvalidColoringError(
-                    f"color of {_edge_name(*e)} is not an integer: {c!r}"
-                )
+        # one pass in C; the loop names the first bad edge, or passes an int subclass
+        if not set(map(type, aligned)) <= {int}:
+            for e, c in zip(edges, aligned):
+                if not isinstance(c, int) or isinstance(c, bool):
+                    raise InvalidColoringError(
+                        f"color of {_edge_name(*e)} is not an integer: {c!r}"
+                    )
         self._fill(graph, tuple(aligned), palette_size, None, None)
 
     @property

@@ -28,6 +28,7 @@ a vertex.
 
 from __future__ import annotations
 
+from itertools import starmap
 from typing import Callable, NamedTuple
 
 from .colorings import EdgeColoring, require_interval
@@ -79,8 +80,8 @@ def _paint(
     endpoint is read as (ring, layer) and the pair ordered again, so the
     rules of the transposed grid paint ``g``.
     """
-    edges = (_edge(a[::-1], b[::-1]) for a, b in g.edges) if swap else g.edges
-    colors, rules = zip(*(rule(a, b) for a, b in edges))
+    edges = [_edge(a[::-1], b[::-1]) for a, b in g.edges] if swap else g.edges
+    colors, rules = zip(*starmap(rule, edges))
     coloring = require_interval(EdgeColoring(g, colors, t), ConstructionError, "construction")
     return ConstructionResult(coloring, rules)
 

@@ -158,34 +158,39 @@ class MeshGraph(_Record):
 
 def _product(family: Family, m: int | None, n: int | None,
              layer: tuple[int, bool], ring: tuple[int, bool]) -> MeshGraph:
-    """Cartesian product of a layer factor and a ring factor, each given as
-    its vertex count k and whether it is closed: the path on 1..k, closed
-    into a cycle when ``closed``.  Vertex (i, j) sits on layer i and ring j;
-    every layer carries a copy of the ring factor's edges and every ring a
-    copy of the layer factor's.  Each pair is generated with its ends in
-    ascending order, and the vertices come out sorted."""
+    """Cartesian product of a layer factor on L vertices and a ring factor
+    on R, each given as its vertex count and whether it is closed: the path
+    on 1..L (1..R), closed into a cycle when ``closed``.  Vertex (i, j) sits
+    on layer i and ring j; every layer carries a copy of the ring factor's
+    edges and every ring a copy of the layer factor's.
+
+    One pass over the sorted vertices makes the edges already in canonical
+    order, with no sort: vertex (i, j) emits its edges to larger neighbours
+    in ascending order of the other end, (i, j+1) on its ring, the wrap
+    (i, R) when j = 1 and the ring is closed, (i+1, j) on the next layer,
+    and the seam (L, j) when i = 1 and the layers are closed (a closed
+    factor has at least 4 vertices, so no two coincide).  Each edge reuses
+    the tuples of ``vertices``, and its position is appended to both ends'
+    lists as it is made, so every ``incident`` entry is ascending too."""
     (layers, closed_layers), (rings, closed_rings) = layer, ring
-    layer_range, ring_range = range(1, layers + 1), range(1, rings + 1)
-    layer_pairs = list(zip(layer_range, layer_range[1:])) + ([(1, layers)] if closed_layers else [])
-    ring_pairs = list(zip(ring_range, ring_range[1:])) + ([(1, rings)] if closed_rings else [])
-    vertices = tuple([(i, j) for i in layer_range for j in ring_range])
-    edges = [((i, a), (i, b)) for i in layer_range for a, b in ring_pairs]
-    edges += [((a, j), (b, j)) for j in ring_range for a, b in layer_pairs]
-    edges.sort()
-    # sorted edges list each vertex's edges in ascending order of the other end
-    inc: dict[GridVertex, list[int]] = {v: [] for v in vertices}
-    for i, (a, b) in enumerate(edges):
-        inc[a].append(i)
-        inc[b].append(i)
-    return MeshGraph(
-        family=family,
-        m=m,
-        n=n,
-        vertices=vertices,
-        edges=tuple(edges),
-        incident={v: tuple(es) for v, es in inc.items()},
-        edge_index={e: i for i, e in enumerate(edges)},
-    )
+    vertices = tuple([(i, j) for i in range(1, layers + 1) for j in range(1, rings + 1)])
+    edges: list[Edge] = []
+    inc: list[list[int]] = [[] for _ in vertices]
+    for p, v in enumerate(vertices):
+        i, j = v
+        ends = [p + 1] if j < rings else []  # vertex positions, ascending
+        if j == 1 and closed_rings:
+            ends.append(p + rings - 1)
+        if i < layers:
+            ends.append(p + rings)
+        if i == 1 and closed_layers:
+            ends.append(p + (layers - 1) * rings)
+        for q in ends:
+            inc[p].append(len(edges))
+            inc[q].append(len(edges))
+            edges.append((v, vertices[q]))
+    return MeshGraph(family, m, n, vertices, tuple(edges), dict(zip(vertices, map(tuple, inc))),
+                     dict(zip(edges, range(len(edges)))))
 
 
 @functools.lru_cache(maxsize=2)

@@ -152,6 +152,23 @@ def test_coloring_takes_only_the_aligned_tuple():
         EdgeColoring(g, dict(c.colors), 3)
 
 
+def test_a_color_that_is_not_an_int_is_refused_naming_its_edge():
+    # the first bad edge in graph.edges order is named, whatever follows it
+    g = build("even_cycle", None, 2)
+    assert g.edges[2] == ((1, 2), (1, 3))
+    for bad in (True, 2.0):
+        message = f"^color of x_2_1-x_3_1 is not an integer: {bad!r}$"
+        with pytest.raises(InvalidColoringError, match=message):
+            EdgeColoring(g, (1, 2, bad, 3.5), 3)
+
+    # an int subclass passes the colors' type rule
+    class Color(int):
+        pass
+
+    c = EdgeColoring(g, (1, 2, Color(2), 3), 3)
+    assert c.aligned == (1, 2, 2, 3) and verify_interval(c).interval
+
+
 def test_interval_implies_tight_vertex_windows():
     for coloring in (cylinder_coloring(3, 3).coloring, torus_coloring(2, 3).coloring):
         report = verify_interval(coloring)

@@ -218,18 +218,24 @@ def neighbour_rule_grid(layers, closed_layers, rings, closed_rings):
 
 
 def test_named_families_match_their_neighbour_rules():
+    # the torus runs to m = 9, past every n, so transposed members (m > n)
+    # as wide as T(18, 4) are built too
     checked = 0
     for family, (min_m, min_n, shape) in FAMILY_GRIDS.items():
-        for m in [None] if min_m is None else range(min_m, 7):
+        for m in [None] if min_m is None else range(min_m, 10 if family == "torus" else 7):
             for n in [None] if min_n is None else range(min_n, 7):
                 vertices, edges, diam = neighbour_rule_grid(*shape(m, n))
                 g = build(family, m, n)
                 assert list(g.vertices) == vertices, (family, m, n)
                 assert list(g.edges) == edges, (family, m, n)
+                # keys in vertex order, each vertex's edge positions ascending
+                incident = [(v, tuple(k for k, e in enumerate(edges) if v in e)) for v in vertices]
+                assert list(g.incident.items()) == incident, (family, m, n)
+                assert list(g.edge_index.items()) == [(e, k) for k, e in enumerate(edges)], (family, m, n)
                 assert edge_count(family, m, n) == len(edges), (family, m, n)
                 assert diameter(g) == diam, (family, m, n)
                 checked += 1
-    assert checked == 6 + 5 + 30 + 25
+    assert checked == 6 + 5 + 30 + 8 * 5
 
 
 def floyd_warshall_diameter(g):
