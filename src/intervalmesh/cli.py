@@ -41,9 +41,9 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# the families with a construction (``constructions._CONSTRUCTIONS``), offered
-# by --family without loading that module
-_FAMILIES = (Family.CYLINDER.value, Family.TORUS.value)
+# the families with a construction (``constructions._CONSTRUCTIONS``: every
+# family), offered by --family without loading that module
+_FAMILIES = tuple(f.value for f in Family)
 
 
 class _UsageError(Exception):

@@ -174,17 +174,16 @@ def verify_interval(c: EdgeColoring) -> SpectrumReport:
     repeat or leave a gap.  A vertex of degree d ORs its colors' bits
     (see ``_K``) and is accepted when the field ``b`` is d consecutive set
     bits, that is ``b == low * (2**d - 1)`` for its lowest set bit
-    ``low``: exact for in-range colors, and for d <= 1 whatever the
-    colors.  Any other vertex is decided by the list test
-    ``_vertex_flags``, so a repeat, a gap or a stray color is reported as
-    the list test reports it.  The report is computed on the first call
+    ``low``: exact for in-range colors.  Any other vertex is decided by
+    the list test ``_vertex_flags``, so a repeat, a gap or a stray color
+    is reported as the list test reports it.  The report is computed on the first call
     and kept on the coloring, which cannot change, for every later call.
     """
     if c._report is not None:
         return c._report
     colors = c.aligned
     used = set(colors)
-    lo, hi = (min(used), max(used)) if used else (1, 0)
+    lo, hi = min(used), max(used)
     if 1 <= lo and hi <= _K:
         bit = [1 << x for x in colors]
     else:

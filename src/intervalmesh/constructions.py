@@ -181,14 +181,13 @@ def step_down(c: EdgeColoring) -> EdgeColoring:
 def construct(family: Family | str, m: int, n: int, t: int | None = None) -> ConstructionResult:
     """The verified coloring of a named family at parameters (m, n) and palette t.
 
-    With t None or the construction's own palette it is the construction,
-    rule trace included.  A torus also takes any t from its degree up,
-    stepped down from the construction with no rule trace; a cylinder,
-    C(1, 2n) included although that cycle is regular, takes no other t.
+    Every named family has a construction in ``_CONSTRUCTIONS``.  With t
+    None or the construction's own palette it is the construction, rule
+    trace included.  A torus also takes any t from its degree up, stepped
+    down from the construction with no rule trace; a cylinder, C(1, 2n)
+    included although that cycle is regular, takes no other t.
     """
     family = _family(family)
-    if family not in _CONSTRUCTIONS:
-        raise InvalidParameterError(f"no construction for family {family.value}")
     result = _CONSTRUCTIONS[family](m, n)
     c = result.coloring
     if t is None or t == c.palette_size:

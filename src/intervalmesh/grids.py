@@ -1,6 +1,6 @@
-"""Bipartite grid graphs on path, cycle, cylinder, and torus meshes.
+"""Bipartite grid graphs on cylinder and torus meshes.
 
-Every graph is the member (m, n) of one of these four named families,
+Every graph is the member (m, n) of one of these two named families,
 so it is connected and bipartite by construction, and its size,
 diameter and edge orbits follow from its family's shape without a
 search.  A vertex is a plain ``(layer, ring)`` pair of 1-based ints, and
@@ -41,8 +41,6 @@ __all__ = [
 
 
 class Family(str, Enum):
-    PATH = "path"
-    EVEN_CYCLE = "even_cycle"
     CYLINDER = "cylinder"
     TORUS = "torus"
 
@@ -128,7 +126,7 @@ class MeshGraph(_Record):
                  "__weakref__")
     _compared = ("family", "m", "n", "vertices", "edges")
 
-    def __init__(self, family: Family, m: int | None, n: int | None,
+    def __init__(self, family: Family, m: int, n: int,
                  vertices: tuple[GridVertex, ...], edges: tuple[Edge, ...],
                  incident: dict[GridVertex, tuple[int, ...]], edge_index: dict[Edge, int]) -> None:
         self._fill(family, m, n, vertices, edges, incident, edge_index, None)
@@ -156,7 +154,7 @@ class MeshGraph(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _product(family: Family, m: int | None, n: int | None,
+def _product(family: Family, m: int, n: int,
              layer: tuple[int, bool], ring: tuple[int, bool]) -> MeshGraph:
     """Cartesian product of a layer factor on L vertices and a ring factor
     on R, each given as its vertex count and whether it is closed: the path
@@ -194,16 +192,15 @@ def _product(family: Family, m: int | None, n: int | None,
 
 
 @functools.lru_cache(maxsize=2)
-def _grid(family: Family, m: int | None, n: int | None) -> MeshGraph:
-    """The member (m, n) of a named family, whose range ``build`` has
-    checked: the product of its shape's factors.
+def _grid(family: Family, m: int, n: int) -> MeshGraph:
+    """The member (m, n) of a named family, whose range ``build`` or
+    ``_listed_graph`` has checked: the product of its shape's factors.
 
     The last two members built are kept, so a document parsed right after
     its construction gets the very graph that construction built (shared,
     hence read-only: see ``MeshGraph``).  Every key is a ``Family`` and
-    an exact ``int`` or None for each parameter, since ``build`` refuses
-    anything else first (``True`` included, so it never meets a kept
-    ``m=1`` graph).
+    an exact ``int`` for each parameter, since both refuse anything else
+    first (``True`` included, so it never meets a kept ``m=1`` graph).
     """
     return _product(family, m, n, *_FAMILIES[family].shape(m, n))
 
@@ -229,27 +226,24 @@ def build_torus(m: int, n: int) -> MeshGraph:
 class _FamilyLaw(NamedTuple):
     """The parameter range and shape of a named family.
 
-    ``min_m``/``min_n`` are the least admissible parameters; ``None``
-    means the family takes no such parameter.  ``shape`` gives the
-    member's layer and ring factors, each as its vertex count and whether
-    it is closed into a cycle; the member is their Cartesian product,
-    built by ``_grid``, and its sizes and diameter follow.
+    ``min_m``/``min_n`` are the least admissible parameters.  ``shape``
+    gives the member's layer and ring factors, each as its vertex count
+    and whether it is closed into a cycle; the member is their Cartesian
+    product, built by ``_grid``, and its sizes and diameter follow.
     """
 
-    min_m: int | None
-    min_n: int | None
-    shape: Callable[[int | None, int | None], tuple[tuple[int, bool], tuple[int, bool]]]
+    min_m: int
+    min_n: int
+    shape: Callable[[int, int], tuple[tuple[int, bool], tuple[int, bool]]]
 
 
 _FAMILIES = {
-    Family.PATH: _FamilyLaw(1, None, lambda m, n: ((m, False), (1, False))),
-    Family.EVEN_CYCLE: _FamilyLaw(None, 2, lambda m, n: ((1, False), (2 * n, True))),
     Family.CYLINDER: _FamilyLaw(1, 2, lambda m, n: ((m, False), (2 * n, True))),
     Family.TORUS: _FamilyLaw(2, 2, lambda m, n: ((2 * m, True), (2 * n, True))),
 }
 
 
-def _measure(law: _FamilyLaw, m: int | None, n: int | None) -> tuple[int, int, int]:
+def _measure(law: _FamilyLaw, m: int, n: int) -> tuple[int, int, int]:
     """|V|, |E| and diameter of the member (m, n), unbuilt.  A factor on k
     vertices has k - 1 edges and diameter k - 1 as a path, k edges and
     diameter k // 2 as a cycle; the product has L·R vertices, each factor's
@@ -288,16 +282,12 @@ def _representatives(g: MeshGraph) -> list[int]:
     return sorted(g.edge_index[e] for e in edges)
 
 
-def _shortfall(law: _FamilyLaw, m: int | None, n: int | None) -> str:
+def _shortfall(law: _FamilyLaw, m: int, n: int) -> str:
     """The first parameter that is not an ``int`` of at least its least
-    value, as ``m >= 1, got m=0`` (or ``got m=None``, ``got m=True``), or
-    that is given to a family that takes none, as ``n=None, got n=3``;
+    value, as ``m >= 1, got m=0`` (or ``got m=None``, ``got m=True``);
     empty when (m, n) lies in the family's range."""
     for name, value, least in (("m", m, law.min_m), ("n", n, law.min_n)):
-        if least is None:
-            if value is not None:
-                return f"{name}=None, got {name}={value!r}"
-        elif type(value) is not int or value < least:
+        if type(value) is not int or value < least:
             return f"{name} >= {least}, got {name}={value!r}"
     return ""
 
@@ -310,7 +300,7 @@ def _family(name: Family | str) -> Family:
         raise InvalidParameterError(f"unknown family {name!r}") from None
 
 
-def _admitted(family: Family, m: int | None, n: int | None) -> _FamilyLaw:
+def _admitted(family: Family, m: int, n: int) -> _FamilyLaw:
     """The law of a named family, once (m, n) is found in its range."""
     law = _FAMILIES[family]
     shortfall = _shortfall(law, m, n)
@@ -319,7 +309,7 @@ def _admitted(family: Family, m: int | None, n: int | None) -> _FamilyLaw:
     return law
 
 
-def build(family: Family | str, m: int | None, n: int | None) -> MeshGraph:
+def build(family: Family | str, m: int, n: int) -> MeshGraph:
     """The member of a named family with parameters (m, n).  The range is
     checked before the graph cache is asked, so a parameter that cannot be
     a cache key, such as a list, is refused as out of range too."""
@@ -333,7 +323,7 @@ def build(family: Family | str, m: int | None, n: int | None) -> MeshGraph:
 DEFAULT_MAX_EDGES = 16
 
 
-def edge_count(family: Family | str, m: int | None, n: int | None) -> int:
+def edge_count(family: Family | str, m: int, n: int) -> int:
     """|E| of the member of a named family with parameters (m, n), unbuilt;
     (m, n) outside the family's range is refused as ``build`` refuses it."""
     return _measure(_admitted(_family(family), m, n), m, n)[1]
@@ -401,52 +391,38 @@ def _parse_vertex(obj: object) -> GridVertex:
     raise SchemaError(f"vertex must be a [layer, ring] pair of integers, got {obj!r}")
 
 
-def _parse_optional_size(d: dict, key: str) -> int | None:
-    value = d.get(key)
-    if value is None:
-        return None
-    if not isinstance(value, int) or isinstance(value, bool):
-        raise SchemaError(f"{key!r} must be an integer or null, got {value!r}")
-    return value
-
-
-def _member_name(family: Family, m: int | None, n: int | None) -> str:
+def _member_name(family: Family, m: int, n: int) -> str:
     return f"family {family.value!r} with m={m}, n={n}"
 
 
 def _listed_graph(d: dict) -> MeshGraph:
     """The graph a document names and lists.
 
-    Its family is built once from (m, n) after its closed-form vertex
-    count is compared with the listing (or taken from ``_grid``'s cache
-    when this process has just built it).  Whether each row is an edge of
-    the graph is left to the caller, which places the rows.
+    (m, n) must lie in its family's range, and the member is built once
+    after its closed-form vertex count is compared with the listing (or
+    taken from ``_grid``'s cache when this process has just built it).
+    Whether each row is an edge of the graph is left to the caller, which
+    places the rows.
     """
     for key in ("family", "vertices"):
         if key not in d:
             raise SchemaError(f"coloring document is missing {key!r}")
+    m, n = d.get("m"), d.get("n")
     try:
         family = _family(d["family"])
+        law = _admitted(family, m, n)
     except InvalidParameterError as exc:
         raise SchemaError(str(exc)) from None
-    m = _parse_optional_size(d, "m")
-    n = _parse_optional_size(d, "n")
     if not isinstance(d["vertices"], list):
         raise SchemaError("'vertices' must be an array")
     vertices = [_parse_vertex(v) for v in d["vertices"]]
     vertex_set = set(vertices)
     if len(vertex_set) != len(vertices):
         raise SchemaError("duplicate vertices in document")
-    law = _FAMILIES[family]
-    if (m is None) != (law.min_m is None) or (n is None) != (law.min_n is None):
-        raise SchemaError(f"family {family.value!r} has inconsistent m/n")
     # compare sizes first, so a claimed (m, n) is never built beyond the listing
     if _measure(law, m, n)[0] != len(vertices):
         raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
-    try:
-        g = build(family, m, n)
-    except InvalidParameterError as exc:
-        raise SchemaError(str(exc)) from None
+    g = _grid(family, m, n)
     if g.incident.keys() != vertex_set:
         raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
     return g

@@ -88,8 +88,8 @@ class SearchResult(NamedTuple):
     nodes: int
     detail: str = ""
     # the anchor pairs searched, in order: (e, f, nodes), e and f positions
-    # in graph.edges, f None when t = 1
-    pairs: tuple[tuple[int, int | None, int], ...] = ()
+    # in graph.edges
+    pairs: tuple[tuple[int, int, int], ...] = ()
 
 
 def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | None:
@@ -217,17 +217,14 @@ def _build_plan(g: MeshGraph) -> _Plan:
     return _Plan(degree, reach, width, rows, anchors)
 
 
-def _anchor_pairs(plan: _Plan, t: int) -> Iterator[tuple[int, int | None, list[int]]]:
+def _anchor_pairs(plan: _Plan, t: int) -> Iterator[tuple[int, int, list[int]]]:
     """(e, f, edge order) of every anchor pair of palette t, in search order.
 
     e runs over the representatives, and f over the edges in breadth-first
-    order from e with t - 1 <= min P[x][y] over x in e and y in f; f is
-    None when t = 1.  The order is e, f, then the rest from e's order.
+    order from e with t - 1 <= min P[x][y] over x in e and y in f.  The
+    order is e, f, then the rest from e's order.
     """
     for e, order, far in plan.anchors:
-        if t == 1:
-            yield e, None, order
-            continue
         for f, p in zip(order[1:], far[1:]):
             if p >= t - 1:
                 yield e, f, [e, f] + [i for i in order[1:] if i != f]
@@ -247,8 +244,7 @@ def find_interval_coloring(
     f over the other edges in breadth-first order from e that satisfy
     t - 1 <= min P[x][y] over x in e and y in f.  A run colors e, then
     f, then the other edges in breadth-first order from e; e tries only
-    color 1 and f only color t, and for t = 1 e alone is anchored.  The
-    outcome is ``found`` at the first run that finds a coloring, and
+    color 1 and f only color t.  The outcome is ``found`` at the first run that finds a coloring, and
     ``absent`` only when every run is exhausted, with 0 nodes and no
     pairs when none qualifies: W <= 1 + max over e, f of min P[x][y].
     ``nodes`` is summed over the runs, which ``pairs`` lists in order
@@ -399,7 +395,7 @@ def _run(
 
 
 def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool) -> int:
-    """First palette in [max(1, max degree), diameter bound] that admits a coloring.
+    """First palette in [max degree, diameter bound] that admits a coloring.
 
     Scans upward, or downward when ``descending``; every palette shares
     ``g``'s one search plan.  A palette above 1 + max over e, f of
@@ -411,7 +407,7 @@ def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool)
     refused = edge_cap_refusal(g.num_edges, budget or SearchBudget())
     if refused is not None:
         raise BudgetExceededError(refused.detail)
-    lo = max(1, max_degree(g))  # an edgeless graph still needs one color
+    lo = max_degree(g)
     hi = theorem1_upper(g)
     palettes = range(hi, lo - 1, -1) if descending else range(lo, hi + 1)
     for t in palettes:
@@ -428,8 +424,8 @@ def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool)
 def exact_w(g: MeshGraph, budget: SearchBudget | None = None) -> int:
     """Least palette size admitting an interval coloring, by upward scan.
 
-    Starts at the maximum degree (every palette must cover some vertex's
-    full degree), and at 1 for an edgeless graph.
+    Starts at the maximum degree: every palette must cover some vertex's
+    full degree.
     """
     return _first_feasible(g, budget, descending=False)
 

@@ -25,7 +25,6 @@ from intervalmesh import (
     verify_interval,
 )
 from intervalmesh.constructions import construct
-from intervalmesh.grids import build
 
 CYLINDER_GRID = [(m, n) for m in range(1, 13) for n in range(2, 13)]
 TORUS_GRID = [(m, n) for m in range(2, 13) for n in range(2, 13)]
@@ -237,8 +236,8 @@ def test_acceptance_07_search_oracle_cross_check():
     start = time.perf_counter()
     budget = SearchBudget(max_edges=16)
 
-    c4 = build("even_cycle", None, 2)
-    c6 = build("even_cycle", None, 3)
+    c4 = build_cylinder(1, 2)
+    c6 = build_cylinder(1, 3)
     cyl = build_cylinder(2, 2)
 
     w_c4 = exact_w(c4, budget)

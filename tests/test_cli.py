@@ -28,8 +28,8 @@ from intervalmesh.cli import run
 
 # A coloring of the 4-cycle that is proper but leaves a gap at two vertices.
 GAP_DOC = {
-    "family": "even_cycle",
-    "m": None,
+    "family": "cylinder",
+    "m": 1,
     "n": 2,
     "t": 3,
     "vertices": [[1, 1], [1, 2], [1, 3], [1, 4]],
@@ -171,10 +171,11 @@ def test_a_product_document_is_an_unknown_family(tmp_path, capsys):
     path = tmp_path / "t.json"
     invoke(capsys, "generate", "--family", "torus", "-m", "2", "-n", "3", "-o", str(path))
     doc = json.loads(path.read_text())
-    doc.update(family="product", m=None, n=None)
-    path.write_text(json.dumps(doc))
-    for argv in (["verify", str(path)], ["export", str(path), "--format", "csv"]):
-        assert invoke(capsys, *argv) == (2, "", "schema error: unknown family 'product'\n")
+    for family in ("product", "path", "even_cycle"):
+        doc.update(family=family, m=None, n=None)
+        path.write_text(json.dumps(doc))
+        for argv in (["verify", str(path)], ["export", str(path), "--format", "csv"]):
+            assert invoke(capsys, *argv) == (2, "", f"schema error: unknown family {family!r}\n")
 
 
 def test_huge_claimed_palette_is_checked_in_bounded_work(tmp_path, capsys):

@@ -30,7 +30,7 @@ from intervalmesh.errors import InvalidColoringError, SchemaError
 
 def ring4_coloring(colors, t):
     """C_4 with colors (ring1, ring2, ring3, wrap) in cycle order."""
-    g = build("even_cycle", None, 2)
+    g = build_cylinder(1, 2)
     v = [(1, j) for j in range(1, 5)]
     at = {g.position(a, b): col for a, b, col in zip(v, v[1:] + v[:1], colors)}
     return EdgeColoring(g, tuple(at[i] for i in range(4)), t)
@@ -94,7 +94,7 @@ def test_proper_and_surjective_flags():
 
 
 def test_coloring_must_cover_edge_set():
-    g = build("even_cycle", None, 2)
+    g = build_cylinder(1, 2)
     with pytest.raises(InvalidColoringError, match="3 colors for 4 edges"):
         EdgeColoring(g, (1, 2, 3), 3)
     with pytest.raises(InvalidColoringError, match="5 colors for 4 edges"):
@@ -141,7 +141,7 @@ def test_a_coloring_copies_a_list_of_colors():
 
 
 def test_coloring_takes_only_the_aligned_tuple():
-    g = build("even_cycle", None, 2)
+    g = build_cylinder(1, 2)
     c = EdgeColoring(g, (1, 2, 2, 3), 3)
     assert c.colors == dict(zip(g.edges, (1, 2, 2, 3)))
     assert c == ring4_coloring([1, 2, 3, 2], 3)
@@ -154,7 +154,7 @@ def test_coloring_takes_only_the_aligned_tuple():
 
 def test_a_color_that_is_not_an_int_is_refused_naming_its_edge():
     # the first bad edge in graph.edges order is named, whatever follows it
-    g = build("even_cycle", None, 2)
+    g = build_cylinder(1, 2)
     assert g.edges[2] == ((1, 2), (1, 3))
     for bad in (True, 2.0):
         message = f"^color of x_2_1-x_3_1 is not an integer: {bad!r}$"
@@ -231,8 +231,7 @@ def test_coloring_json_round_trip():
 
     # every family comes back as the same graph
     graphs = [
-        build("path", 3, None),
-        build("even_cycle", None, 3),
+        build_cylinder(1, 3),
         build_cylinder(2, 3),
         build_torus(2, 2),
     ]
@@ -261,8 +260,11 @@ def test_coloring_json_schema_errors():
         rejects({k: v for k, v in doc.items() if k != key}, f"coloring document is missing {key!r}")
     rejects({k: v for k, v in doc.items() if k != "edges"}, "'edges' must be an array")
 
-    rejects({**doc, "family": "moebius"}, "unknown family 'moebius'")
-    rejects({**doc, "n": None}, "family 'cylinder' has inconsistent m/n")
+    for family in ("moebius", "path", "even_cycle"):
+        rejects({**doc, "family": family}, f"unknown family {family!r}")
+    rejects({**doc, "n": None}, "cylinder needs n >= 2, got n=None")
+    rejects({**doc, "m": True}, "cylinder needs m >= 1, got m=True")
+    rejects({**doc, "m": 2.0}, "cylinder needs m >= 1, got m=2.0")
     rejects({**doc, "vertices": doc["vertices"] + [[1, 1]]}, "duplicate vertices in document")
 
     bad_color = copy()
@@ -389,8 +391,6 @@ VERIFIER_CASES = [
                                      torus_coloring(2, 2).coloring,
                                      torus_coloring(3, 2).coloring)),
     (build_cylinder(3, 2), None),
-    (build("path", 4, None), None),  # degrees 1 and 2
-    (build("path", 1, None), None),  # one vertex of degree 0
 ]
 _K = colorings._K
 _ODD_COLORS = st.one_of(st.integers(-3, 12),

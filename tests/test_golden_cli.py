@@ -26,8 +26,8 @@ from intervalmesh.cli import run
 
 # A coloring of the 4-cycle that is proper but leaves a gap at two vertices.
 GAP_DOC = {
-    "family": "even_cycle",
-    "m": None,
+    "family": "cylinder",
+    "m": 1,
     "n": 2,
     "t": 3,
     "vertices": [[1, 1], [1, 2], [1, 3], [1, 4]],

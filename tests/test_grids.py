@@ -35,39 +35,13 @@ def degree_by_edge_scan(g, v):
     return sum(1 for e in g.edges if v in e)
 
 
-def test_path_sizes():
-    for m in (1, 2, 5):
-        g = build("path", m, None)
-        assert g.num_vertices == m
-        assert g.num_edges == m - 1
-
-
-def test_path_invalid():
-    with pytest.raises(InvalidParameterError, match=r"^path needs m >= 1, got m=0$"):
-        build("path", 0, None)
-
-
-def test_a_parameter_the_family_does_not_take_is_refused():
-    # the graph would carry it, and its document would not parse
-    with pytest.raises(InvalidParameterError, match=r"^path needs n=None, got n=3$"):
-        build("path", 2, 3)
-    with pytest.raises(InvalidParameterError, match=r"^even_cycle needs m=None, got m=1$"):
-        build("even_cycle", 1, 2)
-    assert not admits("path", 2, 3)
-
-
 def test_even_cycle_basic():
-    g = build("even_cycle", None, 2)
+    # the even cycle is the cylinder of one layer
+    g = build_cylinder(1, 2)
     assert g.num_vertices == 4
     assert g.num_edges == 4
     assert all(g.degree(v) == 2 for v in g.vertices)
-    assert g.n == 2 and g.m is None
-
-
-def test_even_cycle_invalid():
-    for bad in (1, 0, -2):
-        with pytest.raises(InvalidParameterError, match=rf"^even_cycle needs n >= 2, got n={bad}$"):
-            build("even_cycle", None, bad)
+    assert (g.m, g.n) == (1, 2)
 
 
 def test_cylinder_vertex_and_edge_counts():
@@ -99,9 +73,8 @@ def test_cylinder_degrees():
 
 def test_cylinder_m1_equals_even_cycle():
     c = build_cylinder(1, 2)
-    cyc = build("even_cycle", None, 2)
-    assert c.vertices == cyc.vertices
-    assert c.edges == cyc.edges
+    assert c.vertices == ((1, 1), (1, 2), (1, 3), (1, 4))
+    assert c.edges == (((1, 1), (1, 2)), ((1, 1), (1, 4)), ((1, 2), (1, 3)), ((1, 3), (1, 4)))
 
 
 def test_is_regular_examples():
@@ -134,7 +107,7 @@ def test_torus_invalid_parameters():
 def test_bipartite_by_coordinate_parity():
     # (layer + ring) parity is a proper 2-coloring because every edge steps
     # one coordinate by 1 or wraps across an odd span
-    for g in (build_cylinder(3, 3), build_torus(2, 3), build("even_cycle", None, 3)):
+    for g in (build_cylinder(3, 3), build_torus(2, 3), build_cylinder(1, 3)):
         for u, v in g.edges:
             assert sum(u) % 2 != sum(v) % 2
 
@@ -142,15 +115,12 @@ def test_bipartite_by_coordinate_parity():
 @settings(max_examples=25, deadline=None)
 @given(st.integers(min_value=1, max_value=5), st.integers(min_value=2, max_value=5))
 def test_product_edge_count_law(m, n):
-    # the cylinder is the Cartesian product of a path with an even cycle
-    g1 = build("path", m, None)
-    g2 = build("even_cycle", None, n)
+    # the cylinder is the Cartesian product of a path on m vertices and
+    # m - 1 edges with an even cycle, the cylinder of one layer
+    ring = build_cylinder(1, n)
     g = build_cylinder(m, n)
-    assert g.num_vertices == g1.num_vertices * g2.num_vertices
-    assert (
-        g.num_edges
-        == g1.num_vertices * g2.num_edges + g2.num_vertices * g1.num_edges
-    )
+    assert g.num_vertices == m * ring.num_vertices
+    assert g.num_edges == m * ring.num_edges + ring.num_vertices * (m - 1)
 
 
 def bfs_diameter(g):
@@ -164,13 +134,11 @@ def bfs_diameter(g):
 
 
 def test_diameter_small_cases():
-    assert diameter(build("even_cycle", None, 2)) == 2
-    assert diameter(build("even_cycle", None, 4)) == 4
+    assert diameter(build_cylinder(1, 4)) == 4
     for m, n in ((1, 2), (2, 2), (3, 4), (5, 2)):
         assert diameter(build_cylinder(m, n)) == m + n - 1
     # the family table's closed forms against BFS eccentricities
-    graphs = [build("path", m, None) for m in range(1, 9)]
-    graphs += [build("even_cycle", None, n) for n in range(2, 9)]
+    graphs = [build_cylinder(1, n) for n in range(6, 9)]
     graphs += [build_cylinder(m, n) for m in range(1, 6) for n in range(2, 6)]
     graphs += [build_torus(m, n) for m in range(2, 5) for n in range(2, 5)]
     for g in graphs:
@@ -180,8 +148,6 @@ def test_diameter_small_cases():
 # Each named family's layer and ring counts, and whether each closes into a
 # cycle, written out here rather than read from the package.
 FAMILY_GRIDS = {
-    "path": (1, None, lambda m, n: (m, False, 1, False)),
-    "even_cycle": (None, 2, lambda m, n: (1, False, 2 * n, True)),
     "cylinder": (1, 2, lambda m, n: (m, False, 2 * n, True)),
     "torus": (2, 2, lambda m, n: (2 * m, True, 2 * n, True)),
 }
@@ -222,8 +188,8 @@ def test_named_families_match_their_neighbour_rules():
     # as wide as T(18, 4) are built too
     checked = 0
     for family, (min_m, min_n, shape) in FAMILY_GRIDS.items():
-        for m in [None] if min_m is None else range(min_m, 10 if family == "torus" else 7):
-            for n in [None] if min_n is None else range(min_n, 7):
+        for m in range(min_m, 10 if family == "torus" else 7):
+            for n in range(min_n, 7):
                 vertices, edges, diam = neighbour_rule_grid(*shape(m, n))
                 g = build(family, m, n)
                 assert list(g.vertices) == vertices, (family, m, n)
@@ -235,7 +201,7 @@ def test_named_families_match_their_neighbour_rules():
                 assert edge_count(family, m, n) == len(edges), (family, m, n)
                 assert diameter(g) == diam, (family, m, n)
                 checked += 1
-    assert checked == 6 + 5 + 30 + 8 * 5
+    assert checked == 6 * 5 + 8 * 5
 
 
 def floyd_warshall_diameter(g):
@@ -307,9 +273,7 @@ def edge_orbits(g, layer, ring):
 @pytest.mark.parametrize(
     ("family", "m", "n"),
     [("cylinder", m, n) for m in range(1, 6) for n in range(2, 5)]
-    + [("torus", m, n) for m in (2, 3) for n in (2, 3)]
-    + [("path", m, None) for m in range(1, 6)]
-    + [("even_cycle", None, n) for n in (2, 3)],
+    + [("torus", m, n) for m in (2, 3) for n in (2, 3)],
 )
 def test_every_edge_orbit_has_one_representative(family, m, n):
     g = build(family, m, n)
@@ -325,8 +289,7 @@ def test_named_family_diameter_needs_no_search(monkeypatch):
         raise AssertionError("breadth-first search on a named family")
 
     monkeypatch.setattr(grids, "_bfs", refuse)
-    assert diameter(build("path", 4, None)) == 3
-    assert diameter(build("even_cycle", None, 3)) == 3
+    assert diameter(build_cylinder(1, 3)) == 3
     assert diameter(build_cylinder(2, 3)) == 4
     assert diameter(build_torus(2, 3)) == 5
 
@@ -348,7 +311,7 @@ def test_edge_canonical_order_and_loop_rejection():
 
 
 def test_degree_unknown_vertex():
-    g = build("even_cycle", None, 2)
+    g = build_cylinder(1, 2)
     with pytest.raises(InvalidParameterError):
         g.degree((9, 9))
 
@@ -365,7 +328,7 @@ def test_claimed_size_is_checked_before_building(monkeypatch):
     def refuse(*args):
         pytest.fail("the claimed grid was built before its size was compared")
 
-    doc = coloring_to_json_dict(EdgeColoring(build("even_cycle", None, 2), (1, 2, 2, 3), 3))
+    doc = coloring_to_json_dict(EdgeColoring(build_cylinder(1, 2), (1, 2, 2, 3), 3))
     doc.update(family="cylinder", m=10**5, n=10**4)
     monkeypatch.setattr(grids, "_product", refuse)  # every grid build goes through it
     with pytest.raises(SchemaError, match="do not match"):
@@ -375,9 +338,6 @@ def test_claimed_size_is_checked_before_building(monkeypatch):
 def test_family_table_builds_and_bounds_parameters():
     assert build("cylinder", 2, 3).edges == build_cylinder(2, 3).edges
     assert build(Family.TORUS, 2, 2).edges == build_torus(2, 2).edges
-    assert build("even_cycle", None, 2).edges == (
-        ((1, 1), (1, 2)), ((1, 1), (1, 4)), ((1, 2), (1, 3)), ((1, 3), (1, 4)))
-    assert build("path", 3, None).edges == (((1, 1), (2, 1)), ((2, 1), (3, 1)))
     assert admits("cylinder", 1, 2) and not admits("torus", 1, 2)
     assert not admits("cylinder", 2, 1)
     with pytest.raises(InvalidParameterError, match=r"^unknown family 'product'$"):
@@ -389,7 +349,7 @@ def test_the_graph_cache_keeps_the_last_two_members():
     assert build("cylinder", 2, 3) is first
     assert grids._grid(Family.CYLINDER, 2, 3) is first
     build_torus(2, 2)
-    build("path", 3, None)
+    build_cylinder(1, 3)
     assert grids._grid.cache_info().currsize == 2
     assert build_cylinder(2, 3) is not first
     assert build_cylinder(2, 3) == first
@@ -421,7 +381,7 @@ def test_a_parameter_that_is_not_an_int_is_refused(bad):
 
 def test_edge_count_refuses_what_build_refuses():
     for family, m, n in [("cylinder", 0, 2), ("cylinder", 2, 1), ("torus", 1, 2),
-                         ("path", 2, 3), ("even_cycle", 1, 2), ("even_cycle", None, 1)]:
+                         ("cylinder", None, 2), ("torus", 2, None)]:
         with pytest.raises(InvalidParameterError) as built:
             build(family, m, n)
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(str(built.value))}$"):
@@ -455,10 +415,7 @@ def test_a_cached_graph_is_left_as_built(tmp_path):
 
 
 def test_closed_form_edge_count_matches_built_graphs():
-    for m in range(1, 7):
-        assert edge_count("path", m, None) == build("path", m, None).num_edges
     for n in range(2, 7):
-        assert edge_count("even_cycle", None, n) == build("even_cycle", None, n).num_edges
         for m in range(1, 6):
             assert edge_count("cylinder", m, n) == build_cylinder(m, n).num_edges
         for m in range(2, 6):
@@ -482,13 +439,12 @@ def canonical_or_exception(d):
 
 def family_colorings():
     """A coloring of every family at every size up to m, n = 6, with its rule
-    trace where it has one: constructed for cylinders and tori, numbered edges
-    for the other families."""
-    graphs = [build("path", m, None) for m in range(1, 7)]
-    graphs += [build("even_cycle", None, n) for n in range(2, 7)]
-    for g in graphs:
+    trace where it has one: constructed, and with numbered edges for a
+    cylinder of one layer."""
+    for n in range(2, 7):
+        g = build_cylinder(1, n)
         aligned = tuple(i % 5 + 1 for i in range(g.num_edges))
-        yield EdgeColoring(g, aligned, max((1, *aligned))), None
+        yield EdgeColoring(g, aligned, max(aligned)), None
     for family in ("cylinder", "torus"):
         for m in range(1, 7):
             for n in range(1, 7):
