@@ -14,8 +14,8 @@ _HOMES = {
                       "coloring_to_json_dict verify_interval"),
         ("constructions", "ConstructionResult cylinder_coloring spectrum_sweep step_down "
                           "torus_coloring"),
-        ("grids", "Family MeshGraph build_cylinder build_torus diameter is_regular "
-                  "max_degree theorem1_upper"),
+        ("grids", "Family MeshGraph build_cylinder build_torus diameter max_degree "
+                  "theorem1_upper"),
         ("search", "Outcome SearchBudget SearchResult exact_W exact_w find_interval_coloring"),
     )
     for name in names.split()

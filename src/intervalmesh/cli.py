@@ -31,7 +31,6 @@ from .errors import (
     InvalidColoringError,
     InvalidParameterError,
     NotIntervalColorableError,
-    NotRegularError,
     SchemaError,
 )
 from .grids import DEFAULT_MAX_EDGES, Family, build, dumps_canonical, edge_count
@@ -62,7 +61,6 @@ _FAILURES = {
     UnicodeDecodeError: (EXIT_USAGE, "error: input is not UTF-8: {exc}"),
     OSError: (EXIT_USAGE, "error: {exc}"),
     InvalidParameterError: (EXIT_USAGE, "error: {exc}"),
-    NotRegularError: (EXIT_USAGE, "error: {exc}"),
     CannotStepDownError: (EXIT_USAGE, "error: {exc}"),
     InvalidColoringError: (EXIT_INVALID, "invalid coloring: {exc}"),
     ConstructionError: (EXIT_INVALID, "construction failed: {exc}"),

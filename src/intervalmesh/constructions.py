@@ -2,8 +2,8 @@
 
 ``cylinder_coloring(m, n)`` paints the cylinder on m layers and 2n rings
 with palette 1..3m+n-2.  ``torus_coloring(m, n)`` paints the torus on 2m
-by 2n vertices with palette 1..max(3m+n, 3n+m); when m > n it paints
-the rules of the transposed torus through the factor-swap isomorphism,
+by 2n vertices with palette 1..max(3m+n, 3n+m); when m > n its rules
+read each vertex as (ring, layer), the transposed torus's coordinates,
 so the graph is built and verified once.  Every edge is painted by
 exactly one named rule, a closed formula in the edge's coordinates
 asked once per edge, and the rule trace, aligned with ``graph.edges``
@@ -12,10 +12,10 @@ color.
 Constructions verify their own output and fail loudly, naming a broken
 vertex and its incident colors, rather than return a bad coloring.
 
-``step_down`` converts an interval t-coloring of a regular graph into an
-interval (t-1)-coloring by recoloring the color-t edges to t - degree;
-``spectrum_sweep`` iterates it to exhibit a torus coloring for every
-palette size from the maximum down to 4.
+``step_down`` converts an interval t-coloring into an interval
+(t-1)-coloring by recoloring each color-t edge, whose two ends must share
+one degree d < t, to t - d; ``spectrum_sweep`` iterates it to exhibit a
+torus coloring for every palette size from the maximum down to 4.
 
 ``construct(family, m, n, t)`` is the one place that decides the
 palettes a family is generated at: a cylinder at its construction's
@@ -37,17 +37,15 @@ from .errors import (
     ConstructionError,
     InvalidColoringError,
     InvalidParameterError,
-    NotRegularError,
 )
 from .grids import (
     Family,
     GridVertex,
     MeshGraph,
-    _edge,
+    _edge_name,
     _family,
     build_cylinder,
     build_torus,
-    is_regular,
     max_degree,
 )
 
@@ -69,19 +67,15 @@ class ConstructionResult(NamedTuple):
 
 
 def _paint(
-    g: MeshGraph, rule: Callable[[GridVertex, GridVertex], tuple[int, str]], t: int,
-    swap: bool = False,
+    g: MeshGraph, rule: Callable[[GridVertex, GridVertex], tuple[int, str]], t: int
 ) -> ConstructionResult:
     """The verified coloring that ``rule`` gives each edge of ``g``.
 
     ``rule(a, b)`` returns the color and rule name of the edge from ``a``
     to ``b`` (a < b); it is asked once per edge, in ``graph.edges``
-    order, so colors and trace come out aligned.  With ``swap`` every
-    endpoint is read as (ring, layer) and the pair ordered again, so the
-    rules of the transposed grid paint ``g``.
+    order, so colors and trace come out aligned.
     """
-    edges = [_edge(a[::-1], b[::-1]) for a, b in g.edges] if swap else g.edges
-    colors, rules = zip(*starmap(rule, edges))
+    colors, rules = zip(*starmap(rule, g.edges))
     coloring = require_interval(EdgeColoring(g, colors, t), ConstructionError, "construction")
     return ConstructionResult(coloring, rules)
 
@@ -118,16 +112,17 @@ def torus_coloring(m: int, n: int) -> ConstructionResult:
     """Interval coloring of the torus on 2m by 2n vertices.
 
     Palette is exactly max(3m+n, 3n+m).  The rules are written for the
-    torus with the shorter factor as layers; for m > n they are painted
-    through the coordinate swap (layer, ring) -> (ring, layer), and
-    layers i and 2m+1-i (rings, when swapped) are painted alike.
+    torus with the shorter factor as layers; for m > n they read each
+    vertex through the coordinate swap (layer, ring) -> (ring, layer),
+    which keeps every edge's endpoints in ascending order, and layers i
+    and 2m+1-i (rings, when swapped) are painted alike.
     """
     g = build_torus(m, n)
-    swap = m > n
+    x, y = (1, 0) if m > n else (0, 1)
     m, n = min(m, n), max(m, n)
 
     def rule(a: GridVertex, b: GridVertex) -> tuple[int, str]:
-        (layer, j), (layer2, j2) = a, b
+        layer, j, layer2, j2 = a[x], a[y], b[x], b[y]
         if layer == layer2:  # ring edge, painted like its mirror layer 2m+1-layer
             i = min(layer, 2 * m + 1 - layer)
             if j == 1 and j2 == 2 * n:
@@ -147,7 +142,7 @@ def torus_coloring(m: int, n: int) -> ConstructionResult:
             return 2, "seam-low"
         return 3 * min(j, 2 * n + 3 - j) - 4, "seam-mid"
 
-    return _paint(g, rule, 3 * n + m, swap)
+    return _paint(g, rule, 3 * n + m)
 
 
 _CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
@@ -157,25 +152,31 @@ _CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
 
 
 def step_down(c: EdgeColoring) -> EdgeColoring:
-    """Interval (t-1)-coloring from an interval t-coloring of a regular graph.
+    """Interval (t-1)-coloring from an interval t-coloring.
 
-    Every endpoint of a color-t edge shows the top window t-d+1..t, so
-    those edges can take color t-d without breaking properness, and each
-    touched window slides down by one.  Raises if the graph is not
-    regular, the input does not verify, or t is already the degree.  The
-    result is verified before it is returned, so stepping it again finds
-    its report already kept.
+    Each color-t edge must be balanced, its two ends of one degree d, with
+    t > d.  Both ends then show the top window t-d+1..t, so the edge can
+    take color t-d, and since the color-t edges form a matching each
+    touched window slides down by one.  On a regular graph every edge is
+    balanced.  Raises if the input does not verify, or a color-t edge is
+    unbalanced (naming it) or already at t = d.  The result is verified
+    before it is returned, so stepping it again finds its report already
+    kept.
     """
     g = c.graph
-    if not is_regular(g):
-        raise NotRegularError("step-down needs a regular graph")
     require_interval(c, InvalidColoringError, "step-down input")
-    d = max_degree(g)
     t = c.palette_size
-    if t <= d:
-        raise CannotStepDownError(f"palette 1..{t} is already at the degree bound")
-    recolored = tuple(t - d if color == t else color for color in c.aligned)
-    return require_interval(EdgeColoring(g, recolored, t - 1), ConstructionError, "step-down")
+    recolored = list(c.aligned)
+    for p, color in enumerate(recolored):
+        if color == t:
+            a, b = g.edges[p]
+            d, d2 = len(g.incident[a]), len(g.incident[b])
+            if d != d2:
+                raise CannotStepDownError(f"color-{t} edge {_edge_name(a, b)} joins degrees {d} and {d2}")
+            if t <= d:
+                raise CannotStepDownError(f"palette 1..{t} is already at the degree bound")
+            recolored[p] = t - d
+    return require_interval(EdgeColoring(g, tuple(recolored), t - 1), ConstructionError, "step-down")
 
 
 def construct(family: Family | str, m: int, n: int, t: int | None = None) -> ConstructionResult:
@@ -184,8 +185,10 @@ def construct(family: Family | str, m: int, n: int, t: int | None = None) -> Con
     Every named family has a construction in ``_CONSTRUCTIONS``.  With t
     None or the construction's own palette it is the construction, rule
     trace included.  A torus also takes any t from its degree up, stepped
-    down from the construction with no rule trace; a cylinder, C(1, 2n)
-    included although that cycle is regular, takes no other t.
+    down from the construction with no rule trace.  A cylinder takes no
+    other t, although ``step_down`` takes C(m, 2n) down to its degree for
+    m <= 2 and two palettes down for m >= 3; which others it is offered
+    at is left to ROADMAP item 4.
     """
     family = _family(family)
     result = _CONSTRUCTIONS[family](m, n)

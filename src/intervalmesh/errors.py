@@ -5,7 +5,6 @@ from __future__ import annotations
 __all__ = [
     "InvalidParameterError",
     "InvalidColoringError",
-    "NotRegularError",
     "CannotStepDownError",
     "ConstructionError",
     "SchemaError",
@@ -22,12 +21,8 @@ class InvalidColoringError(ValueError):
     """A coloring is structurally unusable for the requested operation."""
 
 
-class NotRegularError(ValueError):
-    """The operation requires a regular graph."""
-
-
 class CannotStepDownError(ValueError):
-    """The palette is already at the minimum the recoloring supports."""
+    """A top-color edge is unbalanced, or already at its ends' degree."""
 
 
 class ConstructionError(RuntimeError):

@@ -18,12 +18,9 @@ __all__ = ["to_dot", "to_csv"]
 
 def to_dot(c: EdgeColoring) -> str:
     g = c.graph
-    title = g.family.value
-    if g.m is not None or g.n is not None:
-        title += f" m={g.m} n={g.n}"
     lines = [
         "graph coloring {",
-        f'  label="{title} t={c.palette_size}";',
+        f'  label="{g.family.value} m={g.m} n={g.n} t={c.palette_size}";',
         "  node [shape=circle];",
     ]
     name = _names(g)

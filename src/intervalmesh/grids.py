@@ -33,7 +33,6 @@ __all__ = [
     "admits",
     "vertex_name",
     "max_degree",
-    "is_regular",
     "diameter",
     "theorem1_upper",
     "dumps_canonical",
@@ -341,10 +340,6 @@ def admits(family: Family | str, m: int, n: int) -> bool:
 
 def max_degree(g: MeshGraph) -> int:
     return max(map(len, g.incident.values()))
-
-
-def is_regular(g: MeshGraph) -> bool:
-    return len(set(map(len, g.incident.values()))) == 1
 
 
 def _bfs(g: MeshGraph, root: GridVertex) -> dict[GridVertex, int]:

@@ -105,7 +105,7 @@ def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | Non
     )
 
 
-def _bfs_edge_order(g: MeshGraph, first: int = 0) -> list[int]:
+def _bfs_edge_order(g: MeshGraph, first: int) -> list[int]:
     """Edge positions in breadth-first order from the edge at ``first``.
 
     That edge comes first.  Then each vertex, in discovery order from the

@@ -23,7 +23,6 @@ from intervalmesh.errors import (
     ConstructionError,
     InvalidColoringError,
     InvalidParameterError,
-    NotRegularError,
 )
 
 
@@ -198,9 +197,41 @@ def test_step_down_torus():
         assert down.colors[e] == 4
 
 
-def test_step_down_requires_regular():
-    with pytest.raises(NotRegularError):
-        step_down(cylinder_coloring(3, 2).coloring)
+def test_step_down_refuses_an_unbalanced_edge():
+    c = cylinder_coloring(3, 2).coloring
+    chain = [c, step_down(c)]
+    chain.append(step_down(chain[-1]))
+    assert [c.palette_size for c in chain] == [9, 8, 7]
+    assert all(verify_interval(c).interval for c in chain)
+    with pytest.raises(CannotStepDownError, match=r"^color-7 edge x_3_2-x_3_3 joins degrees 4 and 3$"):
+        step_down(chain[-1])
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(3, 6) for n in range(2, 5)])
+def test_a_cylinder_of_three_layers_or_more_steps_down_twice(m, n):
+    c = cylinder_coloring(m, n).coloring
+    t = c.palette_size
+    c = step_down(step_down(c))
+    assert c.palette_size == t - 2
+    assert verify_interval(c).interval
+    with pytest.raises(CannotStepDownError, match=rf"^color-{t - 2} edge x_\d+_\d+-x_\d+_\d+ joins degrees"):
+        step_down(c)
+
+
+def _reference_step_down(c):
+    """The step of a 4-regular torus: every color-t edge to t - 4."""
+    t = c.palette_size
+    down = EdgeColoring(c.graph, tuple(t - 4 if color == t else color for color in c.aligned), t - 1)
+    assert verify_interval(down).interval
+    return down
+
+
+@pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 7) for n in range(2, 7)])
+def test_step_down_matches_the_torus_reference(m, n):
+    c = expected = torus_coloring(m, n).coloring
+    while c.palette_size > 4:
+        c, expected = step_down(c), _reference_step_down(expected)
+        assert c == expected
 
 
 def test_step_down_requires_interval_input():
@@ -236,11 +267,15 @@ def test_sweep_rejects_bad_parameters():
 
 
 def test_step_down_chain_on_even_ring():
-    chain = [cylinder_coloring(1, 3).coloring]  # ring on 6 vertices, palette 4
-    while chain[-1].palette_size > max_degree(chain[-1].graph):
-        chain.append(step_down(chain[-1]))
-    assert [c.palette_size for c in chain] == [4, 3, 2]
-    assert all(verify_interval(c).interval for c in chain)
+    # a ring on 6 vertices, and the 3-regular cylinder of two layers, down to the degree
+    for (m, n), palettes in (((1, 3), [4, 3, 2]), ((2, 3), [7, 6, 5, 4, 3])):
+        chain = [cylinder_coloring(m, n).coloring]
+        while chain[-1].palette_size > max_degree(chain[-1].graph):
+            chain.append(step_down(chain[-1]))
+        assert [c.palette_size for c in chain] == palettes
+        assert all(verify_interval(c).interval for c in chain)
+        with pytest.raises(CannotStepDownError, match="already at the degree bound"):
+            step_down(chain[-1])
 
 
 def test_constructions_reject_bad_parameters():

@@ -20,7 +20,6 @@ from intervalmesh import (
     coloring_to_json_dict,
     cylinder_coloring,
     diameter,
-    is_regular,
     max_degree,
 )
 from intervalmesh.errors import InvalidParameterError, SchemaError
@@ -77,20 +76,12 @@ def test_cylinder_m1_equals_even_cycle():
     assert c.edges == (((1, 1), (1, 2)), ((1, 1), (1, 4)), ((1, 2), (1, 3)), ((1, 3), (1, 4)))
 
 
-def test_is_regular_examples():
-    assert is_regular(build_cylinder(2, 2))
-    assert is_regular(build_cylinder(1, 4))
-    assert not is_regular(build_cylinder(3, 2))
-    assert is_regular(build_torus(2, 2))
-
-
 def test_torus_counts_and_regularity():
     for m in (2, 3):
         for n in (2, 4):
             g = build_torus(m, n)
             assert g.num_vertices == 4 * m * n
             assert g.num_edges == 8 * m * n
-            assert is_regular(g)
             assert max_degree(g) == 4
 
 

@@ -312,7 +312,7 @@ def test_path_weights_match_floyd_warshall(g):
 def reference_search(g, t):
     """Colors 1..t tried on every edge in BFS order, refused by the
     per-endpoint span and repeat rules and the surjectivity count."""
-    order = [g.edges[i] for i in search._bfs_edge_order(g)]
+    order = [g.edges[i] for i in search._bfs_edge_order(g, 0)]
     return unpruned(g, t, [(e, range(1, t + 1)) for e in order])
 
 
