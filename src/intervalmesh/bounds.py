@@ -48,18 +48,19 @@ def bounds_row(
 ) -> BoundsRow:
     """One table row; oracle columns only when the instance fits the budget.
 
-    The search is loaded when a row first needs it.
+    A given budget is checked, loading the search, before the row is built.
     """
     family = _family(family)
+    if oracle_budget is not None:
+        from .search import SearchBudget, exact_W, exact_w
+
+        budget = SearchBudget(max_edges=oracle_budget)
     # the verified witness carries the row's graph, so it is built only once
     witness = construct(family, m, n).coloring
     g = witness.graph
     delta = max_degree(g)
     w_exact = W_exact = None
     if oracle_budget is not None and g.num_edges <= oracle_budget:
-        from .search import SearchBudget, exact_W, exact_w
-
-        budget = SearchBudget(max_edges=oracle_budget)
         w_exact = exact_w(g, budget)
         W_exact = exact_W(g, budget)
     return BoundsRow(

@@ -184,25 +184,22 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
     # an instance over the edge cap is refused before it is built, and one
     # outside its family's range before it is counted
     refused = edge_cap_refusal(edge_count(args.family, args.m, args.n), budget)
-    if args.t is not None:
-        result = refused or find_interval_coloring(
-            build(args.family, args.m, args.n), args.t, budget
-        )
-        if result.outcome is Outcome.FOUND:
-            doc = coloring_to_json_dict(result.coloring)
-            return EXIT_VALID, f"found t={args.t}", dumps_canonical(doc)
-        if result.outcome is Outcome.ABSENT:
-            print(
-                f"no interval {args.t}-coloring exists "
-                f"({result.nodes} nodes searched)",
-                file=sys.stderr,
-            )
-            return EXIT_INVALID, f"absent t={args.t}", None
-        print(f"search budget exceeded: {result.detail}", file=sys.stderr)
-        return EXIT_BUDGET, f"budget-exceeded t={args.t}", None
     if refused is not None:
         raise BudgetExceededError(refused.detail)
     g = build(args.family, args.m, args.n)
+    if args.t is not None:
+        result = find_interval_coloring(g, args.t, budget)
+        if result.outcome is Outcome.BUDGET_EXCEEDED:
+            raise BudgetExceededError(result.detail)
+        if result.outcome is Outcome.FOUND:
+            doc = coloring_to_json_dict(result.coloring)
+            return EXIT_VALID, f"found t={args.t}", dumps_canonical(doc)
+        print(
+            f"no interval {args.t}-coloring exists "
+            f"({result.nodes} nodes searched)",
+            file=sys.stderr,
+        )
+        return EXIT_INVALID, f"absent t={args.t}", None
     name = "w" if args.exact_w else "W"
     value = exact_w(g, budget) if args.exact_w else exact_W(g, budget)
     return EXIT_VALID, f"exact_{name}={value}", f"{value}\n"

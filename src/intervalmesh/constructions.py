@@ -184,7 +184,7 @@ def construct(family: Family | str, m: int, n: int, t: int | None = None) -> Con
 
     Every named family has a construction in ``_CONSTRUCTIONS``.  With t
     None or the construction's own palette it is the construction, rule
-    trace included.  A torus also takes any t from its degree up, stepped
+    trace included.  A torus also takes any int t from its degree up, stepped
     down from the construction with no rule trace.  A cylinder takes no
     other t, although ``step_down`` takes C(m, 2n) down to its degree for
     m <= 2 and two palettes down for m >= 3; which others it is offered
@@ -193,14 +193,14 @@ def construct(family: Family | str, m: int, n: int, t: int | None = None) -> Con
     family = _family(family)
     result = _CONSTRUCTIONS[family](m, n)
     c = result.coloring
-    if t is None or t == c.palette_size:
+    if t is None or (type(t) is int and t == c.palette_size):
         return result
     if family is Family.CYLINDER:
         raise InvalidParameterError(f"cylinder ({m},{n}) is constructible only at t={c.palette_size}")
     low = max_degree(c.graph)
-    if not low <= t < c.palette_size:
+    if type(t) is not int or not low <= t < c.palette_size:
         raise InvalidParameterError(
-            f"{family.value} ({m},{n}) supports t in {low}..{c.palette_size}, got {t}"
+            f"{family.value} ({m},{n}) supports t in {low}..{c.palette_size}, got {t!r}"
         )
     while c.palette_size > t:
         c = step_down(c)

@@ -16,7 +16,6 @@ from __future__ import annotations
 import functools
 import json
 import operator
-from collections import deque
 from enum import Enum
 from typing import Callable, NamedTuple
 
@@ -340,21 +339,6 @@ def admits(family: Family | str, m: int, n: int) -> bool:
 
 def max_degree(g: MeshGraph) -> int:
     return max(map(len, g.incident.values()))
-
-
-def _bfs(g: MeshGraph, root: GridVertex) -> dict[GridVertex, int]:
-    """Distance from ``root`` of every vertex it reaches, in discovery order."""
-    dist = {root: 0}
-    queue = deque([root])
-    while queue:
-        u = queue.popleft()
-        step = dist[u] + 1
-        for i in g.incident[u]:
-            for w in g.edges[i]:
-                if w not in dist:
-                    dist[w] = step
-                    queue.append(w)
-    return dist
 
 
 def diameter(g: MeshGraph) -> int:

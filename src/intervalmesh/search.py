@@ -35,8 +35,7 @@ from .errors import (
     NotIntervalColorableError,
 )
 from .grids import (
-    DEFAULT_MAX_EDGES, GridVertex, MeshGraph, _bfs, _Record, _representatives, max_degree,
-    theorem1_upper,
+    DEFAULT_MAX_EDGES, MeshGraph, _Record, _representatives, max_degree, theorem1_upper,
 )
 
 __all__ = [
@@ -57,8 +56,8 @@ class SearchBudget(_Record):
 
     ``max_edges`` refuses larger instances outright; ``max_nodes`` caps
     backtracking nodes (color attempts); ``time_cap_s`` is wall time in
-    seconds.  Each cap must be ``>= 0`` (a NaN time is not), and ``None``
-    disables it.
+    seconds.  Each cap must be ``>= 0``, an ``int`` but for the time (a
+    NaN time is not), and ``None`` disables it.
     """
 
     __slots__ = _compared = ("max_edges", "max_nodes", "time_cap_s")
@@ -66,8 +65,8 @@ class SearchBudget(_Record):
     def __init__(self, max_edges: int | None = DEFAULT_MAX_EDGES, max_nodes: int | None = None,
                  time_cap_s: float | None = None) -> None:
         for name, cap in (("edge", max_edges), ("node", max_nodes)):
-            if cap is not None and cap < 0:
-                raise InvalidParameterError(f"{name} cap must be >= 0, got {cap}")
+            if cap is not None and (type(cap) is not int or cap < 0):
+                raise InvalidParameterError(f"{name} cap must be >= 0, got {cap!r}")
         # a NaN cap would compare False with every elapsed time and never stop
         if time_cap_s is not None and not time_cap_s >= 0:
             raise InvalidParameterError(
@@ -105,20 +104,28 @@ def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | Non
     )
 
 
-def _bfs_edge_order(g: MeshGraph, first: int) -> list[int]:
-    """Edge positions in breadth-first order from the edge at ``first``.
+def _bfs_edge_order(ends: list[tuple[int, int]], incident: list[tuple[int, ...]],
+                    first: int) -> list[int]:
+    """Edge positions in breadth-first order from the edge at ``first``, in
+    ``_build_plan``'s view: that edge, then the edges not listed yet of each
+    vertex in discovery order from the edge's least endpoint, each vertex's
+    by ascending other end (the order of ``incident[u]``)."""
+    reached = [ends[first][0]]  # the queue, read while it grows
+    seen = set(reached)
+    order = {first: None}  # each edge keeps the place it was first listed at
+    for u in reached:
+        for i in incident[u]:
+            order[i] = None
+            for w in ends[i]:
+                if w not in seen:
+                    seen.add(w)
+                    reached.append(w)
+    return list(order)
 
-    That edge comes first.  Then each vertex, in discovery order from the
-    edge's least endpoint, lists its edges not listed yet;
-    ``g.incident[u]`` runs in ascending order of the other endpoint.
-    """
-    reached = _bfs(g, g.edges[first][0])
-    return list(dict.fromkeys([first] + [i for u in reached for i in g.incident[u]]))
 
-
-def _path_weights(g: MeshGraph, index: dict[GridVertex, int]) -> list[list[int]]:
-    """Least vertex-weighted path lengths, by vertex ``index`` (its position
-    in ``g.vertices``).
+def _path_weights(ends: list[tuple[int, int]], incident: list[tuple[int, ...]]) -> list[list[int]]:
+    """Least vertex-weighted path lengths, by vertex, in ``_build_plan``'s
+    integer view.
 
     Entry [x][v] is the least sum of d(w) - 1 over the vertices w of a
     path from x to v, both ends included, so [x][x] is d(x) - 1.  In an
@@ -127,11 +134,10 @@ def _path_weights(g: MeshGraph, index: dict[GridVertex, int]) -> list[list[int]]
     colors lie within d(w) - 1 of each other.  From every vertex, the
     vertices whose entry fell relax their neighbours, level by level.
     """
-    weight = [g.degree(v) - 1 for v in g.vertices]
-    neighbours: list[list[int]] = [[] for _ in weight]
-    for a, b in g.edges:
-        neighbours[index[a]].append(index[b])
-        neighbours[index[b]].append(index[a])
+    weight = [len(edges) - 1 for edges in incident]
+    # the other end of each of a vertex's edges, in the order of its edges
+    neighbours = [[a + b - u for a, b in map(ends.__getitem__, edges)]
+                  for u, edges in enumerate(incident)]
     unreached = sum(weight) + 1  # above every path's weight
     table = []
     for x, wx in enumerate(weight):
@@ -172,9 +178,7 @@ class _Plan(NamedTuple):
 
 
 def _plan(g: MeshGraph) -> _Plan:
-    """The search plan of ``g``, built at the first call and kept on ``g``.
-    Every graph is a member of a named family, hence connected, so every
-    edge lies in each anchor's breadth-first edge order."""
+    """The plan of ``g`` (``_build_plan``), built at the first call and kept on ``g``."""
     plan = g._plan
     if plan is None:
         plan = _build_plan(g)
@@ -183,10 +187,15 @@ def _plan(g: MeshGraph) -> _Plan:
 
 
 def _build_plan(g: MeshGraph) -> _Plan:
+    """The search plan of ``g``, from one integer view of it: a vertex is its
+    position in ``g.vertices``, ``ends`` holds each edge's two vertices and
+    ``incident`` each vertex's edge positions.  ``g`` is connected, being a
+    family member, so every edge lies in each anchor's breadth-first order."""
     index = {v: i for i, v in enumerate(g.vertices)}
     ends = [(index[a], index[b]) for a, b in g.edges]
-    degree = [g.degree(v) for v in g.vertices]
-    weights = _path_weights(g, index)
+    incident = list(g.incident.values())  # in g.vertices order, as built
+    degree = list(map(len, incident))
+    weights = _path_weights(ends, incident)
     reach = max(map(max, weights))
     # Vertex v owns bits [v*width, (v+1)*width) of a start set; bit
     # v*width + reach + s set: v's run of colors may start at s.  A color
@@ -212,7 +221,7 @@ def _build_plan(g: MeshGraph) -> _Plan:
     for e in _representatives(g):
         a, b = ends[e]
         near = list(map(min, weights[a], weights[b]))  # min over x in e of P[x][v]
-        order = _bfs_edge_order(g, e)
+        order = _bfs_edge_order(ends, incident, e)
         anchors.append((e, order, [min(near[x], near[y]) for x, y in (ends[i] for i in order)]))
     return _Plan(degree, reach, width, rows, anchors)
 

@@ -555,6 +555,12 @@ def test_bounds_bad_range(capsys):
     )
     assert code == 2
     assert "A..B" in err
+    # a negative oracle budget is refused as search refuses a negative edge cap
+    code, out, err = invoke(
+        capsys, "bounds", "--m-range", "1..1", "--n-range", "2..2", "--oracle-budget", "-1"
+    )
+    assert (code, out) == (2, "")
+    assert err.splitlines() == ["error: edge cap must be >= 0, got -1"]
 
 
 def test_sweep_subcommand(capsys):
@@ -695,6 +701,15 @@ def test_manifest_written_on_failure(tmp_path, capsys):
     assert doc["result"] == "failed: BudgetExceededError"
     assert doc["outputs"] == []
     assert "--manifest" not in doc["argv"]
+    # a truncated --t search fails through the same path, with the same line
+    code, out, err = invoke(
+        capsys,
+        "search", "--family", "torus", "-m", "2", "-n", "2", "--t", "11",
+        "--max-edges", "32", "--max-nodes", "50", "--manifest", str(manifest),
+    )
+    assert (code, out) == (3, "")
+    assert err.splitlines() == ["search budget exceeded: node cap reached"]
+    assert json.loads(manifest.read_text())["result"] == "failed: BudgetExceededError"
 
 
 def test_failure_manifest_names_the_input(tmp_path, capsys, monkeypatch):

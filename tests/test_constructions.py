@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -303,8 +305,8 @@ def test_construct_steps_a_torus_down_to_the_target():
 
 def test_construct_refuses_a_torus_palette_outside_its_range():
     assert torus_coloring(2, 3).coloring.palette_size == 11
-    for t in (20, 12, 3, 0, -1):
-        message = rf"^torus \(2,3\) supports t in 4\.\.11, got {t}$"
+    for t in (20, 12, 3, 0, -1, 5.5, "5"):
+        message = rf"^torus \(2,3\) supports t in 4\.\.11, got {re.escape(repr(t))}$"
         with pytest.raises(InvalidParameterError, match=message):
             construct("torus", 2, 3, t)
 

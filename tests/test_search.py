@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import gc
 import hashlib
+import re
 import weakref
 
 import pytest
@@ -148,6 +149,11 @@ def test_time_cap_must_be_a_number_at_least_zero():
 def test_caps_must_be_at_least_zero_and_none_lifts_them():
     for kwargs in ({"max_edges": -1}, {"max_nodes": -5}, {"max_edges": 8, "max_nodes": -1}):
         with pytest.raises(InvalidParameterError, match=r"^(edge|node) cap must be >= 0, got -\d$"):
+            SearchBudget(**kwargs)
+    # a cap that is not an int is refused the same way, its value quoted
+    for kwargs in ({"max_edges": "5"}, {"max_nodes": 2.5}, {"max_edges": True}):
+        shown = re.escape(repr(*kwargs.values()))
+        with pytest.raises(InvalidParameterError, match=rf"^(edge|node) cap must be >= 0, got {shown}$"):
             SearchBudget(**kwargs)
     g = build_cylinder(1, 2)
     zero = SearchBudget(max_edges=0, max_nodes=0)
@@ -305,14 +311,20 @@ def floyd_warshall_path_weights(g):
     ids=["C(2,4)", "C(2,6)", "C(3,4)", "C(3,6)", "T(4,4)", "C6", "C(1,8)", "T(6,6)"],
 )
 def test_path_weights_match_floyd_warshall(g):
+    assert search._path_weights(*plan_view(g)) == floyd_warshall_path_weights(g)
+
+
+def plan_view(g):
+    """The search plan's integer view of ``g``: each edge's two vertex
+    indices, and each vertex's edge positions."""
     index = {v: i for i, v in enumerate(g.vertices)}
-    assert search._path_weights(g, index) == floyd_warshall_path_weights(g)
+    return [(index[a], index[b]) for a, b in g.edges], list(g.incident.values())
 
 
 def reference_search(g, t):
     """Colors 1..t tried on every edge in BFS order, refused by the
     per-endpoint span and repeat rules and the surjectivity count."""
-    order = [g.edges[i] for i in search._bfs_edge_order(g, 0)]
+    order = [g.edges[i] for i in search._bfs_edge_order(*plan_view(g), 0)]
     return unpruned(g, t, [(e, range(1, t + 1)) for e in order])
 
 
@@ -353,7 +365,7 @@ def anchored_reference(g, t):
     engine's pair and edge order.  The first coloring found, with its pair,
     or None."""
     for e in grids._representatives(g):
-        order = search._bfs_edge_order(g, e)
+        order = search._bfs_edge_order(*plan_view(g), e)
         for f in order[1:]:
             steps = [(e, range(1, 2)), (f, range(t, t + 1))]
             steps += [(i, range(1, t + 1)) for i in order[1:] if i != f]
