@@ -91,8 +91,12 @@ def bounds_table(
     """
     if m_range[0] > m_range[1] or n_range[0] > n_range[1]:
         raise InvalidParameterError("ranges must be nonempty")
+    families = [_family(f) for f in families]
+    if oracle_budget is not None:  # checked even when no row is admitted
+        from .search import SearchBudget
+        SearchBudget(max_edges=oracle_budget)
     rows = []
-    for family in [_family(f) for f in families]:
+    for family in families:
         for m in range(m_range[0], m_range[1] + 1):
             for n in range(n_range[0], n_range[1] + 1):
                 if admits(family, m, n):

@@ -2,13 +2,15 @@
 
 ``cylinder_coloring(m, n)`` paints the cylinder on m layers and 2n rings
 with palette 1..3m+n-2.  ``torus_coloring(m, n)`` paints the torus on 2m
-by 2n vertices with palette 1..max(3m+n, 3n+m); when m > n its rules
-read each vertex as (ring, layer), the transposed torus's coordinates,
-so the graph is built and verified once.  Every edge is painted by
-exactly one named rule, a closed formula in the edge's coordinates
-asked once per edge, and the rule trace, aligned with ``graph.edges``
-like the colors, is kept, so exports can say which rule produced each
-color.
+by 2n vertices with palette 1..max(3m+n, 3n+m); when m > n it reads each
+vertex as (ring, layer), the transposed torus's coordinates, so the
+graph is built and verified once.  Each closed form is a term of the
+edge's line plus one of its slot, read from tables built once per call
+in O(m + n) that also name each slot's rule: a ring edge on layer i at
+ring slot s takes ``layer[i] + ring[s]``, a rung at layer slot s on ring
+j ``rung[s] + across[j]``.  Two comprehensions over ``graph.edges`` read
+the colors and the aligned rule trace, which exports use to say which
+rule produced each color.
 Constructions verify their own output and fail loudly, naming a broken
 vertex and its incident colors, rather than return a bad coloring.
 
@@ -28,7 +30,6 @@ a vertex.
 
 from __future__ import annotations
 
-from itertools import starmap
 from typing import Callable, NamedTuple
 
 from .colorings import EdgeColoring, require_interval
@@ -40,13 +41,12 @@ from .errors import (
 )
 from .grids import (
     Family,
-    GridVertex,
     MeshGraph,
+    _admitted,
     _edge_name,
     _family,
     build_cylinder,
     build_torus,
-    max_degree,
 )
 
 __all__ = [
@@ -66,18 +66,42 @@ class ConstructionResult(NamedTuple):
     rule_trace: tuple[str, ...] | None
 
 
-def _paint(
-    g: MeshGraph, rule: Callable[[GridVertex, GridVertex], tuple[int, str]], t: int
-) -> ConstructionResult:
-    """The verified coloring that ``rule`` gives each edge of ``g``.
+class _Side(NamedTuple):
+    """The tables that paint one kind of edge: on line x at slot s, color
+    ``line[x] + slot[s]`` and rule ``rule[s][x]``.  Ring edge (x, j)-(x, j+1)
+    is on layer x at slot j, the wrap (x, 1)-(x, R) at slot R; rung
+    (i, x)-(i+1, x) on ring x at slot i, the seam (1, x)-(L, x) at slot L."""
 
-    ``rule(a, b)`` returns the color and rule name of the edge from ``a``
-    to ``b`` (a < b); it is asked once per edge, in ``graph.edges``
-    order, so colors and trace come out aligned.
-    """
-    colors, rules = zip(*starmap(rule, g.edges))
+    line: list[int]
+    slot: list[int]
+    rule: list[list[str]]
+
+
+def _paint(g: MeshGraph, rings: _Side, rungs: _Side, t: int) -> ConstructionResult:
+    """The verified coloring that paints the ring edges of ``g`` by
+    ``rings`` and its rungs by ``rungs``, in ``graph.edges`` order, with no
+    call per edge."""
+    (layer, ring, ring_rule), (across, rung, rung_rule) = rings, rungs
+    colors = tuple([
+        layer[i] + ring[j if l - j == 1 else l] if i == k
+        else across[j] + rung[i if k - i == 1 else k]
+        for (i, j), (k, l) in g.edges
+    ])
+    rules = tuple([
+        ring_rule[j if l - j == 1 else l][i] if i == k else rung_rule[i if k - i == 1 else k][j]
+        for (i, j), (k, l) in g.edges
+    ])
     coloring = require_interval(EdgeColoring(g, colors, t), ConstructionError, "construction")
     return ConstructionResult(coloring, rules)
+
+
+def _rule_rows(n: int, lines: int) -> tuple[list[list[str]], list[str]]:
+    """The rule rows of ring slots 0..2n, each read by lines 0..``lines``,
+    and the rung rules by ring 0..2n: ascending up to n + 1, descending
+    after, with the wrap and the first ring apart."""
+    asc, desc, wrap = ([rule] * (lines + 1) for rule in ("ring-asc", "ring-desc", "ring-wrap"))
+    return [asc] * (n + 2) + [desc] * (n - 2) + [wrap], (
+        ["rung-first"] * 2 + ["rung-asc"] * n + ["rung-desc"] * (n - 1))
 
 
 def cylinder_coloring(m: int, n: int) -> ConstructionResult:
@@ -89,60 +113,42 @@ def cylinder_coloring(m: int, n: int) -> ConstructionResult:
     layers share enough colors to keep every vertex consecutive.
     """
     g = build_cylinder(m, n)
-
-    def rule(a: GridVertex, b: GridVertex) -> tuple[int, str]:
-        (i, j), (k, j2) = a, b
-        if i == k:  # ring edge of layer i
-            if j == 1 and j2 == 2 * n:
-                return 3 * i - 1, "ring-wrap"
-            if j <= n + 1:
-                return 3 * i + j - 3, "ring-asc"
-            return 3 * i - j + 2 * n - 1, "ring-desc"
-        # rung edge (i, j)-(i+1, j)
-        if j == 1:
-            return 3 * i, "rung-first"
-        if j <= n + 1:
-            return 3 * i + j - 2, "rung-asc"
-        return 3 * i - j + 2 * n + 1, "rung-desc"
-
-    return _paint(g, rule, 3 * m + n - 2)
+    layer = [3 * i for i in range(m + 1)]  # also the rung term of layer slot i
+    ring = [j - 3 if j <= n + 1 else 2 * n - 1 - j for j in range(2 * n)] + [-1]
+    across = [0 if j == 1 else j - 2 if j <= n + 1 else 2 * n + 1 - j for j in range(2 * n + 1)]
+    ring_rule, rung_rule = _rule_rows(n, m)
+    rings, rungs = _Side(layer, ring, ring_rule), _Side(across, layer, [rung_rule] * m)
+    return _paint(g, rings, rungs, _palette(Family.CYLINDER, m, n))
 
 
 def torus_coloring(m: int, n: int) -> ConstructionResult:
     """Interval coloring of the torus on 2m by 2n vertices.
 
-    Palette is exactly max(3m+n, 3n+m).  The rules are written for the
-    torus with the shorter factor as layers; for m > n they read each
-    vertex through the coordinate swap (layer, ring) -> (ring, layer),
-    which keeps every edge's endpoints in ascending order, and layers i
-    and 2m+1-i (rings, when swapped) are painted alike.
+    Palette is exactly max(3m+n, 3n+m).  The tables are written for the
+    torus with the shorter factor as layers; for m > n each edge is read
+    through the coordinate swap (layer, ring) -> (ring, layer), which
+    trades ring edges for rungs, so the two sides are exchanged.  Layers
+    i and 2m+1-i (rings, when swapped) are painted alike.
     """
     g = build_torus(m, n)
-    x, y = (1, 0) if m > n else (0, 1)
+    swap = m > n
     m, n = min(m, n), max(m, n)
+    layer = [min(i, 2 * m + 1 - i) for i in range(2 * m + 1)]
+    rung = [min(s, 2 * m - s) for s in range(2 * m + 1)]  # 0 at the seam, slot 2m
+    ring = [3 * j - 3 if j <= n + 1 else 6 * n + 3 - 3 * j for j in range(2 * n)] + [3]
+    across = [2 if j == 1 else 3 * j - 4 if j <= n + 1 else 6 * n + 5 - 3 * j for j in range(2 * n + 1)]
+    ring_rule, rung_rule = _rule_rows(n, 2 * m)
+    seam_rule = ["seam-low"] * 3 + ["seam-mid"] * (2 * n - 2)
+    rings = _Side(layer, ring, ring_rule)
+    rungs = _Side(across, rung, [rung_rule] * 2 * m + [seam_rule])
+    if swap:
+        rings, rungs = rungs, rings
+    return _paint(g, rings, rungs, _palette(Family.TORUS, m, n))
 
-    def rule(a: GridVertex, b: GridVertex) -> tuple[int, str]:
-        layer, j, layer2, j2 = a[x], a[y], b[x], b[y]
-        if layer == layer2:  # ring edge, painted like its mirror layer 2m+1-layer
-            i = min(layer, 2 * m + 1 - layer)
-            if j == 1 and j2 == 2 * n:
-                return i + 3, "ring-wrap"
-            if j <= n + 1:
-                return i + 3 * j - 3, "ring-asc"
-            return i - 3 * j + 6 * n + 3, "ring-desc"
-        if layer2 == layer + 1:  # rung edge, painted like its mirror rung below 2m-layer
-            i = min(layer, 2 * m - layer)
-            if j == 1:
-                return i + 2, "rung-first"
-            if j <= n + 1:
-                return i + 3 * j - 4, "rung-asc"
-            return i - 3 * j + 6 * n + 5, "rung-desc"
-        # seam edge (1, j)-(2m, j), painted like its mirror ring 2n+3-j
-        if j <= 2:
-            return 2, "seam-low"
-        return 3 * min(j, 2 * n + 3 - j) - 4, "seam-mid"
 
-    return _paint(g, rule, 3 * n + m)
+def _palette(family: Family, m: int, n: int) -> int:
+    """The palette of the family's construction at (m, n), unbuilt."""
+    return 3 * m + n - 2 if family is Family.CYLINDER else 3 * max(m, n) + min(m, n)
 
 
 _CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
@@ -188,20 +194,20 @@ def construct(family: Family | str, m: int, n: int, t: int | None = None) -> Con
     down from the construction with no rule trace.  A cylinder takes no
     other t, although ``step_down`` takes C(m, 2n) down to its degree for
     m <= 2 and two palettes down for m >= 3; which others it is offered
-    at is left to ROADMAP item 4.
+    at is left to ROADMAP item 4.  Any other t is refused by the closed-form
+    palette, after the range of (m, n) and before anything is built.
     """
     family = _family(family)
-    result = _CONSTRUCTIONS[family](m, n)
-    c = result.coloring
-    if t is None or (type(t) is int and t == c.palette_size):
-        return result
+    _admitted(family, m, n)
+    top = _palette(family, m, n)
+    if t is None or (type(t) is int and t == top):
+        return _CONSTRUCTIONS[family](m, n)
     if family is Family.CYLINDER:
-        raise InvalidParameterError(f"cylinder ({m},{n}) is constructible only at t={c.palette_size}")
-    low = max_degree(c.graph)
-    if type(t) is not int or not low <= t < c.palette_size:
-        raise InvalidParameterError(
-            f"{family.value} ({m},{n}) supports t in {low}..{c.palette_size}, got {t!r}"
-        )
+        raise InvalidParameterError(f"cylinder ({m},{n}) is constructible only at t={top}")
+    # a torus is 4-regular
+    if type(t) is not int or not 4 <= t < top:
+        raise InvalidParameterError(f"{family.value} ({m},{n}) supports t in 4..{top}, got {t!r}")
+    c = _CONSTRUCTIONS[family](m, n).coloring
     while c.palette_size > t:
         c = step_down(c)
     return ConstructionResult(require_interval(c, ConstructionError, "stepped coloring"), None)

@@ -116,6 +116,12 @@ def test_bounds_table_skips_invalid_torus_sizes():
     assert [(r.m, r.n) for r in rows] == [(2, 2)]
 
 
+def test_bounds_table_checks_the_budget_when_no_row_is_admitted():
+    assert bounds_table(["torus"], (1, 1), (2, 2)) == []
+    with pytest.raises(InvalidParameterError, match=r"^edge cap must be >= 0, got -1$"):
+        bounds_table(["torus"], (1, 1), (2, 2), oracle_budget=-1)
+
+
 def test_bounds_table_rejects_empty_ranges():
     with pytest.raises(InvalidParameterError):
         bounds_table(["cylinder"], (3, 1), (2, 2))

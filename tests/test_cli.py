@@ -555,12 +555,15 @@ def test_bounds_bad_range(capsys):
     )
     assert code == 2
     assert "A..B" in err
-    # a negative oracle budget is refused as search refuses a negative edge cap
-    code, out, err = invoke(
-        capsys, "bounds", "--m-range", "1..1", "--n-range", "2..2", "--oracle-budget", "-1"
-    )
-    assert (code, out) == (2, "")
-    assert err.splitlines() == ["error: edge cap must be >= 0, got -1"]
+    # a negative oracle budget is refused as search refuses a negative edge cap,
+    # also when the ranges admit no row
+    for family in ("both", "torus"):
+        code, out, err = invoke(
+            capsys, "bounds", "--family", family, "--m-range", "1..1", "--n-range", "2..2",
+            "--oracle-budget", "-1",
+        )
+        assert (code, out) == (2, "")
+        assert err.splitlines() == ["error: edge cap must be >= 0, got -1"]
 
 
 def test_sweep_subcommand(capsys):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+from itertools import starmap
 
 import pytest
 from hypothesis import given, settings
@@ -10,6 +11,7 @@ from hypothesis import strategies as st
 
 from intervalmesh import (
     EdgeColoring,
+    build_cylinder,
     build_torus,
     cylinder_coloring,
     max_degree,
@@ -18,7 +20,7 @@ from intervalmesh import (
     torus_coloring,
     verify_interval,
 )
-from intervalmesh import colorings, constructions
+from intervalmesh import colorings, constructions, grids
 from intervalmesh.constructions import construct
 from intervalmesh.errors import (
     CannotStepDownError,
@@ -26,6 +28,7 @@ from intervalmesh.errors import (
     InvalidColoringError,
     InvalidParameterError,
 )
+from intervalmesh.grids import GridVertex
 
 
 def E(i1, j1, i2, j2):
@@ -153,12 +156,74 @@ def test_rule_trace_partitions_edges():
 
 def test_construction_gate_rejects_a_wrong_rule():
     g = build_torus(2, 2)
+    ones = constructions._Side([1] * 5, [0] * 5, [["ring-asc"] * 5] * 5)
     with pytest.raises(ConstructionError, match=r"construction breaks at vertex x_\d+_\d+"):
-        constructions._paint(g, lambda a, b: (1, "ring-asc"), 4)
-    # a proper rule is caught too when it leaves a gap: 3 and 5 meet at x_1_1
+        constructions._paint(g, ones, ones, 4)
+    # proper tables are caught too when they leave a gap: 3 and 5 meet at x_1_1
     ring = cylinder_coloring(1, 2).coloring.graph
+    gap = constructions._Side([0, 0], [0, 3, 5, 7, 5], [["ring-asc"] * 2] * 5)
     with pytest.raises(ConstructionError, match=r"at vertex x_1_1: incident colors \[3, 5\]"):
-        constructions._paint(ring, lambda a, b: (a[1] + b[1], "ring-asc"), 7)
+        constructions._paint(ring, gap, gap, 7)
+
+
+def reference_cylinder(m, n):
+    """Colors and rule names of the cylinder construction, one rule call per edge."""
+    g = build_cylinder(m, n)
+
+    def rule(a: GridVertex, b: GridVertex) -> tuple[int, str]:
+        (i, j), (k, j2) = a, b
+        if i == k:  # ring edge of layer i
+            if j == 1 and j2 == 2 * n:
+                return 3 * i - 1, "ring-wrap"
+            if j <= n + 1:
+                return 3 * i + j - 3, "ring-asc"
+            return 3 * i - j + 2 * n - 1, "ring-desc"
+        # rung edge (i, j)-(i+1, j)
+        if j == 1:
+            return 3 * i, "rung-first"
+        if j <= n + 1:
+            return 3 * i + j - 2, "rung-asc"
+        return 3 * i - j + 2 * n + 1, "rung-desc"
+
+    return tuple(zip(*starmap(rule, g.edges)))
+
+
+def reference_torus(m, n):
+    """Colors and rule names of the torus construction, one rule call per edge."""
+    g = build_torus(m, n)
+    x, y = (1, 0) if m > n else (0, 1)
+    m, n = min(m, n), max(m, n)
+
+    def rule(a: GridVertex, b: GridVertex) -> tuple[int, str]:
+        layer, j, layer2, j2 = a[x], a[y], b[x], b[y]
+        if layer == layer2:  # ring edge, painted like its mirror layer 2m+1-layer
+            i = min(layer, 2 * m + 1 - layer)
+            if j == 1 and j2 == 2 * n:
+                return i + 3, "ring-wrap"
+            if j <= n + 1:
+                return i + 3 * j - 3, "ring-asc"
+            return i - 3 * j + 6 * n + 3, "ring-desc"
+        if layer2 == layer + 1:  # rung edge, painted like its mirror rung below 2m-layer
+            i = min(layer, 2 * m - layer)
+            if j == 1:
+                return i + 2, "rung-first"
+            if j <= n + 1:
+                return i + 3 * j - 4, "rung-asc"
+            return i - 3 * j + 6 * n + 5, "rung-desc"
+        # seam edge (1, j)-(2m, j), painted like its mirror ring 2n+3-j
+        if j <= 2:
+            return 2, "seam-low"
+        return 3 * min(j, 2 * n + 3 - j) - 4, "seam-mid"
+
+    return tuple(zip(*starmap(rule, g.edges)))
+
+
+def test_the_tables_paint_as_the_reference_rules():
+    members = [(cylinder_coloring, reference_cylinder, m, n) for m in range(1, 13) for n in range(2, 13)]
+    members += [(torus_coloring, reference_torus, m, n) for m in range(2, 13) for n in range(2, 13)]
+    for paint, reference, m, n in members:
+        result = paint(m, n)
+        assert (result.coloring.aligned, result.rule_trace) == reference(m, n), (paint.__name__, m, n)
 
 
 @settings(max_examples=20, deadline=None)
@@ -309,6 +374,27 @@ def test_construct_refuses_a_torus_palette_outside_its_range():
         message = rf"^torus \(2,3\) supports t in 4\.\.11, got {re.escape(repr(t))}$"
         with pytest.raises(InvalidParameterError, match=message):
             construct("torus", 2, 3, t)
+
+
+def test_a_refused_palette_builds_nothing(monkeypatch):
+    built = []
+
+    def product(*args):
+        built.append(args)
+        raise AssertionError("a refused palette built a graph")
+
+    grids._grid.cache_clear()
+    monkeypatch.setattr(grids, "_product", product)
+    for family, m, n, t, message in (
+        ("torus", 30, 30, "5", r"^torus \(30,30\) supports t in 4\.\.120, got '5'$"),
+        ("torus", 30, 30, 121, r"^torus \(30,30\) supports t in 4\.\.120, got 121$"),
+        ("torus", 30, 30, 3, r"^torus \(30,30\) supports t in 4\.\.120, got 3$"),
+        ("cylinder", 2, 2, 5, r"^cylinder \(2,2\) is constructible only at t=6$"),
+        ("torus", 1, 30, "5", r"^torus needs m >= 2, got m=1$"),
+    ):
+        with pytest.raises(InvalidParameterError, match=message):
+            construct(family, m, n, t)
+    assert built == []
 
 
 @pytest.mark.parametrize("m,n", [(m, n) for m in range(2, 5) for n in range(2, 5)])
