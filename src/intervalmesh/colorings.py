@@ -12,8 +12,10 @@ gate that turns a failed report into an error.
 
 from __future__ import annotations
 
+import operator
+from itertools import chain, repeat
 from types import MappingProxyType
-from typing import Mapping, NamedTuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import InvalidColoringError, SchemaError
 from .grids import (
@@ -22,10 +24,12 @@ from .grids import (
     MeshGraph,
     _edge,
     _edge_name,
+    _edge_rows,
     _listed_graph,
     _member_name,
     _parse_vertex,
     _Record,
+    _ROW,
     vertex_name,
 )
 
@@ -267,11 +271,12 @@ def coloring_to_json_dict(
 def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | None]:
     """Parse a coloring document; returns the coloring and any rule trace.
 
-    The rows are read twice.  The first pass, before any graph exists,
-    checks each row and parses its endpoints; the second writes each
-    row's color and rule at its edge's position in the built graph, so
-    the trace is aligned with ``graph.edges``.  Every edge must be listed
-    exactly once.
+    Every row is checked before any graph exists (``_read_rows``).  Rows
+    listed in ``graph.edges`` order, as the package writes them, are then
+    placed by one comparison of their endpoints with the built graph's
+    edges; rows in any other order through ``_placed``.  Either way the
+    colors and the trace are aligned with ``graph.edges``, and every edge
+    must be listed exactly once.
     """
     if not isinstance(d, dict):
         raise SchemaError("coloring document must be a JSON object")
@@ -283,8 +288,37 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | No
     rows = d.get("edges")
     if not isinstance(rows, list):
         raise SchemaError("'edges' must be an array")
-    pairs = []
-    ruled = 0
+    coords, colors, rules = _read_rows(rows)
+    g = _listed_graph(d)
+    if coords != tuple(chain.from_iterable(chain.from_iterable(g.edges))):
+        colors, rules = _placed(g, coords, colors, rules)
+    return EdgeColoring(g, tuple(colors), t), (None if rules is None else tuple(rules))
+
+
+def _read_rows(rows: list) -> tuple[tuple[int, ...], Sequence[int], Sequence[str] | None]:
+    """The rows' endpoint coordinates (``u`` then ``v`` of each row in
+    turn, as one flat tuple), colors and rules (None when no row has one).
+
+    Plain dicts with a rule in every row or in none are read by
+    ``_edge_rows``, in passes over all rows.  Any rows it leaves undecided
+    go to ``_walk_rows``, which accepts some (tuple endpoints, int-subclass
+    colors, dict subclasses) and names the first bad row in the others.
+    """
+    if rows and set(map(type, rows)) == {dict}:
+        ruled = sum(map(operator.contains, rows, repeat("rule")))
+        if ruled in (0, len(rows)):
+            try:
+                read = _edge_rows(rows, _ROW if ruled else _ROW[:3])
+            except KeyError:
+                read = None
+            if read is not None:
+                return read
+    return _walk_rows(rows)
+
+
+def _walk_rows(rows: list) -> tuple[tuple[int, ...], list[int], list[str] | None]:
+    """``_read_rows`` one row at a time, raising at the first bad row."""
+    coords, colors, rules = [], [], []
     for item in rows:
         if not isinstance(item, dict) or "u" not in item or "v" not in item:
             raise SchemaError(f"colored edge must be an object with u/v, got {item!r}")
@@ -296,28 +330,38 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | No
         a, b = _parse_vertex(item["u"]), _parse_vertex(item["v"])
         if a == b:
             raise SchemaError(f"loop edge at {vertex_name(a)}")
-        pairs.append(_edge(a, b))
         if "rule" in item:
             if not isinstance(item["rule"], str):
-                name = _edge_name(*pairs[-1])
+                name = _edge_name(*_edge(a, b))
                 raise SchemaError(f"edge {name} rule must be a string, got {item['rule']!r}")
-            ruled += 1
-    if ruled and ruled != len(rows):
+            rules.append(item["rule"])
+        coords += a + b
+        colors.append(col)
+    if rules and len(rules) != len(rows):
         raise SchemaError("rule trace must cover every edge or none")
-    g = _listed_graph(d)
+    return tuple(coords), colors, rules or None
+
+
+def _placed(g: MeshGraph, coords: tuple[int, ...], colors: Sequence[int],
+            rules: Sequence[str] | None) -> tuple[list[int], list[str] | None]:
+    """The colors and rules of rows listed out of ``graph.edges`` order,
+    moved to their edges' positions, which ``g.edge_index`` gives in one
+    pass; only a row that is not an edge, or is listed twice, is looked
+    for row by row, to name the first."""
+    a, b = list(zip(coords[0::4], coords[1::4])), list(zip(coords[2::4], coords[3::4]))
+    pairs = list(zip(map(min, a, b), map(max, a, b)))
+    positions = list(map(g.edge_index.get, pairs))
     what = _member_name(g.family, g.m, g.n)
-    colors: list[int | None] = [None] * g.num_edges
-    rules = [""] * g.num_edges
-    for e, item in zip(pairs, rows):
-        pos = g.edge_index.get(e)
-        if pos is None:
-            raise SchemaError(f"{_edge_name(*e)} is not an edge of {what}")
-        if colors[pos] is not None:
-            raise SchemaError(f"edge {_edge_name(*e)} is listed twice")
-        colors[pos] = item["color"]
-        if ruled:
-            rules[pos] = item["rule"]
-    if len(rows) != g.num_edges:
-        missing = g.num_edges - len(rows)
+    if None in positions or len(set(positions)) != len(positions):
+        seen = set()
+        for e, pos in zip(pairs, positions):
+            if pos is None:
+                raise SchemaError(f"{_edge_name(*e)} is not an edge of {what}")
+            if pos in seen:
+                raise SchemaError(f"edge {_edge_name(*e)} is listed twice")
+            seen.add(pos)
+    if len(positions) != g.num_edges:
+        missing = g.num_edges - len(positions)
         raise SchemaError(f"{missing} of the {g.num_edges} edges of {what} are not listed")
-    return EdgeColoring(g, tuple(colors), t), (tuple(rules) if ruled else None)
+    order = sorted(range(len(positions)), key=positions.__getitem__)
+    return list(map(colors.__getitem__, order)), rules and list(map(rules.__getitem__, order))

@@ -17,6 +17,7 @@ import functools
 import json
 import operator
 from enum import Enum
+from itertools import chain
 from typing import Callable, NamedTuple
 
 from .errors import InvalidParameterError, SchemaError
@@ -110,24 +111,32 @@ class MeshGraph(_Record):
     """The member (m, n) of a named family, with grid-coordinate vertices.
 
     ``vertices`` and ``edges`` are sorted tuples; ``incident`` (the one
-    vertex lookup: the positions in ``edges`` of each vertex's edges) and
-    ``edge_index`` (each edge's position in ``edges``) are built once at
-    assembly time and excluded from equality and repr.  A graph is shared
-    by every caller that builds the same member while it is cached, so
-    these two dicts are read-only: never mutate them.
+    vertex lookup: the positions in ``edges`` of each vertex's edges) is
+    built once at assembly time, and ``edge_index`` (each edge's position
+    in ``edges``) on its first read, kept in ``_edge_index``; both are
+    excluded from equality and repr.  A graph is shared by every caller
+    that builds the same member while it is cached, so these two dicts
+    are read-only: never mutate them.
     ``_plan``, also outside equality and repr, holds the search's plan
     from the graph's first search on (``search._plan``).  A graph can be
     weakly referenced.
     """
 
-    __slots__ = ("family", "m", "n", "vertices", "edges", "incident", "edge_index", "_plan",
+    __slots__ = ("family", "m", "n", "vertices", "edges", "incident", "_edge_index", "_plan",
                  "__weakref__")
     _compared = ("family", "m", "n", "vertices", "edges")
 
     def __init__(self, family: Family, m: int, n: int,
                  vertices: tuple[GridVertex, ...], edges: tuple[Edge, ...],
-                 incident: dict[GridVertex, tuple[int, ...]], edge_index: dict[Edge, int]) -> None:
-        self._fill(family, m, n, vertices, edges, incident, edge_index, None)
+                 incident: dict[GridVertex, tuple[int, ...]]) -> None:
+        self._fill(family, m, n, vertices, edges, incident, None, None)
+
+    @property
+    def edge_index(self) -> dict[Edge, int]:
+        """Each edge's position in ``edges``, built on first read."""
+        if self._edge_index is None:
+            object.__setattr__(self, "_edge_index", dict(zip(self.edges, range(len(self.edges)))))
+        return self._edge_index
 
     @property
     def num_vertices(self) -> int:
@@ -185,8 +194,7 @@ def _product(family: Family, m: int, n: int,
             inc[p].append(len(edges))
             inc[q].append(len(edges))
             edges.append((v, vertices[q]))
-    return MeshGraph(family, m, n, vertices, tuple(edges), dict(zip(vertices, map(tuple, inc))),
-                     dict(zip(edges, range(len(edges)))))
+    return MeshGraph(family, m, n, vertices, tuple(edges), dict(zip(vertices, map(tuple, inc))))
 
 
 @functools.lru_cache(maxsize=2)
@@ -370,6 +378,25 @@ def _parse_vertex(obj: object) -> GridVertex:
     raise SchemaError(f"vertex must be a [layer, ring] pair of integers, got {obj!r}")
 
 
+def _int_coords(items: list | tuple) -> tuple[int, ...] | None:
+    """The items' coordinates in order, when every item is a list of two
+    exact ints; else None.  Three passes in C: types, lengths, coordinates."""
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+        coords = tuple(chain.from_iterable(items))
+        if set(map(type, coords)) <= {int}:
+            return coords
+    return None
+
+
+def _parse_vertices(listed: list) -> list[GridVertex]:
+    """``_parse_vertex`` of each item, in one pass when ``_int_coords``
+    reads them all; else item by item, naming the first that is not a
+    vertex."""
+    if _int_coords(listed) is None:
+        return [_parse_vertex(v) for v in listed]
+    return list(map(tuple, listed))
+
+
 def _member_name(family: Family, m: int, n: int) -> str:
     return f"family {family.value!r} with m={m}, n={n}"
 
@@ -394,7 +421,7 @@ def _listed_graph(d: dict) -> MeshGraph:
         raise SchemaError(str(exc)) from None
     if not isinstance(d["vertices"], list):
         raise SchemaError("'vertices' must be an array")
-    vertices = [_parse_vertex(v) for v in d["vertices"]]
+    vertices = _parse_vertices(d["vertices"])
     vertex_set = set(vertices)
     if len(vertex_set) != len(vertices):
         raise SchemaError("duplicate vertices in document")
@@ -413,46 +440,70 @@ def dumps_canonical(d: dict) -> str:
     Byte for byte ``json.dumps(d, indent=2) + "\\n"``, without ``json``'s
     pure-Python encoder: dicts with ``str`` keys and lists are walked, and a
     list of ``[int, int]`` vertex pairs or of edge rows (``u``, ``v``,
-    ``color``, optional ``rule``) is written one ``%``-template row per item.
-    Values are matched by exact type, so a bool, float or int subclass never
-    reaches ``%d``; strings are quoted by ``json.encoder``'s own
-    ``encode_basestring_ascii``.  Anything else goes to ``json.dumps``.
+    ``color``, and ``rule`` in every row or in none; ``u`` and ``v`` apart)
+    is written by one ``%``-template over the flat tuple of its values.
+    Values are matched by
+    exact type, so a bool, float or int subclass never reaches ``%d``;
+    strings are quoted by ``json.encoder``'s own ``encode_basestring_ascii``.
+    Anything else goes to ``json.dumps``.
     """
     return _render(d, "") + "\n"
 
 
 _quote = json.encoder.encode_basestring_ascii
-_ROW_KEYS = {("u", "v", "color"), ("u", "v", "color", "rule")}
+_ROW = ("u", "v", "color", "rule")
+_ROW_KEYS = {_ROW[:3], _ROW}
 _PAIR = "[\n{0}  %d,\n{0}  %d\n{0}]".format
 
 
 @functools.cache
 def _row_templates(ind: str) -> tuple[str, str, str]:
-    """Rows at ``ind``: a vertex pair, an edge row whose ``%s`` takes the
-    rule line, and the start of that line."""
+    """Rows at ``ind``: a vertex pair, an edge row, and an edge row whose
+    ``%s`` takes the quoted rule."""
     pair = _PAIR(ind + "  ")
-    edge = f'{ind}{{\n{ind}  "u": {pair},\n{ind}  "v": {pair},\n{ind}  "color": %d%s\n{ind}}}'
-    return ind + _PAIR(ind), edge, f',\n{ind}  "rule": '
+    edge = f'{ind}{{\n{ind}  "u": {pair},\n{ind}  "v": {pair},\n{ind}  "color": %d'
+    return ind + _PAIR(ind), f"{edge}\n{ind}}}", f'{edge},\n{ind}  "rule": %s\n{ind}}}'
+
+
+def _edge_rows(rows: list,
+               keys: tuple[str, ...]) -> tuple[tuple[int, ...], tuple, tuple | None] | None:
+    """The flat endpoint coordinates (``u`` then ``v`` of each row), colors
+    and rules (None unless ``keys`` ends with ``"rule"``) of dicts read
+    through ``keys``, when every row is an edge row of exact types: two
+    different lists of two exact ints, an int color and a str rule; else
+    None.  A row without one of ``keys`` raises KeyError.  Every test is
+    one pass in C over all rows."""
+    us, vs, colors, *rules = [tuple(map(operator.itemgetter(key), rows)) for key in keys]
+    coords = _int_coords(tuple(chain.from_iterable(zip(us, vs))))
+    if (coords is None or any(map(operator.eq, us, vs)) or not set(map(type, colors)) <= {int}
+            or not set(map(type, chain.from_iterable(rules))) <= {str}):
+        return None
+    return coords, colors, (rules[0] if rules else None)
 
 
 def _templated(items: list, ind: str) -> str | None:
-    """A list's items as template rows at ``ind``; None unless all fit one."""
-    if type(items[0]) not in (list, dict):
+    """A list's items as template rows at ``ind``, written by one ``%``
+    over one flat tuple; None unless all fit one.  The item types and the
+    rows' key tuples are each read in one pass, then ``_int_coords`` or
+    ``_edge_rows`` decide the values."""
+    kinds = set(map(type, items))
+    pair, edge, ruled_edge = _row_templates(ind)
+    if kinds == {list}:
+        coords = _int_coords(items)
+        return None if coords is None else ",\n".join([pair] * len(items)) % coords
+    shapes = set(map(tuple, items)) if kinds == {dict} else set()
+    rows = _edge_rows(items, shapes.pop()) if len(shapes) == 1 and shapes <= _ROW_KEYS else None
+    if rows is None:
         return None
-    pair, edge, rule_head = _row_templates(ind)
-    if all(type(p) is list and len(p) == 2 and type(p[0]) is type(p[1]) is int for p in items):
-        return ",\n".join([pair % (a, b) for a, b in items])
-    rows = []
-    for r in items:
-        if type(r) is not dict or tuple(r) not in _ROW_KEYS:
-            return None
-        u, v, color, rule = r["u"], r["v"], r["color"], r.get("rule", "")
-        if not (type(u) is type(v) is list and len(u) == len(v) == 2 and type(rule) is str
-                and type(u[0]) is type(u[1]) is type(v[0]) is type(v[1]) is type(color) is int):
-            return None
-        line = rule_head + _quote(rule) if len(r) == 4 else ""
-        rows.append(edge % (u[0], u[1], v[0], v[1], color, line))
-    return ",\n".join(rows)
+    coords, colors, rules = rows
+    width = 5 if rules is None else 6  # u and v coordinates, color, and the quoted rule
+    flat = [None] * (width * len(items))
+    for j in range(4):
+        flat[j::width] = coords[j::4]
+    flat[4::width] = colors
+    if rules is not None:
+        flat[5::width] = map(_quote, rules)
+    return ",\n".join([edge if rules is None else ruled_edge] * len(items)) % tuple(flat)
 
 
 def _render(x: object, ind: str) -> str:

@@ -25,7 +25,7 @@ from intervalmesh.cli import run
 from intervalmesh.colorings import require_interval
 from intervalmesh.constructions import construct
 from intervalmesh.grids import build
-from intervalmesh.errors import InvalidColoringError, SchemaError
+from intervalmesh.errors import InvalidColoringError, InvalidParameterError, SchemaError
 
 
 def ring4_coloring(colors, t):
@@ -523,3 +523,156 @@ def test_mutated_documents_parse_exactly_or_raise_schema_error(
     path = tmp_path_factory.getbasetemp() / "mutated.json"
     path.write_text(json.dumps(doc))
     assert run(["verify", str(path)]) in (0, 1, 2)
+
+
+# ---------------------------------------------------------------------------
+# the reader against the row-by-row reader it replaced
+# ---------------------------------------------------------------------------
+
+
+def reference_listed_graph(d: dict):
+    """``grids._listed_graph`` as it was, parsing one vertex at a time."""
+    for key in ("family", "vertices"):
+        if key not in d:
+            raise SchemaError(f"coloring document is missing {key!r}")
+    m, n = d.get("m"), d.get("n")
+    try:
+        family = grids._family(d["family"])
+        law = grids._admitted(family, m, n)
+    except InvalidParameterError as exc:
+        raise SchemaError(str(exc)) from None
+    if not isinstance(d["vertices"], list):
+        raise SchemaError("'vertices' must be an array")
+    vertices = [grids._parse_vertex(v) for v in d["vertices"]]
+    vertex_set = set(vertices)
+    if len(vertex_set) != len(vertices):
+        raise SchemaError("duplicate vertices in document")
+    if grids._measure(law, m, n)[0] != len(vertices):
+        raise SchemaError(f"listed vertices do not match {grids._member_name(family, m, n)}")
+    g = grids._grid(family, m, n)
+    if g.incident.keys() != vertex_set:
+        raise SchemaError(f"listed vertices do not match {grids._member_name(family, m, n)}")
+    return g
+
+
+def reference_from_json_dict(d: dict):
+    """``coloring_from_json_dict`` as it was: every row checked, then
+    placed through ``edge_index``, one row at a time."""
+    _edge, _edge_name, _parse_vertex = grids._edge, grids._edge_name, grids._parse_vertex
+    if not isinstance(d, dict):
+        raise SchemaError("coloring document must be a JSON object")
+    if "t" not in d:
+        raise SchemaError("coloring document is missing 't'")
+    t = d["t"]
+    if not isinstance(t, int) or isinstance(t, bool) or t < 1:
+        raise SchemaError(f"'t' must be a positive integer, got {t!r}")
+    rows = d.get("edges")
+    if not isinstance(rows, list):
+        raise SchemaError("'edges' must be an array")
+    pairs = []
+    ruled = 0
+    for item in rows:
+        if not isinstance(item, dict) or "u" not in item or "v" not in item:
+            raise SchemaError(f"colored edge must be an object with u/v, got {item!r}")
+        if "color" not in item:
+            raise SchemaError(f"edge {item.get('u')}-{item.get('v')} has no color")
+        col = item["color"]
+        if not isinstance(col, int) or isinstance(col, bool):
+            raise SchemaError(f"edge color must be an integer, got {col!r}")
+        a, b = _parse_vertex(item["u"]), _parse_vertex(item["v"])
+        if a == b:
+            raise SchemaError(f"loop edge at {grids.vertex_name(a)}")
+        pairs.append(_edge(a, b))
+        if "rule" in item:
+            if not isinstance(item["rule"], str):
+                name = _edge_name(*pairs[-1])
+                raise SchemaError(f"edge {name} rule must be a string, got {item['rule']!r}")
+            ruled += 1
+    if ruled and ruled != len(rows):
+        raise SchemaError("rule trace must cover every edge or none")
+    g = reference_listed_graph(d)
+    what = grids._member_name(g.family, g.m, g.n)
+    colors = [None] * g.num_edges
+    rules = [""] * g.num_edges
+    for e, item in zip(pairs, rows):
+        pos = g.edge_index.get(e)
+        if pos is None:
+            raise SchemaError(f"{_edge_name(*e)} is not an edge of {what}")
+        if colors[pos] is not None:
+            raise SchemaError(f"edge {_edge_name(*e)} is listed twice")
+        colors[pos] = item["color"]
+        if ruled:
+            rules[pos] = item["rule"]
+    if len(rows) != g.num_edges:
+        missing = g.num_edges - len(rows)
+        raise SchemaError(f"{missing} of the {g.num_edges} edges of {what} are not listed")
+    return EdgeColoring(g, tuple(colors), t), (tuple(rules) if ruled else None)
+
+
+class Tint(int):
+    """An int subclass: accepted as a color, and kept as given."""
+
+
+def _vary(doc: dict, kind: str, data) -> None:
+    """``_mutate``, or a change that the reader must decide row by row."""
+    rows = doc["edges"]
+    picked = data.draw(st.lists(st.integers(0, len(rows) - 1), min_size=1, max_size=4),
+                       label="rows")
+    if kind == "shuffle":
+        rows[:] = data.draw(st.permutations(rows), label="order")
+    elif kind == "swap":
+        for i in picked:
+            rows[i]["u"], rows[i]["v"] = rows[i]["v"], rows[i]["u"]
+    elif kind == "tuples":
+        for i in picked:
+            rows[i]["u"] = tuple(rows[i]["u"])
+        k = picked[0] % len(doc["vertices"])
+        doc["vertices"][k] = tuple(doc["vertices"][k])
+    elif kind == "tint":
+        rows[picked[0]]["color"] = Tint(rows[picked[0]]["color"])
+    elif kind == "color":
+        rows[picked[0]]["color"] = data.draw(st.sampled_from([True, 1.0, "1", None]), label="color")
+    elif kind == "key":
+        rows[picked[0]].pop(data.draw(st.sampled_from(["u", "v", "color"]), label="key"))
+    elif kind == "row":
+        rows[picked[0]] = data.draw(st.sampled_from([None, [], "row"]), label="row")
+    elif kind == "extra":
+        rows[picked[0]]["note"] = data.draw(st.sampled_from(["x", None, 1]), label="note")
+    elif kind == "rule":
+        rows[picked[0]]["rule"] = data.draw(st.sampled_from([None, 0, [], "r"]), label="rule")
+    elif kind == "mixed":
+        for i in picked:
+            rows[i].pop("rule", None) if "rule" in rows[i] else rows[i].update(rule="r")
+    else:
+        _mutate(doc, kind, data)
+
+
+def _read(reader, doc):
+    try:
+        coloring, trace = reader(doc)
+    except Exception as exc:  # the two readers must fail alike
+        return type(exc), str(exc)
+    return coloring, trace, list(map(type, coloring.aligned))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    family=st.sampled_from(["cylinder", "torus"]),
+    m=st.integers(2, 3),
+    n=st.integers(2, 3),
+    ruled=st.booleans(),
+    kinds=st.lists(st.sampled_from(
+        ["drop", "duplicate", "replace", "reverse", "shift", "type", "m", "n", "family",
+         "shuffle", "swap", "tint", "color", "extra", "rule", "mixed"]), min_size=1, max_size=3),
+    # these leave rows that the kinds above cannot edit, so they come last
+    last=st.sampled_from([None, "tuples", "key", "row"]),
+    data=st.data(),
+)
+def test_the_reader_matches_the_row_by_row_reader(family, m, n, ruled, kinds, last, data):
+    result = construct(family, m, n)
+    doc = json.loads(json.dumps(coloring_to_json_dict(
+        result.coloring, result.rule_trace if ruled else None)))
+    for kind in kinds + [last] * (last is not None):
+        if doc["edges"]:
+            _vary(doc, kind, data)
+    assert _read(coloring_from_json_dict, doc) == _read(reference_from_json_dict, doc)

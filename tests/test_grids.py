@@ -9,7 +9,7 @@ from collections import deque
 from enum import IntEnum
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from intervalmesh import (
@@ -25,6 +25,7 @@ from intervalmesh import (
 )
 from intervalmesh.errors import InvalidParameterError, SchemaError
 from intervalmesh import grids, verify_interval
+from intervalmesh.bounds import bounds_row
 from intervalmesh.cli import run
 from intervalmesh.constructions import construct, spectrum_sweep
 from intervalmesh.grids import admits, build, dumps_canonical, edge_count
@@ -304,6 +305,20 @@ def test_edge_canonical_order_and_loop_rejection():
         coloring_from_json_dict(doc)
 
 
+def test_the_edge_index_is_built_on_first_read_only():
+    grids._grid.cache_clear()
+    for family, m, n, listed in (
+        ("cylinder", 3, 4, [((1, 1), (1, 2)), ((1, 1), (2, 1)), ((2, 1), (2, 2))]),
+        ("torus", 3, 2, [((1, 1), (1, 2)), ((1, 1), (2, 1))]),
+    ):
+        bounds_row(family, m, n)
+        g = build(family, m, n)  # the graph the row was built on, still cached
+        assert g._edge_index is None
+        assert [g.edges[i] for i in grids._representatives(g)] == listed
+        assert g._edge_index is not None
+        assert [g.position(b, a) for a, b in g.edges] == list(range(g.num_edges))
+
+
 def test_degree_unknown_vertex():
     g = build_cylinder(1, 2)
     with pytest.raises(InvalidParameterError):
@@ -535,8 +550,21 @@ def damaged_documents(draw):
     return doc
 
 
+def _rows_with_rules(*rules):
+    """A torus document whose first rows carry ``rules`` and the rest none."""
+    doc = coloring_to_json_dict(construct("torus", 2, 2).coloring)
+    for row, rule in zip(doc["edges"], rules):
+        row["rule"] = rule
+    return doc
+
+
 @settings(max_examples=300, deadline=None)
 @given(damaged_documents())
+@example(_rows_with_rules(None))
+@example(_rows_with_rules(0))
+@example(_rows_with_rules([]))
+@example(_rows_with_rules("ring", None, 0, []))
+@example({"colorings": [_rows_with_rules(None), _rows_with_rules(*["r"] * 32)]})
 def test_writer_matches_json_dumps_on_damaged_documents(doc):
     assert canonical_or_exception(doc) == stdlib_dumps(doc)
 
