@@ -14,11 +14,14 @@ W <= diam(G)(Δ-1)+1).  Every interval t-coloring has an edge e of color
 an edge f of color t with t - 1 <= min P[x][y] over x in e and y in f.
 So the search runs once per such pair, with e anchored at color 1 and f
 at color t, and no pair qualifies above 1 + max over e, f of min P[x][y].
-Inside a run every color placed bounds every vertex's colors by the same
-path weights; ``find_interval_coloring`` gives the rules.
+A run colors e, f, then the other edges by breadth-first level from the
+nearer of the two, so the edges whose colors f squeezes near t come
+early.  Inside a run every color placed bounds every vertex's colors by
+the same path weights; ``find_interval_coloring`` gives the rules.
 
 A graph's search plan, all of it but one mask per palette, is built at
-its first search and kept on the graph.
+its first search and kept on the graph; each pair's edge order joins it
+the first time that pair is searched.
 """
 
 from __future__ import annotations
@@ -160,21 +163,28 @@ def _path_weights(ends: list[tuple[int, int]], incident: list[tuple[int, ...]]) 
 class _Plan(NamedTuple):
     """What a search needs of a graph, whatever the palette.
 
-    ``degree`` is by vertex index (position in ``graph.vertices``),
-    ``reach`` is the largest path weight and ``width`` the bits of a
-    vertex's field.  ``rows`` holds, per edge position, the endpoints,
-    their field offsets, the terms that turn a field's top bit into its
-    top color, and the edge's cut.  ``anchors`` holds, for each edge-orbit
-    representative e in ascending position, the breadth-first edge order
-    from e and, aligned with it, the least P[x][y] over x in e and y in
-    that edge.
+    ``degree`` is by vertex index (position in ``graph.vertices``) and
+    ``incident`` holds each vertex's edge positions.  ``reach`` is the
+    largest path weight and ``width`` the bits of a vertex's field.
+    ``rows`` holds, per edge position, the endpoints, their field offsets,
+    the terms that turn a field's top bit into its top color, and the
+    edge's cut.  ``anchors`` holds, for each edge-orbit representative e
+    in ascending position, the breadth-first edge order from e and,
+    aligned with it, the least P[x][y] over x in e and y in that edge.
+    ``runs`` maps each anchor pair (e, f) searched so far to its edge
+    order (``_run_order``) and the ``rows`` in that order.  It lives on
+    the plan, not in a table keyed by (e, f) alone, since those rows are
+    this graph's; even another graph's order alone, though sound, can be
+    far slower.
     """
 
     degree: list[int]
+    incident: list[tuple[int, ...]]
     reach: int
     width: int
     rows: list[tuple[int, int, int, int, int, int, int]]
     anchors: list[tuple[int, list[int], list[int]]]
+    runs: dict[tuple[int, int], tuple[list[int], list[tuple[int, ...]]]]
 
 
 def _plan(g: MeshGraph) -> _Plan:
@@ -223,20 +233,53 @@ def _build_plan(g: MeshGraph) -> _Plan:
         near = list(map(min, weights[a], weights[b]))  # min over x in e of P[x][v]
         order = _bfs_edge_order(ends, incident, e)
         anchors.append((e, order, [min(near[x], near[y]) for x, y in (ends[i] for i in order)]))
-    return _Plan(degree, reach, width, rows, anchors)
+    return _Plan(degree, incident, reach, width, rows, anchors, {})
 
 
-def _anchor_pairs(plan: _Plan, t: int) -> Iterator[tuple[int, int, list[int]]]:
-    """(e, f, edge order) of every anchor pair of palette t, in search order.
+def _anchor_pairs(
+    plan: _Plan, t: int
+) -> Iterator[tuple[int, int, list[int], list[tuple[int, ...]]]]:
+    """(e, f, edge order, rows in that order) of every anchor pair of
+    palette t, in search order.
 
     e runs over the representatives, and f over the edges in breadth-first
-    order from e with t - 1 <= min P[x][y] over x in e and y in f.  The
-    order is e, f, then the rest from e's order.
+    order from e with t - 1 <= min P[x][y] over x in e and y in f.  A
+    pair's order (``_run_order``) depends on e and f alone, so it is built
+    the first time the pair is searched and kept in ``plan.runs``.
     """
+    runs = plan.runs
     for e, order, far in plan.anchors:
         for f, p in zip(order[1:], far[1:]):
             if p >= t - 1:
-                yield e, f, [e, f] + [i for i in order[1:] if i != f]
+                run = runs.get((e, f))
+                if run is None:
+                    run_order = _run_order(plan, order, f)
+                    run = runs[e, f] = run_order, [plan.rows[i] for i in run_order]
+                yield e, f, *run
+
+
+def _run_order(plan: _Plan, order: list[int], f: int) -> list[int]:
+    """The edge order of the run anchored at e = ``order[0]`` and ``f``: e,
+    f, then the other edges by their level from the nearer anchor, ties
+    kept in e's breadth-first ``order``.  An edge's level from an anchor
+    is the least hop distance from an end of the anchor to an end of the
+    edge, so the levels come from one breadth-first pass from all four
+    anchor ends."""
+    rows = plan.rows
+    e = order[0]
+    reached = [*rows[e][:2], *rows[f][:2]]  # the queue, read while it grows
+    hops = [-1] * len(plan.degree)
+    for v in reached:
+        hops[v] = 0
+    for u in reached:
+        for i in plan.incident[u]:
+            for w in rows[i][:2]:
+                if hops[w] < 0:
+                    hops[w] = hops[u] + 1
+                    reached.append(w)
+    rest = [i for i in order[1:] if i != f]
+    rest.sort(key=lambda i: min(hops[rows[i][0]], hops[rows[i][1]]))  # stable
+    return [e, f] + rest
 
 
 def find_interval_coloring(
@@ -252,10 +295,13 @@ def find_interval_coloring(
     over the representatives by ascending edge position, and for each e,
     f over the other edges in breadth-first order from e that satisfy
     t - 1 <= min P[x][y] over x in e and y in f.  A run colors e, then
-    f, then the other edges in breadth-first order from e; e tries only
-    color 1 and f only color t.  The outcome is ``found`` at the first run that finds a coloring, and
-    ``absent`` only when every run is exhausted, with 0 nodes and no
-    pairs when none qualifies: W <= 1 + max over e, f of min P[x][y].
+    f, then the other edges by breadth-first level from the nearer anchor
+    (the least hop distance from an end of e or f to an end of the edge),
+    ties in breadth-first order from e; e tries only color 1 and f only
+    color t.  The outcome is ``found`` at the first run that finds a
+    coloring, and ``absent`` only when every run is exhausted, with 0
+    nodes and no pairs when none qualifies: W <= 1 + max over e, f of
+    min P[x][y].
     ``nodes`` is summed over the runs, which ``pairs`` lists in order
     with the nodes of each; the node and time caps bound the total, and
     the clock is read every 1024 nodes of it.
@@ -274,8 +320,9 @@ def find_interval_coloring(
     A vertex's bounds are kept as the set of colors that can start its
     run of d consecutive colors, one bit field per vertex in a single
     int, and a placement is one AND with a mask.  Every such mask is
-    part of ``g``'s plan, which all searches of ``g`` share; a palette
-    builds only the mask of the starts 1..t-d+1.
+    part of ``g``'s plan, which all searches of ``g`` share, and so is each
+    pair's edge order with its rows; a palette builds only the mask of the
+    starts 1..t-d+1 and the color bounds of a run's rows.
     """
     if type(t) is not int or t < 1:
         raise InvalidParameterError(f"palette size must be >= 1, got {t!r}")
@@ -293,15 +340,14 @@ def find_interval_coloring(
     for v, d in enumerate(plan.degree):
         allowed |= ((1 << (t - d + 1)) - 1) << (v * plan.width + plan.reach + 1)
 
+    # the least and greatest color of each row of a run: e and f come first
+    bounds = [(1, 1), (t, t)] + [(1, t)] * (g.num_edges - 2)
     searched = []
     nodes = 0
     started = time.monotonic()
-    for e, f, order in _anchor_pairs(plan, t):
-        # each row ends with the least and greatest color of its edge
-        pinned = {e: (1, 1), f: (t, t)}
-        rows = [plan.rows[i] + pinned.get(i, (1, t)) for i in order]
+    for e, f, order, rows in _anchor_pairs(plan, t):
         before = nodes
-        colors, nodes, stop = _run(rows, t, allowed, plan, budget, nodes, started)
+        colors, nodes, stop = _run(rows, bounds, t, allowed, plan, budget, nodes, started)
         searched.append((e, f, nodes - before))
         if stop:
             return SearchResult(Outcome.BUDGET_EXCEEDED, None, nodes, stop, tuple(searched))
@@ -316,10 +362,11 @@ def find_interval_coloring(
 
 
 def _run(
-    rows: list[tuple], t: int, allowed: int, plan: _Plan, budget: SearchBudget, nodes: int,
-    started: float,
+    rows: list[tuple], bounds: list[tuple[int, int]], t: int, allowed: int, plan: _Plan,
+    budget: SearchBudget, nodes: int, started: float,
 ) -> tuple[list[int] | None, int, str]:
-    """One anchored run over the edges ``rows`` (see ``find_interval_coloring``).
+    """One anchored run over the edges ``rows`` (see ``find_interval_coloring``),
+    each colored inside the least and greatest color at its place in ``bounds``.
 
     ``allowed`` holds the starts before the first edge; ``nodes`` counts
     on from earlier runs.  Returns the colors in row order (None once the
@@ -349,7 +396,8 @@ def _run(
     while True:
         if idx == num_edges:
             return assigned, nodes, ""
-        a, b, oa, ob, ta, tb, cut, least, most = rows[idx]
+        a, b, oa, ob, ta, tb, cut = rows[idx]
+        least, most = bounds[idx]
         allowed = state[idx]
         ma = mask[a]
         mb = mask[b]

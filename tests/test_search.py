@@ -130,9 +130,9 @@ def test_node_cap_is_not_reported_as_absence():
 
 
 def test_time_cap_zero_exceeds_quickly():
-    # the clock is read every 1024 nodes; this proof takes 2,054
-    g = build_torus(2, 2)
-    result = find_interval_coloring(g, 11, SearchBudget(max_edges=32, time_cap_s=0.0))
+    # the clock is read every 1024 nodes; this proof takes 10,907
+    g = build_cylinder(3, 4)
+    result = find_interval_coloring(g, 12, SearchBudget(max_edges=40, time_cap_s=0.0))
     assert result.outcome is Outcome.BUDGET_EXCEEDED
     assert result.nodes == 1024
 
@@ -194,7 +194,7 @@ def test_exact_scans_respect_bounds():
 # ids name the instance only, so a re-pin keeps them.
 NODE_COUNTS = [
     (Family.CYLINDER, 2, 2, 3, Outcome.FOUND, 22),
-    (Family.CYLINDER, 2, 2, 6, Outcome.FOUND, 20),
+    (Family.CYLINDER, 2, 2, 6, Outcome.FOUND, 18),
     (Family.CYLINDER, 2, 2, 7, Outcome.ABSENT, 8),
     (Family.CYLINDER, 1, 5, 7, Outcome.ABSENT, 0),
     (Family.CYLINDER, 1, 6, 2, Outcome.FOUND, 17),
@@ -203,10 +203,12 @@ NODE_COUNTS = [
     (Family.CYLINDER, 2, 3, 9, Outcome.ABSENT, 8),
     (Family.CYLINDER, 3, 2, 10, Outcome.ABSENT, 8),
     (Family.CYLINDER, 2, 4, 11, Outcome.ABSENT, 8),
-    (Family.TORUS, 2, 2, 11, Outcome.ABSENT, 2054),
+    (Family.TORUS, 2, 2, 11, Outcome.ABSENT, 344),
     # where the palette-free bit fields are widest against t
     (Family.TORUS, 3, 3, 5, Outcome.FOUND, 174),
-    (Family.TORUS, 2, 4, 17, Outcome.ABSENT, 3314),
+    (Family.TORUS, 2, 4, 17, Outcome.ABSENT, 688),
+    (Family.CYLINDER, 3, 4, 12, Outcome.ABSENT, 10907),
+    (Family.TORUS, 3, 3, 16, Outcome.ABSENT, 2656),
 ]
 
 
@@ -232,10 +234,72 @@ def test_anchor_pairs_are_listed_in_search_order():
         E(1, 1, 1, 2), E(2, 3, 2, 4), E(1, 1, 2, 1), E(1, 3, 2, 3)
     ]
     found = find_interval_coloring(g, 6, budget)
-    assert found.pairs == ((0, 11, 20),)
+    assert found.pairs == ((0, 11, 18),)
     assert (found.coloring.aligned[0], found.coloring.aligned[11]) == (1, 6)
     # a palette too wide for every pair is absent before any node
     assert find_interval_coloring(build_cylinder(1, 5), 7).pairs == ()
+
+
+def level_order(g, e, f):
+    """e, f, then the other edges by level from the nearer anchor, ties in
+    breadth-first order from e.  An edge's level is its least hop distance
+    from an end of e or f, by a breadth-first search of ``g``'s own
+    vertices and edges."""
+    neighbours = {v: [] for v in g.vertices}
+    for a, b in g.edges:
+        neighbours[a].append(b)
+        neighbours[b].append(a)
+    dist = {v: 0 for v in g.edges[e] + g.edges[f]}
+    queue = list(dist)
+    for u in queue:
+        for w in neighbours[u]:
+            if w not in dist:
+                dist[w] = dist[u] + 1
+                queue.append(w)
+    rank = {i: r for r, i in enumerate(search._bfs_edge_order(*plan_view(g), e))}
+    rest = sorted(set(range(g.num_edges)) - {e, f},
+                  key=lambda i: (min(map(dist.get, g.edges[i])), rank[i]))
+    return [e, f] + rest
+
+
+@pytest.mark.parametrize(
+    "g",
+    [build_cylinder(1, 4), build_cylinder(2, 2), build_cylinder(3, 4), build_torus(2, 2),
+     build_torus(3, 2), build_torus(3, 3)],
+    ids=["C(1,8)", "C(2,4)", "C(3,8)", "T(4,4)", "T(6,4)", "T(6,6)"],
+)
+def test_runs_are_ordered_by_level_from_the_nearer_anchor(g):
+    plan = search._plan(g)
+    # t = 1 admits every edge but e as f
+    pairs = list(search._anchor_pairs(plan, 1))
+    assert len(pairs) == len(plan.anchors) * (g.num_edges - 1)
+    for e, f, order, rows in pairs:
+        assert order == level_order(g, e, f), (e, f)
+        assert rows == [plan.rows[i] for i in order]
+        assert plan.runs[e, f] == (order, rows)
+
+
+def test_each_graph_keeps_its_own_run_orders():
+    # both graphs have 32 edges and search the pair (0, 25) first, in orders
+    # of their own
+    torus, ring = build_torus(2, 2), build_cylinder(1, 16)
+    budget = SearchBudget(max_edges=32)
+    for g, t, spent in ((torus, 11, 344), (ring, 9, 40), (torus, 11, 344), (ring, 9, 40)):
+        assert find_interval_coloring(g, t, budget).pairs == ((0, 25, spent),)
+    for g in (torus, ring):
+        runs = search._plan(g).runs
+        assert list(runs) == [(0, 25)]
+        assert runs[0, 25][0] == level_order(g, 0, 25)
+    assert search._plan(torus).runs[0, 25][0] != search._plan(ring).runs[0, 25][0]
+
+
+def test_torus_family_absence_profile_does_not_depend_on_n():
+    # T(4,2n) has no interval (3n+5)-coloring, by two exhausted pairs of
+    # 344 nodes each for every n checked
+    for n in range(3, 9):
+        result = find_interval_coloring(build_torus(2, n), 3 * n + 5, SearchBudget(max_edges=None))
+        assert result.outcome is Outcome.ABSENT, n
+        assert [spent for _, _, spent in result.pairs] == [344, 344], n
 
 
 def test_a_scan_shares_one_plan(monkeypatch):
