@@ -101,7 +101,7 @@ def _vertex_flags(colors: list[int]) -> tuple[bool, bool]:
     """Whether one vertex's incident colors are distinct, and consecutive too."""
     d = len(colors)
     proper = len(set(colors)) == d
-    return proper, proper and (d == 0 or max(colors) - min(colors) == d - 1)
+    return proper, proper and max(colors) - min(colors) == d - 1
 
 
 class SpectrumReport(_Record):
@@ -345,12 +345,12 @@ def _walk_rows(rows: list) -> tuple[tuple[int, ...], list[int], list[str] | None
 def _placed(g: MeshGraph, coords: tuple[int, ...], colors: Sequence[int],
             rules: Sequence[str] | None) -> tuple[list[int], list[str] | None]:
     """The colors and rules of rows listed out of ``graph.edges`` order,
-    moved to their edges' positions, which ``g.edge_index`` gives in one
-    pass; only a row that is not an edge, or is listed twice, is looked
-    for row by row, to name the first."""
+    moved to their edges' positions, which one dict over ``g.edges`` gives
+    in one pass; only a row that is not an edge, or is listed twice, is
+    looked for row by row, to name the first."""
     a, b = list(zip(coords[0::4], coords[1::4])), list(zip(coords[2::4], coords[3::4]))
     pairs = list(zip(map(min, a, b), map(max, a, b)))
-    positions = list(map(g.edge_index.get, pairs))
+    positions = list(map(dict(zip(g.edges, range(len(g.edges)))).get, pairs))
     what = _member_name(g.family, g.m, g.n)
     if None in positions or len(set(positions)) != len(positions):
         seen = set()

@@ -2,13 +2,14 @@
 
 Every graph is the member (m, n) of one of these two named families,
 so it is connected and bipartite by construction, and its size,
-diameter and edge orbits follow from its family's shape without a
-search.  A vertex is a plain ``(layer, ring)`` pair of 1-based ints, and
-an edge the pair of its endpoints in ascending order.  A cylinder on
-``m`` layers and ``2n`` rings is the Cartesian product of a path with an
-even cycle; the torus closes the layer factor into an even cycle too.
-Edge lists are kept in a single canonical order so that serialization,
-iteration, and search are deterministic.
+diameter and edge orbits follow from its family's layer factor
+without a search.  A vertex is a plain ``(layer, ring)`` pair of 1-based
+ints, and an edge the pair of its endpoints in ascending order.  Both
+families are the Cartesian product of a layer factor with the ring
+factor, the cycle on ``2n`` vertices: a cylinder's layer factor is the
+path on ``m`` vertices, and a torus's the cycle on ``2m``.  Edge lists
+are kept in a single canonical order so that serialization, iteration,
+and search are deterministic.
 """
 
 from __future__ import annotations
@@ -18,7 +19,7 @@ import json
 import operator
 from enum import Enum
 from itertools import chain
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .errors import InvalidParameterError, SchemaError
 
@@ -110,50 +111,27 @@ class _Record:
 class MeshGraph(_Record):
     """The member (m, n) of a named family, with grid-coordinate vertices.
 
-    ``vertices`` and ``edges`` are sorted tuples; ``incident`` (the one
-    vertex lookup: the positions in ``edges`` of each vertex's edges) is
-    built once at assembly time, and ``edge_index`` (each edge's position
-    in ``edges``) on its first read, kept in ``_edge_index``; both are
-    excluded from equality and repr.  A graph is shared by every caller
-    that builds the same member while it is cached, so these two dicts
-    are read-only: never mutate them.
+    ``vertices`` and ``edges`` are sorted tuples; ``incident``, the one
+    vertex lookup (the positions in ``edges`` of each vertex's edges), is
+    built with them and excluded from equality and repr.  A graph is
+    shared by every caller that builds the same member while it is
+    cached, so ``incident`` is read-only: never mutate it.
     ``_plan``, also outside equality and repr, holds the search's plan
     from the graph's first search on (``search._plan``).  A graph can be
     weakly referenced.
     """
 
-    __slots__ = ("family", "m", "n", "vertices", "edges", "incident", "_edge_index", "_plan",
-                 "__weakref__")
+    __slots__ = ("family", "m", "n", "vertices", "edges", "incident", "_plan", "__weakref__")
     _compared = ("family", "m", "n", "vertices", "edges")
 
     def __init__(self, family: Family, m: int, n: int,
                  vertices: tuple[GridVertex, ...], edges: tuple[Edge, ...],
                  incident: dict[GridVertex, tuple[int, ...]]) -> None:
-        self._fill(family, m, n, vertices, edges, incident, None, None)
-
-    @property
-    def edge_index(self) -> dict[Edge, int]:
-        """Each edge's position in ``edges``, built on first read."""
-        if self._edge_index is None:
-            object.__setattr__(self, "_edge_index", dict(zip(self.edges, range(len(self.edges)))))
-        return self._edge_index
-
-    @property
-    def num_vertices(self) -> int:
-        return len(self.vertices)
+        self._fill(family, m, n, vertices, edges, incident, None)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
-
-    def degree(self, v: GridVertex) -> int:
-        if v not in self.incident:
-            raise InvalidParameterError(f"vertex {vertex_name(v)} not in graph")
-        return len(self.incident[v])
-
-    def position(self, a: GridVertex, b: GridVertex) -> int | None:
-        """Position in ``edges`` of the edge joining ``a`` and ``b``, or None."""
-        return self.edge_index.get(_edge(a, b))
 
 
 # ---------------------------------------------------------------------------
@@ -161,34 +139,33 @@ class MeshGraph(_Record):
 # ---------------------------------------------------------------------------
 
 
-def _product(family: Family, m: int, n: int,
-             layer: tuple[int, bool], ring: tuple[int, bool]) -> MeshGraph:
-    """Cartesian product of a layer factor on L vertices and a ring factor
-    on R, each given as its vertex count and whether it is closed: the path
-    on 1..L (1..R), closed into a cycle when ``closed``.  Vertex (i, j) sits
-    on layer i and ring j; every layer carries a copy of the ring factor's
-    edges and every ring a copy of the layer factor's.
+def _product(family: Family, m: int, n: int) -> MeshGraph:
+    """The member (m, n) of a named family: the Cartesian product of its
+    layer factor (``_FamilyLaw``) on L vertices with the cycle on R = 2n.
+    Vertex (i, j) sits on layer i and ring j; every layer carries a copy
+    of the ring's edges and every ring a copy of the layer factor's.
 
     One pass over the sorted vertices makes the edges already in canonical
     order, with no sort: vertex (i, j) emits its edges to larger neighbours
     in ascending order of the other end, (i, j+1) on its ring, the wrap
-    (i, R) when j = 1 and the ring is closed, (i+1, j) on the next layer,
-    and the seam (L, j) when i = 1 and the layers are closed (a closed
-    factor has at least 4 vertices, so no two coincide).  Each edge reuses
-    the tuples of ``vertices``, and its position is appended to both ends'
-    lists as it is made, so every ``incident`` entry is ascending too."""
-    (layers, closed_layers), (rings, closed_rings) = layer, ring
+    (i, R) when j = 1, (i+1, j) on the next layer, and the seam (L, j)
+    when i = 1 and the layers are closed (a cycle here has at least 4
+    vertices, so no two coincide).  Each edge reuses the tuples of
+    ``vertices``, and its position is appended to both ends' lists as it
+    is made, so every ``incident`` entry is ascending too."""
+    law = _FAMILIES[family]
+    layers, rings = law.layers(m), 2 * n
     vertices = tuple([(i, j) for i in range(1, layers + 1) for j in range(1, rings + 1)])
     edges: list[Edge] = []
     inc: list[list[int]] = [[] for _ in vertices]
     for p, v in enumerate(vertices):
         i, j = v
         ends = [p + 1] if j < rings else []  # vertex positions, ascending
-        if j == 1 and closed_rings:
+        if j == 1:
             ends.append(p + rings - 1)
         if i < layers:
             ends.append(p + rings)
-        if i == 1 and closed_layers:
+        if i == 1 and law.closed:
             ends.append(p + (layers - 1) * rings)
         for q in ends:
             inc[p].append(len(edges))
@@ -200,7 +177,7 @@ def _product(family: Family, m: int, n: int,
 @functools.lru_cache(maxsize=2)
 def _grid(family: Family, m: int, n: int) -> MeshGraph:
     """The member (m, n) of a named family, whose range ``build`` or
-    ``_listed_graph`` has checked: the product of its shape's factors.
+    ``_listed_graph`` has checked, built by ``_product``.
 
     The last two members built are kept, so a document parsed right after
     its construction gets the very graph that construction built (shared,
@@ -208,7 +185,7 @@ def _grid(family: Family, m: int, n: int) -> MeshGraph:
     an exact ``int`` for each parameter, since both refuse anything else
     first (``True`` included, so it never meets a kept ``m=1`` graph).
     """
-    return _product(family, m, n, *_FAMILIES[family].shape(m, n))
+    return _product(family, m, n)
 
 
 def build_cylinder(m: int, n: int) -> MeshGraph:
@@ -230,69 +207,70 @@ def build_torus(m: int, n: int) -> MeshGraph:
 
 
 class _FamilyLaw(NamedTuple):
-    """The parameter range and shape of a named family.
+    """The least m of a named family, and its layer factor.
 
-    ``min_m``/``min_n`` are the least admissible parameters.  ``shape``
-    gives the member's layer and ring factors, each as its vertex count
-    and whether it is closed into a cycle; the member is their Cartesian
-    product, built by ``_grid``, and its sizes and diameter follow.
+    The member (m, n), for n >= 2 in both families, is the Cartesian
+    product of the layer factor with the ring factor, the cycle on 2n
+    vertices.  The layer factor has ``layers(m)`` vertices: the path on m
+    for a cylinder, and the cycle on 2m, ``closed``, for a torus.
     """
 
     min_m: int
-    min_n: int
-    shape: Callable[[int, int], tuple[tuple[int, bool], tuple[int, bool]]]
+    closed: bool
+
+    def layers(self, m: int) -> int:
+        return 2 * m if self.closed else m
 
 
 _FAMILIES = {
-    Family.CYLINDER: _FamilyLaw(1, 2, lambda m, n: ((m, False), (2 * n, True))),
-    Family.TORUS: _FamilyLaw(2, 2, lambda m, n: ((2 * m, True), (2 * n, True))),
+    Family.CYLINDER: _FamilyLaw(1, False),
+    Family.TORUS: _FamilyLaw(2, True),
 }
 
 
-def _measure(law: _FamilyLaw, m: int, n: int) -> tuple[int, int, int]:
-    """|V|, |E| and diameter of the member (m, n), unbuilt.  A factor on k
-    vertices has k - 1 edges and diameter k - 1 as a path, k edges and
-    diameter k // 2 as a cycle; the product has L·R vertices, each factor's
-    edges once per vertex of the other, and the sum of the diameters."""
-    (layers, closed_layers), (rings, closed_rings) = law.shape(m, n)
-    layer_edges, layer_diam = (layers, layers // 2) if closed_layers else (layers - 1, layers - 1)
-    ring_edges, ring_diam = (rings, rings // 2) if closed_rings else (rings - 1, rings - 1)
-    return layers * rings, layers * ring_edges + rings * layer_edges, layer_diam + ring_diam
+def _measure(law: _FamilyLaw, m: int, n: int) -> tuple[int, int, int, int]:
+    """|V|, |E|, diameter and greatest degree of the member (m, n), unbuilt.
+    The layer factor on L vertices has L - 1 edges, diameter L - 1 and
+    degree min(2, L - 1) as a path, L edges, diameter L // 2 and degree 2
+    as a cycle; the ring, the cycle on 2n, has 2n edges, diameter n and
+    degree 2.  The product has 2n·L vertices, each factor's edges once per
+    vertex of the other, and the sums of the diameters and degrees."""
+    layers = law.layers(m)
+    edges, diam, degree = ((layers, layers // 2, 2) if law.closed
+                           else (layers - 1, layers - 1, min(2, layers - 1)))
+    return 2 * n * layers, 2 * n * (layers + edges), diam + n, 2 + degree
 
 
 def _representatives(g: MeshGraph) -> list[int]:
     """Positions in ``g.edges``, ascending, of one edge from each edge orbit.
 
-    A named family's orbits follow from its shape in ``_FAMILIES``: the
-    symmetries of each factor (rotations and reflections of a cycle, the
-    reversal of a path) act on its copies, and a transpose swaps the
-    factors when they are alike.  A cycle has one vertex orbit and one
-    edge orbit; a path on k vertices has vertex orbits i <= ceil(k/2) and
-    edge orbits (i, i+1), i <= floor(k/2).  A ring edge (i, j)-(i, j+1)
-    pairs a layer vertex orbit with a ring edge orbit, a rung
-    (i, j)-(i+1, j) a layer edge orbit with a ring vertex orbit, and the
-    transpose folds each rung onto a ring edge.  So a torus lists the ring
-    edge (1,1)-(1,2) and the rung (1,1)-(2,1), the ring edge alone when
-    m = n; a cylinder lists (i,1)-(i,2) for i <= ceil(m/2) and
-    (i,1)-(i+1,1) for i <= floor(m/2).
+    The orbits follow from the family's layer factor in ``_FAMILIES``:
+    the symmetries of each factor (rotations and reflections of a cycle,
+    the reversal of a path) act on its copies, and a transpose swaps the
+    factors of a torus with m = n.  A cycle has one vertex orbit and one
+    edge orbit; a path on m vertices has vertex orbits i <= ceil(m/2) and
+    edge orbits (i, i+1), i <= floor(m/2).  A ring edge (i, j)-(i, j+1)
+    pairs a layer vertex orbit with the ring's edge orbit, a rung
+    (i, j)-(i+1, j) a layer edge orbit with the ring's vertex orbit, and
+    the transpose folds each rung onto a ring edge.  So a torus lists the
+    ring edge (1,1)-(1,2) and the rung (1,1)-(2,1), the ring edge alone
+    when m = n; a cylinder lists (i,1)-(i,2) for i <= ceil(m/2) and
+    (i,1)-(i+1,1) for i <= floor(m/2).  Each is found by ``g.edges.index``:
+    a search plan asks once, for m edges at most.
     """
-    layer, ring = _FAMILIES[g.family].shape(g.m, g.n)
-
-    def orbits(k: int, closed: bool) -> tuple[range, range]:
-        return (range(1, 2), range(1, 2)) if closed else (range(1, (k + 1) // 2 + 1), range(1, k // 2 + 1))
-
-    (layer_vertices, layer_edges), (ring_vertices, ring_edges) = orbits(*layer), orbits(*ring)
-    edges = [((i, j), (i, j + 1)) for i in layer_vertices for j in ring_edges]
-    if layer != ring:
-        edges += [((i, j), (i + 1, j)) for i in layer_edges for j in ring_vertices]
-    return sorted(g.edge_index[e] for e in edges)
+    if _FAMILIES[g.family].closed:
+        edges = [((1, 1), (1, 2)), ((1, 1), (2, 1))][: 1 if g.m == g.n else 2]
+    else:
+        edges = [((i, 1), (i, 2)) for i in range(1, (g.m + 1) // 2 + 1)]
+        edges += [((i, 1), (i + 1, 1)) for i in range(1, g.m // 2 + 1)]
+    return sorted(map(g.edges.index, edges))
 
 
 def _shortfall(law: _FamilyLaw, m: int, n: int) -> str:
     """The first parameter that is not an ``int`` of at least its least
     value, as ``m >= 1, got m=0`` (or ``got m=None``, ``got m=True``);
     empty when (m, n) lies in the family's range."""
-    for name, value, least in (("m", m, law.min_m), ("n", n, law.min_n)):
+    for name, value, least in (("m", m, law.min_m), ("n", n, 2)):
         if type(value) is not int or value < least:
             return f"{name} >= {least}, got {name}={value!r}"
     return ""
@@ -346,11 +324,13 @@ def admits(family: Family | str, m: int, n: int) -> bool:
 
 
 def max_degree(g: MeshGraph) -> int:
-    return max(map(len, g.incident.values()))
+    """Greatest vertex degree, from the family's layer factor in
+    ``_FAMILIES`` (see ``_measure``): no vertex is read."""
+    return _measure(_FAMILIES[g.family], g.m, g.n)[3]
 
 
 def diameter(g: MeshGraph) -> int:
-    """Largest shortest-path distance, from the family's shape in
+    """Largest shortest-path distance, from the family's layer factor in
     ``_FAMILIES`` (see ``_measure``): no breadth-first search is run."""
     return _measure(_FAMILIES[g.family], g.m, g.n)[2]
 

@@ -252,8 +252,8 @@ def test_acceptance_07_search_oracle_cross_check():
     _check(7, w_cyl == 3, f"w(C(2,4)) = {w_cyl}")
 
     # least palettes sit at the degree, as proper colorings of class-1 graphs must
-    _check(7, w_c4 == 2 == max(c4.degree(v) for v in c4.vertices), "w(C_4) != degree")
-    _check(7, w_cyl == 3 == max(cyl.degree(v) for v in cyl.vertices), "w(C(2,4)) != degree")
+    _check(7, w_c4 == 2 == max(len(c4.incident[v]) for v in c4.vertices), "w(C_4) != degree")
+    _check(7, w_cyl == 3 == max(len(cyl.incident[v]) for v in cyl.vertices), "w(C(2,4)) != degree")
 
     # greatest palettes are pinched between the constructive and diameter bounds
     _check(7, construct("cylinder", 1, 2).coloring.palette_size <= W_c4 <= theorem1_upper(c4), "W(C_4) out of range")

@@ -27,19 +27,21 @@ from intervalmesh.constructions import construct
 from intervalmesh.grids import build
 from intervalmesh.errors import InvalidColoringError, InvalidParameterError, SchemaError
 
+from helpers import position
+
 
 def ring4_coloring(colors, t):
     """C_4 with colors (ring1, ring2, ring3, wrap) in cycle order."""
     g = build_cylinder(1, 2)
     v = [(1, j) for j in range(1, 5)]
-    at = {g.position(a, b): col for a, b, col in zip(v, v[1:] + v[:1], colors)}
+    at = {position(g, a, b): col for a, b, col in zip(v, v[1:] + v[:1], colors)}
     return EdgeColoring(g, tuple(at[i] for i in range(4)), t)
 
 
 def recolored(c, e, color):
     """``c`` with edge ``e`` painted ``color``."""
     aligned = list(c.aligned)
-    aligned[c.graph.position(*e)] = color
+    aligned[position(c.graph, *e)] = color
     return EdgeColoring(c.graph, tuple(aligned), c.palette_size)
 
 
@@ -557,7 +559,7 @@ def reference_listed_graph(d: dict):
 
 def reference_from_json_dict(d: dict):
     """``coloring_from_json_dict`` as it was: every row checked, then
-    placed through ``edge_index``, one row at a time."""
+    placed through a dict of edge positions, one row at a time."""
     _edge, _edge_name, _parse_vertex = grids._edge, grids._edge_name, grids._parse_vertex
     if not isinstance(d, dict):
         raise SchemaError("coloring document must be a JSON object")
@@ -594,8 +596,9 @@ def reference_from_json_dict(d: dict):
     what = grids._member_name(g.family, g.m, g.n)
     colors = [None] * g.num_edges
     rules = [""] * g.num_edges
+    index = {e: i for i, e in enumerate(g.edges)}
     for e, item in zip(pairs, rows):
-        pos = g.edge_index.get(e)
+        pos = index.get(e)
         if pos is None:
             raise SchemaError(f"{_edge_name(*e)} is not an edge of {what}")
         if colors[pos] is not None:

@@ -30,6 +30,8 @@ from intervalmesh.errors import (
 )
 from intervalmesh.grids import GridVertex
 
+from helpers import position
+
 
 def E(i1, j1, i2, j2):
     return tuple(sorted([(i1, j1), (i2, j2)]))
@@ -38,7 +40,7 @@ def E(i1, j1, i2, j2):
 def recolored(c, e, color):
     """``c`` with edge ``e`` painted ``color``."""
     aligned = list(c.aligned)
-    aligned[c.graph.position(*e)] = color
+    aligned[position(c.graph, *e)] = color
     return EdgeColoring(c.graph, tuple(aligned), c.palette_size)
 
 

@@ -30,6 +30,8 @@ from intervalmesh.cli import run
 from intervalmesh.constructions import construct, spectrum_sweep
 from intervalmesh.grids import admits, build, dumps_canonical, edge_count
 
+from helpers import position
+
 
 def degree_by_edge_scan(g, v):
     # independent of the incident index: recount from the edge list
@@ -39,9 +41,9 @@ def degree_by_edge_scan(g, v):
 def test_even_cycle_basic():
     # the even cycle is the cylinder of one layer
     g = build_cylinder(1, 2)
-    assert g.num_vertices == 4
+    assert len(g.vertices) == 4
     assert g.num_edges == 4
-    assert all(g.degree(v) == 2 for v in g.vertices)
+    assert all(len(g.incident[v]) == 2 for v in g.vertices)
     assert (g.m, g.n) == (1, 2)
 
 
@@ -49,7 +51,7 @@ def test_cylinder_vertex_and_edge_counts():
     for m in (1, 2, 3, 7):
         for n in (2, 3, 5):
             g = build_cylinder(m, n)
-            assert g.num_vertices == 2 * m * n
+            assert len(g.vertices) == 2 * m * n
             assert g.num_edges == 2 * m * n + (m - 1) * 2 * n
 
 
@@ -68,8 +70,8 @@ def test_cylinder_degrees():
     assert max_degree(build_cylinder(3, 2)) == 4
     g = build_cylinder(3, 2)
     for v in g.vertices:
-        assert g.degree(v) == degree_by_edge_scan(g, v)
-        assert g.degree(v) in (3, 4)
+        assert len(g.incident[v]) == degree_by_edge_scan(g, v)
+        assert len(g.incident[v]) in (3, 4)
 
 
 def test_cylinder_m1_equals_even_cycle():
@@ -82,7 +84,7 @@ def test_torus_counts_and_regularity():
     for m in (2, 3):
         for n in (2, 4):
             g = build_torus(m, n)
-            assert g.num_vertices == 4 * m * n
+            assert len(g.vertices) == 4 * m * n
             assert g.num_edges == 8 * m * n
             assert max_degree(g) == 4
 
@@ -112,8 +114,8 @@ def test_product_edge_count_law(m, n):
     # m - 1 edges with an even cycle, the cylinder of one layer
     ring = build_cylinder(1, n)
     g = build_cylinder(m, n)
-    assert g.num_vertices == m * ring.num_vertices
-    assert g.num_edges == m * ring.num_edges + ring.num_vertices * (m - 1)
+    assert len(g.vertices) == m * len(ring.vertices)
+    assert g.num_edges == m * ring.num_edges + len(ring.vertices) * (m - 1)
 
 
 def bfs_diameter(g):
@@ -133,7 +135,7 @@ def bfs_diameter(g):
                 if w not in dist:
                     dist[w] = dist[u] + 1
                     queue.append(w)
-        assert len(dist) == g.num_vertices
+        assert len(dist) == len(g.vertices)
         eccentricities.append(max(dist.values()))
     return max(eccentricities)
 
@@ -202,7 +204,7 @@ def test_named_families_match_their_neighbour_rules():
                 # keys in vertex order, each vertex's edge positions ascending
                 incident = [(v, tuple(k for k, e in enumerate(edges) if v in e)) for v in vertices]
                 assert list(g.incident.items()) == incident, (family, m, n)
-                assert list(g.edge_index.items()) == [(e, k) for k, e in enumerate(edges)], (family, m, n)
+                assert [position(g, b, a) for a, b in edges] == list(range(len(edges))), (family, m, n)
                 assert edge_count(family, m, n) == len(edges), (family, m, n)
                 assert diameter(g) == diam, (family, m, n)
                 checked += 1
@@ -266,7 +268,7 @@ def edge_orbits(g, layer, ring):
 
     for i, (a, b) in enumerate(g.edges):
         for f in maps:
-            image = g.position(f(a), f(b))
+            image = position(g, f(a), f(b))
             assert image is not None, "a symmetry must map edges to edges"
             parent[find(i)] = find(image)
     orbits = {}
@@ -295,17 +297,17 @@ def test_edge_canonical_order_and_loop_rejection():
     # from either end
     assert all(a < b for a, b in g.edges)
     for i, (a, b) in enumerate(g.edges):
-        assert g.position(a, b) == g.position(b, a) == i
+        assert position(g, a, b) == position(g, b, a) == i
     a, b = (2, 1), (1, 1)
-    assert g.position(a, b) == g.position(b, a) == g.edges.index((b, a))
-    assert g.position(a, a) is None
+    assert position(g, a, b) == position(g, b, a) == g.edges.index((b, a))
+    assert position(g, a, a) is None
     doc = coloring_to_json_dict(cylinder_coloring(2, 2).coloring)
     doc["edges"][0]["u"] = doc["edges"][0]["v"] = list(a)
     with pytest.raises(SchemaError, match="^loop edge at x_1_2$"):
         coloring_from_json_dict(doc)
 
 
-def test_the_edge_index_is_built_on_first_read_only():
+def test_representatives_list_the_orbit_edges():
     grids._grid.cache_clear()
     for family, m, n, listed in (
         ("cylinder", 3, 4, [((1, 1), (1, 2)), ((1, 1), (2, 1)), ((2, 1), (2, 2))]),
@@ -313,16 +315,7 @@ def test_the_edge_index_is_built_on_first_read_only():
     ):
         bounds_row(family, m, n)
         g = build(family, m, n)  # the graph the row was built on, still cached
-        assert g._edge_index is None
         assert [g.edges[i] for i in grids._representatives(g)] == listed
-        assert g._edge_index is not None
-        assert [g.position(b, a) for a, b in g.edges] == list(range(g.num_edges))
-
-
-def test_degree_unknown_vertex():
-    g = build_cylinder(1, 2)
-    with pytest.raises(InvalidParameterError):
-        g.degree((9, 9))
 
 
 def test_json_output_is_canonical():
@@ -420,7 +413,6 @@ def test_a_cached_graph_is_left_as_built(tmp_path):
     fresh = grids._grid.__wrapped__(Family.TORUS, 2, 2)
     assert fresh is not g
     assert g.incident == fresh.incident
-    assert g.edge_index == fresh.edge_index
 
 
 def test_closed_form_edge_count_matches_built_graphs():
@@ -429,6 +421,12 @@ def test_closed_form_edge_count_matches_built_graphs():
             assert edge_count("cylinder", m, n) == build_cylinder(m, n).num_edges
         for m in range(2, 6):
             assert edge_count("torus", m, n) == build_torus(m, n).num_edges
+    # the closed-form greatest degree against a scan of every vertex
+    for family, least in (("cylinder", 1), ("torus", 2)):
+        for m in range(least, 13):
+            for n in range(2, 13):
+                g = build(family, m, n)
+                assert max_degree(g) == max(map(len, g.incident.values())), (family, m, n)
 
 
 def stdlib_dumps(d):

@@ -154,7 +154,7 @@ def test_slot_records_keep_value_semantics():
             assert repr(clone) == repr(record)
     assert weakref.ref(g)() is g
     # a search keeps its plan on the graph, outside equality, hash and repr
-    fresh = grids._product(g.family, g.m, g.n, (1, False), (4, True))  # equal, unsearched
+    fresh = grids._product(g.family, g.m, g.n)  # equal, unsearched
     assert find_interval_coloring(g, 3).coloring is not None
     assert g._plan is not None and fresh._plan is None
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)

@@ -315,7 +315,7 @@ def test_a_scan_shares_one_plan(monkeypatch):
 
 
 def test_a_searched_graph_is_collected_once_dropped():
-    g = grids._product(Family.CYLINDER, 2, 2, (2, False), (4, True))  # outside the graph cache
+    g = grids._product(Family.CYLINDER, 2, 2)  # outside the graph cache
     result = find_interval_coloring(g, 4)
     assert result.outcome is Outcome.FOUND and g._plan is not None
     ref = weakref.ref(g)
@@ -347,9 +347,9 @@ def test_torus_witness_matches_the_window_only_search():
 
 def floyd_warshall_path_weights(g):
     """All-pairs least sums of d - 1 over a path's vertices, both ends included."""
-    n = g.num_vertices
+    n = len(g.vertices)
     index = {v: i for i, v in enumerate(g.vertices)}
-    w = [g.degree(v) - 1 for v in g.vertices]
+    w = [len(g.incident[v]) - 1 for v in g.vertices]
     inf = float("inf")
     dist = [[w[x] if x == y else inf for y in range(n)] for x in range(n)]
     for a, b in g.edges:
@@ -400,7 +400,7 @@ def unpruned(g, t, steps):
 
     def fits(v, c):
         lst = placed[v]
-        return not lst or (c not in lst and max(lst + [c]) - min(lst + [c]) < g.degree(v))
+        return not lst or (c not in lst and max(lst + [c]) - min(lst + [c]) < len(g.incident[v]))
 
     def extend(idx):
         if idx == len(steps):
