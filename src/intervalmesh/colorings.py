@@ -8,6 +8,11 @@ keeps it on the coloring.  Verification never raises on a bad coloring:
 the report names the vertices where it breaks, and builds per-vertex
 diagnostics only when they are read.  ``require_interval`` is the one
 gate that turns a failed report into an error.
+
+The coloring document, the JSON a coloring is written as and read from,
+belongs to this module alone: its row keys, its reader and its checks of
+rows and vertices.  ``grids.dumps_canonical`` writes it as it writes any
+JSON value, knowing none of its keys.
 """
 
 from __future__ import annotations
@@ -17,19 +22,20 @@ from itertools import chain, repeat
 from types import MappingProxyType
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import InvalidColoringError, SchemaError
+from .errors import InvalidColoringError, InvalidParameterError, SchemaError
 from .grids import (
     Edge,
+    Family,
     GridVertex,
     MeshGraph,
+    _admitted,
     _edge,
     _edge_name,
-    _edge_rows,
-    _listed_graph,
-    _member_name,
-    _parse_vertex,
+    _family,
+    _grid,
+    _int_coords,
+    _measure,
     _Record,
-    _ROW,
     vertex_name,
 )
 
@@ -246,6 +252,9 @@ def require_interval(
 # ---------------------------------------------------------------------------
 
 
+_ROW = ("u", "v", "color", "rule")  # a row's keys, the rule in every row or in none
+
+
 def coloring_to_json_dict(
     c: EdgeColoring, rule_trace: tuple[str, ...] | None = None
 ) -> dict:
@@ -295,24 +304,82 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | No
     return EdgeColoring(g, tuple(colors), t), (None if rules is None else tuple(rules))
 
 
+def _parse_vertex(obj: object) -> GridVertex:
+    # exact type test: True and 1.0 hash and compare equal to 1, so an edge
+    # lookup alone would take them for coordinates
+    if isinstance(obj, (list, tuple)) and len(obj) == 2:
+        layer, ring = obj
+        if type(layer) is int and type(ring) is int:
+            return layer, ring
+    raise SchemaError(f"vertex must be a [layer, ring] pair of integers, got {obj!r}")
+
+
+def _member_name(family: Family, m: int, n: int) -> str:
+    return f"family {family.value!r} with m={m}, n={n}"
+
+
+def _listed_graph(d: dict) -> MeshGraph:
+    """The graph a document names and lists.
+
+    (m, n) must lie in its family's range, and the member is built once
+    after its closed-form vertex count is compared with the listing (or
+    taken from ``grids._grid``'s cache when this process has just built
+    it).  The listed vertices are read in one pass when ``_int_coords``
+    reads them all, else one at a time, naming the first that is not a
+    vertex.  Whether each row is an edge of the graph is left to the
+    caller, which places the rows.
+    """
+    for key in ("family", "vertices"):
+        if key not in d:
+            raise SchemaError(f"coloring document is missing {key!r}")
+    m, n = d.get("m"), d.get("n")
+    try:
+        family = _family(d["family"])
+        law = _admitted(family, m, n)
+    except InvalidParameterError as exc:
+        raise SchemaError(str(exc)) from None
+    listed = d["vertices"]
+    if not isinstance(listed, list):
+        raise SchemaError("'vertices' must be an array")
+    vertices = (list(map(tuple, listed)) if _int_coords(listed) is not None
+                else [_parse_vertex(v) for v in listed])
+    vertex_set = set(vertices)
+    if len(vertex_set) != len(vertices):
+        raise SchemaError("duplicate vertices in document")
+    # compare sizes first, so a claimed (m, n) is never built beyond the listing
+    if _measure(law, m, n)[0] != len(vertices):
+        raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
+    g = _grid(family, m, n)
+    if g.incident.keys() != vertex_set:
+        raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
+    return g
+
+
 def _read_rows(rows: list) -> tuple[tuple[int, ...], Sequence[int], Sequence[str] | None]:
     """The rows' endpoint coordinates (``u`` then ``v`` of each row in
     turn, as one flat tuple), colors and rules (None when no row has one).
 
-    Plain dicts with a rule in every row or in none are read by
-    ``_edge_rows``, in passes over all rows.  Any rows it leaves undecided
-    go to ``_walk_rows``, which accepts some (tuple endpoints, int-subclass
-    colors, dict subclasses) and names the first bad row in the others.
+    Plain dicts with a rule in every row or in none are read in passes in
+    C over all rows: each key's column, then the endpoints by
+    ``_int_coords`` (two different lists of two exact ints), the colors
+    (exact ints) and the rules (strs).  Any rows those passes leave
+    undecided go to ``_walk_rows``, which accepts some (tuple endpoints,
+    int-subclass colors, dict subclasses) and names the first bad row in
+    the others.
     """
     if rows and set(map(type, rows)) == {dict}:
         ruled = sum(map(operator.contains, rows, repeat("rule")))
         if ruled in (0, len(rows)):
             try:
-                read = _edge_rows(rows, _ROW if ruled else _ROW[:3])
-            except KeyError:
-                read = None
-            if read is not None:
-                return read
+                us, vs, colors, *rules = [tuple(map(operator.itemgetter(key), rows))
+                                          for key in (_ROW if ruled else _ROW[:3])]
+            except KeyError:  # a row without one of the keys
+                return _walk_rows(rows)
+            coords = _int_coords(tuple(chain.from_iterable(zip(us, vs))))
+            if (coords is not None and not any(map(operator.eq, us, vs))
+                    and set(map(type, colors)) <= {int}
+                    and set(map(type, chain.from_iterable(rules))) <= {str}):
+                return coords, colors, (rules[0] if rules else None)
     return _walk_rows(rows)
 
 

@@ -9,7 +9,9 @@ families are the Cartesian product of a layer factor with the ring
 factor, the cycle on ``2n`` vertices: a cylinder's layer factor is the
 path on ``m`` vertices, and a torus's the cycle on ``2m``.  Edge lists
 are kept in a single canonical order so that serialization, iteration,
-and search are deterministic.
+and search are deterministic.  ``dumps_canonical`` writes every JSON file
+the package writes, and knows no document's keys: the coloring document,
+its reader included, belongs to ``colorings`` alone.
 """
 
 from __future__ import annotations
@@ -21,7 +23,7 @@ from enum import Enum
 from itertools import chain
 from typing import NamedTuple
 
-from .errors import InvalidParameterError, SchemaError
+from .errors import InvalidParameterError
 
 __all__ = [
     "Family",
@@ -176,8 +178,8 @@ def _product(family: Family, m: int, n: int) -> MeshGraph:
 
 @functools.lru_cache(maxsize=2)
 def _grid(family: Family, m: int, n: int) -> MeshGraph:
-    """The member (m, n) of a named family, whose range ``build`` or
-    ``_listed_graph`` has checked, built by ``_product``.
+    """The member (m, n) of a named family, whose range ``build`` or the
+    coloring document's reader has checked, built by ``_product``.
 
     The last two members built are kept, so a document parsed right after
     its construction gets the very graph that construction built (shared,
@@ -348,16 +350,6 @@ def theorem1_upper(g: MeshGraph) -> int:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _parse_vertex(obj: object) -> GridVertex:
-    # exact type test: True and 1.0 hash and compare equal to 1, so an edge
-    # lookup alone would take them for coordinates
-    if isinstance(obj, (list, tuple)) and len(obj) == 2:
-        layer, ring = obj
-        if type(layer) is int and type(ring) is int:
-            return layer, ring
-    raise SchemaError(f"vertex must be a [layer, ring] pair of integers, got {obj!r}")
-
-
 def _int_coords(items: list | tuple) -> tuple[int, ...] | None:
     """The items' coordinates in order, when every item is a list of two
     exact ints; else None.  Three passes in C: types, lengths, coordinates."""
@@ -368,122 +360,58 @@ def _int_coords(items: list | tuple) -> tuple[int, ...] | None:
     return None
 
 
-def _parse_vertices(listed: list) -> list[GridVertex]:
-    """``_parse_vertex`` of each item, in one pass when ``_int_coords``
-    reads them all; else item by item, naming the first that is not a
-    vertex."""
-    if _int_coords(listed) is None:
-        return [_parse_vertex(v) for v in listed]
-    return list(map(tuple, listed))
-
-
-def _member_name(family: Family, m: int, n: int) -> str:
-    return f"family {family.value!r} with m={m}, n={n}"
-
-
-def _listed_graph(d: dict) -> MeshGraph:
-    """The graph a document names and lists.
-
-    (m, n) must lie in its family's range, and the member is built once
-    after its closed-form vertex count is compared with the listing (or
-    taken from ``_grid``'s cache when this process has just built it).
-    Whether each row is an edge of the graph is left to the caller, which
-    places the rows.
-    """
-    for key in ("family", "vertices"):
-        if key not in d:
-            raise SchemaError(f"coloring document is missing {key!r}")
-    m, n = d.get("m"), d.get("n")
-    try:
-        family = _family(d["family"])
-        law = _admitted(family, m, n)
-    except InvalidParameterError as exc:
-        raise SchemaError(str(exc)) from None
-    if not isinstance(d["vertices"], list):
-        raise SchemaError("'vertices' must be an array")
-    vertices = _parse_vertices(d["vertices"])
-    vertex_set = set(vertices)
-    if len(vertex_set) != len(vertices):
-        raise SchemaError("duplicate vertices in document")
-    # compare sizes first, so a claimed (m, n) is never built beyond the listing
-    if _measure(law, m, n)[0] != len(vertices):
-        raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
-    g = _grid(family, m, n)
-    if g.incident.keys() != vertex_set:
-        raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
-    return g
-
-
 def dumps_canonical(d: dict) -> str:
     """Stable JSON rendering used for every file the package writes.
 
     Byte for byte ``json.dumps(d, indent=2) + "\\n"``, without ``json``'s
     pure-Python encoder: dicts with ``str`` keys and lists are walked, and a
-    list of ``[int, int]`` vertex pairs or of edge rows (``u``, ``v``,
-    ``color``, and ``rule`` in every row or in none; ``u`` and ``v`` apart)
-    is written by one ``%``-template over the flat tuple of its values.
-    Values are matched by
-    exact type, so a bool, float or int subclass never reaches ``%d``;
-    strings are quoted by ``json.encoder``'s own ``encode_basestring_ascii``.
-    Anything else goes to ``json.dumps``.
+    list of ``[int, int]`` pairs, or of dicts that share one tuple of
+    ``str`` keys and hold only exact ints, only exact strs or only
+    ``[int, int]`` pairs in each column, is written by one ``%``-template
+    over the flat tuple of its values.  The writer knows no document's
+    keys: the coloring document belongs to ``colorings`` alone.  Values are
+    matched by exact type, so a bool, float or int subclass never reaches
+    ``%d``; strings are quoted by ``json.encoder``'s own
+    ``encode_basestring_ascii``.  Anything else goes to ``json.dumps``.
     """
     return _render(d, "") + "\n"
 
 
 _quote = json.encoder.encode_basestring_ascii
-_ROW = ("u", "v", "color", "rule")
-_ROW_KEYS = {_ROW[:3], _ROW}
 _PAIR = "[\n{0}  %d,\n{0}  %d\n{0}]".format
-
-
-@functools.cache
-def _row_templates(ind: str) -> tuple[str, str, str]:
-    """Rows at ``ind``: a vertex pair, an edge row, and an edge row whose
-    ``%s`` takes the quoted rule."""
-    pair = _PAIR(ind + "  ")
-    edge = f'{ind}{{\n{ind}  "u": {pair},\n{ind}  "v": {pair},\n{ind}  "color": %d'
-    return ind + _PAIR(ind), f"{edge}\n{ind}}}", f'{edge},\n{ind}  "rule": %s\n{ind}}}'
-
-
-def _edge_rows(rows: list,
-               keys: tuple[str, ...]) -> tuple[tuple[int, ...], tuple, tuple | None] | None:
-    """The flat endpoint coordinates (``u`` then ``v`` of each row), colors
-    and rules (None unless ``keys`` ends with ``"rule"``) of dicts read
-    through ``keys``, when every row is an edge row of exact types: two
-    different lists of two exact ints, an int color and a str rule; else
-    None.  A row without one of ``keys`` raises KeyError.  Every test is
-    one pass in C over all rows."""
-    us, vs, colors, *rules = [tuple(map(operator.itemgetter(key), rows)) for key in keys]
-    coords = _int_coords(tuple(chain.from_iterable(zip(us, vs))))
-    if (coords is None or any(map(operator.eq, us, vs)) or not set(map(type, colors)) <= {int}
-            or not set(map(type, chain.from_iterable(rules))) <= {str}):
-        return None
-    return coords, colors, (rules[0] if rules else None)
 
 
 def _templated(items: list, ind: str) -> str | None:
     """A list's items as template rows at ``ind``, written by one ``%``
-    over one flat tuple; None unless all fit one.  The item types and the
-    rows' key tuples are each read in one pass, then ``_int_coords`` or
-    ``_edge_rows`` decide the values."""
+    over one flat tuple; None unless all fit one (see ``dumps_canonical``).
+    The item types, the rows' key tuples and each column are read in one
+    pass each, and ``_int_coords`` decides the pairs."""
     kinds = set(map(type, items))
-    pair, edge, ruled_edge = _row_templates(ind)
     if kinds == {list}:
         coords = _int_coords(items)
-        return None if coords is None else ",\n".join([pair] * len(items)) % coords
+        return None if coords is None else ",\n".join([ind + _PAIR(ind)] * len(items)) % coords
     shapes = set(map(tuple, items)) if kinds == {dict} else set()
-    rows = _edge_rows(items, shapes.pop()) if len(shapes) == 1 and shapes <= _ROW_KEYS else None
-    if rows is None:
-        return None
-    coords, colors, rules = rows
-    width = 5 if rules is None else 6  # u and v coordinates, color, and the quoted rule
-    flat = [None] * (width * len(items))
-    for j in range(4):
-        flat[j::width] = coords[j::4]
-    flat[4::width] = colors
-    if rules is not None:
-        flat[5::width] = map(_quote, rules)
-    return ",\n".join([edge if rules is None else ruled_edge] * len(items)) % tuple(flat)
+    keys = shapes.pop() if len(shapes) == 1 else ()
+    if not keys or not set(map(type, keys)) <= {str}:
+        return None  # a dict with no keys is "{}", and json.dumps turns a key into a str
+    inner, fields, slots = ind + "  ", [], []
+    for key in keys:
+        column = tuple(map(operator.itemgetter(key), items))
+        kind = set(map(type, column))
+        if kind == {int} or kind == {str}:
+            fields.append("%d" if kind == {int} else "%s")
+            slots.append(column if kind == {int} else tuple(map(_quote, column)))
+        elif kind == {list} and (coords := _int_coords(column)) is not None:
+            fields.append(_PAIR(inner))
+            slots += [coords[0::2], coords[1::2]]
+        else:
+            return None
+    body = ",\n".join([f"{inner}{_quote(key).replace('%', '%%')}: {field}"
+                       for key, field in zip(keys, fields)])
+    flat = [None] * (len(slots) * len(items))
+    for j, slot in enumerate(slots):
+        flat[j::len(slots)] = slot
+    return ",\n".join([f"{ind}{{\n{body}\n{ind}}}"] * len(items)) % tuple(flat)
 
 
 def _render(x: object, ind: str) -> str:

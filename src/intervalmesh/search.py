@@ -59,8 +59,8 @@ class SearchBudget(_Record):
 
     ``max_edges`` refuses larger instances outright; ``max_nodes`` caps
     backtracking nodes (color attempts); ``time_cap_s`` is wall time in
-    seconds.  Each cap must be ``>= 0``, an ``int`` but for the time (a
-    NaN time is not), and ``None`` disables it.
+    seconds.  Each cap must be an ``int`` of at least 0, the time may
+    also be a ``float`` (not NaN), and ``None`` disables it.
     """
 
     __slots__ = _compared = ("max_edges", "max_nodes", "time_cap_s")
@@ -71,9 +71,10 @@ class SearchBudget(_Record):
             if cap is not None and (type(cap) is not int or cap < 0):
                 raise InvalidParameterError(f"{name} cap must be >= 0, got {cap!r}")
         # a NaN cap would compare False with every elapsed time and never stop
-        if time_cap_s is not None and not time_cap_s >= 0:
+        if time_cap_s is not None and (type(time_cap_s) not in (int, float)
+                                       or not time_cap_s >= 0):
             raise InvalidParameterError(
-                f"time cap must be a number >= 0 seconds, got {time_cap_s}"
+                f"time cap must be a number >= 0 seconds, got {time_cap_s!r}"
             )
         self._fill(max_edges, max_nodes, time_cap_s)
 

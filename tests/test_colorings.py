@@ -545,22 +545,22 @@ def reference_listed_graph(d: dict):
         raise SchemaError(str(exc)) from None
     if not isinstance(d["vertices"], list):
         raise SchemaError("'vertices' must be an array")
-    vertices = [grids._parse_vertex(v) for v in d["vertices"]]
+    vertices = [colorings._parse_vertex(v) for v in d["vertices"]]
     vertex_set = set(vertices)
     if len(vertex_set) != len(vertices):
         raise SchemaError("duplicate vertices in document")
     if grids._measure(law, m, n)[0] != len(vertices):
-        raise SchemaError(f"listed vertices do not match {grids._member_name(family, m, n)}")
+        raise SchemaError(f"listed vertices do not match {colorings._member_name(family, m, n)}")
     g = grids._grid(family, m, n)
     if g.incident.keys() != vertex_set:
-        raise SchemaError(f"listed vertices do not match {grids._member_name(family, m, n)}")
+        raise SchemaError(f"listed vertices do not match {colorings._member_name(family, m, n)}")
     return g
 
 
 def reference_from_json_dict(d: dict):
     """``coloring_from_json_dict`` as it was: every row checked, then
     placed through a dict of edge positions, one row at a time."""
-    _edge, _edge_name, _parse_vertex = grids._edge, grids._edge_name, grids._parse_vertex
+    _edge, _edge_name, _parse_vertex = grids._edge, grids._edge_name, colorings._parse_vertex
     if not isinstance(d, dict):
         raise SchemaError("coloring document must be a JSON object")
     if "t" not in d:
@@ -593,7 +593,7 @@ def reference_from_json_dict(d: dict):
     if ruled and ruled != len(rows):
         raise SchemaError("rule trace must cover every edge or none")
     g = reference_listed_graph(d)
-    what = grids._member_name(g.family, g.m, g.n)
+    what = colorings._member_name(g.family, g.m, g.n)
     colors = [None] * g.num_edges
     rules = [""] * g.num_edges
     index = {e: i for i, e in enumerate(g.edges)}

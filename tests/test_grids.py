@@ -556,8 +556,22 @@ def _rows_with_rules(*rules):
     return doc
 
 
+def _rows_made(make):
+    """A torus document whose every row is ``make(row)``."""
+    doc = coloring_to_json_dict(construct("torus", 2, 2).coloring)
+    doc["edges"] = [make(row) for row in doc["edges"]]
+    return doc
+
+
 @settings(max_examples=300, deadline=None)
 @given(damaged_documents())
+@example(_rows_made(lambda r: {"color": r["color"], "v": r["v"], "u": r["u"]}))
+@example(_rows_made(lambda r: {"%": r["u"], "%d": r["color"], "a%sb": "%d"}))
+@example(_rows_made(lambda r: {'"': r["u"], "\u00e9": r["color"], "\\": "\u00e9"}))
+@example(_rows_made(lambda r: {**r, "v": r["u"]}))
+@example(_rows_made(lambda r: {}))
+@example(_rows_made(lambda r: {**r, "even": r["color"] % 2 == 0}))
+@example(_rows_made(lambda r: {1: r["u"], 2: r["color"]}))
 @example(_rows_with_rules(None))
 @example(_rows_with_rules(0))
 @example(_rows_with_rules([]))

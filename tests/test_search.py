@@ -139,7 +139,7 @@ def test_time_cap_zero_exceeds_quickly():
 
 def test_time_cap_must_be_a_number_at_least_zero():
     # NaN compares False with every elapsed time, so it would never stop a search
-    for bad in (float("nan"), -1.0, -1e-9, float("-inf")):
+    for bad in (float("nan"), -1.0, -1e-9, float("-inf"), "1", True, []):
         with pytest.raises(InvalidParameterError, match="time cap must be a number >= 0"):
             SearchBudget(time_cap_s=bad)
     result = find_interval_coloring(build_cylinder(1, 2), 3, SearchBudget(time_cap_s=float("inf")))
