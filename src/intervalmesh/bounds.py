@@ -60,7 +60,7 @@ def bounds_row(
     g = witness.graph
     delta = max_degree(g)
     w_exact = W_exact = None
-    if oracle_budget is not None and g.num_edges <= oracle_budget:
+    if oracle_budget is not None and not budget.refusal(g.num_edges):
         w_exact = exact_w(g, budget)
         W_exact = exact_W(g, budget)
     return BoundsRow(

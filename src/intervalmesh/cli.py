@@ -172,9 +172,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, str | None]:
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
     from .colorings import coloring_to_json_dict
-    from .search import (
-        Outcome, SearchBudget, edge_cap_refusal, exact_W, exact_w, find_interval_coloring,
-    )
+    from .search import Outcome, SearchBudget, exact_W, exact_w, find_interval_coloring
 
     budget = SearchBudget(
         max_edges=DEFAULT_MAX_EDGES if args.max_edges is None else args.max_edges,
@@ -183,9 +181,9 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
     )
     # an instance over the edge cap is refused before it is built, and one
     # outside its family's range before it is counted
-    refused = edge_cap_refusal(edge_count(args.family, args.m, args.n), budget)
-    if refused is not None:
-        raise BudgetExceededError(refused.detail)
+    why = budget.refusal(edge_count(args.family, args.m, args.n))
+    if why:
+        raise BudgetExceededError(why)
     g = build(args.family, args.m, args.n)
     if args.t is not None:
         result = find_interval_coloring(g, args.t, budget)

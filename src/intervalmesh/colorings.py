@@ -29,7 +29,6 @@ from .grids import (
     GridVertex,
     MeshGraph,
     _admitted,
-    _edge,
     _edge_name,
     _family,
     _grid,
@@ -399,7 +398,7 @@ def _walk_rows(rows: list) -> tuple[tuple[int, ...], list[int], list[str] | None
             raise SchemaError(f"loop edge at {vertex_name(a)}")
         if "rule" in item:
             if not isinstance(item["rule"], str):
-                name = _edge_name(*_edge(a, b))
+                name = _edge_name(min(a, b), max(a, b))
                 raise SchemaError(f"edge {name} rule must be a string, got {item['rule']!r}")
             rules.append(item["rule"])
         coords += a + b

@@ -40,7 +40,7 @@ def to_csv(c: EdgeColoring, rule_trace: tuple[str, ...] | None = None) -> str:
     unless all are exact ints, whose text never needs quoting.
     """
     g = c.graph
-    rules = rule_trace or ("",) * g.num_edges
+    rules = ("",) * g.num_edges if rule_trace is None else rule_trace
     if set(map(type, rules)) <= {str}:
         rules = map({rule: _cell(rule) for rule in set(rules)}.__getitem__, rules)
     else:

@@ -61,11 +61,6 @@ def _edge_name(a: GridVertex, b: GridVertex) -> str:
     return f"{vertex_name(a)}-{vertex_name(b)}"
 
 
-def _edge(a: GridVertex, b: GridVertex) -> Edge:
-    """The edge joining ``a`` and ``b``: its endpoints in ascending order."""
-    return (a, b) if a < b else (b, a)
-
-
 class _Record:
     """Base of the package's immutable records, kept in ``__slots__``.
 

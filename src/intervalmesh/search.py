@@ -46,7 +46,6 @@ __all__ = [
     "Outcome",
     "SearchResult",
     "find_interval_coloring",
-    "edge_cap_refusal",
     "exact_w",
     "exact_W",
 ]
@@ -57,10 +56,11 @@ _TIME_CHECK_MASK = 0x3FF  # consult the clock every 1024 nodes
 class SearchBudget(_Record):
     """Limits for one exhaustive search.
 
-    ``max_edges`` refuses larger instances outright; ``max_nodes`` caps
-    backtracking nodes (color attempts); ``time_cap_s`` is wall time in
-    seconds.  Each cap must be an ``int`` of at least 0, the time may
-    also be a ``float`` (not NaN), and ``None`` disables it.
+    ``max_edges`` refuses larger instances outright, and ``refusal`` is
+    the one place that checks it; ``max_nodes`` caps backtracking nodes
+    (color attempts); ``time_cap_s`` is wall time in seconds.  Each cap
+    must be an ``int`` of at least 0, the time may also be a ``float``
+    (not NaN), and ``None`` disables it.
     """
 
     __slots__ = _compared = ("max_edges", "max_nodes", "time_cap_s")
@@ -78,6 +78,13 @@ class SearchBudget(_Record):
             )
         self._fill(max_edges, max_nodes, time_cap_s)
 
+    def refusal(self, num_edges: int) -> str:
+        """Why an instance of ``num_edges`` edges is over the edge cap, or ""
+        when it fits."""
+        if self.max_edges is None or num_edges <= self.max_edges:
+            return ""
+        return f"instance has {num_edges} edges, budget allows {self.max_edges}"
+
 
 class Outcome(str, Enum):
     FOUND = "found"
@@ -93,19 +100,6 @@ class SearchResult(NamedTuple):
     # the anchor pairs searched, in order: (e, f, nodes), e and f positions
     # in graph.edges
     pairs: tuple[tuple[int, int, int], ...] = ()
-
-
-def edge_cap_refusal(num_edges: int, budget: SearchBudget) -> SearchResult | None:
-    """The result for an instance of ``num_edges`` edges over the budget's
-    edge cap, or None when the instance fits."""
-    if budget.max_edges is None or num_edges <= budget.max_edges:
-        return None
-    return SearchResult(
-        Outcome.BUDGET_EXCEEDED,
-        None,
-        0,
-        f"instance has {num_edges} edges, budget allows {budget.max_edges}",
-    )
 
 
 def _bfs_edge_order(ends: list[tuple[int, int]], incident: list[tuple[int, ...]],
@@ -329,9 +323,9 @@ def find_interval_coloring(
         raise InvalidParameterError(f"palette size must be >= 1, got {t!r}")
     if budget is None:
         budget = SearchBudget()
-    refused = edge_cap_refusal(g.num_edges, budget)
-    if refused is not None:
-        return refused
+    why = budget.refusal(g.num_edges)
+    if why:
+        return SearchResult(Outcome.BUDGET_EXCEEDED, None, 0, why)
     plan = _plan(g)
     if t > g.num_edges or t < max(plan.degree) or t > plan.reach + 1:
         # each color of a surjective coloring needs an edge of its own, each
@@ -462,9 +456,9 @@ def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool)
     guessing when the instance is over the edge cap or any single search
     is truncated.
     """
-    refused = edge_cap_refusal(g.num_edges, budget or SearchBudget())
-    if refused is not None:
-        raise BudgetExceededError(refused.detail)
+    why = (budget or SearchBudget()).refusal(g.num_edges)
+    if why:
+        raise BudgetExceededError(why)
     lo = max_degree(g)
     hi = theorem1_upper(g)
     palettes = range(hi, lo - 1, -1) if descending else range(lo, hi + 1)

@@ -512,9 +512,10 @@ def test_an_instance_too_large_for_memory_is_a_usage_error(tmp_path):
         ["generate", "--family", "torus", "-m", "3000", "-n", "3000", "--manifest", str(manifest)],
         ["sweep", "-m", "3000", "-n", "3000"],
     ):
-        # the limit applies to the child interpreter only
+        # the limit applies to the child interpreter only; -B, since the
+        # stripped environment drops any PYTHONDONTWRITEBYTECODE
         proc = subprocess.run(
-            [sys.executable, "-m", "intervalmesh.cli", *argv],
+            [sys.executable, "-B", "-m", "intervalmesh.cli", *argv],
             capture_output=True,
             text=True,
             env={"PYTHONPATH": src, "PATH": ""},
@@ -626,6 +627,22 @@ def test_replay_of_an_abbreviated_manifest_flag_writes_no_manifest(tmp_path, cap
         assert code == 0
         assert out1.read_bytes() == out2.read_bytes()
         assert manifest.read_bytes() == recorded
+
+
+def test_a_manifest_keeps_the_arguments_after_a_double_dash(tmp_path, capsys, monkeypatch):
+    # the recorded argv drops the manifest flag before "--" and keeps every
+    # token from "--" on, also a path spelled like a prefix of --manifest
+    monkeypatch.chdir(tmp_path)
+    code, _, _ = invoke(capsys, "generate", "--family", "torus", "-m", "2", "-n", "2",
+                        "-o", "doc.json")
+    assert code == 0
+    Path("--ma").write_bytes(Path("doc.json").read_bytes())
+    for path in ("doc.json", "--ma"):
+        code, _, _ = invoke(capsys, "verify", "--manifest", "m.json", "--", path)
+        assert code == 0
+        doc = json.loads(Path("m.json").read_text())
+        assert doc["argv"] == ["verify", "--", path]
+        assert doc["inputs"] == [path]
 
 
 def test_a_nul_in_a_path_is_a_usage_error(tmp_path, capsys):

@@ -261,6 +261,7 @@ def test_coloring_json_schema_errors():
     for key in ("family", "vertices"):
         rejects({k: v for k, v in doc.items() if k != key}, f"coloring document is missing {key!r}")
     rejects({k: v for k, v in doc.items() if k != "edges"}, "'edges' must be an array")
+    rejects({**doc, "vertices": {"x_1_1": [1, 1]}}, "'vertices' must be an array")
 
     for family in ("moebius", "path", "even_cycle"):
         rejects({**doc, "family": family}, f"unknown family {family!r}")
@@ -533,7 +534,7 @@ def test_mutated_documents_parse_exactly_or_raise_schema_error(
 
 
 def reference_listed_graph(d: dict):
-    """``grids._listed_graph`` as it was, parsing one vertex at a time."""
+    """``colorings._listed_graph`` as it was, parsing one vertex at a time."""
     for key in ("family", "vertices"):
         if key not in d:
             raise SchemaError(f"coloring document is missing {key!r}")
@@ -560,7 +561,7 @@ def reference_listed_graph(d: dict):
 def reference_from_json_dict(d: dict):
     """``coloring_from_json_dict`` as it was: every row checked, then
     placed through a dict of edge positions, one row at a time."""
-    _edge, _edge_name, _parse_vertex = grids._edge, grids._edge_name, colorings._parse_vertex
+    _edge_name, _parse_vertex = grids._edge_name, colorings._parse_vertex
     if not isinstance(d, dict):
         raise SchemaError("coloring document must be a JSON object")
     if "t" not in d:
@@ -584,7 +585,7 @@ def reference_from_json_dict(d: dict):
         a, b = _parse_vertex(item["u"]), _parse_vertex(item["v"])
         if a == b:
             raise SchemaError(f"loop edge at {grids.vertex_name(a)}")
-        pairs.append(_edge(a, b))
+        pairs.append((min(a, b), max(a, b)))
         if "rule" in item:
             if not isinstance(item["rule"], str):
                 name = _edge_name(*pairs[-1])

@@ -6,7 +6,10 @@ import csv
 import io
 from enum import IntEnum
 
+import pytest
+
 from intervalmesh import EdgeColoring
+from intervalmesh.colorings import coloring_to_json_dict
 from intervalmesh.constructions import construct
 from intervalmesh.export import to_csv
 from intervalmesh.grids import vertex_name
@@ -17,7 +20,7 @@ def reference_to_csv(c, rule_trace=None):
     buf = io.StringIO()
     writer = csv.writer(buf, lineterminator="\n")
     writer.writerow(["u", "v", "rule", "color"])
-    rules = rule_trace or ("",) * c.graph.num_edges
+    rules = ("",) * c.graph.num_edges if rule_trace is None else rule_trace
     name = {v: vertex_name(v) for v in c.graph.vertices}
     for (u, v), color, rule in zip(c.graph.edges, c.aligned, rules, strict=True):
         writer.writerow([name[u], name[v], rule, color])
@@ -65,3 +68,12 @@ def test_csv_writes_int_subclass_colors_as_csv_does():
         c = EdgeColoring(base.graph, (color, 2, 2, 3), 3)
         for trace in (None, ("a,b", "", " lead", "x")):
             assert to_csv(c, trace) == reference_to_csv(c, trace)
+
+
+def test_a_trace_of_the_wrong_length_is_refused():
+    c = construct("cylinder", 1, 2).coloring
+    # an empty trace is a trace that covers no edge, not a missing one
+    for trace in ((), ("a",), ("a",) * (c.graph.num_edges + 1)):
+        for write in (to_csv, coloring_to_json_dict, reference_to_csv):
+            with pytest.raises(ValueError):
+                write(c, trace)

@@ -45,9 +45,11 @@ print(json.dumps([sorted(m for m in sys.modules if m.startswith("intervalmesh"))
 def _loaded(argv: list[str] | str | None) -> tuple[set[str], bool]:
     """Package modules a fresh bare interpreter loads to run ``argv`` through
     ``cli.run`` (only to import the package when None, only the module it
-    names when a str), and whether it loaded ``dataclasses``."""
+    names when a str), and whether it loaded ``dataclasses``.  It writes no
+    bytecode (-B), since its stripped environment drops any
+    PYTHONDONTWRITEBYTECODE."""
     proc = subprocess.run(
-        [sys.executable, "-S", "-c", _CHILD, json.dumps(argv)],
+        [sys.executable, "-B", "-S", "-c", _CHILD, json.dumps(argv)],
         capture_output=True,
         text=True,
         env={"PYTHONPATH": SRC, "PATH": ""},
