@@ -19,13 +19,16 @@ nearer of the two, so the edges whose colors f squeezes near t come
 early.  Inside a run every color placed bounds every vertex's colors by
 the same path weights; ``find_interval_coloring`` gives the rules.
 
-A graph's search plan, all of it but one mask per palette, is built at
-its first search and kept on the graph; each pair's edge order joins it
-the first time that pair is searched.
+A graph's search plan is built at its first search and kept on the
+graph; each pair's edge order joins it the first time that pair is
+searched.  A palette builds its start mask from the plan's per-degree
+masks, one multiply per degree, and each run places its two anchors
+before its attempt loop.
 """
 
 from __future__ import annotations
 
+import math
 import time
 from enum import Enum
 from typing import Iterator, NamedTuple
@@ -159,7 +162,9 @@ class _Plan(NamedTuple):
     """What a search needs of a graph, whatever the palette.
 
     ``degree`` is by vertex index (position in ``graph.vertices``) and
-    ``incident`` holds each vertex's edge positions.  ``reach`` is the
+    ``incident`` holds each vertex's edge positions; ``delta`` is the
+    largest degree, and ``spread`` maps each degree d present to the
+    bit 0 of the field of every vertex of degree d.  ``reach`` is the
     largest path weight and ``width`` the bits of a vertex's field.
     ``rows`` holds, per edge position, the endpoints, their field offsets,
     the terms that turn a field's top bit into its top color, and the
@@ -175,6 +180,8 @@ class _Plan(NamedTuple):
 
     degree: list[int]
     incident: list[tuple[int, ...]]
+    delta: int
+    spread: dict[int, int]
     reach: int
     width: int
     rows: list[tuple[int, int, int, int, int, int, int]]
@@ -214,6 +221,9 @@ def _build_plan(g: MeshGraph) -> _Plan:
     # Inside 1..t-d+1 an unclipped cut keeps what r clipped to t - 1 keeps.
     width = 2 * reach + 3
     offset = [v * width + reach for v in range(len(degree))]
+    spread = dict.fromkeys(degree, 0)
+    for v, d in enumerate(degree):
+        spread[d] |= 1 << (v * width)
     cut = []
     for row in weights:
         bits = 0
@@ -228,7 +238,7 @@ def _build_plan(g: MeshGraph) -> _Plan:
         near = list(map(min, weights[a], weights[b]))  # min over x in e of P[x][v]
         order = _bfs_edge_order(ends, incident, e)
         anchors.append((e, order, [min(near[x], near[y]) for x, y in (ends[i] for i in order)]))
-    return _Plan(degree, incident, reach, width, rows, anchors, {})
+    return _Plan(degree, incident, max(degree), spread, reach, width, rows, anchors, {})
 
 
 def _anchor_pairs(
@@ -316,8 +326,11 @@ def find_interval_coloring(
     run of d consecutive colors, one bit field per vertex in a single
     int, and a placement is one AND with a mask.  Every such mask is
     part of ``g``'s plan, which all searches of ``g`` share, and so is each
-    pair's edge order with its rows; a palette builds only the mask of the
-    starts 1..t-d+1 and the color bounds of a run's rows.
+    pair's edge order with its rows.  A palette builds only the mask of
+    the starts 1..t-d+1, from the plan's mask of each degree's fields,
+    one multiply per degree.  Each run places e and f before its attempt
+    loop, so every other edge's colors are bounded by its ends' starts
+    alone, which lie in 1..t.
     """
     if type(t) is not int or t < 1:
         raise InvalidParameterError(f"palette size must be >= 1, got {t!r}")
@@ -327,22 +340,21 @@ def find_interval_coloring(
     if why:
         return SearchResult(Outcome.BUDGET_EXCEEDED, None, 0, why)
     plan = _plan(g)
-    if t > g.num_edges or t < max(plan.degree) or t > plan.reach + 1:
+    if t > g.num_edges or t < plan.delta or t > plan.reach + 1:
         # each color of a surjective coloring needs an edge of its own, each
         # vertex a color per edge, and each palette an anchor pair
         return SearchResult(Outcome.ABSENT, None, 0)
-    allowed = 0
-    for v, d in enumerate(plan.degree):
-        allowed |= ((1 << (t - d + 1)) - 1) << (v * plan.width + plan.reach + 1)
+    # the starts 1..t-d+1 copied into the field of every vertex of degree d;
+    # they end below bit reach + t - d + 2 <= width, so no field spills over
+    allowed = sum((((1 << (t - d + 1)) - 1) << (plan.reach + 1)) * fields
+                  for d, fields in plan.spread.items())
 
-    # the least and greatest color of each row of a run: e and f come first
-    bounds = [(1, 1), (t, t)] + [(1, t)] * (g.num_edges - 2)
     searched = []
     nodes = 0
     started = time.monotonic()
     for e, f, order, rows in _anchor_pairs(plan, t):
         before = nodes
-        colors, nodes, stop = _run(rows, bounds, t, allowed, plan, budget, nodes, started)
+        colors, nodes, stop = _run(rows, t, allowed, plan, budget, nodes, started)
         searched.append((e, f, nodes - before))
         if stop:
             return SearchResult(Outcome.BUDGET_EXCEEDED, None, nodes, stop, tuple(searched))
@@ -356,16 +368,39 @@ def find_interval_coloring(
     return SearchResult(Outcome.ABSENT, None, nodes, "", tuple(searched))
 
 
+def _cap(nodes: int, budget: SearchBudget, started: float) -> tuple[str, float]:
+    """Why a cap stops a search at its ``nodes``-th node ("" if none), and
+    the next node count at which one can (``math.inf`` if none can).
+
+    The node cap stops it at node max_nodes + 1, and the time cap reads
+    the clock at every multiple of 1024 nodes, wherever a run starts.
+    """
+    max_nodes = budget.max_nodes
+    time_cap_s = budget.time_cap_s
+    if max_nodes is not None and nodes > max_nodes:
+        return "node cap reached", nodes
+    due = math.inf if max_nodes is None else max_nodes + 1
+    if time_cap_s is not None:
+        if nodes & _TIME_CHECK_MASK == 0 and time.monotonic() - started > time_cap_s:
+            return "time cap reached", nodes
+        due = min(due, (nodes | _TIME_CHECK_MASK) + 1)  # the next multiple of 1024
+    return "", due
+
+
 def _run(
-    rows: list[tuple], bounds: list[tuple[int, int]], t: int, allowed: int, plan: _Plan,
+    rows: list[tuple], t: int, allowed: int, plan: _Plan,
     budget: SearchBudget, nodes: int, started: float,
 ) -> tuple[list[int] | None, int, str]:
-    """One anchored run over the edges ``rows`` (see ``find_interval_coloring``),
-    each colored inside the least and greatest color at its place in ``bounds``.
+    """One anchored run over the edges ``rows`` (see ``find_interval_coloring``).
 
-    ``allowed`` holds the starts before the first edge; ``nodes`` counts
-    on from earlier runs.  Returns the colors in row order (None once the
-    tree is exhausted), the node count, and why a cap stopped it ("" if none).
+    e = ``rows[0]`` takes color 1 and f = ``rows[1]`` color t before the
+    attempt loop, one node each, and a backtrack out of the third row
+    ends the run.  ``allowed`` holds the starts before e; ``nodes`` counts on
+    from earlier runs.  Returns the colors in row order (None once the
+    tree is exhausted), the node count, and why a cap stopped it ("" if
+    none).  A node is compared with the caps only at ``due``, the next
+    count at which one can stop the search (``_cap``); a run's first node
+    is one such count.
 
     No attempt tests that a start set stays nonempty or that colors 1
     and t stay reachable: neither can fail.  A color tried on (a, b) lies
@@ -374,51 +409,64 @@ def _run(
     every earlier cut and 1..t-d+1; intervals that meet pairwise share a
     start, a run of d(v) colors.  Colors 1 and t are used once both
     anchors are placed, and e leaves f's ends, t - 1 away, a start for t.
+    Nor can either anchor be refused: t <= the edge count, and t >= 2.
+    Every other edge tries only colors inside its ends' starts, so 1..t.
     """
     field = (1 << plan.width) - 1
     low = plan.reach + 1
     num_edges = len(rows)
-    state = [allowed] + [0] * num_edges  # start sets before each edge
+    state = [0] * (num_edges + 1)  # start sets before each edge
     mask = [0] * len(plan.degree)  # bit c set: color c sits at the vertex
     used_count = [0] * (t + 1)
-    unused = t
     # an edge's color, 0 while it has none; a revisited edge resumes after it
     assigned: list[int] = [0] * num_edges
-    max_nodes = budget.max_nodes
-    time_cap_s = budget.time_cap_s
+    due = nodes + 1
+    for idx, c in ((0, 1), (1, t)):
+        nodes += 1
+        if nodes >= due:
+            stop, due = _cap(nodes, budget, started)
+            if stop:
+                return None, nodes, stop
+        a, b, *_, cut = rows[idx]
+        mask[a] |= 1 << c
+        mask[b] |= 1 << c
+        used_count[c] = 1
+        assigned[idx] = c
+        allowed &= cut << c
+    state[2] = allowed
+    unused = t - 2
 
-    idx = 0
+    idx = 2
     while True:
         if idx == num_edges:
             return assigned, nodes, ""
         a, b, oa, ob, ta, tb, cut = rows[idx]
-        least, most = bounds[idx]
         allowed = state[idx]
         ma = mask[a]
         mb = mask[b]
         fa = allowed >> oa & field
         fb = allowed >> ob & field
         # colors run from the least start to the greatest start + d - 1
-        c = max(
-            assigned[idx] + 1,
-            least,
-            (fa & -fa).bit_length() - low,
-            (fb & -fb).bit_length() - low,
-        )
-        top = min(most, fa.bit_length() + ta, fb.bit_length() + tb)
+        c = assigned[idx] + 1
+        least = (fa & -fa).bit_length() - low
+        if least > c:
+            c = least
+        least = (fb & -fb).bit_length() - low
+        if least > c:
+            c = least
+        top = fa.bit_length() + ta
+        most = fb.bit_length() + tb
+        if most < top:
+            top = most
         placed = ma | mb
         # the colors still unused after placing c must fit on the edges left
         left = num_edges - idx - 1
         while c <= top:
             nodes += 1
-            if max_nodes is not None and nodes > max_nodes:
-                return None, nodes, "node cap reached"
-            if (
-                time_cap_s is not None
-                and nodes & _TIME_CHECK_MASK == 0
-                and time.monotonic() - started > time_cap_s
-            ):
-                return None, nodes, "time cap reached"
+            if nodes >= due:
+                stop, due = _cap(nodes, budget, started)
+                if stop:
+                    return None, nodes, stop
             if not placed >> c & 1 and unused - (used_count[c] == 0) <= left:
                 break
             c += 1
@@ -426,7 +474,7 @@ def _run(
             # no color fits: undo the previous edge, resume after its color
             assigned[idx] = 0
             idx -= 1
-            if idx < 0:
+            if idx < 2:
                 return None, nodes, ""
             a, b = rows[idx][:2]
             c = assigned[idx]
@@ -456,7 +504,9 @@ def _first_feasible(g: MeshGraph, budget: SearchBudget | None, descending: bool)
     guessing when the instance is over the edge cap or any single search
     is truncated.
     """
-    why = (budget or SearchBudget()).refusal(g.num_edges)
+    if budget is None:
+        budget = SearchBudget()  # one default for every palette of the scan
+    why = budget.refusal(g.num_edges)
     if why:
         raise BudgetExceededError(why)
     lo = max_degree(g)

@@ -137,6 +137,52 @@ def test_time_cap_zero_exceeds_quickly():
     assert result.nodes == 1024
 
 
+@pytest.mark.parametrize("time_cap_s", [None, 1e9])
+def test_node_cap_fires_at_exactly_one_node_past_it_across_runs(time_cap_s):
+    # this proof takes 10,907 nodes over 20 anchor pairs; a time cap that
+    # never fires must not move the node cap's stop
+    g = build_cylinder(3, 4)
+
+    def search_under(cap):
+        budget = SearchBudget(max_edges=40, max_nodes=cap, time_cap_s=time_cap_s)
+        return find_interval_coloring(g, 12, budget)
+
+    capped = search_under(700)
+    assert (capped.outcome, capped.nodes, capped.detail) == (
+        Outcome.BUDGET_EXCEEDED, 701, "node cap reached")
+    assert len(capped.pairs) == 4 and capped.pairs[-1] == (0, 26, 486)
+    capped = search_under(10906)
+    assert (capped.outcome, capped.nodes) == (Outcome.BUDGET_EXCEEDED, 10907)
+    assert len(capped.pairs) == 20
+    full = search_under(10907)
+    assert (full.outcome, full.nodes) == (Outcome.ABSENT, 10907)
+
+
+def test_node_cap_fires_at_the_anchors():
+    # the one pair's run spends a node on e, one on f, and two on the rest
+    g = build_cylinder(1, 2)
+    for cap in (0, 1, 2):
+        capped = find_interval_coloring(g, 3, SearchBudget(max_nodes=cap))
+        assert (capped.outcome, capped.nodes) == (Outcome.BUDGET_EXCEEDED, cap + 1)
+        assert capped.pairs == ((0, 3, cap + 1),)
+    found = find_interval_coloring(g, 3)
+    assert (found.outcome, found.nodes) == (Outcome.FOUND, 4)
+
+
+def test_the_clock_is_read_every_1024_nodes_across_runs(monkeypatch):
+    reads = []
+    monotonic = search.time.monotonic
+    monkeypatch.setattr(search.time, "monotonic", lambda: reads.append(None) or monotonic())
+    g = build_cylinder(3, 4)
+    result = find_interval_coloring(g, 12, SearchBudget(max_edges=40, time_cap_s=1e9))
+    assert (result.outcome, result.nodes) == (Outcome.ABSENT, 10907)
+    # once at the start, then at nodes 1024, 2048, ..., 10240
+    assert len(reads) == 11
+    reads.clear()
+    assert find_interval_coloring(g, 12, SearchBudget(max_edges=40)).nodes == 10907
+    assert len(reads) <= 1
+
+
 def test_time_cap_must_be_a_number_at_least_zero():
     # NaN compares False with every elapsed time, so it would never stop a search
     for bad in (float("nan"), -1.0, -1e-9, float("-inf"), "1", True, []):
