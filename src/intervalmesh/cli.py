@@ -40,8 +40,8 @@ EXIT_INVALID = 1
 EXIT_USAGE = 2
 EXIT_BUDGET = 3
 
-# the families with a construction (``constructions._CONSTRUCTIONS``: every
-# family), offered by --family without loading that module
+# the named families, each with a construction, offered by --family
+# without loading that module
 _FAMILIES = tuple(f.value for f in Family)
 
 

@@ -30,7 +30,6 @@ from .grids import (
     MeshGraph,
     _admitted,
     _edge_name,
-    _family,
     _grid,
     _int_coords,
     _measure,
@@ -333,8 +332,7 @@ def _listed_graph(d: dict) -> MeshGraph:
             raise SchemaError(f"coloring document is missing {key!r}")
     m, n = d.get("m"), d.get("n")
     try:
-        family = _family(d["family"])
-        law = _admitted(family, m, n)
+        family = _admitted(d["family"], m, n)
     except InvalidParameterError as exc:
         raise SchemaError(str(exc)) from None
     listed = d["vertices"]
@@ -346,7 +344,7 @@ def _listed_graph(d: dict) -> MeshGraph:
     if len(vertex_set) != len(vertices):
         raise SchemaError("duplicate vertices in document")
     # compare sizes first, so a claimed (m, n) is never built beyond the listing
-    if _measure(law, m, n)[0] != len(vertices):
+    if _measure(family, m, n)[0] != len(vertices):
         raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
     g = _grid(family, m, n)
     if g.incident.keys() != vertex_set:

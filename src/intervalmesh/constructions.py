@@ -22,15 +22,15 @@ torus coloring for every palette size from the maximum down to 4.
 ``construct(family, m, n, t)`` is the one place that decides the
 palettes a family is generated at: a cylinder at its construction's
 palette alone, a torus at any t from its degree 4 up to its
-construction's, stepped down from that.  It reaches each family's
-construction through the private table ``_CONSTRUCTIONS``.  Every
-coloring here passes the gate ``require_interval``, which raises naming
-a vertex.
+construction's, stepped down from that.  It picks the construction by
+``Family.closed``: ``torus_coloring`` for a closed layer factor,
+``cylinder_coloring`` for a path.  Every coloring here passes the gate
+``require_interval``, which raises naming a vertex.
 """
 
 from __future__ import annotations
 
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 from .colorings import EdgeColoring, require_interval
 from .errors import (
@@ -44,7 +44,6 @@ from .grids import (
     MeshGraph,
     _admitted,
     _edge_name,
-    _family,
     build_cylinder,
     build_torus,
 )
@@ -148,13 +147,7 @@ def torus_coloring(m: int, n: int) -> ConstructionResult:
 
 def _palette(family: Family, m: int, n: int) -> int:
     """The palette of the family's construction at (m, n), unbuilt."""
-    return 3 * m + n - 2 if family is Family.CYLINDER else 3 * max(m, n) + min(m, n)
-
-
-_CONSTRUCTIONS: dict[Family, Callable[[int, int], ConstructionResult]] = {
-    Family.CYLINDER: cylinder_coloring,
-    Family.TORUS: torus_coloring,
-}
+    return 3 * max(m, n) + min(m, n) if family.closed else 3 * m + n - 2
 
 
 def step_down(c: EdgeColoring) -> EdgeColoring:
@@ -188,7 +181,8 @@ def step_down(c: EdgeColoring) -> EdgeColoring:
 def construct(family: Family | str, m: int, n: int, t: int | None = None) -> ConstructionResult:
     """The verified coloring of a named family at parameters (m, n) and palette t.
 
-    Every named family has a construction in ``_CONSTRUCTIONS``.  With t
+    Each named family has one construction, ``torus_coloring`` when its
+    layer factor is closed and ``cylinder_coloring`` when not.  With t
     None or the construction's own palette it is the construction, rule
     trace included.  A torus also takes any int t from its degree up, stepped
     down from the construction with no rule trace.  A cylinder takes no
@@ -197,17 +191,16 @@ def construct(family: Family | str, m: int, n: int, t: int | None = None) -> Con
     at is left to ROADMAP item 4.  Any other t is refused by the closed-form
     palette, after the range of (m, n) and before anything is built.
     """
-    family = _family(family)
-    _admitted(family, m, n)
+    family = _admitted(family, m, n)
     top = _palette(family, m, n)
     if t is None or (type(t) is int and t == top):
-        return _CONSTRUCTIONS[family](m, n)
-    if family is Family.CYLINDER:
+        return (torus_coloring if family.closed else cylinder_coloring)(m, n)
+    if not family.closed:
         raise InvalidParameterError(f"cylinder ({m},{n}) is constructible only at t={top}")
     # a torus is 4-regular
     if type(t) is not int or not 4 <= t < top:
-        raise InvalidParameterError(f"{family.value} ({m},{n}) supports t in 4..{top}, got {t!r}")
-    c = _CONSTRUCTIONS[family](m, n).coloring
+        raise InvalidParameterError(f"torus ({m},{n}) supports t in 4..{top}, got {t!r}")
+    c = torus_coloring(m, n).coloring
     while c.palette_size > t:
         c = step_down(c)
     return ConstructionResult(require_interval(c, ConstructionError, "stepped coloring"), None)

@@ -21,7 +21,6 @@ import json
 import operator
 from enum import Enum
 from itertools import chain
-from typing import NamedTuple
 
 from .errors import InvalidParameterError
 
@@ -43,8 +42,16 @@ __all__ = [
 
 
 class Family(str, Enum):
+    """The two named families, told apart by one fact, ``closed``: the
+    layer factor of a member (m, n) is the cycle on 2m vertices for a torus
+    and the path on m for a cylinder.  A path needs one vertex and a simple
+    cycle on 2m vertices needs m >= 2, so the least m is ``1 + closed``."""
+
     CYLINDER = "cylinder"
     TORUS = "torus"
+
+    def __init__(self, value: str) -> None:
+        self.closed = value == "torus"
 
 
 GridVertex = tuple[int, int]  # (layer, ring)
@@ -138,7 +145,7 @@ class MeshGraph(_Record):
 
 def _product(family: Family, m: int, n: int) -> MeshGraph:
     """The member (m, n) of a named family: the Cartesian product of its
-    layer factor (``_FamilyLaw``) on L vertices with the cycle on R = 2n.
+    layer factor on L vertices (``Family.closed``) with the cycle on R = 2n.
     Vertex (i, j) sits on layer i and ring j; every layer carries a copy
     of the ring's edges and every ring a copy of the layer factor's.
 
@@ -150,8 +157,8 @@ def _product(family: Family, m: int, n: int) -> MeshGraph:
     vertices, so no two coincide).  Each edge reuses the tuples of
     ``vertices``, and its position is appended to both ends' lists as it
     is made, so every ``incident`` entry is ascending too."""
-    law = _FAMILIES[family]
-    layers, rings = law.layers(m), 2 * n
+    closed = family.closed
+    layers, rings = 2 * m if closed else m, 2 * n
     vertices = tuple([(i, j) for i in range(1, layers + 1) for j in range(1, rings + 1)])
     edges: list[Edge] = []
     inc: list[list[int]] = [[] for _ in vertices]
@@ -162,7 +169,7 @@ def _product(family: Family, m: int, n: int) -> MeshGraph:
             ends.append(p + rings - 1)
         if i < layers:
             ends.append(p + rings)
-        if i == 1 and law.closed:
+        if i == 1 and closed:
             ends.append(p + (layers - 1) * rings)
         for q in ends:
             inc[p].append(len(edges))
@@ -203,37 +210,15 @@ def build_torus(m: int, n: int) -> MeshGraph:
     return build(Family.TORUS, m, n)
 
 
-class _FamilyLaw(NamedTuple):
-    """The least m of a named family, and its layer factor.
-
-    The member (m, n), for n >= 2 in both families, is the Cartesian
-    product of the layer factor with the ring factor, the cycle on 2n
-    vertices.  The layer factor has ``layers(m)`` vertices: the path on m
-    for a cylinder, and the cycle on 2m, ``closed``, for a torus.
-    """
-
-    min_m: int
-    closed: bool
-
-    def layers(self, m: int) -> int:
-        return 2 * m if self.closed else m
-
-
-_FAMILIES = {
-    Family.CYLINDER: _FamilyLaw(1, False),
-    Family.TORUS: _FamilyLaw(2, True),
-}
-
-
-def _measure(law: _FamilyLaw, m: int, n: int) -> tuple[int, int, int, int]:
+def _measure(family: Family, m: int, n: int) -> tuple[int, int, int, int]:
     """|V|, |E|, diameter and greatest degree of the member (m, n), unbuilt.
     The layer factor on L vertices has L - 1 edges, diameter L - 1 and
     degree min(2, L - 1) as a path, L edges, diameter L // 2 and degree 2
     as a cycle; the ring, the cycle on 2n, has 2n edges, diameter n and
     degree 2.  The product has 2n·L vertices, each factor's edges once per
     vertex of the other, and the sums of the diameters and degrees."""
-    layers = law.layers(m)
-    edges, diam, degree = ((layers, layers // 2, 2) if law.closed
+    layers = 2 * m if family.closed else m
+    edges, diam, degree = ((layers, layers // 2, 2) if family.closed
                            else (layers - 1, layers - 1, min(2, layers - 1)))
     return 2 * n * layers, 2 * n * (layers + edges), diam + n, 2 + degree
 
@@ -241,7 +226,7 @@ def _measure(law: _FamilyLaw, m: int, n: int) -> tuple[int, int, int, int]:
 def _representatives(g: MeshGraph) -> list[int]:
     """Positions in ``g.edges``, ascending, of one edge from each edge orbit.
 
-    The orbits follow from the family's layer factor in ``_FAMILIES``:
+    The orbits follow from the family's layer factor (``Family.closed``):
     the symmetries of each factor (rotations and reflections of a cycle,
     the reversal of a path) act on its copies, and a transpose swaps the
     factors of a torus with m = n.  A cycle has one vertex orbit and one
@@ -255,7 +240,7 @@ def _representatives(g: MeshGraph) -> list[int]:
     (i,1)-(i+1,1) for i <= floor(m/2).  Each is found by ``g.edges.index``:
     a search plan asks once, for m edges at most.
     """
-    if _FAMILIES[g.family].closed:
+    if g.family.closed:
         edges = [((1, 1), (1, 2)), ((1, 1), (2, 1))][: 1 if g.m == g.n else 2]
     else:
         edges = [((i, 1), (i, 2)) for i in range(1, (g.m + 1) // 2 + 1)]
@@ -263,11 +248,11 @@ def _representatives(g: MeshGraph) -> list[int]:
     return sorted(map(g.edges.index, edges))
 
 
-def _shortfall(law: _FamilyLaw, m: int, n: int) -> str:
+def _shortfall(family: Family, m: int, n: int) -> str:
     """The first parameter that is not an ``int`` of at least its least
     value, as ``m >= 1, got m=0`` (or ``got m=None``, ``got m=True``);
     empty when (m, n) lies in the family's range."""
-    for name, value, least in (("m", m, law.min_m), ("n", n, 2)):
+    for name, value, least in (("m", m, 1 + family.closed), ("n", n, 2)):
         if type(value) is not int or value < least:
             return f"{name} >= {least}, got {name}={value!r}"
     return ""
@@ -281,22 +266,20 @@ def _family(name: Family | str) -> Family:
         raise InvalidParameterError(f"unknown family {name!r}") from None
 
 
-def _admitted(family: Family, m: int, n: int) -> _FamilyLaw:
-    """The law of a named family, once (m, n) is found in its range."""
-    law = _FAMILIES[family]
-    shortfall = _shortfall(law, m, n)
+def _admitted(name: Family | str, m: int, n: int) -> Family:
+    """The family called ``name``, once (m, n) is found in its range."""
+    family = _family(name)
+    shortfall = _shortfall(family, m, n)
     if shortfall:
         raise InvalidParameterError(f"{family.value} needs {shortfall}")
-    return law
+    return family
 
 
 def build(family: Family | str, m: int, n: int) -> MeshGraph:
     """The member of a named family with parameters (m, n).  The range is
     checked before the graph cache is asked, so a parameter that cannot be
     a cache key, such as a list, is refused as out of range too."""
-    family = _family(family)
-    _admitted(family, m, n)
-    return _grid(family, m, n)
+    return _grid(_admitted(family, m, n), m, n)
 
 
 # the edge cap of an exhaustive search unless its budget says otherwise;
@@ -307,12 +290,12 @@ DEFAULT_MAX_EDGES = 16
 def edge_count(family: Family | str, m: int, n: int) -> int:
     """|E| of the member of a named family with parameters (m, n), unbuilt;
     (m, n) outside the family's range is refused as ``build`` refuses it."""
-    return _measure(_admitted(_family(family), m, n), m, n)[1]
+    return _measure(_admitted(family, m, n), m, n)[1]
 
 
 def admits(family: Family | str, m: int, n: int) -> bool:
     """Whether (m, n) lies in the parameter range of a named family."""
-    return not _shortfall(_FAMILIES[_family(family)], m, n)
+    return not _shortfall(_family(family), m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -321,15 +304,15 @@ def admits(family: Family | str, m: int, n: int) -> bool:
 
 
 def max_degree(g: MeshGraph) -> int:
-    """Greatest vertex degree, from the family's layer factor in
-    ``_FAMILIES`` (see ``_measure``): no vertex is read."""
-    return _measure(_FAMILIES[g.family], g.m, g.n)[3]
+    """Greatest vertex degree, from the family's layer factor
+    (``Family.closed``, see ``_measure``): no vertex is read."""
+    return _measure(g.family, g.m, g.n)[3]
 
 
 def diameter(g: MeshGraph) -> int:
-    """Largest shortest-path distance, from the family's layer factor in
-    ``_FAMILIES`` (see ``_measure``): no breadth-first search is run."""
-    return _measure(_FAMILIES[g.family], g.m, g.n)[2]
+    """Largest shortest-path distance, from the family's layer factor
+    (``Family.closed``, see ``_measure``): no breadth-first search is run."""
+    return _measure(g.family, g.m, g.n)[2]
 
 
 def theorem1_upper(g: MeshGraph) -> int:

@@ -493,7 +493,7 @@ def _mutate(doc: dict, kind: str, data) -> None:
     elif kind in ("m", "n"):
         doc[kind] += data.draw(st.sampled_from([-1, 1]), label="delta")
     else:
-        others = [f.value for f in grids._FAMILIES if f.value != doc["family"]]
+        others = [f.value for f in grids.Family if f.value != doc["family"]]
         doc["family"] = data.draw(st.sampled_from(others), label="family")
 
 

@@ -342,6 +342,9 @@ def test_family_table_builds_and_bounds_parameters():
     assert build(Family.TORUS, 2, 2).edges == build_torus(2, 2).edges
     assert admits("cylinder", 1, 2) and not admits("torus", 1, 2)
     assert not admits("cylinder", 2, 1)
+    for f in Family:
+        assert f.closed is (f is Family.TORUS)
+        assert admits(f, 1 + f.closed, 2) and not admits(f, int(f.closed), 2)
     with pytest.raises(InvalidParameterError, match=r"^unknown family 'product'$"):
         build("product", 2, 2)
 

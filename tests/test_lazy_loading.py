@@ -17,7 +17,7 @@ import pytest
 import intervalmesh
 from intervalmesh import cli, grids, search
 from intervalmesh.colorings import EdgeColoring, verify_interval
-from intervalmesh.constructions import _CONSTRUCTIONS, cylinder_coloring
+from intervalmesh.constructions import cylinder_coloring
 from intervalmesh.search import SearchBudget, find_interval_coloring
 
 SRC = str(Path(intervalmesh.__file__).resolve().parents[1])
@@ -139,7 +139,7 @@ def test_an_unknown_name_is_an_attribute_error_naming_the_module():
 
 
 def test_cli_constants_match_the_modules_they_stand_for():
-    assert cli._FAMILIES == tuple(family.value for family in _CONSTRUCTIONS)
+    assert cli._FAMILIES == tuple(family.value for family in grids.Family)
     assert search.DEFAULT_MAX_EDGES is grids.DEFAULT_MAX_EDGES
     assert SearchBudget().max_edges == grids.DEFAULT_MAX_EDGES
 
@@ -151,6 +151,12 @@ def test_slot_records_keep_value_semantics():
     for record in (g, c, report, SearchBudget(max_nodes=5)):
         with pytest.raises(AttributeError):
             record.palette_size = 1
+        # object.__delattr__ would empty the slot
+        field = record._compared[0]
+        value = getattr(record, field)
+        with pytest.raises(AttributeError, match=f"^cannot delete field {field!r}$"):
+            delattr(record, field)
+        assert getattr(record, field) is value
         for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
             assert clone == record and hash(clone) == hash(record)
             assert repr(clone) == repr(record)

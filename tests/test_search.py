@@ -21,13 +21,14 @@ from intervalmesh import (
     theorem1_upper,
     verify_interval,
 )
-from intervalmesh import colorings, grids, search
+from intervalmesh import cli, colorings, grids, search
 from intervalmesh.colorings import EdgeColoring
 from intervalmesh.constructions import construct
 from intervalmesh.errors import (
     BudgetExceededError,
     InvalidColoringError,
     InvalidParameterError,
+    NotIntervalColorableError,
 )
 from intervalmesh.grids import Family, build
 
@@ -116,6 +117,28 @@ def test_scans_over_the_edge_cap_are_refused_before_any_search(monkeypatch):
         with pytest.raises(BudgetExceededError) as info:
             scan(build_torus(2, 2), SearchBudget(max_edges=16))
         assert str(info.value) == "instance has 32 edges, budget allows 16"
+
+
+def test_a_scan_that_finds_no_palette_is_not_colorable(monkeypatch, capsys):
+    tried = []
+
+    def absent(g, t, budget=None):
+        tried.append(t)
+        return search.SearchResult(Outcome.ABSENT, None, 0)
+
+    monkeypatch.setattr(search, "find_interval_coloring", absent)
+    g = build_cylinder(2, 2)
+    message = r"^no interval t-coloring for any t in \[3, 7\]$"
+    for scan, palettes in ((exact_w, [3, 4, 5, 6, 7]), (exact_W, [7, 6, 5, 4, 3])):
+        tried.clear()
+        with pytest.raises(NotIntervalColorableError, match=message):
+            scan(g)
+        assert tried == palettes
+    argv = ["search", "--family", "cylinder", "-m", "2", "-n", "2", "--exact-W"]
+    assert cli.run(argv) == 1
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == "error: no interval t-coloring for any t in [3, 7]\n"
 
 
 def test_node_cap_is_not_reported_as_absence():
