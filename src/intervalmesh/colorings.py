@@ -179,13 +179,15 @@ def verify_interval(c: EdgeColoring) -> SpectrumReport:
 
     Diagnostic by design: every outcome is encoded in flags, and
     ``violating_vertices`` names each vertex whose incident colors
-    repeat or leave a gap.  A vertex of degree d ORs its colors' bits
-    (see ``_K``) and is accepted when the field ``b`` is d consecutive set
-    bits, that is ``b == low * (2**d - 1)`` for its lowest set bit
-    ``low``: exact for in-range colors.  Any other vertex is decided by
-    the list test ``_vertex_flags``, so a repeat, a gap or a stray color
-    is reported as the list test reports it.  The report is computed on the first call
-    and kept on the coloring, which cannot change, for every later call.
+    repeat or leave a gap.  One pass over the graph's ``ends`` ORs each
+    edge's color bit (see ``_K``) into both ends' fields.  A vertex of
+    degree d (``graph.degree``) is accepted when its field ``b`` is d
+    consecutive set bits, that is ``b == low * (2**d - 1)`` for its lowest
+    set bit ``low``: exact for in-range colors.  Only a vertex that fails
+    reads ``graph.incident``, and the list test ``_vertex_flags`` decides
+    it, so a repeat, a gap or a stray color is reported as the list test
+    reports it.  The report is computed on the first call and kept on the
+    coloring, which cannot change, for every later call.
     """
     if c._report is not None:
         return c._report
@@ -196,14 +198,17 @@ def verify_interval(c: EdgeColoring) -> SpectrumReport:
         bit = [1 << x for x in colors]
     else:
         bit = [1 << x if 1 <= x <= _K else _STRAY for x in colors]
+    g = c.graph
+    field = [0] * len(g.vertices)
+    for (a, b), x in zip(g.ends, bit):
+        field[a] |= x
+        field[b] |= x
     violating = []
     all_proper = True
-    for v, edges in c.graph.incident.items():
-        b = 0
-        for i in edges:
-            b |= bit[i]
-        if b != (b & -b) * ((1 << len(edges)) - 1):
-            proper_v, interval_v = _vertex_flags([colors[i] for i in edges])
+    for p, b, d in zip(range(len(field)), field, g.degree):
+        if b != (b & -b) * ((1 << d) - 1):
+            v = g.vertices[p]
+            proper_v, interval_v = _vertex_flags([colors[i] for i in g.incident[v]])
             if not interval_v:
                 violating.append(v)
                 all_proper = all_proper and proper_v
@@ -347,7 +352,8 @@ def _listed_graph(d: dict) -> MeshGraph:
     if _measure(family, m, n)[0] != len(vertices):
         raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
     g = _grid(family, m, n)
-    if g.incident.keys() != vertex_set:
+    # the sizes agree and the listing has no duplicates, so this is equality
+    if not vertex_set.issuperset(g.vertices):
         raise SchemaError(f"listed vertices do not match {_member_name(family, m, n)}")
     return g
 

@@ -8,9 +8,10 @@ graph is built and verified once.  Each closed form is a term of the
 edge's line plus one of its slot, read from tables built once per call
 in O(m + n) that also name each slot's rule: a ring edge on layer i at
 ring slot s takes ``layer[i] + ring[s]``, a rung at layer slot s on ring
-j ``rung[s] + across[j]``.  Two comprehensions over ``graph.edges`` read
-the colors and the aligned rule trace, which exports use to say which
-rule produced each color.
+j ``rung[s] + across[j]``.  One comprehension over ``graph.edges`` reads
+the colors; the aligned rule trace, which exports use to say which rule
+produced each color, is painted the same way from the rule rows on its
+first read, so a bounds row paints none.
 Constructions verify their own output and fail loudly, naming a broken
 vertex and its incident colors, rather than return a bad coloring.
 
@@ -44,6 +45,7 @@ from .grids import (
     MeshGraph,
     _admitted,
     _edge_name,
+    _Record,
     build_cylinder,
     build_torus,
 )
@@ -57,12 +59,34 @@ __all__ = [
     "spectrum_sweep",
 ]
 
-class ConstructionResult(NamedTuple):
+class ConstructionResult(_Record):
     """A verified coloring; ``rule_trace[i]`` names the rule that painted
-    ``graph.edges[i]``, and is ``None`` for a stepped coloring."""
+    ``graph.edges[i]``, and is ``None`` for a stepped coloring.
 
-    coloring: EdgeColoring
-    rule_trace: tuple[str, ...] | None
+    A construction's trace is painted from its rule rows (``_Side.rule``
+    of its ring edges, then of its rungs) on first read and kept in
+    ``_trace``, so a caller that reads only the coloring paints none.
+    Equality, hash and repr read ``coloring`` and ``rule_trace``.
+    """
+
+    __slots__ = ("coloring", "_rules", "_trace")
+    _compared = ("coloring", "rule_trace")
+
+    def __init__(self, coloring: EdgeColoring,
+                 rules: tuple[list[list[str]], list[list[str]]] | None = None) -> None:
+        self._fill(coloring, rules, None)
+
+    @property
+    def rule_trace(self) -> tuple[str, ...] | None:
+        if self._trace is None and self._rules is not None:
+            ring_rule, rung_rule = self._rules
+            trace = tuple([
+                ring_rule[j if l - j == 1 else l][i] if i == k
+                else rung_rule[i if k - i == 1 else k][j]
+                for (i, j), (k, l) in self.coloring.graph.edges
+            ])
+            object.__setattr__(self, "_trace", trace)
+        return self._trace
 
 
 class _Side(NamedTuple):
@@ -79,19 +103,16 @@ class _Side(NamedTuple):
 def _paint(g: MeshGraph, rings: _Side, rungs: _Side, t: int) -> ConstructionResult:
     """The verified coloring that paints the ring edges of ``g`` by
     ``rings`` and its rungs by ``rungs``, in ``graph.edges`` order, with no
-    call per edge."""
-    (layer, ring, ring_rule), (across, rung, rung_rule) = rings, rungs
+    call per edge: one comprehension reads the colors, and the result
+    keeps both sides' rule rows to paint its trace on first read."""
+    (layer, ring, _), (across, rung, _) = rings, rungs
     colors = tuple([
         layer[i] + ring[j if l - j == 1 else l] if i == k
         else across[j] + rung[i if k - i == 1 else k]
         for (i, j), (k, l) in g.edges
     ])
-    rules = tuple([
-        ring_rule[j if l - j == 1 else l][i] if i == k else rung_rule[i if k - i == 1 else k][j]
-        for (i, j), (k, l) in g.edges
-    ])
     coloring = require_interval(EdgeColoring(g, colors, t), ConstructionError, "construction")
-    return ConstructionResult(coloring, rules)
+    return ConstructionResult(coloring, (rings.rule, rungs.rule))
 
 
 def _rule_rows(n: int, lines: int) -> tuple[list[list[str]], list[str]]:
@@ -168,10 +189,11 @@ def step_down(c: EdgeColoring) -> EdgeColoring:
     recolored = list(c.aligned)
     for p, color in enumerate(recolored):
         if color == t:
-            a, b = g.edges[p]
-            d, d2 = len(g.incident[a]), len(g.incident[b])
+            a, b = g.ends[p]
+            d, d2 = g.degree[a], g.degree[b]
             if d != d2:
-                raise CannotStepDownError(f"color-{t} edge {_edge_name(a, b)} joins degrees {d} and {d2}")
+                name = _edge_name(*g.edges[p])
+                raise CannotStepDownError(f"color-{t} edge {name} joins degrees {d} and {d2}")
             if t <= d:
                 raise CannotStepDownError(f"palette 1..{t} is already at the degree bound")
             recolored[p] = t - d
@@ -203,7 +225,7 @@ def construct(family: Family | str, m: int, n: int, t: int | None = None) -> Con
     c = torus_coloring(m, n).coloring
     while c.palette_size > t:
         c = step_down(c)
-    return ConstructionResult(require_interval(c, ConstructionError, "stepped coloring"), None)
+    return ConstructionResult(require_interval(c, ConstructionError, "stepped coloring"))
 
 
 def spectrum_sweep(m: int, n: int) -> list[EdgeColoring]:

@@ -115,27 +115,49 @@ class _Record:
 class MeshGraph(_Record):
     """The member (m, n) of a named family, with grid-coordinate vertices.
 
-    ``vertices`` and ``edges`` are sorted tuples; ``incident``, the one
-    vertex lookup (the positions in ``edges`` of each vertex's edges), is
-    built with them and excluded from equality and repr.  A graph is
-    shared by every caller that builds the same member while it is
-    cached, so ``incident`` is read-only: never mutate it.
+    ``vertices`` and ``edges`` are sorted tuples.  The flat integer view
+    is built with them: ``ends[p]`` holds the positions in ``vertices`` of
+    the two ends of ``edges[p]``, and ``degree`` each vertex's degree by
+    position.  ``incident``, the positions in ``edges`` of each vertex's
+    edges keyed by vertex, is derived from ``ends`` on first read and
+    kept in ``_incident``.  None of these is in equality, hash or repr.
+    A graph is shared by every caller that builds the same member while
+    it is cached, so its views are read-only: never mutate them.
     ``_plan``, also outside equality and repr, holds the search's plan
     from the graph's first search on (``search._plan``).  A graph can be
     weakly referenced.
     """
 
-    __slots__ = ("family", "m", "n", "vertices", "edges", "incident", "_plan", "__weakref__")
+    __slots__ = ("family", "m", "n", "vertices", "edges", "ends", "degree", "_incident", "_plan",
+                 "__weakref__")
     _compared = ("family", "m", "n", "vertices", "edges")
 
     def __init__(self, family: Family, m: int, n: int,
                  vertices: tuple[GridVertex, ...], edges: tuple[Edge, ...],
-                 incident: dict[GridVertex, tuple[int, ...]]) -> None:
-        self._fill(family, m, n, vertices, edges, incident, None)
+                 ends: tuple[tuple[int, int], ...], degree: tuple[int, ...]) -> None:
+        self._fill(family, m, n, vertices, edges, ends, degree, None, None)
 
     @property
     def num_edges(self) -> int:
         return len(self.edges)
+
+    @property
+    def incident(self) -> dict[GridVertex, tuple[int, ...]]:
+        """Vertex -> the positions of its edges (``_incidence``), keyed in
+        ``vertices`` order; built on first read and kept."""
+        if self._incident is None:
+            object.__setattr__(self, "_incident", dict(zip(self.vertices, _incidence(self))))
+        return self._incident
+
+
+def _incidence(g: MeshGraph) -> list[tuple[int, ...]]:
+    """Each vertex's edge positions by vertex position, from ``g.ends``:
+    ascending, since each edge is appended to both ends' lists in turn."""
+    lists: list[list[int]] = [[] for _ in g.vertices]
+    for p, (a, b) in enumerate(g.ends):
+        lists[a].append(p)
+        lists[b].append(p)
+    return list(map(tuple, lists))
 
 
 # ---------------------------------------------------------------------------
@@ -154,28 +176,29 @@ def _product(family: Family, m: int, n: int) -> MeshGraph:
     in ascending order of the other end, (i, j+1) on its ring, the wrap
     (i, R) when j = 1, (i+1, j) on the next layer, and the seam (L, j)
     when i = 1 and the layers are closed (a cycle here has at least 4
-    vertices, so no two coincide).  Each edge reuses the tuples of
-    ``vertices``, and its position is appended to both ends' lists as it
-    is made, so every ``incident`` entry is ascending too."""
+    vertices, so no two coincide).  The pass appends each edge's two
+    vertex positions to ``ends``, and keeps no per-vertex list; one
+    comprehension then makes each edge from the tuples of ``vertices``.
+    The degrees are closed forms: 4 on a torus; on a cylinder 2 when
+    m = 1, else 3 on the two end layers and 4 inside."""
     closed = family.closed
     layers, rings = 2 * m if closed else m, 2 * n
     vertices = tuple([(i, j) for i in range(1, layers + 1) for j in range(1, rings + 1)])
-    edges: list[Edge] = []
-    inc: list[list[int]] = [[] for _ in vertices]
-    for p, v in enumerate(vertices):
-        i, j = v
-        ends = [p + 1] if j < rings else []  # vertex positions, ascending
+    ends: list[tuple[int, int]] = []  # vertex positions, each edge's in ascending order
+    for p, (i, j) in enumerate(vertices):
+        if j < rings:
+            ends.append((p, p + 1))
         if j == 1:
-            ends.append(p + rings - 1)
+            ends.append((p, p + rings - 1))
         if i < layers:
-            ends.append(p + rings)
+            ends.append((p, p + rings))
         if i == 1 and closed:
-            ends.append(p + (layers - 1) * rings)
-        for q in ends:
-            inc[p].append(len(edges))
-            inc[q].append(len(edges))
-            edges.append((v, vertices[q]))
-    return MeshGraph(family, m, n, vertices, tuple(edges), dict(zip(vertices, map(tuple, inc))))
+            ends.append((p, p + (layers - 1) * rings))
+    edges = tuple([(vertices[p], vertices[q]) for p, q in ends])
+    by_layer = ([4] * layers if closed
+                else [2 + (i > 1) + (i < layers) for i in range(1, layers + 1)])
+    degree = tuple([d for d in by_layer for _ in range(rings)])
+    return MeshGraph(family, m, n, vertices, edges, tuple(ends), degree)
 
 
 @functools.lru_cache(maxsize=2)

@@ -41,7 +41,8 @@ from .errors import (
     NotIntervalColorableError,
 )
 from .grids import (
-    DEFAULT_MAX_EDGES, MeshGraph, _Record, _representatives, max_degree, theorem1_upper,
+    DEFAULT_MAX_EDGES, MeshGraph, _incidence, _Record, _representatives, max_degree,
+    theorem1_upper,
 )
 
 __all__ = [
@@ -105,7 +106,7 @@ class SearchResult(NamedTuple):
     pairs: tuple[tuple[int, int, int], ...] = ()
 
 
-def _bfs_edge_order(ends: list[tuple[int, int]], incident: list[tuple[int, ...]],
+def _bfs_edge_order(ends: tuple[tuple[int, int], ...], incident: list[tuple[int, ...]],
                     first: int) -> list[int]:
     """Edge positions in breadth-first order from the edge at ``first``, in
     ``_build_plan``'s view: that edge, then the edges not listed yet of each
@@ -124,7 +125,8 @@ def _bfs_edge_order(ends: list[tuple[int, int]], incident: list[tuple[int, ...]]
     return list(order)
 
 
-def _path_weights(ends: list[tuple[int, int]], incident: list[tuple[int, ...]]) -> list[list[int]]:
+def _path_weights(ends: tuple[tuple[int, int], ...],
+                  incident: list[tuple[int, ...]]) -> list[list[int]]:
     """Least vertex-weighted path lengths, by vertex, in ``_build_plan``'s
     integer view.
 
@@ -178,7 +180,7 @@ class _Plan(NamedTuple):
     far slower.
     """
 
-    degree: list[int]
+    degree: tuple[int, ...]
     incident: list[tuple[int, ...]]
     delta: int
     spread: dict[int, int]
@@ -199,14 +201,13 @@ def _plan(g: MeshGraph) -> _Plan:
 
 
 def _build_plan(g: MeshGraph) -> _Plan:
-    """The search plan of ``g``, from one integer view of it: a vertex is its
-    position in ``g.vertices``, ``ends`` holds each edge's two vertices and
-    ``incident`` each vertex's edge positions.  ``g`` is connected, being a
-    family member, so every edge lies in each anchor's breadth-first order."""
-    index = {v: i for i, v in enumerate(g.vertices)}
-    ends = [(index[a], index[b]) for a, b in g.edges]
-    incident = list(g.incident.values())  # in g.vertices order, as built
-    degree = list(map(len, incident))
+    """The search plan of ``g``, from its flat integer view: a vertex is its
+    position in ``g.vertices``, ``g.ends`` holds each edge's two vertices,
+    ``g.degree`` each vertex's degree, and ``incident`` each vertex's edge
+    positions (``grids._incidence``).  ``g`` is connected, being a family
+    member, so every edge lies in each anchor's breadth-first order."""
+    ends, degree = g.ends, g.degree
+    incident = _incidence(g)
     weights = _path_weights(ends, incident)
     reach = max(map(max, weights))
     # Vertex v owns bits [v*width, (v+1)*width) of a start set; bit

@@ -476,9 +476,10 @@ def _mutate(doc: dict, kind: str, data) -> None:
             target = data.draw(st.sampled_from(doc["vertices"]), label="vertex")
         else:
             target = rows[i][data.draw(st.sampled_from(["u", "v"]))]
-        target[data.draw(st.integers(0, 1), label="axis")] += data.draw(
-            st.sampled_from([-1, 1]), label="delta"
-        )
+        axis = data.draw(st.integers(0, 1), label="axis")
+        delta = data.draw(st.sampled_from([-1, 1]), label="delta")
+        if type(target[axis]) is int:  # a coordinate that "type" changed stays as it is
+            target[axis] += delta
     elif kind == "type":
         if data.draw(st.booleans(), label="retype a listed vertex"):
             target = data.draw(st.sampled_from(doc["vertices"]), label="vertex")
@@ -633,7 +634,9 @@ def _vary(doc: dict, kind: str, data) -> None:
         k = picked[0] % len(doc["vertices"])
         doc["vertices"][k] = tuple(doc["vertices"][k])
     elif kind == "tint":
-        rows[picked[0]]["color"] = Tint(rows[picked[0]]["color"])
+        row = rows[picked[0]]
+        if type(row["color"]) is int:  # a color that "color" changed stays as it is
+            row["color"] = Tint(row["color"])
     elif kind == "color":
         rows[picked[0]]["color"] = data.draw(st.sampled_from([True, 1.0, "1", None]), label="color")
     elif kind == "key":

@@ -31,6 +31,7 @@ from intervalmesh.constructions import construct, spectrum_sweep
 from intervalmesh.grids import admits, build, dumps_canonical, edge_count
 
 from helpers import position
+from test_constructions import reference_torus
 
 
 def degree_by_edge_scan(g, v):
@@ -209,6 +210,32 @@ def test_named_families_match_their_neighbour_rules():
                 assert diameter(g) == diam, (family, m, n)
                 checked += 1
     assert checked == 6 * 5 + 8 * 5
+
+
+def test_the_flat_view_matches_the_edge_scan():
+    for family, least in (("cylinder", 1), ("torus", 2)):
+        for m in range(least, 7):
+            for n in range(2, 7):
+                g = grids._grid.__wrapped__(Family(family), m, n)  # fresh: nothing read yet
+                index = g.vertices.index
+                assert g.ends == tuple((index(a), index(b)) for a, b in g.edges), (family, m, n)
+                assert g.degree == tuple(degree_by_edge_scan(g, v) for v in g.vertices), (family, m, n)
+                assert g._incident is None, (family, m, n)
+                incident = [(v, tuple(k for k, e in enumerate(g.edges) if v in e)) for v in g.vertices]
+                assert list(g.incident.items()) == incident, (family, m, n)
+                assert g._incident is g.incident
+
+
+def test_a_bounds_row_builds_neither_lazy_view():
+    bounds_row("torus", 3, 3)
+    hits = grids._grid.cache_info().hits
+    g = build("torus", 3, 3)
+    assert grids._grid.cache_info().hits == hits + 1  # the row's own graph
+    assert g._incident is None
+    result = construct("torus", 3, 3)
+    assert result.coloring.graph is g and result._trace is None
+    assert result.rule_trace == reference_torus(3, 3)[1]  # painted on this first read
+    assert result._trace is result.rule_trace and g._incident is None
 
 
 def floyd_warshall_diameter(g):

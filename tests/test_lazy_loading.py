@@ -17,7 +17,7 @@ import pytest
 import intervalmesh
 from intervalmesh import cli, grids, search
 from intervalmesh.colorings import EdgeColoring, verify_interval
-from intervalmesh.constructions import cylinder_coloring
+from intervalmesh.constructions import construct, cylinder_coloring
 from intervalmesh.search import SearchBudget, find_interval_coloring
 
 SRC = str(Path(intervalmesh.__file__).resolve().parents[1])
@@ -145,10 +145,11 @@ def test_cli_constants_match_the_modules_they_stand_for():
 
 
 def test_slot_records_keep_value_semantics():
-    c = cylinder_coloring(1, 2).coloring
+    result = cylinder_coloring(1, 2)
+    c = result.coloring
     g = c.graph
     report = verify_interval(c)
-    for record in (g, c, report, SearchBudget(max_nodes=5)):
+    for record in (g, c, report, result, SearchBudget(max_nodes=5)):
         with pytest.raises(AttributeError):
             record.palette_size = 1
         # object.__delattr__ would empty the slot
@@ -171,5 +172,7 @@ def test_slot_records_keep_value_semantics():
     assert repr(SearchBudget()) == "SearchBudget(max_edges=16, max_nodes=None, time_cap_s=None)"
     # equality and repr leave out the lookups, the kept report and the view
     assert "incident" not in repr(g) and "_plan" not in repr(g) and "_report" not in repr(c)
+    assert repr(result) == f"ConstructionResult(coloring={c!r}, rule_trace={result.rule_trace!r})"
+    assert construct("torus", 3, 4, 5).rule_trace is None  # a stepped coloring has no trace
     assert c == EdgeColoring(g, c.aligned, c.palette_size) != EdgeColoring(g, c.aligned, 9)
     assert c != c.aligned and g.__eq__(c) is NotImplemented
