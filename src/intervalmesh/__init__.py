@@ -10,8 +10,8 @@ _HOMES = {
     name: home
     for home, names in (
         ("bounds", "BoundsRow bounds_row bounds_table bounds_table_csv"),
-        ("colorings", "EdgeColoring SpectrumReport VertexSpectrum coloring_from_json_dict "
-                      "coloring_to_json_dict verify_interval"),
+        ("colorings", "EdgeColoring SpectrumReport VertexSpectrum coloring_documents "
+                      "coloring_from_json_dict coloring_to_json_dict verify_interval"),
         ("constructions", "ConstructionResult cylinder_coloring spectrum_sweep step_down "
                           "torus_coloring"),
         ("grids", "Family MeshGraph build_cylinder build_torus diameter max_degree "

@@ -137,13 +137,13 @@ def _parse_range(text: str) -> tuple[int, int]:
 
 
 def _cmd_generate(args: argparse.Namespace) -> tuple[int, str, str | None]:
-    from .colorings import coloring_to_json_dict
+    from .colorings import coloring_documents
     from .constructions import construct
 
     result = construct(args.family, args.m, args.n, args.t)
-    doc = coloring_to_json_dict(result.coloring, result.rule_trace)
+    [doc] = coloring_documents([result.coloring], [result.rule_trace])
     summary = f"{args.family} m={args.m} n={args.n} t={result.coloring.palette_size}"
-    return EXIT_VALID, summary, dumps_canonical(doc)
+    return EXIT_VALID, summary, doc + "\n"
 
 
 def _cmd_verify(args: argparse.Namespace) -> tuple[int, str, str | None]:
@@ -171,7 +171,7 @@ def _cmd_bounds(args: argparse.Namespace) -> tuple[int, str, str | None]:
 
 
 def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
-    from .colorings import coloring_to_json_dict
+    from .colorings import coloring_documents
     from .search import Outcome, SearchBudget, exact_W, exact_w, find_interval_coloring
 
     budget = SearchBudget(
@@ -190,8 +190,8 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
         if result.outcome is Outcome.BUDGET_EXCEEDED:
             raise BudgetExceededError(result.detail)
         if result.outcome is Outcome.FOUND:
-            doc = coloring_to_json_dict(result.coloring)
-            return EXIT_VALID, f"found t={args.t}", dumps_canonical(doc)
+            [doc] = coloring_documents([result.coloring])
+            return EXIT_VALID, f"found t={args.t}", doc + "\n"
         print(
             f"no interval {args.t}-coloring exists "
             f"({result.nodes} nodes searched)",
@@ -204,13 +204,15 @@ def _cmd_search(args: argparse.Namespace) -> tuple[int, str, str | None]:
 
 
 def _cmd_sweep(args: argparse.Namespace) -> tuple[int, str, str | None]:
-    from .colorings import coloring_to_json_dict
+    from .colorings import coloring_documents
     from .constructions import spectrum_sweep
 
     colorings = spectrum_sweep(args.m, args.n)
-    docs = [coloring_to_json_dict(c) for c in colorings]
+    # {"colorings": [...]} with each document two levels in
+    docs = coloring_documents(colorings, indent="    ")
     summary = f"{len(docs)} colorings t={colorings[0].palette_size}..4"
-    return EXIT_VALID, summary, dumps_canonical({"colorings": docs})
+    body = ",\n    ".join(docs)
+    return EXIT_VALID, summary, f'{{\n  "colorings": [\n    {body}\n  ]\n}}\n'
 
 
 def _cmd_export(args: argparse.Namespace) -> tuple[int, str, str | None]:

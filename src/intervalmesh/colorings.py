@@ -10,9 +10,12 @@ diagnostics only when they are read.  ``require_interval`` is the one
 gate that turns a failed report into an error.
 
 The coloring document, the JSON a coloring is written as and read from,
-belongs to this module alone: its row keys, its reader and its checks of
-rows and vertices.  ``grids.dumps_canonical`` writes it as it writes any
-JSON value, knowing none of its keys.
+belongs to this module alone: its row keys, its writer, its reader and
+its checks of rows and vertices.  ``coloring_documents`` writes a
+coloring's document as text from one template per graph, with no dict;
+the CLI writes every document through it.  ``coloring_to_json_dict`` is
+the document's dict view, which ``grids.dumps_canonical`` writes to the
+same bytes as it writes any JSON value, knowing none of its keys.
 """
 
 from __future__ import annotations
@@ -32,7 +35,9 @@ from .grids import (
     _edge_name,
     _grid,
     _int_coords,
+    _int_list,
     _measure,
+    _quote,
     _Record,
     vertex_name,
 )
@@ -43,6 +48,7 @@ __all__ = [
     "SpectrumReport",
     "verify_interval",
     "require_interval",
+    "coloring_documents",
     "coloring_to_json_dict",
     "coloring_from_json_dict",
 ]
@@ -258,10 +264,72 @@ def require_interval(
 _ROW = ("u", "v", "color", "rule")  # a row's keys, the rule in every row or in none
 
 
+def _edge_coords(g: MeshGraph) -> tuple[int, ...]:
+    """The endpoints of ``g.edges`` as one flat tuple: ``u`` then ``v`` of
+    each edge in turn, two coordinates each, as a document lists its rows."""
+    return tuple(chain.from_iterable(chain.from_iterable(g.edges)))
+
+
+def _template(g: MeshGraph, ruled: bool, ind: str) -> str:
+    """The document of a coloring of ``g`` as it starts at ``ind``, with the
+    vertices and every row's endpoints written in and each row's color (and
+    rule), then t, left as ``%d`` (``%s``): one ``%`` over ``g``'s flat
+    vertex and edge coordinates makes it."""
+    i1, i2, i3 = ind + "  ", ind + "    ", ind + "      "
+    pair = _int_list(2, i3)
+    rule = f',\n{i3}"rule": %%s' if ruled else ""
+    row = f'{i2}{{\n{i3}"u": {pair},\n{i3}"v": {pair},\n{i3}"color": %%d{rule}\n{i2}}}'
+    text = "".join([
+        f'{{\n{i1}"family": {_quote(g.family.value)},\n{i1}"m": {g.m},\n{i1}"n": {g.n},\n',
+        f'{i1}"vertices": [\n', ",\n".join([i2 + _int_list(2, i2)] * len(g.vertices)),
+        f'\n{i1}],\n{i1}"edges": [\n', ",\n".join([row] * len(g.edges)),
+        f'\n{i1}],\n{i1}"t": %%d\n{ind}}}',
+    ])
+    return text % (*chain.from_iterable(g.vertices), *_edge_coords(g))
+
+
+def coloring_documents(
+    colorings: Sequence[EdgeColoring],
+    traces: Sequence[tuple[str, ...] | None] | None = None,
+    indent: str = "",
+) -> list[str]:
+    """Each coloring's document as text, as ``json.dumps(indent=2)`` writes
+    ``coloring_to_json_dict(c, trace)`` when it starts at ``indent``, with
+    no newline after it; ``traces``, when given, holds one rule trace or
+    None per coloring.  No dict is built: each distinct graph's document is
+    made once into a template (``_template``), and each coloring's is one
+    ``%`` over its colors, its rules (each distinct rule quoted once) and
+    its palette size.  A trace must hold one str per edge; one of any
+    other length raises ``ValueError``, as ``coloring_to_json_dict`` does.
+    """
+    templates: dict[tuple[int, bool], str] = {}
+    out = []
+    for c, trace in zip(colorings, [None] * len(colorings) if traces is None else traces,
+                        strict=True):
+        g, ruled = c.graph, trace is not None
+        # the colorings hold their graphs, so no id is reused during the call
+        key = (id(g), ruled)
+        if key not in templates:
+            templates[key] = _template(g, ruled, indent)
+        if not ruled:
+            out.append(templates[key] % (*c.aligned, c.palette_size))
+            continue
+        if len(trace) != len(c.aligned):
+            raise ValueError(f"rule trace has {len(trace)} rules for {len(c.aligned)} edges")
+        quoted = {rule: _quote(rule) for rule in set(trace)}
+        flat = [c.palette_size] * (2 * len(trace) + 1)
+        flat[0:-1:2] = c.aligned
+        flat[1:-1:2] = map(quoted.__getitem__, trace)
+        out.append(templates[key] % tuple(flat))
+    return out
+
+
 def coloring_to_json_dict(
     c: EdgeColoring, rule_trace: tuple[str, ...] | None = None
 ) -> dict:
-    """The coloring document; ``rule_trace`` is aligned with ``graph.edges``."""
+    """The coloring document as a dict; ``rule_trace`` is aligned with
+    ``graph.edges``.  ``coloring_documents`` writes the same document as
+    text without building it."""
     g = c.graph
     rows = [
         {"u": list(u), "v": list(v), "color": color}
@@ -302,7 +370,7 @@ def coloring_from_json_dict(d: dict) -> tuple[EdgeColoring, tuple[str, ...] | No
         raise SchemaError("'edges' must be an array")
     coords, colors, rules = _read_rows(rows)
     g = _listed_graph(d)
-    if coords != tuple(chain.from_iterable(chain.from_iterable(g.edges))):
+    if coords != _edge_coords(g):
         colors, rules = _placed(g, coords, colors, rules)
     return EdgeColoring(g, tuple(colors), t), (None if rules is None else tuple(rules))
 

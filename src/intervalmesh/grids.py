@@ -9,9 +9,10 @@ families are the Cartesian product of a layer factor with the ring
 factor, the cycle on ``2n`` vertices: a cylinder's layer factor is the
 path on ``m`` vertices, and a torus's the cycle on ``2m``.  Edge lists
 are kept in a single canonical order so that serialization, iteration,
-and search are deterministic.  ``dumps_canonical`` writes every JSON file
-the package writes, and knows no document's keys: the coloring document,
-its reader included, belongs to ``colorings`` alone.
+and search are deterministic.  ``dumps_canonical`` writes reports,
+manifests and any other JSON value, and knows no document's keys: the
+coloring document, its writer and reader included, belongs to
+``colorings`` alone.
 """
 
 from __future__ import annotations
@@ -351,10 +352,10 @@ def theorem1_upper(g: MeshGraph) -> int:
 # serialization
 # ---------------------------------------------------------------------------
 
-def _int_coords(items: list | tuple) -> tuple[int, ...] | None:
-    """The items' coordinates in order, when every item is a list of two
+def _int_coords(items: list | tuple, k: int = 2) -> tuple[int, ...] | None:
+    """The items' coordinates in order, when every item is a list of ``k``
     exact ints; else None.  Three passes in C: types, lengths, coordinates."""
-    if set(map(type, items)) <= {list} and set(map(len, items)) <= {2}:
+    if set(map(type, items)) <= {list} and set(map(len, items)) <= {k}:
         coords = tuple(chain.from_iterable(items))
         if set(map(type, coords)) <= {int}:
             return coords
@@ -362,35 +363,45 @@ def _int_coords(items: list | tuple) -> tuple[int, ...] | None:
 
 
 def dumps_canonical(d: dict) -> str:
-    """Stable JSON rendering used for every file the package writes.
+    """Stable JSON rendering of reports, manifests and any other value.
 
     Byte for byte ``json.dumps(d, indent=2) + "\\n"``, without ``json``'s
     pure-Python encoder: dicts with ``str`` keys and lists are walked, and a
-    list of ``[int, int]`` pairs, or of dicts that share one tuple of
-    ``str`` keys and hold only exact ints, only exact strs or only
-    ``[int, int]`` pairs in each column, is written by one ``%``-template
-    over the flat tuple of its values.  The writer knows no document's
-    keys: the coloring document belongs to ``colorings`` alone.  Values are
-    matched by exact type, so a bool, float or int subclass never reaches
-    ``%d``; strings are quoted by ``json.encoder``'s own
+    list of lists of k exact ints, for one k, or of dicts that share one
+    tuple of ``str`` keys and hold only exact ints, only exact strs, only
+    exact bools or only lists of k exact ints in each column, is written by
+    one ``%``-template over the flat tuple of its values.  The writer knows
+    no document's keys: the coloring document belongs to ``colorings``
+    alone.  Values are matched by exact type, so a float or int subclass
+    never reaches ``%d`` and a bool is written ``true`` or ``false``;
+    strings are quoted by ``json.encoder``'s own
     ``encode_basestring_ascii``.  Anything else goes to ``json.dumps``.
     """
     return _render(d, "") + "\n"
 
 
 _quote = json.encoder.encode_basestring_ascii
-_PAIR = "[\n{0}  %d,\n{0}  %d\n{0}]".format
+_JSON_BOOL = ("false", "true")
+
+
+def _int_list(k: int, ind: str) -> str:
+    """The template of a list of k ints as ``json.dumps(indent=2)`` writes
+    it at ``ind``."""
+    return "[\n" + ",\n".join([f"{ind}  %d"] * k) + f"\n{ind}]" if k else "[]"
 
 
 def _templated(items: list, ind: str) -> str | None:
     """A list's items as template rows at ``ind``, written by one ``%``
     over one flat tuple; None unless all fit one (see ``dumps_canonical``).
     The item types, the rows' key tuples and each column are read in one
-    pass each, and ``_int_coords`` decides the pairs."""
+    pass each, and ``_int_coords`` decides the int lists, whose length is
+    the first one's."""
     kinds = set(map(type, items))
     if kinds == {list}:
-        coords = _int_coords(items)
-        return None if coords is None else ",\n".join([ind + _PAIR(ind)] * len(items)) % coords
+        coords = _int_coords(items, k := len(items[0]))
+        if coords is None:
+            return None
+        return ",\n".join([ind + _int_list(k, ind)] * len(items)) % coords
     shapes = set(map(tuple, items)) if kinds == {dict} else set()
     keys = shapes.pop() if len(shapes) == 1 else ()
     if not keys or not set(map(type, keys)) <= {str}:
@@ -402,9 +413,12 @@ def _templated(items: list, ind: str) -> str | None:
         if kind == {int} or kind == {str}:
             fields.append("%d" if kind == {int} else "%s")
             slots.append(column if kind == {int} else tuple(map(_quote, column)))
-        elif kind == {list} and (coords := _int_coords(column)) is not None:
-            fields.append(_PAIR(inner))
-            slots += [coords[0::2], coords[1::2]]
+        elif kind == {bool}:
+            fields.append("%s")
+            slots.append(tuple(map(_JSON_BOOL.__getitem__, column)))
+        elif kind == {list} and (coords := _int_coords(column, k := len(column[0]))) is not None:
+            fields.append(_int_list(k, inner))
+            slots += [coords[i::k] for i in range(k)]
         else:
             return None
     body = ",\n".join([f"{inner}{_quote(key).replace('%', '%%')}: {field}"

@@ -16,6 +16,7 @@ from hypothesis import strategies as st
 from intervalmesh import (
     EdgeColoring,
     cli,
+    colorings,
     coloring_from_json_dict,
     coloring_to_json_dict,
     constructions,
@@ -575,6 +576,24 @@ def test_sweep_subcommand(capsys):
     for d in docs:
         coloring, _ = coloring_from_json_dict(d)
         assert verify_interval(coloring).interval
+
+
+@pytest.mark.parametrize("argv", [
+    ("generate", "--family", "cylinder", "-m", "2", "-n", "3"),
+    ("generate", "--family", "torus", "-m", "3", "-n", "2"),
+    ("generate", "--family", "torus", "-m", "2", "-n", "3", "--t", "6"),
+    ("sweep", "-m", "3", "-n", "2"),
+    ("search", "--family", "cylinder", "-m", "2", "-n", "2", "--t", "6"),
+])
+def test_documents_are_written_without_the_dict_view(argv, capsys, monkeypatch):
+    code, want, _ = invoke(capsys, *argv)
+    assert code == 0
+
+    def refuse(*args):
+        raise AssertionError("a dict document was built")
+
+    monkeypatch.setattr(colorings, "coloring_to_json_dict", refuse)
+    assert invoke(capsys, *argv) == (0, want, "")
 
 
 def test_manifest_replay_byte_identical(tmp_path, capsys):

@@ -13,6 +13,7 @@ from intervalmesh import (
     Family,
     build_cylinder,
     build_torus,
+    coloring_documents,
     coloring_from_json_dict,
     coloring_to_json_dict,
     cylinder_coloring,
@@ -24,7 +25,7 @@ from intervalmesh import colorings, grids
 from intervalmesh.cli import run
 from intervalmesh.colorings import require_interval
 from intervalmesh.constructions import construct
-from intervalmesh.grids import build
+from intervalmesh.grids import build, dumps_canonical
 from intervalmesh.errors import InvalidColoringError, InvalidParameterError, SchemaError
 
 from helpers import position
@@ -241,6 +242,56 @@ def test_coloring_json_round_trip():
         c = EdgeColoring(g, tuple(range(1, g.num_edges + 1)), g.num_edges)
         doc = json.loads(json.dumps(coloring_to_json_dict(c)))
         assert coloring_from_json_dict(doc) == (c, None)
+
+
+def _swept(*docs):
+    """A sweep's ``{"colorings": [...]}`` around documents written at its indent."""
+    return '{\n  "colorings": [\n    ' + ",\n    ".join(docs) + "\n  ]\n}\n"
+
+
+WRITER_MEMBERS = [("cylinder", m, n) for m in range(1, 5) for n in range(2, 5)]
+WRITER_MEMBERS += [("torus", m, n) for m in range(2, 5) for n in range(2, 5)]
+
+
+@pytest.mark.parametrize("family, m, n", WRITER_MEMBERS)
+def test_the_document_writer_matches_the_dict_view(family, m, n):
+    result = construct(family, m, n)
+    for trace in (result.rule_trace, None):
+        doc = coloring_to_json_dict(result.coloring, trace)
+        [text] = coloring_documents([result.coloring], [trace])
+        assert text + "\n" == dumps_canonical(doc)
+        [nested] = coloring_documents([result.coloring], [trace], indent="    ")
+        assert _swept(nested) == dumps_canonical({"colorings": [doc]})
+    [bare] = coloring_documents([result.coloring])
+    assert bare + "\n" == dumps_canonical(coloring_to_json_dict(result.coloring))
+
+
+def test_the_document_writer_keeps_one_template_per_graph_and_trace():
+    a, b = construct("torus", 2, 3), construct("cylinder", 2, 2)
+    colorings = [a.coloring, b.coloring, a.coloring, b.coloring]
+    traces = [a.rule_trace, None, None, b.rule_trace]
+    dicts = [coloring_to_json_dict(c, t) for c, t in zip(colorings, traces)]
+    assert (_swept(*coloring_documents(colorings, traces, indent="    "))
+            == dumps_canonical({"colorings": dicts}))
+
+
+def test_the_document_writer_quotes_any_rule():
+    c = cylinder_coloring(1, 2).coloring
+    trace = ("100%", '"%d"', "back\\slash", "café")
+    [text] = coloring_documents([c], [trace])
+    assert text + "\n" == dumps_canonical(coloring_to_json_dict(c, trace))
+    assert json.loads(text)["edges"][3]["rule"] == "café"
+
+
+def test_the_document_writer_refuses_a_trace_of_the_wrong_length():
+    c = cylinder_coloring(1, 2).coloring
+    for trace in (("ring",) * 3, ("ring",) * 5):
+        with pytest.raises(ValueError):
+            coloring_to_json_dict(c, trace)
+        with pytest.raises(ValueError):
+            coloring_documents([c], [trace])
+    with pytest.raises(ValueError):
+        coloring_documents([c, c], [None])
 
 
 def test_coloring_json_schema_errors():

@@ -607,6 +607,15 @@ def _rows_made(make):
 @example(_rows_with_rules([]))
 @example(_rows_with_rules("ring", None, 0, []))
 @example({"colorings": [_rows_with_rules(None), _rows_with_rules(*["r"] * 32)]})
+@example(_rows_made(lambda r: {"u": r["u"], "proper": r["color"] > 2, "interval": True}))
+@example(_rows_made(lambda r: {"mixed": r["color"] % 3 == 0 or r["color"]}))
+@example(_rows_made(lambda r: {"colors": [*r["u"], r["color"]]}))
+@example(_rows_made(lambda r: {"colors": [*r["u"], *r["v"]], "degree": 4}))
+@example(_rows_made(lambda r: {"colors": r["u"] * (r["color"] % 2 + 1)}))
+@example(_rows_made(lambda r: {"colors": [], "color": r["color"]}))
+@example({"triples": [[1, 2, 3], [4, 5, 6]], "ragged": [[1], [2, 3]], "empty": [[], []]})
+@example(verify_interval(construct("torus", 2, 2).coloring).to_json_dict())
+@example(verify_interval(construct("cylinder", 2, 2).coloring).to_json_dict())
 def test_writer_matches_json_dumps_on_damaged_documents(doc):
     assert canonical_or_exception(doc) == stdlib_dumps(doc)
 
