@@ -344,11 +344,9 @@ def run(argv: list[str]) -> int:
         elif text is not None:
             sys.stdout.write(text)
     except SystemExit as exc:
-        # argparse exits 2 on usage errors and 0 on --help, on this argv or on
-        # the one replay parses; pass both through
-        if exc.code is None:
-            return EXIT_VALID
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        # argparse exits 2 on usage errors and 0 on --help and --version, on
+        # this argv or on the one replay parses; pass the code through
+        return exc.code
     except tuple(_FAILURES) as exc:
         code = _fail(exc)
         result = f"failed: {type(exc).__name__}"

@@ -60,15 +60,16 @@ class EdgeColoring(_Record):
     ``aligned[i]`` is the color of ``graph.edges[i]``, one integer per
     edge, kept as a tuple (a list passed in is copied).  ``colors`` is a
     read-only view of it keyed by edge (the sorted pair of
-    ``(layer, ring)`` vertices).  ``palette_size`` is the declared
-    palette 1..t, an integer by the colors' rule (a bool is refused).
-    Assigned colors are not forced into that range here; out-of-range
-    colors are reported by :func:`verify_interval` instead of rejected, so
-    that damaged colorings can still be diagnosed.  Equality, hash and
-    repr read the graph, the colors and the palette.
+    ``(layer, ring)`` vertices), made on each read and never kept.
+    ``palette_size`` is the declared palette 1..t, an integer by the
+    colors' rule (a bool is refused).  Assigned colors are not forced into
+    that range here; out-of-range colors are reported by
+    :func:`verify_interval` instead of rejected, so that damaged colorings
+    can still be diagnosed.  Equality, hash and repr read the graph, the
+    colors and the palette.
     """
 
-    __slots__ = ("graph", "aligned", "palette_size", "_report", "_colors")
+    __slots__ = ("graph", "aligned", "palette_size", "_report")
     _compared = ("graph", "aligned", "palette_size")
 
     def __init__(self, graph: MeshGraph, aligned: tuple[int, ...], palette_size: int) -> None:
@@ -88,15 +89,12 @@ class EdgeColoring(_Record):
                     raise InvalidColoringError(
                         f"color of {_edge_name(*e)} is not an integer: {c!r}"
                     )
-        self._fill(graph, tuple(aligned), palette_size, None, None)
+        self._fill(graph, tuple(aligned), palette_size, None)
 
     @property
     def colors(self) -> Mapping[Edge, int]:
-        """Read-only edge -> color view of ``aligned``, built on first read."""
-        if self._colors is None:
-            view = MappingProxyType(dict(zip(self.graph.edges, self.aligned)))
-            object.__setattr__(self, "_colors", view)
-        return self._colors
+        """A read-only edge -> color view of ``aligned``, made on each read."""
+        return MappingProxyType(dict(zip(self.graph.edges, self.aligned)))
 
 
 class VertexSpectrum(NamedTuple):
@@ -243,10 +241,10 @@ def require_interval(
     The message names ``subject`` and the first violated vertex as
     ``x_<ring>_<layer>`` with its incident colors, or the uncovered
     palette.  This is a raise, not an ``assert``, so it also holds under
-    ``python -O``.  A report already kept on ``c`` is read without a
-    further call.
+    ``python -O``.  The report is ``verify_interval``'s, which reads one
+    already kept on ``c`` without a further check.
     """
-    report = c._report or verify_interval(c)
+    report = verify_interval(c)
     if report.interval:
         return c
     if report.violating_vertices:
@@ -302,13 +300,12 @@ def coloring_documents(
     its palette size.  A trace must hold one str per edge; one of any
     other length raises ``ValueError``, as ``coloring_to_json_dict`` does.
     """
-    templates: dict[tuple[int, bool], str] = {}
+    templates: dict[tuple[MeshGraph, bool], str] = {}
     out = []
     for c, trace in zip(colorings, [None] * len(colorings) if traces is None else traces,
                         strict=True):
         g, ruled = c.graph, trace is not None
-        # the colorings hold their graphs, so no id is reused during the call
-        key = (id(g), ruled)
+        key = (g, ruled)
         if key not in templates:
             templates[key] = _template(g, ruled, indent)
         if not ruled:

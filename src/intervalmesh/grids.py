@@ -116,27 +116,27 @@ class _Record:
 class MeshGraph(_Record):
     """The member (m, n) of a named family, with grid-coordinate vertices.
 
-    ``vertices`` and ``edges`` are sorted tuples.  The flat integer view
-    is built with them: ``ends[p]`` holds the positions in ``vertices`` of
+    ``MeshGraph(family, m, n)`` is the one constructor: it refuses (m, n)
+    outside the family's range as ``build`` does, and takes its views from
+    ``_product``.  Equality, hash and repr read ``family``, ``m`` and
+    ``n`` alone, since they fix every view.  ``vertices`` and ``edges``
+    are sorted tuples; ``ends[p]`` holds the positions in ``vertices`` of
     the two ends of ``edges[p]``, and ``degree`` each vertex's degree by
     position.  ``incident``, the positions in ``edges`` of each vertex's
     edges keyed by vertex, is derived from ``ends`` on first read and
-    kept in ``_incident``.  None of these is in equality, hash or repr.
-    A graph is shared by every caller that builds the same member while
-    it is cached, so its views are read-only: never mutate them.
-    ``_plan``, also outside equality and repr, holds the search's plan
-    from the graph's first search on (``search._plan``).  A graph can be
-    weakly referenced.
+    kept in ``_incident``.  A graph is shared by every caller that builds
+    the same member while it is cached, so its views are read-only: never
+    mutate them.  ``_plan`` holds the search's plan from the graph's first
+    search on (``search._plan``).  A graph can be weakly referenced.
     """
 
     __slots__ = ("family", "m", "n", "vertices", "edges", "ends", "degree", "_incident", "_plan",
                  "__weakref__")
-    _compared = ("family", "m", "n", "vertices", "edges")
+    _compared = ("family", "m", "n")
 
-    def __init__(self, family: Family, m: int, n: int,
-                 vertices: tuple[GridVertex, ...], edges: tuple[Edge, ...],
-                 ends: tuple[tuple[int, int], ...], degree: tuple[int, ...]) -> None:
-        self._fill(family, m, n, vertices, edges, ends, degree, None, None)
+    def __init__(self, family: Family | str, m: int, n: int) -> None:
+        family = _admitted(family, m, n)
+        self._fill(family, m, n, *_product(family, m, n), None, None)
 
     @property
     def num_edges(self) -> int:
@@ -166,9 +166,11 @@ def _incidence(g: MeshGraph) -> list[tuple[int, ...]]:
 # ---------------------------------------------------------------------------
 
 
-def _product(family: Family, m: int, n: int) -> MeshGraph:
-    """The member (m, n) of a named family: the Cartesian product of its
-    layer factor on L vertices (``Family.closed``) with the cycle on R = 2n.
+def _product(family: Family, m: int, n: int) -> tuple[
+        tuple[GridVertex, ...], tuple[Edge, ...], tuple[tuple[int, int], ...], tuple[int, ...]]:
+    """The views ``vertices``, ``edges``, ``ends`` and ``degree`` of the
+    member (m, n) of a named family: the Cartesian product of its layer
+    factor on L vertices (``Family.closed``) with the cycle on R = 2n.
     Vertex (i, j) sits on layer i and ring j; every layer carries a copy
     of the ring's edges and every ring a copy of the layer factor's.
 
@@ -199,13 +201,13 @@ def _product(family: Family, m: int, n: int) -> MeshGraph:
     by_layer = ([4] * layers if closed
                 else [2 + (i > 1) + (i < layers) for i in range(1, layers + 1)])
     degree = tuple([d for d in by_layer for _ in range(rings)])
-    return MeshGraph(family, m, n, vertices, edges, tuple(ends), degree)
+    return vertices, edges, tuple(ends), degree
 
 
 @functools.lru_cache(maxsize=2)
 def _grid(family: Family, m: int, n: int) -> MeshGraph:
     """The member (m, n) of a named family, whose range ``build`` or the
-    coloring document's reader has checked, built by ``_product``.
+    coloring document's reader has checked, made by ``MeshGraph``.
 
     The last two members built are kept, so a document parsed right after
     its construction gets the very graph that construction built (shared,
@@ -213,7 +215,7 @@ def _grid(family: Family, m: int, n: int) -> MeshGraph:
     an exact ``int`` for each parameter, since both refuse anything else
     first (``True`` included, so it never meets a kept ``m=1`` graph).
     """
-    return _product(family, m, n)
+    return MeshGraph(family, m, n)
 
 
 def build_cylinder(m: int, n: int) -> MeshGraph:

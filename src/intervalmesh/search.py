@@ -163,11 +163,11 @@ def _path_weights(ends: tuple[tuple[int, int], ...],
 class _Plan(NamedTuple):
     """What a search needs of a graph, whatever the palette.
 
-    ``degree`` is by vertex index (position in ``graph.vertices``) and
-    ``incident`` holds each vertex's edge positions; ``delta`` is the
-    largest degree, and ``spread`` maps each degree d present to the
-    bit 0 of the field of every vertex of degree d.  ``reach`` is the
-    largest path weight and ``width`` the bits of a vertex's field.
+    ``incident`` holds each vertex's edge positions by vertex index
+    (position in ``graph.vertices``), and ``spread`` maps each degree d
+    present to the bit 0 of the field of every vertex of degree d, so
+    ``max(spread)`` is Δ.  ``reach`` is the largest path weight and
+    ``width`` the bits of a vertex's field.
     ``rows`` holds, per edge position, the endpoints, their field offsets,
     the terms that turn a field's top bit into its top color, and the
     edge's cut.  ``anchors`` holds, for each edge-orbit representative e
@@ -180,9 +180,7 @@ class _Plan(NamedTuple):
     far slower.
     """
 
-    degree: tuple[int, ...]
     incident: list[tuple[int, ...]]
-    delta: int
     spread: dict[int, int]
     reach: int
     width: int
@@ -239,7 +237,7 @@ def _build_plan(g: MeshGraph) -> _Plan:
         near = list(map(min, weights[a], weights[b]))  # min over x in e of P[x][v]
         order = _bfs_edge_order(ends, incident, e)
         anchors.append((e, order, [min(near[x], near[y]) for x, y in (ends[i] for i in order)]))
-    return _Plan(degree, incident, max(degree), spread, reach, width, rows, anchors, {})
+    return _Plan(incident, spread, reach, width, rows, anchors, {})
 
 
 def _anchor_pairs(
@@ -274,7 +272,7 @@ def _run_order(plan: _Plan, order: list[int], f: int) -> list[int]:
     rows = plan.rows
     e = order[0]
     reached = [*rows[e][:2], *rows[f][:2]]  # the queue, read while it grows
-    hops = [-1] * len(plan.degree)
+    hops = [-1] * len(plan.incident)
     for v in reached:
         hops[v] = 0
     for u in reached:
@@ -341,12 +339,12 @@ def find_interval_coloring(
     if why:
         return SearchResult(Outcome.BUDGET_EXCEEDED, None, 0, why)
     plan = _plan(g)
-    if t > g.num_edges or t < plan.delta or t > plan.reach + 1:
-        # each color of a surjective coloring needs an edge of its own, each
-        # vertex a color per edge, and each palette an anchor pair
+    if t > g.num_edges or t < max(plan.spread):
+        # each color of a surjective coloring needs an edge of its own, and
+        # each vertex a color per edge
         return SearchResult(Outcome.ABSENT, None, 0)
     # the starts 1..t-d+1 copied into the field of every vertex of degree d;
-    # they end below bit reach + t - d + 2 <= width, so no field spills over
+    # with an anchor pair, t <= reach + 1, so no field spills over
     allowed = sum((((1 << (t - d + 1)) - 1) << (plan.reach + 1)) * fields
                   for d, fields in plan.spread.items())
 
@@ -417,7 +415,7 @@ def _run(
     low = plan.reach + 1
     num_edges = len(rows)
     state = [0] * (num_edges + 1)  # start sets before each edge
-    mask = [0] * len(plan.degree)  # bit c set: color c sits at the vertex
+    mask = [0] * len(plan.incident)  # bit c set: color c sits at the vertex
     used_count = [0] * (t + 1)
     # an edge's color, 0 while it has none; a revisited edge resumes after it
     assigned: list[int] = [0] * num_edges

@@ -321,6 +321,14 @@ def test_replay_of_a_replay_is_refused(tmp_path, capsys):
     assert "replay" in err
 
 
+def test_replay_of_an_argv_that_is_not_an_array_of_strings(tmp_path, capsys):
+    manifest = tmp_path / "m.json"
+    for argv in ("generate", ["generate", 1]):
+        manifest.write_text(json.dumps({"argv": argv}))
+        code, out, err = invoke(capsys, "replay", str(manifest))
+        assert (code, out, err) == (2, "", "schema error: 'argv' must be an array of strings\n")
+
+
 def test_verify_schema_mismatch(tmp_path, capsys):
     out = tmp_path / "c.json"
     invoke(capsys, "generate", "--family", "cylinder", "-m", "1", "-n", "2", "-o", str(out))

@@ -406,9 +406,13 @@ def test_a_parameter_that_is_not_an_int_is_refused(bad):
         construct("cylinder", bad, 2)
     with pytest.raises(InvalidParameterError, match=text):
         edge_count("cylinder", bad, 2)
+    with pytest.raises(InvalidParameterError, match=text):
+        grids.MeshGraph("cylinder", bad, 2)
     assert not admits("cylinder", bad, 2)
     with pytest.raises(InvalidParameterError, match=r"^torus needs n >= 2, got n="):
         build("torus", 2, bad)
+    with pytest.raises(InvalidParameterError, match=r"^torus needs n >= 2, got n="):
+        grids.MeshGraph("torus", 2, bad)
 
 
 def test_edge_count_refuses_what_build_refuses():
@@ -418,6 +422,13 @@ def test_edge_count_refuses_what_build_refuses():
             build(family, m, n)
         with pytest.raises(InvalidParameterError, match=f"^{re.escape(str(built.value))}$"):
             edge_count(family, m, n)
+        # the graph's one constructor admits (m, n) as build does
+        with pytest.raises(InvalidParameterError, match=f"^{re.escape(str(built.value))}$"):
+            grids.MeshGraph(family, m, n)
+    with pytest.raises(InvalidParameterError, match=r"^torus needs m >= 2, got m=1$"):
+        grids.MeshGraph(grids.Family.TORUS, 1, 2)
+    with pytest.raises(InvalidParameterError, match=r"^unknown family 'moebius'$"):
+        grids.MeshGraph("moebius", 2, 2)
 
 
 def test_a_build_that_raises_is_not_cached():

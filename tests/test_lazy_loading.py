@@ -149,6 +149,9 @@ def test_slot_records_keep_value_semantics():
     c = result.coloring
     g = c.graph
     report = verify_interval(c)
+    # an edge -> color view is made on each read and kept nowhere, so the
+    # coloring still copies and pickles once it has been read
+    assert c.colors == dict(zip(g.edges, c.aligned))
     for record in (g, c, report, result, SearchBudget(max_nodes=5)):
         with pytest.raises(AttributeError):
             record.palette_size = 1
@@ -158,12 +161,15 @@ def test_slot_records_keep_value_semantics():
         with pytest.raises(AttributeError, match=f"^cannot delete field {field!r}$"):
             delattr(record, field)
         assert getattr(record, field) is value
-        for clone in (copy.copy(record), pickle.loads(pickle.dumps(record))):
+        for clone in (copy.copy(record), copy.deepcopy(record),
+                      pickle.loads(pickle.dumps(record))):
             assert clone == record and hash(clone) == hash(record)
             assert repr(clone) == repr(record)
     assert weakref.ref(g)() is g
+    # a graph is its family and (m, n): equality, hash and repr read nothing else
+    assert repr(g) == "MeshGraph(family=<Family.CYLINDER: 'cylinder'>, m=1, n=2)"
     # a search keeps its plan on the graph, outside equality, hash and repr
-    fresh = grids._product(g.family, g.m, g.n)  # equal, unsearched
+    fresh = grids.MeshGraph(g.family, g.m, g.n)  # equal, unsearched
     assert find_interval_coloring(g, 3).coloring is not None
     assert g._plan is not None and fresh._plan is None
     assert g == fresh and hash(g) == hash(fresh) and repr(g) == repr(fresh)

@@ -384,7 +384,7 @@ def test_a_scan_shares_one_plan(monkeypatch):
 
 
 def test_a_searched_graph_is_collected_once_dropped():
-    g = grids._product(Family.CYLINDER, 2, 2)  # outside the graph cache
+    g = grids.MeshGraph(Family.CYLINDER, 2, 2)  # outside the graph cache
     result = find_interval_coloring(g, 4)
     assert result.outcome is Outcome.FOUND and g._plan is not None
     ref = weakref.ref(g)
